@@ -20,9 +20,12 @@ print("default pipeline:")
 for stage in pipe.stages:
     print(f"  {stage.name:16s} p={stage.probability}  {dict(stage.params)}")
 
-v1, v2 = two_views(img, pipe, Rng(0).child("sample", 0))
-print(f"\nview shapes: {v1.shape}, value range "
-      f"[{min(v1.min(), v2.min()):.3f}, {max(v1.max(), v2.max()):.3f}]")
+# A batch is augmented at once; each image keeps its own rng stream.
+batch = data.train_images[:4]
+v1, v2 = two_views(batch, pipe,
+                   [Rng(0).child("sample", i) for i in range(len(batch))])
+print(f"\nview matrices: {v1.shape} (one flattened view per row), value "
+      f"range [{min(v1.min(), v2.min()):.3f}, {max(v1.max(), v2.max()):.3f}]")
 print(f"view difference (same source, independent draws): "
       f"{np.abs(v1 - v2).mean():.4f} mean abs")
 

@@ -1,10 +1,42 @@
 """View-generation pipeline: crop/resize, flip, color jitter, grayscale,
 blur, solarization.
 
-Images are (h, w, 3) float64 arrays with values in [0, 1]. Every stage draws
+Images are (h, w, 3) float64 arrays with values in [0, 1]; the stage kernels
+also take (n, h, w, 3) batches with one parameter per image. Every stage draws
 its gate and parameters from its own named rng sub-stream, so removing one
 stage never shifts the randomness any other stage sees: ablations stay paired
 sample by sample.
+
+Batched path. `two_views` augments a whole batch in two steps:
+
+1. `draw_plan` runs once per (image, view). The stream of stage s is
+   `rng.child("view", v).child(s)`, where `rng` is the image's stream, and it
+   draws in this order: the gate, `random() < probability`; then, only if
+   the gate fired, the stage's parameters. The crop makes up to ten
+   attempts, each drawing an area scale and an aspect ratio (`uniform`
+   twice); the first attempt that fits draws its top row, then its left
+   column (`integers`), and if none fits the box is the whole image. Jitter
+   draws its brightness, contrast, saturation and hue values (`uniform`
+   four times); blur draws its sigma (`uniform`). The other stages draw
+   nothing. A plan holds only these concrete values.
+2. `apply_plans` applies each stage, in pipeline order, to the sub-batch
+   where it fired: the crop-resize is one gather per image, the blur runs
+   per group of images with the same radius and adds its taps in kernel
+   order, and the other stages are broadcasts. Per-image coefficients (blur
+   kernels, hue rotations) come from the same scalar code as for one image.
+   Images whose crops fired differently have different sizes between
+   stages, so they are processed in separate groups.
+
+The result equals augmenting each image on its own, bit for bit.
+
+Layout rule. The contrast step of the jitter takes each image's mean luma,
+and a floating-point sum depends on its order. The per-image pipeline that
+the batched one replaced summed in memory order, and its crop-resize returned
+a width-major array. So an image's mean is summed column by column when its
+last crop-resize came after its last flip and grayscale, and row by row
+otherwise (a source image counts as row-major); jitter, blur and
+solarization keep the order they find. Keeping this rule keeps every
+checkpoint trained with the per-image pipeline reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import Rng
+from .numerics import Rng, StreamLoader
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -91,12 +123,12 @@ def luma(img: np.ndarray) -> np.ndarray:
 
 
 def hflip(img: np.ndarray) -> np.ndarray:
-    return img[:, ::-1, :].copy()
+    return img[..., ::-1, :].copy()
 
 
 def grayscale(img: np.ndarray) -> np.ndarray:
     y = luma(img)
-    return np.repeat(y[..., None], 3, axis=2)
+    return np.repeat(y[..., None], 3, axis=-1)
 
 
 def solarize(img: np.ndarray, threshold: float) -> np.ndarray:
@@ -106,48 +138,101 @@ def solarize(img: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(img >= threshold, 1.0 - img, img)
 
 
-def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def _resample_taps(out_len: int, in_len: np.ndarray):
+    # Per image: the two source indices and the weight of the second one for
+    # every output position, half-pixel centered.
+    s = np.clip((np.arange(out_len) + 0.5) * (in_len / out_len)[:, None] - 0.5,
+                0, (in_len - 1)[:, None])
+    i0 = np.floor(s).astype(int)
+    i1 = np.minimum(i0 + 1, (in_len - 1)[:, None])
+    return i0, i1, s - i0
+
+
+def resize_bilinear(img: np.ndarray, out_h: int, out_w: int,
+                    boxes=None) -> np.ndarray:
     """Bilinear resample with half-pixel-centered sampling.
 
+    `img` is one (h, w, 3) image or an (n, h, w, 3) batch. `boxes` restricts
+    each image to a crop window (top, left, height, width): one 4-tuple for
+    an image, one row per image for a batch; the default is the whole image.
     Resizing to the input size reproduces the input bit-for-bit.
     """
-    in_h, in_w = img.shape[:2]
-    sy = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0, in_h - 1)
-    sx = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0, in_w - 1)
-    y0 = np.floor(sy).astype(int)
-    x0 = np.floor(sx).astype(int)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (sy - y0)[:, None, None]
-    wx = (sx - x0)[None, :, None]
-    top = (1.0 - wx) * img[y0][:, x0] + wx * img[y0][:, x1]
-    bot = (1.0 - wx) * img[y1][:, x0] + wx * img[y1][:, x1]
-    return clamp01((1.0 - wy) * top + wy * bot)
+    single = img.ndim == 3
+    x = img[None] if single else img
+    n = x.shape[0]
+    if boxes is None:
+        boxes = (0, 0, *x.shape[1:3])
+    top, left, h, w = np.broadcast_to(
+        np.asarray(boxes, dtype=np.int64).reshape(-1, 4), (n, 4)).T
+    y0, y1, wy = _resample_taps(out_h, h)
+    x0, x1, wx = _resample_taps(out_w, w)
+    # Gather whole pixels by flat index; the arithmetic then runs on
+    # (n, out_h, out_w * 3) rows so numpy's inner loops stay long.
+    pixels = np.ascontiguousarray(x).reshape(-1, 3)
+    first = (np.arange(n) * x.shape[1])[:, None] + top[:, None]
+    r0, r1 = (((first + y) * x.shape[2])[:, :, None] for y in (y0, y1))
+    c0, c1 = ((left[:, None] + c)[:, None, :] for c in (x0, x1))
+
+    wx = np.repeat(wx, 3, axis=1)[:, None, :]
+    wy = wy[:, :, None]
+
+    def along_row(rows):
+        # (1 - wx) * left + wx * right, computed in place.
+        left = np.take(pixels, rows + c0, axis=0).reshape(n, out_h, -1)
+        right = np.take(pixels, rows + c1, axis=0).reshape(n, out_h, -1)
+        left *= 1.0 - wx
+        right *= wx
+        left += right
+        return left
+
+    out = along_row(r0)
+    out *= 1.0 - wy
+    lower = along_row(r1)
+    lower *= wy
+    out += lower
+    out = clamp01(out).reshape(n, out_h, out_w, 3)
+    return out[0] if single else out
 
 
-def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian with kernel radius ceil(2*sigma), edge padding."""
-    radius = int(np.ceil(2.0 * sigma))
-    if radius < 1:
-        return img.copy()
+def _blur_kernel(sigma: float, radius: int) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
-    out = img
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="edge")
-        acc = np.zeros_like(out)
-        for tap, weight in enumerate(kernel):
-            sl = [slice(None)] * 3
-            sl[axis] = slice(tap, tap + out.shape[axis])
-            acc += weight * padded[tuple(sl)]
-        out = acc
-    return clamp01(out)
+    return kernel
 
 
-def _rotate_hue(img: np.ndarray, shift: float) -> np.ndarray:
+def gaussian_blur(img: np.ndarray, sigma) -> np.ndarray:
+    """Separable Gaussian with kernel radius ceil(2*sigma), edge padding.
+
+    `img` is one (h, w, 3) image with one sigma, or an (n, h, w, 3) batch
+    with one sigma per image. Images of equal radius are blurred together,
+    each output pixel summing its taps in kernel order.
+    """
+    single = img.ndim == 3
+    x = img[None] if single else img
+    sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
+    radii = np.ceil(2.0 * sigmas).astype(int)
+    out = x.copy()
+    for radius in sorted(set(radii[radii >= 1].tolist())):
+        members = np.flatnonzero(radii == radius)
+        kernels = np.stack([_blur_kernel(sigmas[i], radius) for i in members])
+        group = x[members]
+        for axis in (1, 2):
+            size = group.shape[axis]
+            padded = np.take(group, np.clip(np.arange(-radius, size + radius),
+                                            0, size - 1), axis=axis)
+            acc = np.zeros_like(group)
+            for tap in range(2 * radius + 1):
+                window = [slice(None)] * 4
+                window[axis] = slice(tap, tap + size)
+                weight = kernels[:, tap, None, None, None]
+                acc += weight * padded[tuple(window)]
+            group = acc
+        out[members] = clamp01(group)
+    return out[0] if single else out
+
+
+def _hue_coefficients(shift: float) -> tuple:
     # Rotation about the achromatic axis; an RGB-space stand-in for a hue
     # shift of `shift` turns. Exactly the identity at shift == 0.
     theta = 2.0 * np.pi * shift
@@ -155,34 +240,74 @@ def _rotate_hue(img: np.ndarray, shift: float) -> np.ndarray:
     a = c + (1.0 - c) / 3.0
     b = (1.0 - c) / 3.0 - s / np.sqrt(3.0)
     d = (1.0 - c) / 3.0 + s / np.sqrt(3.0)
-    r, g, bl = img[..., 0], img[..., 1], img[..., 2]
-    return np.stack(
+    return a, b, d
+
+
+def adjust_colors(img: np.ndarray, factors, col_major) -> np.ndarray:
+    """Brightness, contrast, saturation, hue in that order, on a batch.
+
+    `img` is (n, h, w, 3); row i of `factors` holds image i's brightness,
+    contrast and saturation scale and its hue shift in turns. `col_major[i]`
+    sums image i's contrast mean column by column instead of row by row
+    (see the module docstring).
+    """
+    n = img.shape[0]
+    f = np.asarray(factors, dtype=np.float64).reshape(n, 4)
+    fb, fc, fs = (f[:, k, None, None, None] for k in range(3))
+    out = clamp01(img * fb)
+    y = luma(out)
+    pixels = np.where(np.asarray(col_major, dtype=bool)[:, None],
+                      y.transpose(0, 2, 1).reshape(n, -1), y.reshape(n, -1))
+    mean = (pixels.sum(axis=1) / pixels.shape[1])[:, None, None, None]
+    out = clamp01((1.0 - fc) * mean + fc * out)
+    gray = luma(out)[..., None]
+    out = clamp01((1.0 - fs) * gray + fs * out)
+    a, b, d = (np.array(c)[:, None, None] for c in
+               zip(*(_hue_coefficients(float(s)) for s in f[:, 3])))
+    r, g, bl = out[..., 0], out[..., 1], out[..., 2]
+    out = np.stack(
         [a * r + b * g + d * bl,
          d * r + a * g + b * bl,
          b * r + d * g + a * bl],
-        axis=2,
+        axis=-1,
     )
+    return clamp01(out)
+
+
+def _draw_jitter(stream, strengths) -> tuple:
+    sb, sc, ss, sh = strengths
+    return (stream.uniform(1.0 - sb, 1.0 + sb),
+            stream.uniform(1.0 - sc, 1.0 + sc),
+            stream.uniform(1.0 - ss, 1.0 + ss),
+            stream.uniform(-sh, sh))
 
 
 def color_jitter(img: np.ndarray, strengths, rng: Rng) -> np.ndarray:
-    """Brightness, contrast, saturation, hue in that order.
+    """Brightness, contrast, saturation, hue in that order, on one image.
 
     The first three scale factors are uniform in [1-s, 1+s]; the hue shift is
     uniform in [-s, s] turns. All-zero strengths leave the image unchanged.
     """
-    sb, sc, ss, sh = strengths
-    out = img
-    f = rng.uniform(1.0 - sb, 1.0 + sb)
-    out = clamp01(out * f)
-    f = rng.uniform(1.0 - sc, 1.0 + sc)
-    mean = luma(out).mean()
-    out = clamp01((1.0 - f) * mean + f * out)
-    f = rng.uniform(1.0 - ss, 1.0 + ss)
-    gray = luma(out)[..., None]
-    out = clamp01((1.0 - f) * gray + f * out)
-    shift = rng.uniform(-sh, sh)
-    out = clamp01(_rotate_hue(out, shift))
-    return out
+    return adjust_colors(img[None], _draw_jitter(rng, strengths), [False])[0]
+
+
+def _draw_crop_box(stream, in_h: int, in_w: int, scale, aspect) -> tuple:
+    # Ten placement attempts; if none fits, the box is the full image.
+    for _ in range(10):
+        area = in_h * in_w * stream.uniform(scale[0], scale[1])
+        ratio = stream.uniform(aspect[0], aspect[1])
+        w = int(round(np.sqrt(area * ratio)))
+        h = int(round(np.sqrt(area / ratio)))
+        if 1 <= w <= in_w and 1 <= h <= in_h:
+            top = int(stream.integers(0, in_h - h + 1))
+            left = int(stream.integers(0, in_w - w + 1))
+            return top, left, h, w
+    return 0, 0, in_h, in_w
+
+
+def _check_crop_sizes(in_h: int, in_w: int, out_side: int) -> None:
+    if out_side < 2 or min(in_h, in_w) < 2:
+        raise ConfigError("crop needs images and outputs of at least 2x2")
 
 
 def random_resized_crop(
@@ -192,43 +317,37 @@ def random_resized_crop(
 
     Ten placement attempts; if none fits, falls back to the full image.
     """
-    if out_side < 2 or min(img.shape[:2]) < 2:
-        raise ConfigError("crop needs images and outputs of at least 2x2")
     in_h, in_w = img.shape[:2]
-    crop = img
-    for _ in range(10):
-        area = in_h * in_w * rng.uniform(scale[0], scale[1])
-        ratio = rng.uniform(aspect[0], aspect[1])
-        w = int(round(np.sqrt(area * ratio)))
-        h = int(round(np.sqrt(area / ratio)))
-        if 1 <= w <= in_w and 1 <= h <= in_h:
-            top = int(rng.integers(0, in_h - h + 1))
-            left = int(rng.integers(0, in_w - w + 1))
-            crop = img[top:top + h, left:left + w]
-            break
-    return resize_bilinear(crop, out_side, out_side)
+    _check_crop_sizes(in_h, in_w, out_side)
+    box = _draw_crop_box(rng, in_h, in_w, scale, aspect)
+    return resize_bilinear(img, out_side, out_side, box)
 
 
-def draw_plan(pipeline: AugPipeline, rng: Rng) -> list[tuple]:
+def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape,
+              streams: StreamLoader) -> list[tuple]:
     """Draw gate decisions and parameters for one pipeline application.
 
-    Each stage consumes only its own child stream of `rng`. Returns
-    (stage_name, fired, drawn) tuples; `drawn` holds the concrete parameters
-    (or the stage's stream, for size-dependent draws) needed to apply the
-    stage. Plans are single-use: applying one advances the embedded streams.
+    `in_shape` is the (h, w) of the source image, which the crop box depends
+    on. Each stage consumes only its own child stream of `rng`, loaded
+    through `streams`. Returns (stage_name, fired, drawn) tuples; `drawn`
+    holds the stage's concrete parameters: a crop box (top, left, height,
+    width), jitter factors, a blur sigma or a solarize threshold.
     """
+    h, w = in_shape
     plan = []
     for stage in pipeline.stages:
-        stream = rng.child(stage.name)
+        stream = streams.load(rng.child(stage.name))
         fired = bool(stream.random() < stage.probability)
         params = dict(stage.params)
         drawn: dict = {}
         if fired:
             if stage.name == "random_crop":
-                drawn = {"rng": stream, "scale": params["scale"],
-                         "aspect": params["aspect"]}
+                _check_crop_sizes(h, w, pipeline.out_side)
+                drawn = {"box": _draw_crop_box(stream, h, w, params["scale"],
+                                               params["aspect"])}
+                h = w = pipeline.out_side
             elif stage.name == "color_jitter":
-                drawn = {"rng": stream, "strengths": params["strengths"]}
+                drawn = {"factors": _draw_jitter(stream, params["strengths"])}
             elif stage.name == "gaussian_blur":
                 lo, hi = params["sigma"]
                 drawn = {"sigma": float(stream.uniform(lo, hi))}
@@ -238,42 +357,79 @@ def draw_plan(pipeline: AugPipeline, rng: Rng) -> list[tuple]:
     return plan
 
 
-def apply_plan(img: np.ndarray, plan: list[tuple], out_side: int) -> np.ndarray:
-    out = img
-    for name, fired, drawn in plan:
-        if not fired:
+def _apply_same_size(x: np.ndarray, plans: list, out_side: int) -> np.ndarray:
+    # Every image in `x` has the same size at every stage: their crops fired
+    # alike. `col_major` tracks the order each image's contrast mean sums in.
+    col_major = np.zeros(len(plans), dtype=bool)
+    for k, (name, _, _) in enumerate(plans[0]):
+        sel = [i for i, plan in enumerate(plans) if plan[k][1]]
+        if not sel:
             continue
+        drawn = [plans[i][k][2] for i in sel]
         if name == "random_crop":
-            out = random_resized_crop(out, drawn["scale"], drawn["aspect"],
-                                      out_side, drawn["rng"])
-        elif name == "horizontal_flip":
-            out = hflip(out)
+            boxes = [d["box"] for d in drawn]
+            x = resize_bilinear(x, out_side, out_side, boxes)
+            col_major[:] = True
+            continue
+        if name == "horizontal_flip":
+            part = hflip(x[sel])
+            col_major[sel] = False
         elif name == "color_jitter":
-            out = color_jitter(out, drawn["strengths"], drawn["rng"])
+            part = adjust_colors(x[sel], [d["factors"] for d in drawn],
+                                 col_major[sel])
         elif name == "grayscale":
-            out = grayscale(out)
+            part = grayscale(x[sel])
+            col_major[sel] = False
         elif name == "gaussian_blur":
-            out = gaussian_blur(out, drawn["sigma"])
+            part = gaussian_blur(x[sel], [d["sigma"] for d in drawn])
         elif name == "solarization":
-            out = solarize(out, drawn["threshold"])
+            part = solarize(x[sel], drawn[0]["threshold"])
         else:
             raise ConfigError(f"unknown augmentation stage {name!r}")
-    if out.shape[:2] != (out_side, out_side):
-        out = resize_bilinear(out, out_side, out_side)
+        x[sel] = part
+    if x.shape[1:3] != (out_side, out_side):
+        x = resize_bilinear(x, out_side, out_side)
+    return x
+
+
+def apply_plans(images: np.ndarray, plans: list, out_side: int) -> np.ndarray:
+    """Apply plans[i] to images[i]; returns (n, out_side, out_side, 3).
+
+    All plans come from one pipeline: same stages, same fixed parameters.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, plan in enumerate(plans):
+        crops = tuple(f for name, f, _ in plan if name == "random_crop")
+        groups.setdefault(crops, []).append(i)
+    if len(groups) == 1:
+        return _apply_same_size(images.copy(), plans, out_side)
+    out = np.empty((len(plans), out_side, out_side, 3))
+    for members in groups.values():
+        out[members] = _apply_same_size(
+            images[members], [plans[i] for i in members], out_side)
     return out
 
 
 def apply_pipeline(img: np.ndarray, pipeline: AugPipeline, rng: Rng) -> np.ndarray:
-    return apply_plan(img, draw_plan(pipeline, rng), pipeline.out_side)
+    """One pipeline draw of one (h, w, 3) image, from the stream `rng`."""
+    plan = draw_plan(pipeline, rng, img.shape[:2], StreamLoader())
+    return apply_plans(img[None], [plan], pipeline.out_side)[0]
 
 
-def two_views(img: np.ndarray, pipeline: AugPipeline, rng: Rng):
-    """Two independent pipeline draws of the same source image.
+def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
+    """Two independent pipeline draws of every image of a batch.
 
-    `rng` should already be keyed per sample; the two views use the
-    "view"/0 and "view"/1 child streams.
+    `images` is (n, h, w, 3) and `rngs[i]` is image i's stream, already
+    keyed per sample; the two views use its "view"/0 and "view"/1 child
+    streams. Returns two (n, d) matrices whose rows are the views flattened
+    in (row, column, channel) order.
     """
-    return (
-        apply_pipeline(img, pipeline, rng.child("view", 0)),
-        apply_pipeline(img, pipeline, rng.child("view", 1)),
-    )
+    streams = StreamLoader()
+    views = []
+    for view in (0, 1):
+        plans = [draw_plan(pipeline, rng.child("view", view),
+                           images.shape[1:3], streams)
+                 for rng in rngs]
+        out = apply_plans(images, plans, pipeline.out_side)
+        views.append(out.reshape(len(rngs), -1))
+    return views[0], views[1]

@@ -77,6 +77,42 @@ class Rng:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
 
 
+class StreamLoader:
+    """One reusable Philox generator that can be re-keyed to any `Rng` stream.
+
+    `load(rng)` returns a generator whose draws equal those of a fresh `rng`,
+    draw for draw, without building a bit generator per stream:
+    `np.random.Philox(key=...)` spends most of its construction time
+    collecting OS entropy for a seed sequence that the key then overrides.
+    The generator is shared, so it is valid only until the next `load`; the
+    `Rng`'s own stream is not advanced.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+        self._key = np.zeros(2, dtype=np.uint64)
+        # The state of a freshly keyed Philox: counter 0, output buffer
+        # exhausted, no buffered 32-bit half-word.
+        self._fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def load(self, rng: Rng) -> np.random.Generator:
+        key = _stream_key(rng.seed, rng.stream_id)
+        # Philox takes its 128-bit key as two little-endian 64-bit words.
+        self._key[0] = key & 0xFFFF_FFFF_FFFF_FFFF
+        self._key[1] = key >> 64
+        self._bits.state = self._fresh
+        return self._gen
+
+
 def as_tensor(x) -> np.ndarray:
     """Coerce to a float64 array (copying only when needed)."""
     return np.asarray(x, dtype=np.float64)

@@ -67,12 +67,8 @@ class PretrainResult:
 
 
 def _augmented_batch(images, indices, pipeline, rng, epoch):
-    first, second = [], []
-    for i in indices:
-        v1, v2 = two_views(images[int(i)], pipeline, rng.child("aug", epoch, int(i)))
-        first.append(v1.reshape(-1))
-        second.append(v2.reshape(-1))
-    return np.stack(first), np.stack(second)
+    streams = [rng.child("aug", epoch, int(i)) for i in indices]
+    return two_views(images[indices], pipeline, streams)
 
 
 def pretrain(cfg: ExperimentConfig, run_dir) -> PretrainResult:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import augment_reference as reference
 from airl.augment import (
     REMOVAL_ORDER,
     AugPipeline,
@@ -19,11 +20,20 @@ from airl.augment import (
     two_views,
 )
 from airl.errors import ConfigError
-from airl.numerics import Rng
+from airl.numerics import Rng, StreamLoader
+
+STAGE_NAMES = tuple(s.name for s in AugPipeline.default().stages)
 
 
 def random_image(seed, side=16):
     return Rng(seed).random((side, side, 3))
+
+
+def views_of(img, pipe, rng):
+    """Both views of one image, each shaped like an image."""
+    v1, v2 = two_views(img[None], pipe, [rng])
+    shape = (pipe.out_side, pipe.out_side, 3)
+    return v1.reshape(shape), v2.reshape(shape)
 
 
 def identity_pipeline(out_side=16):
@@ -155,23 +165,23 @@ class TestPipeline:
 
     def test_identity_pipeline_returns_source(self):
         img = random_image(8)
-        v1, v2 = two_views(img, identity_pipeline(), Rng(9).child("sample", 0))
+        v1, v2 = views_of(img, identity_pipeline(), Rng(9).child("sample", 0))
         assert np.array_equal(v1, img)
         assert np.array_equal(v2, img)
 
     def test_two_views_deterministic_per_sample_key(self):
         img = random_image(10)
         pipe = AugPipeline.default()
-        pair_a = two_views(img, pipe, Rng(1).child("sample", 42))
-        pair_b = two_views(img, pipe, Rng(1).child("sample", 42))
+        pair_a = views_of(img, pipe, Rng(1).child("sample", 42))
+        pair_b = views_of(img, pipe, Rng(1).child("sample", 42))
         assert np.array_equal(pair_a[0], pair_b[0])
         assert np.array_equal(pair_a[1], pair_b[1])
-        pair_c = two_views(img, pipe, Rng(1).child("sample", 43))
+        pair_c = views_of(img, pipe, Rng(1).child("sample", 43))
         assert not np.array_equal(pair_a[0], pair_c[0])
 
     def test_views_differ_from_each_other(self):
         img = random_image(11)
-        v1, v2 = two_views(img, AugPipeline.default(), Rng(0).child("s", 0))
+        v1, v2 = views_of(img, AugPipeline.default(), Rng(0).child("s", 0))
         assert not np.array_equal(v1, v2)
 
     def test_removing_stage_leaves_other_streams_untouched(self):
@@ -197,8 +207,9 @@ class TestPipeline:
         counts = {s.name: 0 for s in pipe.stages}
         draws = 100_000
         root = Rng(123)
+        streams = StreamLoader()
         for i in range(draws):
-            plan = draw_plan(pipe, root.child("sample", i))
+            plan = draw_plan(pipe, root.child("sample", i), (16, 16), streams)
             for name, fired, _ in plan:
                 counts[name] += fired
         for stage in pipe.stages:
@@ -212,9 +223,60 @@ class TestPipeline:
 @given(st.integers(min_value=0, max_value=10_000))
 def test_pixel_range_invariant(sample):
     img = Rng(999).child("img", sample).random((12, 12, 3))
-    out1, out2 = two_views(img, AugPipeline.default(out_side=8),
-                           Rng(999).child("s", sample))
+    out1, out2 = views_of(img, AugPipeline.default(out_side=8),
+                          Rng(999).child("s", sample))
     for out in (out1, out2):
         assert out.min() >= 0.0
         assert out.max() <= 1.0
         assert out.shape == (8, 8, 3)
+
+
+def assert_views_match_reference(images, pipe, rngs):
+    first, second = two_views(images, pipe, rngs)
+    pairs = [reference.two_views(img, pipe, rng)
+             for img, rng in zip(images, rngs)]
+    for got, view in ((first, 0), (second, 1)):
+        expected = np.stack([pair[view].reshape(-1) for pair in pairs])
+        assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), epoch=st.integers(0, 100),
+       removed=st.sets(st.sampled_from(STAGE_NAMES)),
+       sides=st.sampled_from([(16, 16), (12, 8), (8, 8), (8, 12), (10, 16)]),
+       crop_scale=st.sampled_from([(0.08, 1.0), (0.4, 1.0)]),
+       batch=st.integers(1, 6))
+def test_batched_views_equal_per_image_reference(seed, epoch, removed, sides,
+                                                 crop_scale, batch):
+    # Removing random_crop leaves the final resize to do the size change.
+    side, out_side = sides
+    pipe = AugPipeline.default(out_side, tuple(removed), crop_scale)
+    images = Rng(seed).child("img").random((batch, side, side, 3))
+    rngs = [Rng(seed).child("aug", epoch, i) for i in range(batch)]
+    assert_views_match_reference(images, pipe, rngs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       order=st.permutations(range(len(STAGE_NAMES))),
+       gates=st.lists(st.sampled_from([None, 0.0, 0.5, 1.0]),
+                      min_size=len(STAGE_NAMES), max_size=len(STAGE_NAMES)),
+       sides=st.sampled_from([(16, 16), (12, 8), (6, 9)]))
+# Crop, then grayscale before jitter: the contrast mean reads a gray image.
+@example(seed=0, order=[0, 1, 3, 2, 4, 5],
+         gates=[1.0, 0.0, 1.0, 1.0, None, None], sides=(16, 16))
+def test_any_stage_order_and_gates_equal_reference(seed, order, gates, sides):
+    # Gates below 1 on the crop mix cropped and uncropped images in a batch;
+    # reordering moves the layout-dependent contrast mean around the crop,
+    # flip and grayscale stages.
+    side, out_side = sides
+    default = AugPipeline.default(out_side).stages
+    stages = tuple(
+        default[k] if gates[k] is None
+        else AugStage(default[k].name, gates[k], default[k].params)
+        for k in order
+    )
+    pipe = AugPipeline(out_side=out_side, stages=stages)
+    images = Rng(seed).child("img").random((6, side, side, 3))
+    rngs = [Rng(seed).child("aug", 0, i) for i in range(6)]
+    assert_views_match_reference(images, pipe, rngs)

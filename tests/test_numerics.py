@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from airl.errors import DegenerateFeatureError, DimensionError, OracleError
 from airl.numerics import (
     Rng,
+    StreamLoader,
     finite_diff_grad,
     l2_normalize_rows,
     l2_normalize_rows_backward,
@@ -162,3 +163,33 @@ def test_matmul_matches_naive_on_random_shapes(m, k, n, seed):
     a = rng.child("a").normal(size=(m, k))
     b = rng.child("b").normal(size=(k, n))
     assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+
+
+def _draw_sequence(stream):
+    return [
+        stream.random(), stream.uniform(0.1, 2.0), stream.integers(0, 7),
+        stream.integers(0, 2**40), stream.random(3), stream.uniform(-1, 1, 4),
+        stream.normal(), stream.integers(0, 5, 6), stream.permutation(9),
+        stream.random(),
+    ]
+
+
+def _assert_same_draws(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63),
+       labels=st.lists(st.one_of(st.integers(), st.text(max_size=6)),
+                       max_size=3))
+def test_stream_loader_matches_rng_draw_for_draw(seed, labels):
+    loader = StreamLoader()
+    # Leave a used stream behind: nothing of it may carry into the next.
+    _draw_sequence(loader.load(Rng(seed ^ 1, 5)))
+    stream = Rng(seed).child(*labels)
+    expected = _draw_sequence(Rng(seed).child(*labels))
+    _assert_same_draws(_draw_sequence(loader.load(stream)), expected)
+    # Loading reads the key only; the Rng's own stream is not advanced.
+    _assert_same_draws(_draw_sequence(stream), expected)

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import augment_reference
 from airl import checkpoint, runner
 from airl.cli import main as cli_main
 from airl.config import config_from_overrides, parse_config
@@ -166,6 +167,22 @@ class TestPretrain:
             loss = float(row["loss"])
             assert repr(loss) == row["loss"]
             assert np.isfinite(loss)
+
+    def test_batched_augmentation_keeps_per_image_trajectory(
+            self, tmp_path, monkeypatch):
+        batched = runner.pretrain(fast_cfg(), tmp_path / "batched")
+
+        def per_image(images, pipeline, rngs):
+            pairs = [augment_reference.two_views(img, pipeline, rng)
+                     for img, rng in zip(images, rngs)]
+            return tuple(np.stack([pair[v].reshape(-1) for pair in pairs])
+                         for v in (0, 1))
+
+        monkeypatch.setattr(runner, "two_views", per_image)
+        reference = runner.pretrain(fast_cfg(), tmp_path / "per_image")
+        for name in ("ckpt_final.airl", "metrics.csv"):
+            assert ((batched.run_dir / name).read_bytes()
+                    == (reference.run_dir / name).read_bytes())
 
     def test_epoch_checkpoints_written(self, tmp_path):
         cfg = fast_cfg(run__epochs=3, run__checkpoint_every=1)
