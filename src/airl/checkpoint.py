@@ -14,6 +14,7 @@ so save(load(save(x))) reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -25,6 +26,8 @@ from .numerics import Rng
 
 MAGIC = b"AIRL"
 FORMAT_VERSION = 1
+HEADER_LEN = 12  # magic, version, metadata length
+REQUIRED_METADATA = ("config", "step", "total_steps")
 
 ROLE_CODES = {
     "weight": 0,
@@ -64,6 +67,10 @@ def parse_checkpoint_bytes(blob: bytes):
         raise CheckpointError(
             f"bad magic {blob[:4]!r}; not a checkpoint file"
         )
+    if len(blob) < HEADER_LEN:
+        raise CheckpointError(
+            f"truncated checkpoint header: {len(blob)} of {HEADER_LEN} bytes"
+        )
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -71,11 +78,18 @@ def parse_checkpoint_bytes(blob: bytes):
             f"(expected {FORMAT_VERSION})"
         )
     (meta_len,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
+    offset = HEADER_LEN
+    if offset + meta_len > len(blob):
+        raise CheckpointError(
+            f"truncated checkpoint metadata: {meta_len} bytes declared, "
+            f"{len(blob) - offset} present"
+        )
     try:
         metadata = json.loads(blob[offset:offset + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint metadata: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise CheckpointError("checkpoint metadata is not a JSON object")
     offset += meta_len
     records: dict[str, tuple[str, np.ndarray]] = {}
     while offset < len(blob):
@@ -88,7 +102,12 @@ def parse_checkpoint_bytes(blob: bytes):
             offset += 2
             dims = struct.unpack_from(f"<{rank}Q", blob, offset)
             offset += 8 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)
+            if 8 * count > len(blob) - offset:
+                raise CheckpointError(
+                    f"truncated checkpoint record {name!r}: {count} values "
+                    f"declared, {(len(blob) - offset) // 8} present"
+                )
             array = np.frombuffer(blob, dtype="<f8", count=count,
                                   offset=offset).reshape(dims).copy()
             offset += 8 * count
@@ -167,9 +186,18 @@ def _fill_branch(prefix: str, params: encoder.EncoderParams, records) -> None:
         params.running[name] = records[key][1].astype(np.float64)
 
 
+def _require_metadata(metadata: dict, keys) -> None:
+    missing = [key for key in keys if key not in metadata]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint metadata is missing {', '.join(missing)}"
+        )
+
+
 def load_state(path):
     """Rebuild (state, experiment config, metadata) from a checkpoint."""
     records, metadata = load_checkpoint(path)
+    _require_metadata(metadata, REQUIRED_METADATA)
     cfg = parse_config(metadata["config"])
     fw = cfg.framework_config()
     state = frameworks.init_siamese_state(
@@ -180,6 +208,7 @@ def load_state(path):
     _fill_branch("student", state.student, records)
     _fill_branch("teacher", state.teacher, records)
     if metadata.get("queue_capacity", 0) > 0:
+        _require_metadata(metadata, ("queue_cursor", "queue_count"))
         queue = frameworks.MemoryQueue(int(metadata["queue_capacity"]),
                                        fw.projector_out)
         if "queue.data" not in records:

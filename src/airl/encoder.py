@@ -77,9 +77,6 @@ class EncoderParams:
             running={k: v.copy() for k, v in self.running.items()},
         )
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
     def stage_names(self) -> list[str]:
         names: list[str] = []
         for spec in self.specs:

@@ -137,7 +137,9 @@ def momentum_at(t: int, total: int, base: float, schedule: str) -> float:
     if schedule == "constant":
         return base
     if schedule == "cosine_ascend":
-        return 1.0 - (1.0 - base) * (np.cos(np.pi * t / total) + 1.0) / 2.0
+        return float(
+            1.0 - (1.0 - base) * (np.cos(np.pi * t / total) + 1.0) / 2.0
+        )
     raise ConfigError(f"unknown momentum schedule {schedule!r}")
 
 

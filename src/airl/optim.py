@@ -81,7 +81,7 @@ def lr_at(epoch_frac: float, sched: LrSchedule) -> float:
         return sched.base_lr
     p = (epoch_frac - warmup_frac) / (1.0 - warmup_frac)
     if sched.kind == "cosine":
-        return sched.base_lr * (np.cos(np.pi * p) + 1.0) / 2.0
+        return float(sched.base_lr * (np.cos(np.pi * p) + 1.0) / 2.0)
     hits = sum(1 for m in sched.milestones if p >= m)
     return sched.base_lr * sched.decay_factor**hits
 

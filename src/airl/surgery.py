@@ -63,12 +63,6 @@ class RescaleReport:
         return "\n".join(lines)
 
 
-def rescale_to_norm(w: np.ndarray, target_norm: float) -> np.ndarray:
-    """w * target_norm / ||w||; caller guarantees ||w|| > 0."""
-    norm = float(np.linalg.norm(w))
-    return w * (target_norm / norm)
-
-
 def norm_rescale(
     tensors: dict[str, np.ndarray],
     anchor: Anchor,

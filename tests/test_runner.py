@@ -2,12 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import augment_reference
 from airl import checkpoint, runner
 from airl.cli import main as cli_main
 from airl.config import config_from_overrides, parse_config
-from airl.errors import CheckpointError, ConfigError
+from airl.errors import AirlError, CheckpointError, ConfigError
 from airl.numerics import Rng
 
 
@@ -74,6 +76,19 @@ class TestConfig:
         assert dict(stage.params)["scale"] == (0.4, 0.9)
 
 
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A small real checkpoint (an untrained run) for the parser fuzz."""
+    cfg = fast_cfg(
+        run__epochs=0, schedule__warmup_epochs=0, data__side=4,
+        augment__out_side=4, encoder__backbone_hidden=3,
+        encoder__backbone_out=3, encoder__projector_hidden=3,
+        encoder__projector_out=2, framework__queue_size=4,
+    )
+    tmp = tmp_path_factory.mktemp("tiny")
+    return runner.pretrain(cfg, tmp / "run").checkpoint_path
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = fast_cfg()
@@ -100,6 +115,55 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             checkpoint.load_checkpoint(path)
+
+    def test_every_truncation_raises_checkpoint_error(self, tiny_checkpoint,
+                                                      tmp_path):
+        # Covers cuts inside the 12-byte header, metadata shorter than its
+        # declared length, cut records, and cuts at a record boundary.
+        blob = tiny_checkpoint.read_bytes()
+        path = tmp_path / "cut.airl"
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(CheckpointError):
+                checkpoint.load_state(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bit_flips_fail_only_with_library_errors(self, tiny_checkpoint,
+                                                     data):
+        original = tiny_checkpoint.read_bytes()
+        blob = bytearray(original)
+        bits = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                  min_size=1, max_size=4))
+        for bit in bits:
+            blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            _, meta = checkpoint.parse_checkpoint_bytes(bytes(blob))
+        except CheckpointError:
+            return
+        # The config parser checks types but not ranges, so a flipped size
+        # digit (out_side 4 -> 0) is a config fault, not a parser one.
+        _, original_meta = checkpoint.parse_checkpoint_bytes(original)
+        if meta.get("config") != original_meta["config"]:
+            return
+        path = tiny_checkpoint.with_name("flipped.airl")
+        path.write_bytes(bytes(blob))
+        try:
+            checkpoint.load_state(path)
+        except AirlError:
+            pass
+
+    @pytest.mark.parametrize("key", (*checkpoint.REQUIRED_METADATA,
+                                     "queue_cursor", "queue_count"))
+    def test_metadata_without_required_key_rejected(self, tiny_checkpoint,
+                                                    tmp_path, key):
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        del meta[key]
+        path = tmp_path / "incomplete.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        with pytest.raises(CheckpointError, match=key):
+            checkpoint.load_state(path)
 
     def test_metadata_carries_config_hash_and_step(self, tmp_path):
         cfg = fast_cfg()
@@ -164,9 +228,9 @@ class TestPretrain:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         for row in rows:
-            loss = float(row["loss"])
-            assert repr(loss) == row["loss"]
-            assert np.isfinite(loss)
+            for column in ("loss", "lr", "momentum_m", "feat_std", "eff_rank"):
+                assert repr(float(row[column])) == row[column], column
+            assert np.isfinite(float(row["loss"]))
 
     def test_batched_augmentation_keeps_per_image_trajectory(
             self, tmp_path, monkeypatch):
