@@ -168,7 +168,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int,
     x0, x1, wx = _resample_taps(out_w, w)
     # Gather whole pixels by flat index; the arithmetic then runs on
     # (n, out_h, out_w * 3) rows so numpy's inner loops stay long.
-    pixels = np.ascontiguousarray(x).reshape(-1, 3)
+    pixels = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, 3)
     first = (np.arange(n) * x.shape[1])[:, None] + top[:, None]
     r0, r1 = (((first + y) * x.shape[2])[:, :, None] for y in (y0, y1))
     c0, c1 = ((left[:, None] + c)[:, None, :] for c in (x0, x1))
@@ -177,13 +177,13 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int,
     wy = wy[:, :, None]
 
     def along_row(rows):
-        # (1 - wx) * left + wx * right, computed in place.
-        left = np.take(pixels, rows + c0, axis=0).reshape(n, out_h, -1)
-        right = np.take(pixels, rows + c1, axis=0).reshape(n, out_h, -1)
-        left *= 1.0 - wx
-        right *= wx
-        left += right
-        return left
+        # (1 - wx) * near + wx * far, computed in place.
+        near = np.take(pixels, rows + c0, axis=0).reshape(n, out_h, -1)
+        far = np.take(pixels, rows + c1, axis=0).reshape(n, out_h, -1)
+        near *= 1.0 - wx
+        far *= wx
+        near += far
+        return near
 
     out = along_row(r0)
     out *= 1.0 - wy

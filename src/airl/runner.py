@@ -67,8 +67,8 @@ class PretrainResult:
 
 
 def _augmented_batch(images, indices, pipeline, rng, epoch):
-    streams = [rng.child("aug", epoch, int(i)) for i in indices]
-    return two_views(images[indices], pipeline, streams)
+    rngs = [rng.child("aug", epoch, int(i)) for i in indices]
+    return two_views(images[indices], pipeline, rngs)
 
 
 def pretrain(cfg: ExperimentConfig, run_dir) -> PretrainResult:
