@@ -402,6 +402,7 @@ def apply_plans(images: np.ndarray, plans: list, out_side: int) -> np.ndarray:
         crops = tuple(f for name, f, _ in plan if name == "random_crop")
         groups.setdefault(crops, []).append(i)
     if len(groups) == 1:
+        # The usual case; skipping the scatter saves a batch-sized array.
         return _apply_same_size(images.copy(), plans, out_side)
     out = np.empty((len(plans), out_side, out_side, 3))
     for members in groups.values():
