@@ -20,9 +20,9 @@ Batched path. `two_views` augments a whole batch in two steps:
    four times); blur draws its sigma (`uniform`). The other stages draw
    nothing. A plan holds only these concrete values.
 2. `apply_plans` applies each stage, in pipeline order, to the sub-batch
-   where it fired: the crop-resize is one gather per image, the blur runs
-   per group of images with the same radius and adds its taps in kernel
-   order, and the other stages are broadcasts. Per-image coefficients (blur
+   where it fired: the crop-resize is one gather with per-image indices,
+   the blur runs per group of images with the same radius and adds its taps
+   in kernel order, and the other stages are broadcasts. Per-image coefficients (blur
    kernels, hue rotations) come from the same scalar code as for one image.
    Images whose crops fired differently have different sizes between
    stages, so they are processed in separate groups.
