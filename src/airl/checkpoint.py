@@ -166,24 +166,28 @@ def save_state(path, state: frameworks.SiameseState,
     save_checkpoint(path, records, metadata)
 
 
+def _record_array(records, key: str, shape, what: str) -> np.ndarray:
+    if key not in records:
+        raise CheckpointError(f"checkpoint is missing {what} {key!r}")
+    array = records[key][1]
+    if array.shape != shape:
+        raise CheckpointError(
+            f"{what} {key!r} has shape {array.shape}, expected {shape}"
+        )
+    return array.astype(np.float64)
+
+
 def _fill_branch(prefix: str, params: encoder.EncoderParams, records) -> None:
-    for name in params.tensors:
+    for name, tensor in params.tensors.items():
         key = f"{prefix}.{name}"
-        if key not in records:
-            raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-        role, array = records[key]
-        if array.shape != params.tensors[name].shape:
-            raise CheckpointError(
-                f"tensor {key!r} has shape {array.shape}, expected "
-                f"{params.tensors[name].shape}"
-            )
-        params.tensors[name] = array.astype(np.float64)
+        params.tensors[name] = _record_array(records, key, tensor.shape,
+                                             "tensor")
+        role = records[key][0]
         params.roles[name] = role if role in encoder.ROLES else params.roles[name]
-    for name in params.running:
-        key = f"{prefix}.stat.{name}"
-        if key not in records:
-            raise CheckpointError(f"checkpoint is missing statistic {key!r}")
-        params.running[name] = records[key][1].astype(np.float64)
+    for name, stat in params.running.items():
+        params.running[name] = _record_array(
+            records, f"{prefix}.stat.{name}", stat.shape, "statistic"
+        )
 
 
 def _require_metadata(metadata: dict, keys) -> None:
@@ -209,13 +213,20 @@ def load_state(path):
     _fill_branch("teacher", state.teacher, records)
     if metadata.get("queue_capacity", 0) > 0:
         _require_metadata(metadata, ("queue_cursor", "queue_count"))
-        queue = frameworks.MemoryQueue(int(metadata["queue_capacity"]),
-                                       fw.projector_out)
-        if "queue.data" not in records:
-            raise CheckpointError("checkpoint is missing queue.data")
-        queue.data = records["queue.data"][1].astype(np.float64)
+        capacity = int(metadata["queue_capacity"])
+        queue = frameworks.MemoryQueue(capacity, fw.projector_out)
+        queue.data = _record_array(records, "queue.data", queue.data.shape,
+                                   "queue buffer")
         queue.cursor = int(metadata["queue_cursor"])
         queue.count = int(metadata["queue_count"])
+        if not 0 <= queue.cursor < capacity:
+            raise CheckpointError(
+                f"queue_cursor {queue.cursor} outside [0, {capacity})"
+            )
+        if not 0 <= queue.count <= capacity:
+            raise CheckpointError(
+                f"queue_count {queue.count} outside [0, {capacity}]"
+            )
         state.queue = queue
     else:
         state.queue = None

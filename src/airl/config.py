@@ -36,7 +36,6 @@ KEY_SPEC: dict[str, tuple[str, object]] = {
     "framework.momentum_base": ("float", _PRESET),
     "framework.momentum_schedule": ("str", _PRESET),
     "framework.projector_hidden_bn": ("bool", _PRESET),
-    "framework.bn_mode": ("str", _PRESET),
     "framework.stop_gradient": ("bool", True),
     "framework.symmetric_sum": ("bool", False),
     "encoder.backbone_hidden": ("int", 64),
@@ -73,7 +72,23 @@ KEY_SPEC: dict[str, tuple[str, object]] = {
     "run.checkpoint_every": ("int", 0),
 }
 
-_PRESET_KEYS = [k for k, (_, default) in KEY_SPEC.items() if default is _PRESET]
+# Smallest accepted value of each bounded int key: sizes must be positive,
+# counts may be zero.
+MIN_VALUE: dict[str, int] = {
+    "augment.out_side": 1,
+    "encoder.backbone_hidden": 1,
+    "encoder.backbone_out": 1,
+    "encoder.projector_hidden": 1,
+    "encoder.projector_out": 1,
+    "data.classes": 1,
+    "data.per_class": 1,
+    "data.side": 1,
+    "run.batch": 1,
+    "run.epochs": 0,
+    "run.checkpoint_every": 0,
+    "framework.queue_size": 0,
+    "data.val_per_class": 0,
+}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -142,7 +157,6 @@ class ExperimentConfig:
             momentum_base=v["framework.momentum_base"],
             momentum_schedule=v["framework.momentum_schedule"],
             projector_hidden_bn=v["framework.projector_hidden_bn"],
-            bn_mode=v["framework.bn_mode"],
             stop_gradient=v["framework.stop_gradient"],
             symmetric_sum=v["framework.symmetric_sum"],
             input_dim=self.input_dim,
@@ -221,7 +235,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in provided:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
-        provided[key] = _parse_value(key, raw_value, line_no)
+        value = _parse_value(key, raw_value, line_no)
+        if key in MIN_VALUE and value < MIN_VALUE[key]:
+            raise ConfigError(
+                f"line {line_no}: {key} must be >= {MIN_VALUE[key]}, "
+                f"got {value}"
+            )
+        provided[key] = value
 
     if "framework.kind" not in provided:
         raise ConfigError("missing required key framework.kind")

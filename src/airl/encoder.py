@@ -26,10 +26,6 @@ from .numerics import Rng, matmul
 BN_EPS = 1e-5
 BN_STAT_MOMENTUM = 0.9
 
-BN_GLOBAL = "global"
-BN_SHUFFLED = "shuffled"
-BN_MODES = (BN_GLOBAL, BN_SHUFFLED)
-
 ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
 ROLE_NORM_GAIN = "norm_gain"
@@ -193,18 +189,12 @@ def forward(
     params: EncoderParams,
     x: np.ndarray,
     training: bool,
-    bn_mode: str = BN_GLOBAL,
-    rng: Rng | None = None,
     collect_stages: bool = False,
 ):
     """Run the branch, returning (output, cache).
 
     Training-mode BN uses batch statistics and updates the running stats in
-    place; eval mode reads running stats and is a pure function. In shuffled
-    mode an rng-drawn batch permutation reorders the rows entering the BN
-    statistics (emulating cross-device batch shuffling in one process); the
-    normalization itself is applied row-aligned, so an identity permutation
-    is bit-identical to global mode.
+    place; eval mode reads running stats and is a pure function.
     """
     x = numerics.as_tensor(x)
     if x.ndim != 2:
@@ -213,13 +203,10 @@ def forward(
         raise DimensionError(
             f"encoder expects input dim {params.in_dim}, got {x.shape[1]}"
         )
-    if bn_mode not in BN_MODES:
-        raise ConfigError(f"unknown bn_mode {bn_mode!r}")
     if not np.all(np.isfinite(x)):
         raise NumericOverflowError("non-finite value in encoder input")
 
     n = x.shape[0]
-    perm: np.ndarray | None = None
     layer_caches: list[dict] = []
     stages: dict[str, np.ndarray] = {}
     h = x
@@ -237,16 +224,8 @@ def forward(
                         f"training-mode BN at {spec.name!r} needs a batch of "
                         f"at least 2 samples, got {n}"
                     )
-                if bn_mode == BN_SHUFFLED:
-                    if rng is None:
-                        raise ConfigError("shuffled BN needs an rng")
-                    if perm is None:
-                        perm = rng.permutation(n)
-                    stat_rows = h[perm]
-                else:
-                    stat_rows = h
-                mean = np.mean(stat_rows, axis=0)
-                var = np.mean((stat_rows - mean) ** 2, axis=0)
+                mean = np.mean(h, axis=0)
+                var = np.mean((h - mean) ** 2, axis=0)
                 params.running[f"{spec.name}.mean"] *= BN_STAT_MOMENTUM
                 params.running[f"{spec.name}.mean"] += (1 - BN_STAT_MOMENTUM) * mean
                 params.running[f"{spec.name}.var"] *= BN_STAT_MOMENTUM

@@ -3,11 +3,13 @@
 Student and teacher branches share a sub-network; the teacher is updated only
 by an exponential moving average of the student (never by gradients), and the
 contrastive variants keep a FIFO memory queue of past teacher features as
-negatives. The framework presets differ in predictor placement, loss
-symmetry, BN mode, and momentum schedule:
+negatives. Every branch normalizes with whole-batch (global) BN
+statistics. The framework presets differ in predictor placement, loss
+symmetry, projector hidden BN, and momentum schedule:
 
-  moco_v2         no predictor, asymmetric loss, shuffled BN, constant m=0.999
-  moco_v2_plus    student predictor, symmetric loss, global BN + hidden BN,
+  moco_v2         no predictor, asymmetric loss, no projector hidden BN,
+                  constant m=0.999
+  moco_v2_plus    student predictor, symmetric loss, projector hidden BN,
                   cosine-ascending m from 0.99
   s_moco_v2_plus  as moco_v2_plus but with a teacher predictor as well
   byol            as moco_v2_plus but trained without negatives (no queue)
@@ -39,7 +41,6 @@ _PRESETS = {
         momentum_base=0.999,
         momentum_schedule="constant",
         symmetric_loss=False,
-        bn_mode=encoder.BN_SHUFFLED,
         projector_hidden_bn=False,
     ),
     "moco_v2_plus": dict(
@@ -47,7 +48,6 @@ _PRESETS = {
         momentum_base=0.99,
         momentum_schedule="cosine_ascend",
         symmetric_loss=True,
-        bn_mode=encoder.BN_GLOBAL,
         projector_hidden_bn=True,
     ),
     "s_moco_v2_plus": dict(
@@ -55,7 +55,6 @@ _PRESETS = {
         momentum_base=0.99,
         momentum_schedule="cosine_ascend",
         symmetric_loss=True,
-        bn_mode=encoder.BN_GLOBAL,
         projector_hidden_bn=True,
     ),
     "byol": dict(
@@ -63,7 +62,6 @@ _PRESETS = {
         momentum_base=0.99,
         momentum_schedule="cosine_ascend",
         symmetric_loss=True,
-        bn_mode=encoder.BN_GLOBAL,
         projector_hidden_bn=True,
     ),
 }
@@ -79,7 +77,6 @@ class FrameworkConfig:
     momentum_base: float = 0.99
     momentum_schedule: str = "cosine_ascend"
     projector_hidden_bn: bool = True
-    bn_mode: str = encoder.BN_GLOBAL
     stop_gradient: bool = True
     # Symmetrized losses average the two directions by default; set True to
     # sum them instead (equivalent to doubling the learning rate).
@@ -286,10 +283,8 @@ def _normalized_student_pass(student, x):
     return q, norms, cache
 
 
-def _teacher_keys(teacher, x, cfg, rng):
-    out, _ = encoder.forward(
-        teacher, x, training=True, bn_mode=cfg.bn_mode, rng=rng
-    )
+def _teacher_keys(teacher, x):
+    out, _ = encoder.forward(teacher, x, training=True)
     return l2_normalize_rows(out)
 
 
@@ -298,29 +293,27 @@ def compute_loss_and_grads(
     x1: np.ndarray,
     x2: np.ndarray,
     cfg: FrameworkConfig,
-    rng: Rng,
 ):
     """Loss and analytic student gradients for one step (no updates applied).
 
     Returns (loss, grads, aux) where `grads` maps every student tensor to its
     gradient (the teacher never gets one) and `aux` carries the teacher
     features to enqueue plus the embeddings used for collapse diagnostics.
-    Deterministic given (state, batch, cfg, rng key): repeated calls see the
-    same shuffled-BN permutations.
+    Deterministic given (state, batch, cfg).
     """
     if not cfg.stop_gradient:
         return _direct_distance_loss(state, x1, x2, cfg)
 
     negatives = state.queue.contents() if state.queue is not None else None
-    directions = [(x1, x2, 0)]
+    directions = [(x1, x2)]
     if cfg.symmetric_loss:
-        directions.append((x2, x1, 1))
+        directions.append((x2, x1))
 
     losses = []
     grad_sets = []
     keys = []
-    for xa, xb, i in directions:
-        k = _teacher_keys(state.teacher, xb, cfg, rng.child("teacher_bn", i))
+    for xa, xb in directions:
+        k = _teacher_keys(state.teacher, xb)
         q, norms, cache = _normalized_student_pass(state.student, xa)
         if cfg.contrastive:
             if negatives is None:
@@ -380,14 +373,13 @@ def step_loss(
     x1: np.ndarray,
     x2: np.ndarray,
     cfg: FrameworkConfig,
-    rng: Rng,
 ) -> float:
     """The step's loss as a pure function of the student parameters.
 
     Used by finite-difference gradient checks: perturb a student tensor,
-    call with the same rng key, compare.
+    call again, compare.
     """
-    loss, _, _ = compute_loss_and_grads(state, x1, x2, cfg, rng)
+    loss, _, _ = compute_loss_and_grads(state, x1, x2, cfg)
     return loss
 
 
@@ -397,7 +389,6 @@ def training_step(
     x2: np.ndarray,
     cfg: FrameworkConfig,
     opt,
-    rng: Rng,
 ):
     """One full optimization step; mutates and returns the state.
 
@@ -405,7 +396,7 @@ def training_step(
     optimizer, EMA-update the teacher, then enqueue this step's teacher
     features (both directions' keys when the loss is symmetrized).
     """
-    loss, grads, aux = compute_loss_and_grads(state, x1, x2, cfg, rng)
+    loss, grads, aux = compute_loss_and_grads(state, x1, x2, cfg)
     if not np.isfinite(loss):
         raise NumericOverflowError(f"non-finite loss at step {state.step}")
     progress = state.step / max(state.total_steps, 1)

@@ -109,9 +109,7 @@ def pretrain(cfg: ExperimentConfig, run_dir) -> PretrainResult:
                 idx = order[b * batch:(b + 1) * batch]
                 x1, x2 = _augmented_batch(images, idx, pipeline, run_rng, epoch)
                 try:
-                    state, met = frameworks.training_step(
-                        state, x1, x2, fw, opt, run_rng.child("step", state.step)
-                    )
+                    state, met = frameworks.training_step(state, x1, x2, fw, opt)
                 except NumericOverflowError:
                     checkpoint.save_state(
                         run_dir / "ckpt_diagnostic.airl", state, cfg
@@ -346,34 +344,17 @@ def _run_and_probe(cfg: ExperimentConfig, run_dir, dataset=None,
     return result, acc
 
 
+# One config diff per rung, each applied on top of every earlier rung's; the
+# ladder starts from the moco_v2 preset without solarization and ends at
+# MoCo v2+ with it.
 LADDER_RUNGS = (
     ("moco_v2", dict(augment__removed="solarization")),
-    ("+sync_bn+hidden_bn", dict(
-        augment__removed="solarization",
-        framework__bn_mode="global", framework__projector_hidden_bn=True)),
-    ("+predictor", dict(
-        augment__removed="solarization",
-        framework__bn_mode="global", framework__projector_hidden_bn=True,
-        framework__predictor_placement="student_only")),
-    ("+momentum_ascend", dict(
-        augment__removed="solarization",
-        framework__bn_mode="global", framework__projector_hidden_bn=True,
-        framework__predictor_placement="student_only",
-        framework__momentum_base=0.99,
-        framework__momentum_schedule="cosine_ascend")),
-    ("+symmetric_loss (moco_v2+)", dict(
-        augment__removed="solarization",
-        framework__bn_mode="global", framework__projector_hidden_bn=True,
-        framework__predictor_placement="student_only",
-        framework__momentum_base=0.99,
-        framework__momentum_schedule="cosine_ascend",
-        framework__symmetric_loss=True)),
-    ("+solarization", dict(
-        framework__bn_mode="global", framework__projector_hidden_bn=True,
-        framework__predictor_placement="student_only",
-        framework__momentum_base=0.99,
-        framework__momentum_schedule="cosine_ascend",
-        framework__symmetric_loss=True)),
+    ("+hidden_bn", dict(framework__projector_hidden_bn=True)),
+    ("+predictor", dict(framework__predictor_placement="student_only")),
+    ("+momentum_ascend", dict(framework__momentum_base=0.99,
+                              framework__momentum_schedule="cosine_ascend")),
+    ("+symmetric_loss (moco_v2+)", dict(framework__symmetric_loss=True)),
+    ("+solarization", dict(augment__removed="")),
 )
 
 
@@ -381,7 +362,9 @@ def study_ladder(root: Path) -> list[dict]:
     """Configuration ladder from the MoCo v2 baseline to MoCo v2+ plus
     richer augmentations; one config diff per rung."""
     rows = []
-    for i, (label, overrides) in enumerate(LADDER_RUNGS):
+    overrides: dict = {}
+    for i, (label, diff) in enumerate(LADDER_RUNGS):
+        overrides.update(diff)
         cfg = _study_cfg("moco_v2", **overrides)
         _, acc = _run_and_probe(cfg, root / f"rung{i}")
         rows.append({"rung": i, "config": label, "top1": acc})
@@ -441,15 +424,14 @@ def study_aug_ablation(root: Path, seeds=(0, 1, 2)) -> list[dict]:
 
 def study_collapse(root: Path) -> list[dict]:
     """Healthy BYOL vs the no-predictor/no-stop-gradient ablation, plus
-    MoCo v2+ in both BN modes; reports embedding spread vs the isotropic
-    reference."""
+    MoCo v2+ as a reference with negatives; reports embedding spread vs the
+    isotropic reference."""
     arms = (
         ("byol", dict()),
         ("byol_no_pred_no_stopgrad", dict(
             framework__predictor_placement="none",
             framework__stop_gradient=False)),
-        ("moco_v2_plus_global", dict()),
-        ("moco_v2_plus_shuffled", dict(framework__bn_mode="shuffled")),
+        ("moco_v2_plus", dict()),
     )
     rows = []
     for label, overrides in arms:

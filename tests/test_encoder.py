@@ -3,8 +3,6 @@ import pytest
 
 from airl import encoder
 from airl.encoder import (
-    BN_GLOBAL,
-    BN_SHUFFLED,
     EncoderParams,
     LayerSpec,
     backward,
@@ -75,9 +73,8 @@ class TestForward:
     def test_training_bn_rejects_batch_of_one(self):
         params = build_branch(tiny_cfg(), Rng(0))
         x = Rng(1).normal(size=(1, 12))
-        for mode in (BN_GLOBAL, BN_SHUFFLED):
-            with pytest.raises(BatchTooSmallError):
-                forward(params, x, training=True, bn_mode=mode, rng=Rng(2))
+        with pytest.raises(BatchTooSmallError):
+            forward(params, x, training=True)
 
     def test_batch_stats_normalize_before_affine(self):
         # Large input variance keeps the BN epsilon negligible.
@@ -87,28 +84,6 @@ class TestForward:
         out, _ = forward(params, x, training=True)  # affine is identity at init
         assert np.max(np.abs(out.mean(axis=0))) <= 1e-8
         assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 1e-6
-
-    def test_shuffled_equals_global_under_identity_permutation(self):
-        params = build_branch(tiny_cfg(), Rng(0))
-        x = Rng(1).normal(size=(4, 12))
-
-        class IdentityPermRng:
-            def permutation(self, n):
-                return np.arange(n)
-
-        global_out, _ = forward(params.copy(), x, training=True,
-                                bn_mode=BN_GLOBAL)
-        shuffled_out, _ = forward(params.copy(), x, training=True,
-                                  bn_mode=BN_SHUFFLED, rng=IdentityPermRng())
-        assert np.array_equal(global_out, shuffled_out)
-
-    def test_shuffled_close_to_global_under_any_permutation(self):
-        params = build_branch(tiny_cfg(), Rng(0))
-        x = Rng(1).normal(size=(6, 12))
-        a, _ = forward(params.copy(), x, training=True, bn_mode=BN_GLOBAL)
-        b, _ = forward(params.copy(), x, training=True, bn_mode=BN_SHUFFLED,
-                       rng=Rng(9))
-        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_eval_mode_is_pure(self):
         params = build_branch(tiny_cfg(), Rng(0))

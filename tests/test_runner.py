@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from airl import checkpoint, runner
 from airl.cli import main as cli_main
 from airl.config import config_from_overrides, parse_config
 from airl.errors import AirlError, CheckpointError, ConfigError
+from airl.frameworks import FrameworkConfig
 from airl.numerics import Rng
 
 
@@ -50,13 +52,8 @@ class TestConfig:
 
     def test_presets_fill_framework_defaults(self):
         cfg = parse_config("framework.kind = moco_v2\n")
-        assert cfg["framework.bn_mode"] == "shuffled"
         assert cfg["framework.momentum_base"] == 0.999
         assert cfg["framework.symmetric_loss"] is False
-        cfg2 = parse_config(
-            "framework.kind = moco_v2\nframework.bn_mode = global\n"
-        )
-        assert cfg2["framework.bn_mode"] == "global"
 
     def test_canonical_round_trip_and_hash(self):
         cfg = fast_cfg()
@@ -67,6 +64,27 @@ class TestConfig:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("framework.kind = byol\nrun.epochs = soon\n")
+
+    @pytest.mark.parametrize("line, minimum", [
+        ("augment.out_side = 0", 1),  # parsed, then overflowed in numpy
+        ("encoder.backbone_hidden = 0", 1),
+        ("encoder.backbone_out = 0", 1),
+        ("encoder.projector_hidden = -1", 1),
+        ("encoder.projector_out = 0", 1),
+        ("data.classes = 0", 1),
+        ("data.per_class = 0", 1),
+        ("data.side = 0", 1),
+        ("run.batch = 0", 1),
+        ("run.epochs = -1", 0),
+        ("run.checkpoint_every = -2", 0),
+        ("framework.queue_size = -3", 0),
+        ("data.val_per_class = -1", 0),
+    ])
+    def test_out_of_range_sizes_rejected(self, line, minimum):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError,
+                           match=f"line 2: {key} must be >= {minimum},"):
+            parse_config(f"framework.kind = byol\n{line}\n")
 
     def test_crop_scale_key_reaches_pipeline(self):
         cfg = parse_config(
@@ -132,21 +150,16 @@ class TestCheckpoint:
     @given(data=st.data())
     def test_bit_flips_fail_only_with_library_errors(self, tiny_checkpoint,
                                                      data):
-        original = tiny_checkpoint.read_bytes()
-        blob = bytearray(original)
+        blob = bytearray(tiny_checkpoint.read_bytes())
         bits = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1),
                                   min_size=1, max_size=4))
         for bit in bits:
             blob[bit // 8] ^= 1 << (bit % 8)
         try:
-            _, meta = checkpoint.parse_checkpoint_bytes(bytes(blob))
+            checkpoint.parse_checkpoint_bytes(bytes(blob))
         except CheckpointError:
             return
-        # The config parser checks types but not ranges, so a flipped size
-        # digit (out_side 4 -> 0) is a config fault, not a parser one.
-        _, original_meta = checkpoint.parse_checkpoint_bytes(original)
-        if meta.get("config") != original_meta["config"]:
-            return
+        # A flipped config digit (out_side 4 -> 0) must fail as a ConfigError.
         path = tiny_checkpoint.with_name("flipped.airl")
         path.write_bytes(bytes(blob))
         try:
@@ -163,6 +176,42 @@ class TestCheckpoint:
         path = tmp_path / "incomplete.airl"
         checkpoint.save_checkpoint(path, records, meta)
         with pytest.raises(CheckpointError, match=key):
+            checkpoint.load_state(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda records, meta: records.update(
+            {"queue.data": ("buffer", np.zeros((3, 7)))}), "queue buffer"),
+        (lambda records, meta: meta.update(queue_cursor=99), "queue_cursor"),
+        (lambda records, meta: meta.update(queue_cursor=-1), "queue_cursor"),
+        (lambda records, meta: meta.update(queue_count=5), "queue_count"),
+        (lambda records, meta: meta.update(queue_count=-1), "queue_count"),
+        (lambda records, meta: records.update(
+            {"student.stat.backbone1_bn.mean": ("stat", np.zeros(4))}),
+         "statistic"),
+        (lambda records, meta: records.update(
+            {"teacher.stat.projector_bn.var": ("stat", np.ones((3, 1)))}),
+         "statistic"),
+    ])
+    def test_queue_and_statistic_shapes_checked(self, tiny_checkpoint,
+                                                tmp_path, corrupt, message):
+        # The tiny checkpoint's queue holds 4 rows of 2; its widths are 3.
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        corrupt(records, meta)
+        path = tmp_path / "corrupt.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        with pytest.raises(CheckpointError, match=message):
+            checkpoint.load_state(path)
+
+    def test_checkpoint_with_bn_mode_line_rejected(self, tiny_checkpoint,
+                                                   tmp_path):
+        # Checkpoints written while framework.bn_mode existed embed it.
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        meta["config"] = meta["config"].replace(
+            "framework.kind", "framework.bn_mode = global\nframework.kind")
+        path = tmp_path / "old.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        with pytest.raises(ConfigError,
+                           match="unknown config key 'framework.bn_mode'"):
             checkpoint.load_state(path)
 
     def test_metadata_carries_config_hash_and_step(self, tmp_path):
@@ -361,3 +410,59 @@ class TestCommands:
         rc = cli_main(["reproduce", "nonexistent"])
         assert rc == 1
         assert "ladder" in capsys.readouterr().err
+
+
+# Each rung's complete overrides, restating the earlier rungs': what the
+# ladder's accumulated per-rung diffs must reproduce.
+FULL_LADDER = (
+    ("moco_v2", dict(augment__removed="solarization")),
+    ("+hidden_bn", dict(
+        augment__removed="solarization", framework__projector_hidden_bn=True)),
+    ("+predictor", dict(
+        augment__removed="solarization", framework__projector_hidden_bn=True,
+        framework__predictor_placement="student_only")),
+    ("+momentum_ascend", dict(
+        augment__removed="solarization", framework__projector_hidden_bn=True,
+        framework__predictor_placement="student_only",
+        framework__momentum_base=0.99,
+        framework__momentum_schedule="cosine_ascend")),
+    ("+symmetric_loss (moco_v2+)", dict(
+        augment__removed="solarization", framework__projector_hidden_bn=True,
+        framework__predictor_placement="student_only",
+        framework__momentum_base=0.99,
+        framework__momentum_schedule="cosine_ascend",
+        framework__symmetric_loss=True)),
+    ("+solarization", dict(
+        framework__projector_hidden_bn=True,
+        framework__predictor_placement="student_only",
+        framework__momentum_base=0.99,
+        framework__momentum_schedule="cosine_ascend",
+        framework__symmetric_loss=True)),
+)
+
+
+class TestLadder:
+    @pytest.fixture
+    def ladder(self, tmp_path, monkeypatch):
+        """The ladder's rows and the config of each rung, without training."""
+        configs = []
+
+        def record(cfg, run_dir):
+            configs.append(cfg)
+            return None, 0.0
+
+        monkeypatch.setattr(runner, "_run_and_probe", record)
+        return runner.study_ladder(tmp_path), configs
+
+    def test_rungs_accumulate_to_full_configs(self, ladder):
+        rows, configs = ladder
+        assert [row["config"] for row in rows] == [l for l, _ in FULL_LADDER]
+        for cfg, (_, full) in zip(configs, FULL_LADDER, strict=True):
+            assert cfg.values == runner._study_cfg("moco_v2", **full).values
+
+    def test_symmetric_loss_rung_is_moco_v2_plus(self, ladder):
+        _, configs = ladder
+        rung = configs[4].framework_config()
+        assert rung.kind == "moco_v2"
+        assert (replace(rung, kind="moco_v2_plus")
+                == FrameworkConfig.preset("moco_v2_plus"))

@@ -1,0 +1,84 @@
+"""Print one sha256 per framework preset over a short fixed pretraining run.
+
+A change that is meant to keep behaviour identical (a refactor, a deletion)
+must print the same digests before and after it. Each of the four presets is
+pretrained at the studies' `MAIN_DATA` (seed 7, 2 epochs, batch 48, queue
+256, a checkpoint every epoch) in a temporary directory, and its digest
+covers, in order:
+
+  - every checkpoint's tensor records (name, role, shape, float64 bytes);
+  - every checkpoint's metadata apart from `config` and `config_hash`, so a
+    config key added or removed with an unchanged value does not count;
+  - the bytes of metrics.csv.
+
+Extra `section.key=value` arguments are added to every preset's config, for
+example to pin on the old side a setting that the change hard-codes.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/trajectory_digest.py [section.key=value ...]
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from airl import checkpoint, runner
+from airl.config import config_from_overrides
+from airl.frameworks import KINDS
+
+SEED = 7
+EPOCHS = 2
+UNHASHED_METADATA = ("config", "config_hash")
+
+
+def run_digest(run_dir: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(run_dir.glob("*.airl")):
+        records, metadata = checkpoint.load_checkpoint(path)
+        digest.update(path.name.encode())
+        for name in sorted(records):
+            role, array = records[name]
+            digest.update(f"{name}|{role}|{array.shape}".encode())
+            digest.update(array.astype("<f8").tobytes())
+        kept = {k: v for k, v in metadata.items() if k not in UNHASHED_METADATA}
+        digest.update(json.dumps(kept, sort_keys=True).encode())
+    digest.update((run_dir / "metrics.csv").read_bytes())
+    return digest.hexdigest()
+
+
+def parse_overrides(args: list[str]) -> dict[str, str]:
+    overrides = {}
+    for arg in args:
+        key, sep, value = arg.partition("=")
+        if not sep:
+            raise SystemExit(f"expected section.key=value, got {arg!r}")
+        overrides[key.strip().replace(".", "__")] = value.strip()
+    return overrides
+
+
+def main(argv: list[str]) -> int:
+    extra = parse_overrides(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in KINDS:
+            cfg = config_from_overrides(**{
+                "framework__kind": kind,
+                "framework__queue_size": 256,
+                "run__epochs": EPOCHS,
+                "run__batch": 48,
+                "run__seed": SEED,
+                "run__checkpoint_every": 1,
+                **runner.MAIN_DATA,
+                **extra,
+            })
+            result = runner.pretrain(cfg, Path(tmp) / kind)
+            print(f"{kind:<15} {run_digest(result.run_dir)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
