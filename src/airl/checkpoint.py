@@ -166,10 +166,14 @@ def save_state(path, state: frameworks.SiameseState,
     save_checkpoint(path, records, metadata)
 
 
-def _record_array(records, key: str, shape, what: str) -> np.ndarray:
+def _record_array(records, key: str, role: str, shape, what: str) -> np.ndarray:
     if key not in records:
         raise CheckpointError(f"checkpoint is missing {what} {key!r}")
-    array = records[key][1]
+    found, array = records[key]
+    if found != role:
+        raise CheckpointError(
+            f"{what} {key!r} has role {found!r}, expected {role!r}"
+        )
     if array.shape != shape:
         raise CheckpointError(
             f"{what} {key!r} has shape {array.shape}, expected {shape}"
@@ -179,14 +183,13 @@ def _record_array(records, key: str, shape, what: str) -> np.ndarray:
 
 def _fill_branch(prefix: str, params: encoder.EncoderParams, records) -> None:
     for name, tensor in params.tensors.items():
-        key = f"{prefix}.{name}"
-        params.tensors[name] = _record_array(records, key, tensor.shape,
-                                             "tensor")
-        role = records[key][0]
-        params.roles[name] = role if role in encoder.ROLES else params.roles[name]
+        params.tensors[name] = _record_array(
+            records, f"{prefix}.{name}", params.roles[name], tensor.shape,
+            "tensor"
+        )
     for name, stat in params.running.items():
         params.running[name] = _record_array(
-            records, f"{prefix}.stat.{name}", stat.shape, "statistic"
+            records, f"{prefix}.stat.{name}", "stat", stat.shape, "statistic"
         )
 
 
@@ -215,8 +218,8 @@ def load_state(path):
         _require_metadata(metadata, ("queue_cursor", "queue_count"))
         capacity = int(metadata["queue_capacity"])
         queue = frameworks.MemoryQueue(capacity, fw.projector_out)
-        queue.data = _record_array(records, "queue.data", queue.data.shape,
-                                   "queue buffer")
+        queue.data = _record_array(records, "queue.data", "buffer",
+                                   queue.data.shape, "queue buffer")
         queue.cursor = int(metadata["queue_cursor"])
         queue.count = int(metadata["queue_count"])
         if not 0 <= queue.cursor < capacity:

@@ -1,6 +1,7 @@
 """Siamese branch network: MLP backbone, projector, optional predictor.
 
-Layers are linear / batch-norm / relu with hand-derived backward passes.
+A branch is a stack of blocks, each a linear layer, then batch-norm if the
+block has one, then relu if it has one, with hand-derived backward passes.
 The backbone is two linear+BN+relu blocks over the flattened input (a
 desk-scale stand-in for a convolutional trunk); projector and predictor are
 2-layer MLPs whose hidden batch-norm is configurable. Parameters live in a
@@ -34,22 +35,24 @@ ROLES = (ROLE_WEIGHT, ROLE_BIAS, ROLE_NORM_GAIN, ROLE_NORM_BIAS)
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    kind: str  # "linear" | "batch_norm" | "relu"
+class Block:
+    """A linear layer `name`, then batch-norm if `norm`, then relu if `relu`.
+
+    The linear carries a bias exactly when no batch-norm follows it. The
+    batch-norm is named `<stage>_bn`, so a stage holds at most one. A stage's
+    output is the output of its last block.
+    """
+
+    stage: str
     name: str
     in_dim: int
     out_dim: int
-    stage: str  # block label; the stage output is the last layer's output
-    bn_affine: bool = True
-    has_bias: bool = True  # linear layers only
+    norm: bool
+    relu: bool
 
-    def __post_init__(self):
-        if self.kind not in ("linear", "batch_norm", "relu"):
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.kind in ("batch_norm", "relu") and self.in_dim != self.out_dim:
-            raise ConfigError(
-                f"{self.kind} layer {self.name!r} needs in_dim == out_dim"
-            )
+    @property
+    def norm_name(self) -> str:
+        return f"{self.stage}_bn"
 
 
 @dataclass
@@ -57,10 +60,10 @@ class EncoderParams:
     """Named parameter set for one siamese branch.
 
     `tensors` holds trainable arrays, `roles` their role tags, and `running`
-    the per-BN-layer running statistics ("<layer>.mean", "<layer>.var").
+    the per-BN running statistics ("<stage>_bn.mean", "<stage>_bn.var").
     """
 
-    specs: tuple[LayerSpec, ...]
+    specs: tuple[Block, ...]
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     roles: dict[str, str] = field(default_factory=dict)
     running: dict[str, np.ndarray] = field(default_factory=dict)
@@ -75,9 +78,9 @@ class EncoderParams:
 
     def stage_names(self) -> list[str]:
         names: list[str] = []
-        for spec in self.specs:
-            if spec.stage not in names:
-                names.append(spec.stage)
+        for block in self.specs:
+            if block.stage not in names:
+                names.append(block.stage)
         return names
 
     @property
@@ -91,33 +94,26 @@ class EncoderParams:
 
 def _mlp_head_specs(
     prefix: str, in_dim: int, hidden: int, out: int, hidden_bn: bool
-) -> list[LayerSpec]:
-    # 2-layer MLP; the hidden linear drops its bias when a BN follows.
-    specs = [
-        LayerSpec("linear", f"{prefix}_lin1", in_dim, hidden, prefix,
-                  has_bias=not hidden_bn)
+) -> list[Block]:
+    return [
+        Block(prefix, f"{prefix}_lin1", in_dim, hidden, norm=hidden_bn,
+              relu=True),
+        Block(prefix, f"{prefix}_lin2", hidden, out, norm=False, relu=False),
     ]
-    if hidden_bn:
-        specs.append(LayerSpec("batch_norm", f"{prefix}_bn", hidden, hidden, prefix))
-    specs.append(LayerSpec("relu", f"{prefix}_act", hidden, hidden, prefix))
-    specs.append(LayerSpec("linear", f"{prefix}_lin2", hidden, out, prefix))
-    return specs
 
 
-def branch_specs(cfg, with_predictor: bool) -> tuple[LayerSpec, ...]:
-    """Layer layout for one branch given a framework config.
+def branch_specs(cfg, with_predictor: bool) -> tuple[Block, ...]:
+    """Block layout for one branch given a framework config.
 
     `cfg` needs input_dim / backbone_hidden / backbone_out /
     projector_hidden / projector_out / projector_hidden_bn attributes.
     """
-    specs: list[LayerSpec] = []
     dims = [cfg.input_dim, cfg.backbone_hidden, cfg.backbone_out]
-    for i in (1, 2):
-        stage = f"backbone{i}"
-        specs.append(LayerSpec("linear", f"{stage}_lin", dims[i - 1], dims[i],
-                               stage, has_bias=False))
-        specs.append(LayerSpec("batch_norm", f"{stage}_bn", dims[i], dims[i], stage))
-        specs.append(LayerSpec("relu", f"{stage}_act", dims[i], dims[i], stage))
+    specs = [
+        Block(f"backbone{i}", f"backbone{i}_lin", dims[i - 1], dims[i],
+              norm=True, relu=True)
+        for i in (1, 2)
+    ]
     specs += _mlp_head_specs("projector", cfg.backbone_out, cfg.projector_hidden,
                              cfg.projector_out, cfg.projector_hidden_bn)
     if with_predictor:
@@ -127,35 +123,34 @@ def branch_specs(cfg, with_predictor: bool) -> tuple[LayerSpec, ...]:
     return tuple(specs)
 
 
-def init_params(specs: tuple[LayerSpec, ...], rng: Rng) -> EncoderParams:
-    """Allocate and initialize parameters for a layer layout.
+def init_params(specs: tuple[Block, ...], rng: Rng) -> EncoderParams:
+    """Allocate and initialize parameters for a block layout.
 
     Weights and linear biases use uniform(-1/sqrt(fan_in), +1/sqrt(fan_in));
     BN gains start at 1, BN biases at 0, running stats at (0, 1).
     """
     params = EncoderParams(specs=specs)
-    for spec in specs:
-        if spec.kind == "linear":
-            bound = 1.0 / np.sqrt(spec.in_dim)
-            w = rng.child("init", spec.name, "weight").uniform(
-                -bound, bound, (spec.in_dim, spec.out_dim)
+    for block in specs:
+        bound = 1.0 / np.sqrt(block.in_dim)
+        w = rng.child("init", block.name, "weight").uniform(
+            -bound, bound, (block.in_dim, block.out_dim)
+        )
+        params.tensors[f"{block.name}.weight"] = w
+        params.roles[f"{block.name}.weight"] = ROLE_WEIGHT
+        if block.norm:
+            bn = block.norm_name
+            params.tensors[f"{bn}.gain"] = np.ones(block.out_dim)
+            params.roles[f"{bn}.gain"] = ROLE_NORM_GAIN
+            params.tensors[f"{bn}.bias"] = np.zeros(block.out_dim)
+            params.roles[f"{bn}.bias"] = ROLE_NORM_BIAS
+            params.running[f"{bn}.mean"] = np.zeros(block.out_dim)
+            params.running[f"{bn}.var"] = np.ones(block.out_dim)
+        else:
+            b = rng.child("init", block.name, "bias").uniform(
+                -bound, bound, block.out_dim
             )
-            params.tensors[f"{spec.name}.weight"] = w
-            params.roles[f"{spec.name}.weight"] = ROLE_WEIGHT
-            if spec.has_bias:
-                b = rng.child("init", spec.name, "bias").uniform(
-                    -bound, bound, spec.out_dim
-                )
-                params.tensors[f"{spec.name}.bias"] = b
-                params.roles[f"{spec.name}.bias"] = ROLE_BIAS
-        elif spec.kind == "batch_norm":
-            if spec.bn_affine:
-                params.tensors[f"{spec.name}.gain"] = np.ones(spec.out_dim)
-                params.roles[f"{spec.name}.gain"] = ROLE_NORM_GAIN
-                params.tensors[f"{spec.name}.bias"] = np.zeros(spec.out_dim)
-                params.roles[f"{spec.name}.bias"] = ROLE_NORM_BIAS
-            params.running[f"{spec.name}.mean"] = np.zeros(spec.out_dim)
-            params.running[f"{spec.name}.var"] = np.ones(spec.out_dim)
+            params.tensors[f"{block.name}.bias"] = b
+            params.roles[f"{block.name}.bias"] = ROLE_BIAS
     return params
 
 
@@ -170,10 +165,10 @@ def make_teacher(student: EncoderParams, include_predictor: bool) -> EncoderPara
     The predictor stage is kept only when the network structure is symmetric.
     """
     specs = tuple(
-        s for s in student.specs
-        if include_predictor or s.stage != "predictor"
+        b for b in student.specs
+        if include_predictor or b.stage != "predictor"
     )
-    kept = {s.name for s in specs}
+    kept = {b.name for b in specs} | {b.norm_name for b in specs if b.norm}
     return EncoderParams(
         specs=specs,
         tensors={k: v.copy() for k, v in student.tensors.items()
@@ -185,16 +180,19 @@ def make_teacher(student: EncoderParams, include_predictor: bool) -> EncoderPara
     )
 
 
-def forward(
-    params: EncoderParams,
-    x: np.ndarray,
-    training: bool,
-    collect_stages: bool = False,
-):
+def _check_finite(out: np.ndarray, layer: str) -> None:
+    if not np.all(np.isfinite(out)):
+        raise NumericOverflowError(
+            f"non-finite activation after layer {layer!r}"
+        )
+
+
+def forward(params: EncoderParams, x: np.ndarray, training: bool):
     """Run the branch, returning (output, cache).
 
-    Training-mode BN uses batch statistics and updates the running stats in
-    place; eval mode reads running stats and is a pure function.
+    The cache's "stages" maps each stage to its output. Training-mode BN uses
+    batch statistics and updates the running stats in place; eval mode reads
+    running stats and is a pure function.
     """
     x = numerics.as_tensor(x)
     if x.ndim != 2:
@@ -207,107 +205,94 @@ def forward(
         raise NumericOverflowError("non-finite value in encoder input")
 
     n = x.shape[0]
-    layer_caches: list[dict] = []
+    entries: list[dict] = []
     stages: dict[str, np.ndarray] = {}
     h = x
-    for spec in params.specs:
-        if spec.kind == "linear":
-            w = params.tensors[f"{spec.name}.weight"]
-            out = matmul(h, w)
-            if spec.has_bias:
-                out = out + params.tensors[f"{spec.name}.bias"]
-            layer_caches.append({"spec": spec, "x": h, "w": w})
-        elif spec.kind == "batch_norm":
+    for block in params.specs:
+        w = params.tensors[f"{block.name}.weight"]
+        entry = {"block": block, "x": h, "w": w}
+        out = matmul(h, w)
+        if not block.norm:
+            out = out + params.tensors[f"{block.name}.bias"]
+        # Checked before the relu, which maps -inf to 0.
+        _check_finite(out, block.name)
+        if block.norm:
+            bn = block.norm_name
             if training:
                 if n < 2:
                     raise BatchTooSmallError(
-                        f"training-mode BN at {spec.name!r} needs a batch of "
+                        f"training-mode BN at {bn!r} needs a batch of "
                         f"at least 2 samples, got {n}"
                     )
-                mean = np.mean(h, axis=0)
-                var = np.mean((h - mean) ** 2, axis=0)
-                params.running[f"{spec.name}.mean"] *= BN_STAT_MOMENTUM
-                params.running[f"{spec.name}.mean"] += (1 - BN_STAT_MOMENTUM) * mean
-                params.running[f"{spec.name}.var"] *= BN_STAT_MOMENTUM
-                params.running[f"{spec.name}.var"] += (1 - BN_STAT_MOMENTUM) * var
+                mean = np.mean(out, axis=0)
+                var = np.mean((out - mean) ** 2, axis=0)
+                params.running[f"{bn}.mean"] *= BN_STAT_MOMENTUM
+                params.running[f"{bn}.mean"] += (1 - BN_STAT_MOMENTUM) * mean
+                params.running[f"{bn}.var"] *= BN_STAT_MOMENTUM
+                params.running[f"{bn}.var"] += (1 - BN_STAT_MOMENTUM) * var
             else:
-                mean = params.running[f"{spec.name}.mean"]
-                var = params.running[f"{spec.name}.var"]
+                mean = params.running[f"{bn}.mean"]
+                var = params.running[f"{bn}.var"]
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            x_hat = (h - mean) * inv_std
-            entry = {"spec": spec, "x_hat": x_hat, "inv_std": inv_std}
-            if spec.bn_affine:
-                gain = params.tensors[f"{spec.name}.gain"]
-                out = gain * x_hat + params.tensors[f"{spec.name}.bias"]
-                entry["gain"] = gain
-            else:
-                out = x_hat
-            layer_caches.append(entry)
-        else:  # relu
-            out = np.maximum(h, 0.0)
-            layer_caches.append({"spec": spec, "mask": h > 0.0})
-        if not np.all(np.isfinite(out)):
-            raise NumericOverflowError(
-                f"non-finite activation after layer {spec.name!r}"
-            )
-        if collect_stages:
-            stages[spec.stage] = out
+            x_hat = (out - mean) * inv_std
+            gain = params.tensors[f"{bn}.gain"]
+            out = gain * x_hat + params.tensors[f"{bn}.bias"]
+            _check_finite(out, bn)
+            entry.update(x_hat=x_hat, inv_std=inv_std, gain=gain)
+        if block.relu:
+            entry["mask"] = out > 0.0
+            out = np.maximum(out, 0.0)
+        entries.append(entry)
+        stages[block.stage] = out
         h = out
 
-    cache = {"layers": layer_caches, "training": training, "n": n}
-    if collect_stages:
-        cache["stages"] = stages
+    cache = {"blocks": entries, "training": training, "n": n,
+             "stages": stages}
     return h, cache
 
 
-def backward(cache: dict, grad_out: np.ndarray, compute_grad_in: bool = True):
+def backward(cache: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic gradients of a training-mode forward.
 
-    Returns (param_grads, grad_in). `param_grads` maps every trainable tensor
-    touched by the forward to its gradient. Set compute_grad_in=False to skip
-    the (unused) gradient w.r.t. the network input.
+    Returns a map from every trainable tensor touched by the forward to its
+    gradient. The gradient w.r.t. the network input is never formed.
     """
     if not cache.get("training"):
         raise ConfigError("backward needs a cache from a training-mode forward")
     grad = numerics.as_tensor(grad_out)
     grads: dict[str, np.ndarray] = {}
-    layers = cache["layers"]
+    entries = cache["blocks"]
     n = cache["n"]
-    if layers and grad.shape != (n, layers[-1]["spec"].out_dim):
+    if entries and grad.shape != (n, entries[-1]["block"].out_dim):
         raise DimensionError(
             f"grad_out shape {grad.shape} does not match forward output "
-            f"({n}, {layers[-1]['spec'].out_dim})"
+            f"({n}, {entries[-1]['block'].out_dim})"
         )
-    for i in range(len(layers) - 1, -1, -1):
-        entry = layers[i]
-        spec = entry["spec"]
-        last = i == 0
-        if spec.kind == "linear":
-            if spec.has_bias:
-                grads[f"{spec.name}.bias"] = np.sum(grad, axis=0)
-            grads[f"{spec.name}.weight"] = matmul(entry["x"].T, grad)
-            if not (last and not compute_grad_in):
-                grad = matmul(grad, entry["w"].T)
-        elif spec.kind == "batch_norm":
+    for i in range(len(entries) - 1, -1, -1):
+        entry = entries[i]
+        block = entry["block"]
+        if block.relu:
+            grad = grad * entry["mask"]
+        if block.norm:
+            bn = block.norm_name
             x_hat = entry["x_hat"]
-            inv_std = entry["inv_std"]
-            if spec.bn_affine:
-                grads[f"{spec.name}.gain"] = np.sum(grad * x_hat, axis=0)
-                grads[f"{spec.name}.bias"] = np.sum(grad, axis=0)
-                d_xhat = grad * entry["gain"]
-            else:
-                d_xhat = grad
+            grads[f"{bn}.gain"] = np.sum(grad * x_hat, axis=0)
+            grads[f"{bn}.bias"] = np.sum(grad, axis=0)
+            d_xhat = grad * entry["gain"]
             sum_d = np.sum(d_xhat, axis=0)
             sum_dx = np.sum(d_xhat * x_hat, axis=0)
-            grad = (inv_std / n) * (n * d_xhat - sum_d - x_hat * sum_dx)
-        else:  # relu
-            grad = grad * entry["mask"]
-    return grads, grad
+            grad = (entry["inv_std"] / n) * (n * d_xhat - sum_d - x_hat * sum_dx)
+        else:
+            grads[f"{block.name}.bias"] = np.sum(grad, axis=0)
+        grads[f"{block.name}.weight"] = matmul(entry["x"].T, grad)
+        if i > 0:
+            grad = matmul(grad, entry["w"].T)
+    return grads
 
 
 def eval_stage_outputs(params: EncoderParams, x: np.ndarray) -> dict[str, np.ndarray]:
     """Eval-mode activations collected after each stage (pure function)."""
-    _, cache = forward(params, x, training=False, collect_stages=True)
+    _, cache = forward(params, x, training=False)
     return cache["stages"]
 
 

@@ -322,7 +322,7 @@ def compute_loss_and_grads(
         else:
             loss_i, grad_q = byol_loss(q, k)
         grad_out = l2_normalize_rows_backward(q, norms, grad_q)
-        grads_i, _ = encoder.backward(cache, grad_out, compute_grad_in=False)
+        grads_i = encoder.backward(cache, grad_out)
         losses.append(loss_i)
         grad_sets.append(grads_i)
         keys.append(k)
@@ -350,14 +350,8 @@ def _direct_distance_loss(state, x1, x2, cfg):
     q2, n2, cache2 = _normalized_student_pass(state.student, x2)
     loss, grad_q1 = byol_loss(q1, q2)
     grad_q2 = -grad_q1
-    g1, _ = encoder.backward(
-        cache1, l2_normalize_rows_backward(q1, n1, grad_q1),
-        compute_grad_in=False,
-    )
-    g2, _ = encoder.backward(
-        cache2, l2_normalize_rows_backward(q2, n2, grad_q2),
-        compute_grad_in=False,
-    )
+    g1 = encoder.backward(cache1, l2_normalize_rows_backward(q1, n1, grad_q1))
+    g2 = encoder.backward(cache2, l2_normalize_rows_backward(q2, n2, grad_q2))
     grads = {name: g1[name] + g2[name] for name in g1}
     embeddings = np.concatenate([q1, q2], axis=0)
     aux = {

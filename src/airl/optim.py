@@ -186,10 +186,9 @@ class Optimizer:
 def weight_norm_report(params: EncoderParams) -> dict[str, float]:
     """2-norm of every weight-role tensor, in depth order."""
     report: dict[str, float] = {}
-    for spec in params.specs:
-        name = f"{spec.name}.weight"
-        if name in params.tensors:
-            report[name] = float(np.linalg.norm(params.tensors[name]))
+    for block in params.specs:
+        name = f"{block.name}.weight"
+        report[name] = float(np.linalg.norm(params.tensors[name]))
     return report
 
 

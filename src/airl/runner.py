@@ -140,13 +140,14 @@ def cmd_pretrain(config_path, out=None) -> PretrainResult:
 
 
 def embedding_metrics(state: frameworks.SiameseState,
-                      dataset: evaluation.Dataset) -> tuple[float, float]:
+                      dataset: evaluation.Dataset,
+                      stop_gradient: bool) -> tuple[float, float]:
     """Collapse metrics of the loss-space embeddings on the val images.
 
     Uses the branch the training signal targets: teacher features under
     stop-gradient, student features for the direct-distance ablation.
     """
-    branch = state.teacher if state.teacher.specs else state.student
+    branch = state.teacher if stop_gradient else state.student
     x = evaluation.images_to_inputs(dataset.val_images, branch)
     out, _ = encoder.forward(branch, x, training=False)
     return collapse_metrics(l2_normalize_rows(out))
@@ -238,11 +239,9 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
         state, cfg, meta = checkpoint.load_state(output_path)
         data = dataset_from_config(cfg)
         for branch in (state.student, state.teacher):
-            if branch.specs:
-                encoder.refresh_running_stats(
-                    branch, evaluation.images_to_inputs(data.train_images,
-                                                        branch)
-                )
+            encoder.refresh_running_stats(
+                branch, evaluation.images_to_inputs(data.train_images, branch)
+            )
         records2, _ = checkpoint.state_records(state, cfg)
         checkpoint.save_checkpoint(output_path, records2, meta)
     return report
@@ -443,7 +442,9 @@ def study_collapse(root: Path) -> list[dict]:
         )
         result = pretrain(cfg, root / label)
         dataset = dataset_from_config(cfg)
-        feat_std, eff_rank = embedding_metrics(result.state, dataset)
+        feat_std, eff_rank = embedding_metrics(
+            result.state, dataset, cfg["framework.stop_gradient"]
+        )
         ref = evaluation.isotropic_std_reference(
             cfg["encoder.projector_out"]
         )

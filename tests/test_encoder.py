@@ -3,8 +3,8 @@ import pytest
 
 from airl import encoder
 from airl.encoder import (
+    Block,
     EncoderParams,
-    LayerSpec,
     backward,
     branch_specs,
     build_branch,
@@ -12,7 +12,12 @@ from airl.encoder import (
     init_params,
     make_teacher,
 )
-from airl.errors import BatchTooSmallError, ConfigError, DimensionError
+from airl.errors import (
+    BatchTooSmallError,
+    ConfigError,
+    DimensionError,
+    NumericOverflowError,
+)
 from airl.frameworks import FrameworkConfig
 from airl.numerics import Rng, finite_diff_grad, matmul, relative_error
 
@@ -35,7 +40,7 @@ def encoder_fd_check(params, x, seed):
     weights = Rng(seed).child("w").normal(size=(x.shape[0], params.out_dim))
 
     out, cache = forward(params, x, training=True)
-    grads, _ = backward(cache, weights)
+    grads = backward(cache, weights)
     names = sorted(params.tensors)
     analytic = flat_grads(grads, names)
 
@@ -61,7 +66,7 @@ class TestForward:
         assert np.array_equal(out, x)
 
     def test_single_linear_identity_weights(self):
-        spec = (LayerSpec("linear", "lin", 4, 4, "backbone1", has_bias=True),)
+        spec = (Block("backbone1", "lin", 4, 4, norm=False, relu=False),)
         params = EncoderParams(specs=spec)
         params.tensors["lin.weight"] = np.eye(4)
         params.tensors["lin.bias"] = np.zeros(4)
@@ -78,7 +83,7 @@ class TestForward:
 
     def test_batch_stats_normalize_before_affine(self):
         # Large input variance keeps the BN epsilon negligible.
-        spec = (LayerSpec("batch_norm", "bn", 6, 6, "backbone1"),)
+        spec = (Block("backbone1", "lin", 6, 6, norm=True, relu=False),)
         params = init_params(spec, Rng(0))
         x = 20.0 * Rng(3).normal(size=(64, 6)) + 5.0
         out, _ = forward(params, x, training=True)  # affine is identity at init
@@ -102,14 +107,26 @@ class TestForward:
         assert not np.array_equal(params.running["backbone1_bn.mean"], before)
 
     def test_refresh_running_stats_converges_to_batch_stats(self):
-        spec = (LayerSpec("batch_norm", "bn", 4, 4, "backbone1"),)
+        spec = (Block("backbone1", "lin", 4, 4, norm=True, relu=False),)
         params = init_params(spec, Rng(0))
+        params.tensors["lin.weight"] = np.eye(4)
         x = 3.0 * Rng(1).normal(size=(64, 4)) + 2.0
         encoder.refresh_running_stats(params, x, passes=200)
-        assert np.allclose(params.running["bn.mean"], x.mean(axis=0),
-                           atol=1e-6)
-        assert np.allclose(params.running["bn.var"], x.var(axis=0),
-                           atol=1e-5)
+        assert np.allclose(params.running["backbone1_bn.mean"],
+                           x.mean(axis=0), atol=1e-6)
+        assert np.allclose(params.running["backbone1_bn.var"],
+                           x.var(axis=0), atol=1e-5)
+
+    def test_non_finite_linear_output_raises_before_relu(self):
+        # The relu would map the linear's -inf to 0, so only a check
+        # between the two catches it.
+        spec = (Block("backbone1", "lin", 2, 2, norm=False, relu=True),)
+        params = init_params(spec, Rng(0))
+        params.tensors["lin.weight"] = np.full((2, 2), -1e308)
+        x = np.full((3, 2), 10.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericOverflowError, match="'lin'"):
+                forward(params, x, training=True)
 
 
 class TestBackward:
@@ -117,17 +134,16 @@ class TestBackward:
         params = build_branch(tiny_cfg(), Rng(0))
         x = Rng(1).normal(size=(4, 12))
         _, cache = forward(params, x, training=True)
-        grads, grad_in = backward(cache, np.zeros((4, 6)))
+        grads = backward(cache, np.zeros((4, 6)))
         assert all(np.all(g == 0) for g in grads.values())
-        assert np.all(grad_in == 0)
 
     def test_linear_weight_grad_analytic_form(self):
-        spec = (LayerSpec("linear", "lin", 3, 2, "backbone1", has_bias=False),)
+        spec = (Block("backbone1", "lin", 3, 2, norm=False, relu=False),)
         params = init_params(spec, Rng(0))
         x = Rng(1).normal(size=(5, 3))
         g = Rng(2).normal(size=(5, 2))
         _, cache = forward(params, x, training=True)
-        grads, _ = backward(cache, g)
+        grads = backward(cache, g)
         assert np.array_equal(grads["lin.weight"], matmul(x.T, g))
 
     def test_eval_cache_rejected(self):
@@ -144,11 +160,7 @@ class TestBackward:
 
     def test_three_layer_encoder_matches_finite_differences(self):
         # linear + BN + relu over a random 4x8 input
-        specs = (
-            LayerSpec("linear", "lin", 8, 6, "backbone1", has_bias=False),
-            LayerSpec("batch_norm", "bn", 6, 6, "backbone1"),
-            LayerSpec("relu", "act", 6, 6, "backbone1"),
-        )
+        specs = (Block("backbone1", "lin", 8, 6, norm=True, relu=True),)
         params = init_params(specs, Rng(5))
         x = Rng(6).normal(size=(4, 8))
         assert encoder_fd_check(params, x, seed=7) < 1e-4

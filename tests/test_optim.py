@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airl.encoder import LayerSpec, init_params
+from airl.encoder import Block, init_params
 from airl.errors import ConfigError, NumericOverflowError
 from airl.numerics import Rng
 from airl.optim import (
@@ -192,8 +192,8 @@ class TestLrSchedule:
 class TestNormReports:
     def test_zero_tensor_and_three_four_five(self):
         specs = (
-            LayerSpec("linear", "a", 2, 1, "backbone1", has_bias=False),
-            LayerSpec("linear", "b", 1, 2, "backbone1", has_bias=False),
+            Block("backbone1", "a", 2, 1, norm=False, relu=False),
+            Block("backbone1", "b", 1, 2, norm=False, relu=False),
         )
         params = init_params(specs, Rng(0))
         params.tensors["a.weight"] = np.array([[3.0], [4.0]])
@@ -204,10 +204,7 @@ class TestNormReports:
         assert list(report) == ["a.weight", "b.weight"]  # depth order
 
     def test_norm_sum_by_role(self):
-        specs = (
-            LayerSpec("linear", "lin", 4, 4, "backbone1", has_bias=False),
-            LayerSpec("batch_norm", "bn", 4, 4, "backbone1"),
-        )
+        specs = (Block("backbone1", "lin", 4, 4, norm=True, relu=False),)
         params = init_params(specs, Rng(0))
         assert norm_sum_by_role(params, "norm_gain") == pytest.approx(2.0)
 

@@ -7,12 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import augment_reference
-from airl import checkpoint, runner
+from airl import checkpoint, encoder, evaluation, runner
 from airl.cli import main as cli_main
 from airl.config import config_from_overrides, parse_config
 from airl.errors import AirlError, CheckpointError, ConfigError
+from airl.evaluation import collapse_metrics
 from airl.frameworks import FrameworkConfig
-from airl.numerics import Rng
+from airl.numerics import Rng, l2_normalize_rows
 
 
 def fast_cfg(**overrides):
@@ -202,6 +203,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message):
             checkpoint.load_state(path)
 
+    @pytest.mark.parametrize("key, role", [
+        ("student.backbone1_lin.weight", "bias"),
+        ("teacher.stat.backbone1_bn.mean", "weight"),
+        ("queue.data", "stat"),
+    ])
+    def test_record_with_wrong_role_rejected(self, tiny_checkpoint, tmp_path,
+                                             key, role):
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        records[key] = (role, records[key][1])
+        path = tmp_path / "retagged.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        with pytest.raises(CheckpointError, match=f"{key}.*role '{role}'"):
+            checkpoint.load_state(path)
+
     def test_checkpoint_with_bn_mode_line_rejected(self, tiny_checkpoint,
                                                    tmp_path):
         # Checkpoints written while framework.bn_mode existed embed it.
@@ -308,6 +323,30 @@ class TestPretrain:
         cfg = fast_cfg(run__batch=64)
         with pytest.raises(ConfigError, match="batch"):
             runner.pretrain(cfg, tmp_path / "run")
+
+
+class TestCollapseStudy:
+    def test_ablation_measures_student_eval_embeddings(self, tmp_path,
+                                                       monkeypatch):
+        results = {}
+        pretrain = runner.pretrain
+
+        def record(cfg, run_dir):
+            results[run_dir.name] = pretrain(cfg, run_dir)
+            return results[run_dir.name]
+
+        monkeypatch.setattr(runner, "pretrain", record)
+        monkeypatch.setattr(runner, "COLLAPSE_EPOCHS", 1)
+        monkeypatch.setattr(runner, "COLLAPSE_DATA",
+                            dict(runner.COLLAPSE_DATA, data__per_class=12))
+        rows = {row["arm"]: row for row in runner.study_collapse(tmp_path)}
+        label = "byol_no_pred_no_stopgrad"
+        student = results[label].state.student
+        dataset = runner.dataset_from_config(results[label].cfg)
+        x = evaluation.images_to_inputs(dataset.val_images, student)
+        out, _ = encoder.forward(student, x, training=False)
+        assert ((rows[label]["feat_std"], rows[label]["eff_rank"])
+                == collapse_metrics(l2_normalize_rows(out)))
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,20 @@
-"""Print one sha256 per framework preset over a short fixed pretraining run.
+"""Print two sha256 digests per framework preset over a short pretraining run.
 
 A change that is meant to keep behaviour identical (a refactor, a deletion)
 must print the same digests before and after it. Each of the four presets is
 pretrained at the studies' `MAIN_DATA` (seed 7, 2 epochs, batch 48, queue
-256, a checkpoint every epoch) in a temporary directory, and its digest
+256, a checkpoint every epoch) in a temporary directory. Its first digest
 covers, in order:
 
   - every checkpoint's tensor records (name, role, shape, float64 bytes);
   - every checkpoint's metadata apart from `config` and `config_hash`, so a
     config key added or removed with an unchanged value does not count;
   - the bytes of metrics.csv.
+
+A second digest per preset covers the eval-mode stage outputs
+(`encoder.eval_stage_outputs`) of the final student and then the final
+teacher on the val images, stage by stage in depth order: the eval-mode
+forward that the linear probe and CKA read.
 
 Extra `section.key=value` arguments are added to every preset's config, for
 example to pin on the old side a setting that the change hard-codes.
@@ -27,7 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from airl import checkpoint, runner
+from airl import checkpoint, encoder, evaluation, runner
 from airl.config import config_from_overrides
 from airl.frameworks import KINDS
 
@@ -48,6 +53,20 @@ def run_digest(run_dir: Path) -> str:
         kept = {k: v for k, v in metadata.items() if k not in UNHASHED_METADATA}
         digest.update(json.dumps(kept, sort_keys=True).encode())
     digest.update((run_dir / "metrics.csv").read_bytes())
+    return digest.hexdigest()
+
+
+def eval_digest(result: runner.PretrainResult) -> str:
+    digest = hashlib.sha256()
+    images = runner.dataset_from_config(result.cfg).val_images
+    for role, branch in (("student", result.state.student),
+                         ("teacher", result.state.teacher)):
+        x = evaluation.images_to_inputs(images, branch)
+        stages = encoder.eval_stage_outputs(branch, x)
+        for stage in branch.stage_names():
+            out = stages[stage]
+            digest.update(f"{role}|{stage}|{out.shape}".encode())
+            digest.update(out.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
@@ -76,7 +95,8 @@ def main(argv: list[str]) -> int:
                 **extra,
             })
             result = runner.pretrain(cfg, Path(tmp) / kind)
-            print(f"{kind:<15} {run_digest(result.run_dir)}", flush=True)
+            print(f"{kind:<15} {run_digest(result.run_dir)} "
+                  f"{eval_digest(result)}", flush=True)
     return 0
 
 
