@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -120,8 +122,24 @@ def parse_checkpoint_bytes(blob: bytes):
 
 
 def save_checkpoint(path, records, metadata) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(records, metadata))
+    """Write a checkpoint so that `path` only ever holds a complete file.
+
+    The bytes go to `.<name>.tmp` next to `path`, which `os.replace` then
+    moves onto `path` in one step. A write that fails part-way leaves an
+    existing file at `path` as it was and removes the temporary file. There
+    is no fsync: this guards against failures of the process, not of the
+    machine.
+    """
+    blob = checkpoint_bytes(records, metadata)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -7,6 +7,11 @@ desk-scale stand-in for a convolutional trunk); projector and predictor are
 2-layer MLPs whose hidden batch-norm is configurable. Parameters live in a
 flat name -> array map with a role tag per tensor (weight / bias / norm_gain /
 norm_bias) so optimizers and checkpoint surgery can treat them by role.
+
+A training step encodes both views of a branch in one pass: `forward` takes
+the stacked rows as `groups` equal blocks and batch-norm takes its statistics
+per block (per view), and `backward` returns one gradient map per block. The
+result equals one pass per view bit for bit, with fewer, taller products.
 """
 
 from __future__ import annotations
@@ -187,12 +192,17 @@ def _check_finite(out: np.ndarray, layer: str) -> None:
         )
 
 
-def forward(params: EncoderParams, x: np.ndarray, training: bool):
+def forward(params: EncoderParams, x: np.ndarray, training: bool,
+            groups: int = 1):
     """Run the branch, returning (output, cache).
 
-    The cache's "stages" maps each stage to its output. Training-mode BN uses
-    batch statistics and updates the running stats in place; eval mode reads
-    running stats and is a pure function.
+    The rows of `x` form `groups` equal consecutive blocks (the views of a
+    step, stacked). Training-mode BN takes mean and variance per block and
+    updates the running stats in place, block by block in row order, so one
+    pass over G stacked blocks equals G passes over one block each, bit for
+    bit: rows of a product are independent, and every statistic sums the
+    same rows in the same order. Eval mode reads running stats and is a pure
+    function. The cache's "stages" maps each stage to its output.
     """
     x = numerics.as_tensor(x)
     if x.ndim != 2:
@@ -201,10 +211,15 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool):
         raise DimensionError(
             f"encoder expects input dim {params.in_dim}, got {x.shape[1]}"
         )
+    n = x.shape[0]
+    if groups < 1 or n % groups:
+        raise DimensionError(
+            f"{n} input rows do not split into {groups} equal groups"
+        )
     if not np.all(np.isfinite(x)):
         raise NumericOverflowError("non-finite value in encoder input")
 
-    n = x.shape[0]
+    rows = n // groups
     entries: list[dict] = []
     stages: dict[str, np.ndarray] = {}
     h = x
@@ -212,57 +227,73 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool):
         w = params.tensors[f"{block.name}.weight"]
         entry = {"block": block, "x": h, "w": w}
         out = matmul(h, w)
+        # `out` is updated in place where the operation allows: the same
+        # values as a fresh temporary, with fewer (n, width) allocations.
         if not block.norm:
-            out = out + params.tensors[f"{block.name}.bias"]
+            out += params.tensors[f"{block.name}.bias"]
         # Checked before the relu, which maps -inf to 0.
         _check_finite(out, block.name)
         if block.norm:
             bn = block.norm_name
+            out = out.reshape(groups, rows, block.out_dim)
             if training:
-                if n < 2:
+                if rows < 2:
                     raise BatchTooSmallError(
-                        f"training-mode BN at {bn!r} needs a batch of "
-                        f"at least 2 samples, got {n}"
+                        f"training-mode BN at {bn!r} needs at least 2 "
+                        f"samples per group, got {rows}"
                     )
-                mean = np.mean(out, axis=0)
-                var = np.mean((out - mean) ** 2, axis=0)
-                params.running[f"{bn}.mean"] *= BN_STAT_MOMENTUM
-                params.running[f"{bn}.mean"] += (1 - BN_STAT_MOMENTUM) * mean
-                params.running[f"{bn}.var"] *= BN_STAT_MOMENTUM
-                params.running[f"{bn}.var"] += (1 - BN_STAT_MOMENTUM) * var
+                mean = np.mean(out, axis=1, keepdims=True)
+                x_hat = out - mean
+                var = np.mean(x_hat ** 2, axis=1, keepdims=True)
+                running_mean = params.running[f"{bn}.mean"]
+                running_var = params.running[f"{bn}.var"]
+                for g in range(groups):
+                    running_mean *= BN_STAT_MOMENTUM
+                    running_mean += (1 - BN_STAT_MOMENTUM) * mean[g, 0]
+                    running_var *= BN_STAT_MOMENTUM
+                    running_var += (1 - BN_STAT_MOMENTUM) * var[g, 0]
             else:
-                mean = params.running[f"{bn}.mean"]
+                x_hat = out - params.running[f"{bn}.mean"]
                 var = params.running[f"{bn}.var"]
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            x_hat = (out - mean) * inv_std
+            x_hat *= inv_std
             gain = params.tensors[f"{bn}.gain"]
-            out = gain * x_hat + params.tensors[f"{bn}.bias"]
+            out = gain * x_hat
+            out += params.tensors[f"{bn}.bias"]
+            out = out.reshape(n, block.out_dim)
             _check_finite(out, bn)
             entry.update(x_hat=x_hat, inv_std=inv_std, gain=gain)
         if block.relu:
             entry["mask"] = out > 0.0
-            out = np.maximum(out, 0.0)
+            np.maximum(out, 0.0, out=out)
         entries.append(entry)
         stages[block.stage] = out
         h = out
 
     cache = {"blocks": entries, "training": training, "n": n,
-             "stages": stages}
+             "groups": groups, "stages": stages}
     return h, cache
 
 
-def backward(cache: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradients of a training-mode forward.
+def backward(cache: dict, grad_out: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Analytic gradients of a training-mode forward, one map per group.
 
-    Returns a map from every trainable tensor touched by the forward to its
-    gradient. The gradient w.r.t. the network input is never formed.
+    Map g holds the gradient of every trainable tensor touched by the
+    forward through group g's rows alone: the BN gain/bias and linear-bias
+    sums and the weight product `x_g.T @ grad_g` run over that group's rows,
+    exactly as a one-group backward of that group would. The gradient that
+    flows down through `grad @ W.T` stays one stacked product. The gradient
+    w.r.t. the network input is never formed.
     """
     if not cache.get("training"):
         raise ConfigError("backward needs a cache from a training-mode forward")
     grad = numerics.as_tensor(grad_out)
-    grads: dict[str, np.ndarray] = {}
     entries = cache["blocks"]
     n = cache["n"]
+    groups = cache["groups"]
+    rows = n // groups
+    spans = [slice(g * rows, (g + 1) * rows) for g in range(groups)]
+    grad_sets: list[dict[str, np.ndarray]] = [{} for _ in spans]
     if entries and grad.shape != (n, entries[-1]["block"].out_dim):
         raise DimensionError(
             f"grad_out shape {grad.shape} does not match forward output "
@@ -273,21 +304,32 @@ def backward(cache: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         block = entry["block"]
         if block.relu:
             grad = grad * entry["mask"]
+        grouped = grad.reshape(groups, rows, block.out_dim)
         if block.norm:
             bn = block.norm_name
             x_hat = entry["x_hat"]
-            grads[f"{bn}.gain"] = np.sum(grad * x_hat, axis=0)
-            grads[f"{bn}.bias"] = np.sum(grad, axis=0)
-            d_xhat = grad * entry["gain"]
-            sum_d = np.sum(d_xhat, axis=0)
-            sum_dx = np.sum(d_xhat * x_hat, axis=0)
-            grad = (entry["inv_std"] / n) * (n * d_xhat - sum_d - x_hat * sum_dx)
+            sums = {f"{bn}.gain": np.sum(grouped * x_hat, axis=1),
+                    f"{bn}.bias": np.sum(grouped, axis=1)}
+            d_xhat = grouped * entry["gain"]
+            sum_d = np.sum(d_xhat, axis=1, keepdims=True)
+            sum_dx = np.sum(d_xhat * x_hat, axis=1, keepdims=True)
+            # (inv_std / rows) * (rows * d_xhat - sum_d - x_hat * sum_dx),
+            # evaluated in place in that order.
+            d_xhat *= rows
+            d_xhat -= sum_d
+            d_xhat -= x_hat * sum_dx
+            d_xhat *= entry["inv_std"] / rows
+            grad = d_xhat.reshape(n, block.out_dim)
         else:
-            grads[f"{block.name}.bias"] = np.sum(grad, axis=0)
-        grads[f"{block.name}.weight"] = matmul(entry["x"].T, grad)
+            sums = {f"{block.name}.bias": np.sum(grouped, axis=1)}
+        for g, (grads, span) in enumerate(zip(grad_sets, spans)):
+            for name, value in sums.items():
+                grads[name] = value[g]
+            grads[f"{block.name}.weight"] = matmul(entry["x"][span].T,
+                                                   grad[span])
         if i > 0:
             grad = matmul(grad, entry["w"].T)
-    return grads
+    return grad_sets
 
 
 def eval_stage_outputs(params: EncoderParams, x: np.ndarray) -> dict[str, np.ndarray]:

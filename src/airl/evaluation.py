@@ -243,4 +243,4 @@ def collapse_metrics(features: np.ndarray) -> tuple[float, float]:
 
 def isotropic_std_reference(dim: int) -> float:
     """Per-dimension std of isotropically spread unit vectors: 1/sqrt(d)."""
-    return 1.0 / np.sqrt(dim)
+    return float(1.0 / np.sqrt(dim))

@@ -3,9 +3,11 @@
 Student and teacher branches share a sub-network; the teacher is updated only
 by an exponential moving average of the student (never by gradients), and the
 contrastive variants keep a FIFO memory queue of past teacher features as
-negatives. Every branch normalizes with whole-batch (global) BN
-statistics. The framework presets differ in predictor placement, loss
-symmetry, projector hidden BN, and momentum schedule:
+negatives. Each step makes one pass per branch: a symmetrized loss stacks
+both views, and BN takes its statistics per view, so every view is
+normalized with the statistics of its own whole batch. The framework presets
+differ in predictor placement, loss symmetry, projector hidden BN, and
+momentum schedule:
 
   moco_v2         no predictor, asymmetric loss, no projector hidden BN,
                   constant m=0.999
@@ -276,15 +278,26 @@ def ema_update(teacher: encoder.EncoderParams,
         t += (1.0 - m) * student.tensors[name]
 
 
-def _normalized_student_pass(student, x):
-    out, cache = encoder.forward(student, x, training=True)
+def _encode(branch, views):
+    # One training-mode pass over the views stacked row-wise, one BN group
+    # per view. The stacked copy lives only as long as the pass's cache.
+    if any(np.shape(v) != np.shape(views[0]) for v in views):
+        raise DimensionError(
+            f"views differ in shape: {[np.shape(v) for v in views]}"
+        )
+    x = views[0] if len(views) == 1 else np.concatenate(views)
+    return encoder.forward(branch, x, training=True, groups=len(views))
+
+
+def _normalized_student_pass(student, views):
+    out, cache = _encode(student, views)
     norms = row_norms(out)
     q = l2_normalize_rows(out)
     return q, norms, cache
 
 
-def _teacher_keys(teacher, x):
-    out, _ = encoder.forward(teacher, x, training=True)
+def _teacher_keys(teacher, views):
+    out, _ = _encode(teacher, views)
     return l2_normalize_rows(out)
 
 
@@ -300,43 +313,49 @@ def compute_loss_and_grads(
     gradient (the teacher never gets one) and `aux` carries the teacher
     features to enqueue plus the embeddings used for collapse diagnostics.
     Deterministic given (state, batch, cfg).
+
+    A symmetrized loss has two directions: student on x1 against teacher
+    keys of x2, then student on x2 against keys of x1. Each branch encodes
+    both of its views in one pass over the stacked rows, the teacher
+    `[x2; x1]` and the student `[x1; x2]`, with BN statistics per view, so
+    each direction's loss, gradient and running-statistic update equal those
+    of a separate pass per view bit for bit.
     """
     if not cfg.stop_gradient:
         return _direct_distance_loss(state, x1, x2, cfg)
-
     negatives = state.queue.contents() if state.queue is not None else None
-    directions = [(x1, x2)]
-    if cfg.symmetric_loss:
-        directions.append((x2, x1))
+    if cfg.contrastive and negatives is None:
+        raise ConfigError("contrastive framework needs a memory queue")
 
+    directions = 2 if cfg.symmetric_loss else 1
+    keys = _teacher_keys(state.teacher, [x2, x1][:directions])
+    q, norms, cache = _normalized_student_pass(state.student,
+                                               [x1, x2][:directions])
+
+    n = len(x1)
     losses = []
-    grad_sets = []
-    keys = []
-    for xa, xb in directions:
-        k = _teacher_keys(state.teacher, xb)
-        q, norms, cache = _normalized_student_pass(state.student, xa)
+    grad_qs = []
+    for v in range(directions):
+        rows = slice(v * n, (v + 1) * n)
         if cfg.contrastive:
-            if negatives is None:
-                raise ConfigError("contrastive framework needs a memory queue")
-            loss_i, grad_q = contrastive_loss(q, k, negatives, cfg.temperature)
+            loss_v, grad_q = contrastive_loss(q[rows], keys[rows], negatives,
+                                              cfg.temperature)
         else:
-            loss_i, grad_q = byol_loss(q, k)
-        grad_out = l2_normalize_rows_backward(q, norms, grad_q)
-        grads_i = encoder.backward(cache, grad_out)
-        losses.append(loss_i)
-        grad_sets.append(grads_i)
-        keys.append(k)
+            loss_v, grad_q = byol_loss(q[rows], keys[rows])
+        losses.append(loss_v)
+        grad_qs.append(grad_q)
+    grad_out = l2_normalize_rows_backward(q, norms, np.concatenate(grad_qs))
+    grad_sets = encoder.backward(cache, grad_out)
 
-    scale = 1.0 if (cfg.symmetric_sum or len(directions) == 1) else 0.5
+    scale = 1.0 if (cfg.symmetric_sum or directions == 1) else 0.5
     loss = sum(losses) * scale
     grads = {
         name: scale * sum(g[name] for g in grad_sets)
         for name in grad_sets[0]
     }
-    teacher_feats = np.concatenate(keys, axis=0)
     aux = {
-        "teacher_feats": teacher_feats,
-        "embeddings": teacher_feats,
+        "teacher_feats": keys,
+        "embeddings": keys,
         "direction_losses": losses,
     }
     return loss, grads, aux
@@ -345,18 +364,17 @@ def compute_loss_and_grads(
 def _direct_distance_loss(state, x1, x2, cfg):
     # Collapse ablation: both views through the student, gradients flowing to
     # both sides of the distance. The swapped direction would be identical,
-    # so symmetrization is a no-op here.
-    q1, n1, cache1 = _normalized_student_pass(state.student, x1)
-    q2, n2, cache2 = _normalized_student_pass(state.student, x2)
-    loss, grad_q1 = byol_loss(q1, q2)
-    grad_q2 = -grad_q1
-    g1 = encoder.backward(cache1, l2_normalize_rows_backward(q1, n1, grad_q1))
-    g2 = encoder.backward(cache2, l2_normalize_rows_backward(q2, n2, grad_q2))
+    # so symmetrization is a no-op here. One pass encodes [x1; x2] with BN
+    # statistics per view.
+    n = len(x1)
+    q, norms, cache = _normalized_student_pass(state.student, [x1, x2])
+    loss, grad_q1 = byol_loss(q[:n], q[n:])
+    grad_q = np.concatenate([grad_q1, -grad_q1])
+    g1, g2 = encoder.backward(cache, l2_normalize_rows_backward(q, norms, grad_q))
     grads = {name: g1[name] + g2[name] for name in g1}
-    embeddings = np.concatenate([q1, q2], axis=0)
     aux = {
         "teacher_feats": None,
-        "embeddings": embeddings,
+        "embeddings": q,
         "direction_losses": [loss],
     }
     return loss, grads, aux

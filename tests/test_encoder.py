@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airl import encoder
 from airl.encoder import (
@@ -35,14 +37,19 @@ def flat_grads(grads, names):
     return np.concatenate([grads[n].ravel() for n in names])
 
 
-def encoder_fd_check(params, x, seed):
-    """Whole-gradient check of a random linear functional of the output."""
+def encoder_fd_check(params, x, seed, groups=1):
+    """Whole-gradient check of a random linear functional of the output.
+
+    With several groups the analytic gradient is the sum of the per-group
+    maps, since the functional sums over every group's rows.
+    """
     weights = Rng(seed).child("w").normal(size=(x.shape[0], params.out_dim))
 
-    out, cache = forward(params, x, training=True)
-    grads = backward(cache, weights)
+    out, cache = forward(params, x, training=True, groups=groups)
+    grad_sets = backward(cache, weights)
+    assert len(grad_sets) == groups
     names = sorted(params.tensors)
-    analytic = flat_grads(grads, names)
+    analytic = sum(flat_grads(grads, names) for grads in grad_sets)
 
     fd_parts = []
     for name in names:
@@ -50,7 +57,7 @@ def encoder_fd_check(params, x, seed):
 
         def f(arr, _name=name):
             params.tensors[_name][...] = arr
-            value, _ = forward(params, x, training=True)
+            value, _ = forward(params, x, training=True, groups=groups)
             return float(np.sum(value * weights))
 
         fd_parts.append(finite_diff_grad(f, orig).ravel())
@@ -134,7 +141,7 @@ class TestBackward:
         params = build_branch(tiny_cfg(), Rng(0))
         x = Rng(1).normal(size=(4, 12))
         _, cache = forward(params, x, training=True)
-        grads = backward(cache, np.zeros((4, 6)))
+        [grads] = backward(cache, np.zeros((4, 6)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_linear_weight_grad_analytic_form(self):
@@ -143,7 +150,7 @@ class TestBackward:
         x = Rng(1).normal(size=(5, 3))
         g = Rng(2).normal(size=(5, 2))
         _, cache = forward(params, x, training=True)
-        grads = backward(cache, g)
+        [grads] = backward(cache, g)
         assert np.array_equal(grads["lin.weight"], matmul(x.T, g))
 
     def test_eval_cache_rejected(self):
@@ -180,6 +187,79 @@ class TestBackward:
                               with_predictor=bool(dims.random() < 0.5))
         x = rng.child("x").normal(size=(4, 12))
         assert encoder_fd_check(params, x, seed=seed) < 1e-4
+
+
+def random_branch(seed):
+    """A small branch with drawn widths (1 to 5), hidden BN and predictor."""
+    dims = Rng(seed).child("dims")
+    cfg = tiny_cfg(
+        backbone_hidden=int(dims.integers(1, 6)),
+        backbone_out=int(dims.integers(1, 6)),
+        projector_hidden=int(dims.integers(1, 6)),
+        projector_out=int(dims.integers(1, 6)),
+        projector_hidden_bn=bool(dims.random() < 0.5),
+    )
+    return build_branch(cfg, Rng(seed).child("init"),
+                        with_predictor=bool(dims.random() < 0.5))
+
+
+class TestGroups:
+    """A forward over G stacked groups equals G one-group forwards."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), groups=st.integers(1, 4),
+           rows=st.integers(2, 5))
+    def test_grouped_pass_equals_sequential_passes(self, seed, groups, rows):
+        grouped = random_branch(seed)
+        sequential = grouped.copy()
+        x = 3.0 * Rng(seed).child("x").normal(size=(groups * rows, 12))
+        grad_out = Rng(seed).child("g").normal(
+            size=(groups * rows, grouped.out_dim))
+
+        out, cache = forward(grouped, x, training=True, groups=groups)
+        grad_sets = backward(cache, grad_out)
+        assert len(grad_sets) == groups
+        for g in range(groups):
+            span = slice(g * rows, (g + 1) * rows)
+            out_g, cache_g = forward(sequential, x[span], training=True)
+            [grads_g] = backward(cache_g, grad_out[span])
+            assert np.array_equal(out[span], out_g)
+            assert cache["stages"].keys() == cache_g["stages"].keys()
+            for stage, value in cache_g["stages"].items():
+                assert np.array_equal(cache["stages"][stage][span], value)
+            assert grad_sets[g].keys() == grads_g.keys()
+            for name, value in grads_g.items():
+                assert np.array_equal(grad_sets[g][name], value), name
+        for name, value in sequential.running.items():
+            assert np.array_equal(grouped.running[name], value), name
+
+    def test_eval_mode_ignores_groups(self):
+        params = build_branch(tiny_cfg(), Rng(0))
+        x = Rng(1).normal(size=(6, 12))
+        one, _ = forward(params, x, training=False)
+        three, _ = forward(params, x, training=False, groups=3)
+        assert np.array_equal(one, three)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grouped_backward_matches_finite_differences(self, seed):
+        params = random_branch(seed)
+        x = Rng(seed).child("x").normal(size=(6, 12))
+        assert encoder_fd_check(params, x, seed=seed, groups=2) < 1e-4
+
+    def test_each_group_needs_two_rows(self):
+        params = build_branch(tiny_cfg(), Rng(0))
+        x = Rng(1).normal(size=(4, 12))
+        forward(params, x, training=True, groups=2)
+        with pytest.raises(BatchTooSmallError):
+            forward(params, x, training=True, groups=4)
+
+    @pytest.mark.parametrize("groups", [0, -1, 2, 3])
+    def test_rows_must_split_into_equal_groups(self, groups):
+        params = build_branch(tiny_cfg(), Rng(0))
+        x = Rng(1).normal(size=(5, 12))
+        for training in (True, False):
+            with pytest.raises(DimensionError):
+                forward(params, x, training=training, groups=groups)
 
 
 class TestBuildBranch:

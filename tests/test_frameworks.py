@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frameworks_reference as reference
 from airl import encoder
 from airl.errors import ConfigError, DimensionError
 from airl.frameworks import (
+    KINDS,
     FrameworkConfig,
     MemoryQueue,
     byol_loss,
@@ -323,3 +327,62 @@ class TestTrainingStep:
             fd_parts.append(finite_diff_grad(f, orig).ravel())
             state.student.tensors[name][...] = orig
         assert relative_error(analytic, np.concatenate(fd_parts)) < 1e-4
+
+
+# The four presets, then the collapse study's ablation arm, the only path
+# through `_direct_distance_loss`.
+STEP_VARIANTS = {
+    **{kind: (kind, {}) for kind in KINDS},
+    "byol_no_pred_no_stopgrad": ("byol", dict(predictor_placement="none",
+                                              stop_gradient=False)),
+}
+
+
+class TestStackedStep:
+    """The step encodes both views of a branch in one pass; it must equal
+    the frozen per-direction step in `frameworks_reference` bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(sorted(STEP_VARIANTS)),
+           symmetric_sum=st.booleans(),
+           seed=st.integers(0, 2**16),
+           n=st.integers(2, 6),
+           queue_rows=st.integers(0, 16))
+    def test_equals_per_direction_reference(self, variant, symmetric_sum,
+                                            seed, n, queue_rows):
+        kind, overrides = STEP_VARIANTS[variant]
+        cfg, state = tiny_state(kind, seed=seed, queue_rows=queue_rows,
+                                symmetric_sum=symmetric_sum, **overrides)
+        _, ref_state = tiny_state(kind, seed=seed, queue_rows=queue_rows,
+                                  symmetric_sum=symmetric_sum, **overrides)
+        rng = Rng(seed).child("views")
+        x1 = rng.child("x1").random((n, 12))
+        x2 = rng.child("x2").random((n, 12))
+
+        loss, grads, aux = compute_loss_and_grads(state, x1, x2, cfg)
+        ref_loss, ref_grads, ref_aux = reference.compute_loss_and_grads(
+            ref_state, x1, x2, cfg)
+
+        assert loss == ref_loss
+        assert aux["direction_losses"] == ref_aux["direction_losses"]
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert np.array_equal(grad, ref_grads[name]), name
+        for key in ("teacher_feats", "embeddings"):
+            if ref_aux[key] is None:
+                assert aux[key] is None
+            else:
+                assert np.array_equal(aux[key], ref_aux[key]), key
+        for branch, ref_branch in ((state.student, ref_state.student),
+                                   (state.teacher, ref_state.teacher)):
+            assert branch.running.keys() == ref_branch.running.keys()
+            for name, stat in branch.running.items():
+                assert np.array_equal(stat, ref_branch.running[name]), name
+
+    def test_views_of_different_shapes_rejected(self):
+        for variant in ("moco_v2_plus", "byol_no_pred_no_stopgrad"):
+            kind, overrides = STEP_VARIANTS[variant]
+            cfg, state = tiny_state(kind, **overrides)
+            x1 = Rng(0).random((4, 12))
+            with pytest.raises(DimensionError):
+                compute_loss_and_grads(state, x1, x1[:3], cfg)

@@ -217,6 +217,39 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{key}.*role '{role}'"):
             checkpoint.load_state(path)
 
+    def test_failed_write_keeps_existing_checkpoint(self, tiny_checkpoint,
+                                                     tmp_path, monkeypatch):
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        path = tmp_path / "ckpt.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        before = path.read_bytes()
+        assert before == checkpoint.checkpoint_bytes(records, meta)
+
+        class HalfWrite:
+            # A file that takes half of what it is given, then fails.
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **k: HalfWrite(open(*a, **k)),
+                            raising=False)
+        meta["step"] += 1
+        with pytest.raises(OSError, match="no space"):
+            checkpoint.save_checkpoint(path, records, meta)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.airl"]
+
     def test_checkpoint_with_bn_mode_line_rejected(self, tiny_checkpoint,
                                                    tmp_path):
         # Checkpoints written while framework.bn_mode existed embed it.
@@ -326,6 +359,12 @@ class TestPretrain:
 
 
 class TestCollapseStudy:
+    @staticmethod
+    def shrink(monkeypatch):
+        monkeypatch.setattr(runner, "COLLAPSE_EPOCHS", 1)
+        monkeypatch.setattr(runner, "COLLAPSE_DATA",
+                            dict(runner.COLLAPSE_DATA, data__per_class=12))
+
     def test_ablation_measures_student_eval_embeddings(self, tmp_path,
                                                        monkeypatch):
         results = {}
@@ -336,9 +375,7 @@ class TestCollapseStudy:
             return results[run_dir.name]
 
         monkeypatch.setattr(runner, "pretrain", record)
-        monkeypatch.setattr(runner, "COLLAPSE_EPOCHS", 1)
-        monkeypatch.setattr(runner, "COLLAPSE_DATA",
-                            dict(runner.COLLAPSE_DATA, data__per_class=12))
+        self.shrink(monkeypatch)
         rows = {row["arm"]: row for row in runner.study_collapse(tmp_path)}
         label = "byol_no_pred_no_stopgrad"
         student = results[label].state.student
@@ -347,6 +384,21 @@ class TestCollapseStudy:
         out, _ = encoder.forward(student, x, training=False)
         assert ((rows[label]["feat_std"], rows[label]["eff_rank"])
                 == collapse_metrics(l2_normalize_rows(out)))
+
+    def test_table_holds_plain_floats(self, tmp_path, monkeypatch):
+        self.shrink(monkeypatch)
+        rows, table = runner.run_study("collapse", tmp_path)
+        for row in rows:
+            for key, value in row.items():
+                if key != "arm":
+                    assert type(value) is float, (row["arm"], key, value)
+        with open(table, newline="", encoding="utf-8") as fh:
+            written = list(csv.DictReader(fh))
+        assert [r["arm"] for r in written] == [r["arm"] for r in rows]
+        for row, text in zip(rows, written):
+            for key, value in row.items():
+                if key != "arm":
+                    assert float(text[key]) == value
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,18 @@
 A change that is meant to keep behaviour identical (a refactor, a deletion)
 must print the same digests before and after it. Each of the four presets is
 pretrained at the studies' `MAIN_DATA` (seed 7, 2 epochs, batch 48, queue
-256, a checkpoint every epoch) in a temporary directory. Its first digest
-covers, in order:
+256, a checkpoint every epoch) in a temporary directory, and so is a fifth
+run, the collapse study's ablation arm: `byol` with
+`framework.predictor_placement = none` and `framework.stop_gradient = false`,
+the only run whose loss trains the student on both views without a teacher.
+Each run's first digest covers, in order:
 
   - every checkpoint's tensor records (name, role, shape, float64 bytes);
   - every checkpoint's metadata apart from `config` and `config_hash`, so a
     config key added or removed with an unchanged value does not count;
   - the bytes of metrics.csv.
 
-A second digest per preset covers the eval-mode stage outputs
+A second digest per run covers the eval-mode stage outputs
 (`encoder.eval_stage_outputs`) of the final student and then the final
 teacher on the val images, stage by stage in depth order: the eval-mode
 forward that the linear probe and CKA read.
@@ -39,6 +42,13 @@ from airl.frameworks import KINDS
 SEED = 7
 EPOCHS = 2
 UNHASHED_METADATA = ("config", "config_hash")
+# (label, config overrides) of every digested run.
+RUNS = (
+    *((kind, {"framework__kind": kind}) for kind in KINDS),
+    ("byol_no_pred_no_stopgrad", {"framework__kind": "byol",
+                                  "framework__predictor_placement": "none",
+                                  "framework__stop_gradient": False}),
+)
 
 
 def run_digest(run_dir: Path) -> str:
@@ -83,9 +93,9 @@ def parse_overrides(args: list[str]) -> dict[str, str]:
 def main(argv: list[str]) -> int:
     extra = parse_overrides(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in KINDS:
+        for label, overrides in RUNS:
             cfg = config_from_overrides(**{
-                "framework__kind": kind,
+                **overrides,
                 "framework__queue_size": 256,
                 "run__epochs": EPOCHS,
                 "run__batch": 48,
@@ -94,8 +104,8 @@ def main(argv: list[str]) -> int:
                 **runner.MAIN_DATA,
                 **extra,
             })
-            result = runner.pretrain(cfg, Path(tmp) / kind)
-            print(f"{kind:<15} {run_digest(result.run_dir)} "
+            result = runner.pretrain(cfg, Path(tmp) / label)
+            print(f"{label:<15} {run_digest(result.run_dir)} "
                   f"{eval_digest(result)}", flush=True)
     return 0
 
