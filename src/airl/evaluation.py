@@ -124,9 +124,7 @@ def images_to_inputs(images: np.ndarray, params: encoder.EncoderParams) -> np.nd
     if side * side * 3 != params.in_dim:
         raise DimensionError(f"encoder input dim {params.in_dim} is not square")
     if images.shape[1] != side or images.shape[2] != side:
-        images = np.stack(
-            [augment.resize_bilinear(img, side, side) for img in images]
-        )
+        images = augment.resize_bilinear(images, side, side)
     return images.reshape(images.shape[0], -1)
 
 

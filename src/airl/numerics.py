@@ -3,12 +3,16 @@
 All tensors are plain numpy float64 arrays in row-major order. The few
 reductions whose result depends on summation order (matrix products) use an
 explicit fixed order so that repeated runs are bit-identical and small cases
-match a naive reference exactly.
+match a naive reference exactly: `matmul` sums each output element from +0.0
+over k = 0, 1, ... in order. It does so k by k, or, for small outputs, a
+chunk of k at a time with one einsum of outer products and one in-order
+reduction per chunk; `matmul`'s docstring says why both give the same bits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable
 
 import numpy as np
@@ -16,6 +20,10 @@ import numpy as np
 from .errors import DegenerateFeatureError, DimensionError, OracleError
 
 FD_STEP_DEFAULT = 1e-5
+# `matmul`'s chunk buffer holds this many (m, n) doubles of outer products
+# (512 KB), and a chunk must hold at least `MATMUL_MIN_CHUNK` of them.
+MATMUL_CHUNK_DOUBLES = 65536
+MATMUL_MIN_CHUNK = 4
 
 
 def _stream_key(seed: int, stream_id: int) -> int:
@@ -118,7 +126,7 @@ def as_tensor(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _empty_aligned(shape: tuple[int, int]) -> np.ndarray:
+def _empty_aligned(shape: tuple[int, ...]) -> np.ndarray:
     """Uninitialized float64 array whose data starts on a 64-byte boundary.
 
     numpy only guarantees 16-byte alignment, so whether a fresh array starts
@@ -127,7 +135,7 @@ def _empty_aligned(shape: tuple[int, int]) -> np.ndarray:
     not start on one (AVX-512 Xeon), so its speed changed with unrelated
     allocations.
     """
-    count = shape[0] * shape[1]
+    count = math.prod(shape)
     raw = np.empty(count + 8)
     start = (-raw.ctypes.data % 64) // 8
     return raw[start:start + count].reshape(shape)
@@ -136,8 +144,33 @@ def _empty_aligned(shape: tuple[int, int]) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation over the inner axis.
 
-    Bit-identical to the naive triple loop, unlike BLAS kernels which are free
-    to reorder partial sums.
+    Order contract: each output element is
+    `((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...`, every product rounded
+    once and summed in k order from +0.0. That is the naive triple loop bit
+    for bit, unlike BLAS kernels, which are free to reorder partial sums.
+
+    When the (m, n) output is small, one numpy call per k costs more in call
+    overhead than in arithmetic, so k is taken `kc` steps at a time. The
+    running sum goes into slab 0 of a (kc + 1, m, n) buffer and the chunk's
+    outer products `a[:, k] * b[k, :]` into the next slabs, all in one
+    einsum. The einsum has no summed index, so each product is still rounded
+    once. One `np.add.reduce` over the leading axis then folds the slabs into
+    the result. On a C-contiguous buffer with more than one element per slab
+    that reduction adds whole slabs one after another, so each element still
+    sums k in order. It starts from the running sum, not from the chunk's
+    first product, so every sum still starts at +0.0. Round-to-nearest
+    addition gives -0.0 only from two -0.0 operands, so a sum begun at +0.0
+    never becomes -0.0, and the sign of a zero product changes no bit of the
+    result.
+
+    `kc` is `MATMUL_CHUNK_DOUBLES // (m * n)`, capped at the inner size. The
+    per-k loop runs instead when that quotient is below `MATMUL_MIN_CHUNK`,
+    where the loop is faster (for example the first layer's (768x48)@(48x64)
+    weight gradient), and for a single output element, whose reduction numpy
+    would sum pairwise.
+
+    `b` is copied once when it is not C-contiguous (`W.T` in the encoder's
+    backward), so each step reads contiguous rows of it.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -151,12 +184,27 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     m, inner = a.shape
     n = b.shape[1]
+    b = np.ascontiguousarray(b)
     out = _empty_aligned((m, n))
     out.fill(0.0)
-    tmp = _empty_aligned((m, n))
-    for k in range(inner):
-        np.multiply(a[:, k, None], b[k, None, :], out=tmp)
-        out += tmp
+    # With one output element the chunk reduction is a 1-d sum, which numpy
+    # adds pairwise rather than in order.
+    kc = MATMUL_CHUNK_DOUBLES // (m * n) if m * n > 1 else 0
+    if kc < MATMUL_MIN_CHUNK or inner == 0:
+        tmp = _empty_aligned((m, n))
+        for k in range(inner):
+            np.multiply(a[:, k, None], b[k, None, :], out=tmp)
+            out += tmp
+        return out
+    kc = min(kc, inner)
+    a_t = np.ascontiguousarray(a.T)
+    buf = _empty_aligned((kc + 1, m, n))
+    for k0 in range(0, inner, kc):
+        k1 = min(k0 + kc, inner)
+        slabs = buf[:k1 - k0 + 1]
+        slabs[0] = out
+        np.einsum("ki,kj->kij", a_t[k0:k1], b[k0:k1], out=slabs[1:])
+        np.add.reduce(slabs, axis=0, out=out)
     return out
 
 

@@ -66,24 +66,17 @@ class RescaleReport:
 def norm_rescale(
     tensors: dict[str, np.ndarray],
     anchor: Anchor,
-    roles: dict[str, str] | None = None,
-    include_roles: frozenset | None = None,
 ) -> tuple[dict[str, np.ndarray], RescaleReport]:
     """Rescale every matched tensor's norm to the anchor's, keeping direction.
 
-    By default all role tags are rescaled. Tensors with zero norm are skipped
-    (their direction is undefined) and tensors without an anchor counterpart
-    are left unchanged; both show up in the report. BN running statistics are
-    not parameters and never pass through here.
+    Tensors with zero norm are skipped (their direction is undefined) and
+    tensors without an anchor counterpart are left unchanged; both show up in
+    the report. BN running statistics are not parameters and never pass
+    through here.
     """
     out: dict[str, np.ndarray] = {}
     report = RescaleReport()
     for name, w in tensors.items():
-        if include_roles is not None:
-            role = (roles or {}).get(name)
-            if role not in include_roles:
-                out[name] = w.copy()
-                continue
         old_norm = float(np.linalg.norm(w))
         if anchor.kind == "constant":
             target = anchor.factor * old_norm

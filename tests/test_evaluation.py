@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from airl import augment
 from airl.encoder import build_branch
 from airl.errors import DimensionError, FeatureCollapseError
 from airl.evaluation import (
@@ -8,6 +9,7 @@ from airl.evaluation import (
     ProbeConfig,
     collapse_metrics,
     fit_linear_classifier,
+    images_to_inputs,
     isotropic_std_reference,
     linear_probe,
     make_synthetic_dataset,
@@ -70,6 +72,16 @@ class TestSyntheticDataset:
             ProbeConfig(epochs=20, lr=0.5),
         )
         assert acc == 1.0
+
+
+@pytest.mark.parametrize("side_in, side_out", [(12, 16), (16, 8)])
+def test_images_to_inputs_equals_per_image_resize(side_in, side_out):
+    images = Rng(3).uniform(0.0, 1.0, (5, side_in, side_in, 3))
+    per_image = np.stack([augment.resize_bilinear(img, side_out, side_out)
+                          for img in images])
+    got = images_to_inputs(images, small_encoder(side=side_out))
+    assert got.shape == (5, side_out * side_out * 3)
+    assert got.tobytes() == per_image.reshape(5, -1).tobytes()
 
 
 class TestLinearProbe:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from airl import numerics
 from airl.errors import DegenerateFeatureError, DimensionError, OracleError
 from airl.numerics import (
     Rng,
@@ -151,18 +152,83 @@ class TestFiniteDiff:
         assert np.array_equal(x, before)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_matmul_matches_naive_on_random_shapes(m, k, n, seed):
-    rng = Rng(seed)
-    a = rng.child("a").normal(size=(m, k))
-    b = rng.child("b").normal(size=(k, n))
-    assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+def same_bits(x, y):
+    """Equal shapes and equal float64 bit patterns (so +0.0 != -0.0)."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
+# Values whose products underflow, stay subnormal, or are signed zeros.
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1.0,
+                  -3.0)
+
+
+@st.composite
+def _operand(draw, rows, cols, transposed, row_step):
+    """A (rows, cols) operand of normal draws with some entries replaced by
+    special values: C-contiguous, a transposed view, or every `row_step`-th
+    row of a taller array."""
+    shape = (cols, rows) if transposed else (rows * row_step, cols)
+    x = Rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+    flat = x.reshape(-1)
+    for i, value in draw(st.lists(st.tuples(st.integers(0, flat.size - 1),
+                                            st.sampled_from(SPECIAL_VALUES)),
+                                  max_size=flat.size)):
+        flat[i] = value
+    return x.T if transposed else x[::row_step]
+
+
+@st.composite
+def _matmul_case(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    # kc outer products per chunk, fewer if `inner` is smaller; below
+    # numerics.MATMUL_MIN_CHUNK the per-k loop runs instead.
+    kc = draw(st.integers(1, 9))
+    inner = draw(st.one_of(st.just(1), st.integers(1, max(kc - 1, 1)),
+                           st.integers(1, 4 * kc + 3)))
+    a = draw(_operand(m, inner, draw(st.booleans()), draw(st.integers(1, 2))))
+    b = draw(_operand(inner, n, draw(st.booleans()), draw(st.integers(1, 2))))
+    return kc * m * n, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matmul_case())
+@example((4 * 2 * 3, np.ones((2, 1)), np.full((1, 3), -0.0)))
+@example((9 * 2 * 3, np.full((2, 13), -0.0), np.ones((13, 3))))
+def test_matmul_matches_naive_on_random_shapes(case):
+    chunk_doubles, a, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "MATMUL_CHUNK_DOUBLES", chunk_doubles)
+        got = matmul(a, b)
+    assert same_bits(got, naive_matmul(a, b))
+
+
+@pytest.mark.parametrize("m, n", [(128, 128), (129, 128)])
+def test_matmul_at_the_default_chunk_rule(m, n):
+    # m * n = 16384 gives four products per chunk, the fewest that chunk;
+    # one more row leaves the per-k loop. Row 0 of `a` is positive and
+    # column 0 of `b` is -0.0, so out[0, 0] sums only -0.0 products and must
+    # come out +0.0.
+    assert (numerics.MATMUL_CHUNK_DOUBLES // (128 * 128)
+            == numerics.MATMUL_MIN_CHUNK)
+    rng = Rng(5)
+    a = rng.child("a").normal(size=(m, 9))
+    b = rng.child("b").normal(size=(9, n))
+    a[0] = np.abs(a[0]) + 0.5
+    b[:, 0] = -0.0
+    got = matmul(a, b)
+    assert same_bits(got, naive_matmul(a, b))
+    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+
+
+def test_matmul_single_output_element_sums_in_order():
+    # numpy sums a 1-d reduction pairwise, which gives 2.0000000000000004e16
+    # here; k order gives the next double up.
+    a = np.array([[1.0, 1.0, 3.0, 0.5, 1e16, 1e16, 0.5, 0.5]])
+    got = matmul(a, np.ones((8, 1)))
+    assert same_bits(got, naive_matmul(a, np.ones((8, 1))))
+    assert got[0, 0] == 2.000000000000001e16
 
 
 def _draw_sequence(stream):

@@ -73,15 +73,6 @@ class TestNormRescale:
         assert report.unmatched == ["extra"]
         assert np.array_equal(out["extra"], np.ones(2))
 
-    def test_role_filter(self):
-        tensors = {"lin.weight": np.ones(4), "bn.gain": np.ones(4)}
-        roles = {"lin.weight": "weight", "bn.gain": "norm_gain"}
-        out, report = norm_rescale(tensors, Anchor.constant(0.5), roles=roles,
-                                   include_roles=frozenset({"weight"}))
-        assert np.linalg.norm(out["lin.weight"]) == pytest.approx(1.0)
-        assert np.array_equal(out["bn.gain"], np.ones(4))
-        assert [t[0] for t in report.touched] == ["lin.weight"]
-
     def test_constant_anchor_must_be_positive(self):
         with pytest.raises(ConfigError):
             Anchor.constant(0.0)
