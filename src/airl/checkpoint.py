@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -121,25 +122,32 @@ def parse_checkpoint_bytes(blob: bytes):
     return records, metadata
 
 
-def save_checkpoint(path, records, metadata) -> None:
-    """Write a checkpoint so that `path` only ever holds a complete file.
+@contextmanager
+def open_atomic(path, mode: str, **kwargs):
+    """Open a file for writing so that `path` only ever holds a complete file.
 
-    The bytes go to `.<name>.tmp` next to `path`, which `os.replace` then
-    moves onto `path` in one step. A write that fails part-way leaves an
-    existing file at `path` as it was and removes the temporary file. There
-    is no fsync: this guards against failures of the process, not of the
-    machine.
+    Takes the arguments of `open`. The bytes go to `.<name>.tmp` next to
+    `path`, which `os.replace` moves onto `path` in one step when the `with`
+    body ends. A write that fails part-way leaves an existing file at `path`
+    as it was and removes the temporary file. There is no fsync: this guards
+    against failures of the process, not of the machine.
     """
-    blob = checkpoint_bytes(records, metadata)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, records, metadata) -> None:
+    """Write a checkpoint through `open_atomic`."""
+    blob = checkpoint_bytes(records, metadata)
+    with open_atomic(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path):

@@ -4,9 +4,10 @@ All tensors are plain numpy float64 arrays in row-major order. The few
 reductions whose result depends on summation order (matrix products) use an
 explicit fixed order so that repeated runs are bit-identical and small cases
 match a naive reference exactly: `matmul` sums each output element from +0.0
-over k = 0, 1, ... in order. It does so k by k, or, for small outputs, a
-chunk of k at a time with one einsum of outer products and one in-order
-reduction per chunk; `matmul`'s docstring says why both give the same bits.
+over k = 0, 1, ... in order. It cuts the output into tiles of whole rows and
+takes each tile a chunk of k at a time, with one einsum of outer products and
+one in-order reduction per chunk; a tile of a single element goes k by k.
+`matmul`'s docstring says why tiles and chunks give the naive loop's bits.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 from .errors import DegenerateFeatureError, DimensionError, OracleError
 
 FD_STEP_DEFAULT = 1e-5
-# `matmul`'s chunk buffer holds this many (m, n) doubles of outer products
-# (512 KB), and a chunk must hold at least `MATMUL_MIN_CHUNK` of them.
+# `matmul`'s chunk buffer holds this many doubles of outer products (512 KB),
+# and its row tiles are sized to hold `TILE_KC` k-steps of them.
 MATMUL_CHUNK_DOUBLES = 65536
-MATMUL_MIN_CHUNK = 4
+TILE_KC = 32
 
 
 def _stream_key(seed: int, stream_id: int) -> int:
@@ -149,28 +150,40 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     once and summed in k order from +0.0. That is the naive triple loop bit
     for bit, unlike BLAS kernels, which are free to reorder partial sums.
 
-    When the (m, n) output is small, one numpy call per k costs more in call
-    overhead than in arithmetic, so k is taken `kc` steps at a time. The
-    running sum goes into slab 0 of a (kc + 1, m, n) buffer and the chunk's
-    outer products `a[:, k] * b[k, :]` into the next slabs, all in one
-    einsum. The einsum has no summed index, so each product is still rounded
-    once. One `np.add.reduce` over the leading axis then folds the slabs into
-    the result. On a C-contiguous buffer with more than one element per slab
-    that reduction adds whole slabs one after another, so each element still
-    sums k in order. It starts from the running sum, not from the chunk's
-    first product, so every sum still starts at +0.0. Round-to-nearest
-    addition gives -0.0 only from two -0.0 operands, so a sum begun at +0.0
-    never becomes -0.0, and the sign of a zero product changes no bit of the
-    result.
+    One numpy call per k costs more in call overhead than in arithmetic, so
+    the output is cut into tiles of whole rows and each tile takes k `kc`
+    steps at a time. A tile has `MATMUL_CHUNK_DOUBLES // (TILE_KC * n)` rows
+    (at least 1, at most m), so a tall output gets about `TILE_KC` k-steps
+    per chunk and a small one is a single tile with a longer chunk: `kc` is
+    `MATMUL_CHUNK_DOUBLES // (rows * n)`, at least 1 and at most the inner
+    size. Per chunk, the tile's running sum goes into slab 0 of a
+    (kc + 1, rows, n) buffer and the chunk's outer products
+    `a[i, k] * b[k, :]` into the next slabs, all in one einsum. The einsum
+    has no summed index, so each product is still rounded once. One
+    `np.add.reduce` over the leading axis then folds the slabs into the tile.
 
-    `kc` is `MATMUL_CHUNK_DOUBLES // (m * n)`, capped at the inner size. The
-    per-k loop runs instead when that quotient is below `MATMUL_MIN_CHUNK`,
-    where the loop is faster (for example the first layer's (768x48)@(48x64)
-    weight gradient), and for a single output element, whose reduction numpy
-    would sum pairwise.
+    Why the bits do not change: each output element depends only on its own
+    row of `a` and column of `b`, so which elements share a numpy call (the
+    tiling) cannot change its sum. On a C-contiguous buffer with more than
+    one element per slab the reduction adds whole slabs one after another,
+    so each element still sums k in order. It starts from the running sum,
+    not from the chunk's first product, so every sum still starts at +0.0.
+    Round-to-nearest addition gives -0.0 only from two -0.0 operands, so a
+    sum begun at +0.0 never becomes -0.0, and the sign of a zero product
+    changes no bit of the result. Two cases need care:
 
-    `b` is copied once when it is not C-contiguous (`W.T` in the encoder's
-    backward), so each step reads contiguous rows of it.
+    - A tile of a single element (a 1x1 output, or n = 1 with a one-row
+      last tile) would reduce a 1-d array, which numpy sums pairwise. It
+      takes the per-k loop instead.
+    - The slab-after-slab order was checked on C-contiguous buffers only,
+      so a last tile with fewer rows reduces over its own C-contiguous
+      (kc + 1, r, n) buffer, carved from the front of the full-size one,
+      not over a strided view into it.
+
+    Each tile copies its rows of `a.T` into a contiguous block, so the chunk
+    reads whole rows of it without copying all of `a.T` at once. `b` is
+    copied once when it is not C-contiguous (`W.T` in the encoder's
+    backward). Empty outputs, and an inner size of 0, give zeros.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -184,27 +197,29 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     m, inner = a.shape
     n = b.shape[1]
-    b = np.ascontiguousarray(b)
     out = _empty_aligned((m, n))
     out.fill(0.0)
-    # With one output element the chunk reduction is a 1-d sum, which numpy
-    # adds pairwise rather than in order.
-    kc = MATMUL_CHUNK_DOUBLES // (m * n) if m * n > 1 else 0
-    if kc < MATMUL_MIN_CHUNK or inner == 0:
-        tmp = _empty_aligned((m, n))
-        for k in range(inner):
-            np.multiply(a[:, k, None], b[k, None, :], out=tmp)
-            out += tmp
+    if m * n == 0 or inner == 0:
         return out
-    kc = min(kc, inner)
-    a_t = np.ascontiguousarray(a.T)
-    buf = _empty_aligned((kc + 1, m, n))
-    for k0 in range(0, inner, kc):
-        k1 = min(k0 + kc, inner)
-        slabs = buf[:k1 - k0 + 1]
-        slabs[0] = out
-        np.einsum("ki,kj->kij", a_t[k0:k1], b[k0:k1], out=slabs[1:])
-        np.add.reduce(slabs, axis=0, out=out)
+    b = np.ascontiguousarray(b)
+    rows = min(m, max(1, MATMUL_CHUNK_DOUBLES // (TILE_KC * n)))
+    kc = min(inner, max(1, MATMUL_CHUNK_DOUBLES // (rows * n)))
+    flat = _empty_aligned(((kc + 1) * rows * n,))
+    for r0 in range(0, m, rows):
+        tile = out[r0:r0 + rows]
+        r = tile.shape[0]
+        a_t = np.ascontiguousarray(a[r0:r0 + r].T)
+        if r * n == 1:
+            for k in range(inner):
+                tile += a_t[k] * b[k]
+            continue
+        buf = flat[:(kc + 1) * r * n].reshape(kc + 1, r, n)
+        for k0 in range(0, inner, kc):
+            k1 = min(k0 + kc, inner)
+            slabs = buf[:k1 - k0 + 1]
+            slabs[0] = tile
+            np.einsum("ki,kj->kij", a_t[k0:k1], b[k0:k1], out=slabs[1:])
+            np.add.reduce(slabs, axis=0, out=tile)
     return out
 
 

@@ -75,7 +75,9 @@ def pretrain(cfg: ExperimentConfig, run_dir) -> PretrainResult:
     """Run the configured pretraining; writes metrics.csv and checkpoints."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
+    with checkpoint.open_atomic(run_dir / "config.txt", "w",
+                                encoding="utf-8") as fh:
+        fh.write(cfg.canonical_text())
 
     fw = cfg.framework_config()
     pipeline = cfg.pipeline()
@@ -100,6 +102,9 @@ def pretrain(cfg: ExperimentConfig, run_dir) -> PretrainResult:
     metrics_path = run_dir / "metrics.csv"
     ckpt_path = run_dir / "ckpt_final.airl"
     every = cfg["run.checkpoint_every"]
+    # metrics.csv is streamed in place, unlike the other outputs: when a step
+    # overflows, the rows written so far are what explains
+    # ckpt_diagnostic.airl, and a temporary sibling would drop them.
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
@@ -194,7 +199,8 @@ def cmd_eval_linear(ckpt_path, data_spec: str, out_path, probe_seed: int = 0):
                else dataset_from_config(cfg))
     acc, _ = linear_probe(state.student, dataset,
                           ProbeConfig(seed=probe_seed))
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with checkpoint.open_atomic(out_path, "w", newline="",
+                                encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["checkpoint", "probe_seed", "top1"])
         writer.writerow([str(ckpt_path), probe_seed, repr(acc)])
@@ -277,7 +283,8 @@ def cmd_analyze_cka(a_path, b_path, data_spec: str = "", out_path=None):
 def _write_rows(out_path, header, rows) -> None:
     if out_path is None:
         return
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with checkpoint.open_atomic(out_path, "w", newline="",
+                                encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -498,7 +505,8 @@ def run_study(name: str, out=None) -> tuple[list[dict], Path]:
     rows = fn(root)
     table_path = root / "table.csv"
     if rows:
-        with open(table_path, "w", newline="", encoding="utf-8") as fh:
+        with checkpoint.open_atomic(table_path, "w", newline="",
+                                    encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             for row in rows:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from numerics_reference import matmul_per_k
 from airl import numerics
 from airl.errors import DegenerateFeatureError, DimensionError, OracleError
 from airl.numerics import (
@@ -158,6 +159,9 @@ def same_bits(x, y):
                                                  y.view(np.uint64))
 
 
+# Eight terms whose k-order sum differs from numpy's pairwise sum.
+PAIRWISE_DIFFERS = np.array([1.0, 1.0, 3.0, 0.5, 1e16, 1e16, 0.5, 0.5])
+
 # Values whose products underflow, stay subnormal, or are signed zeros.
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1.0,
                   -3.0)
@@ -171,50 +175,69 @@ def _operand(draw, rows, cols, transposed, row_step):
     shape = (cols, rows) if transposed else (rows * row_step, cols)
     x = Rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
     flat = x.reshape(-1)
-    for i, value in draw(st.lists(st.tuples(st.integers(0, flat.size - 1),
-                                            st.sampled_from(SPECIAL_VALUES)),
-                                  max_size=flat.size)):
-        flat[i] = value
+    if flat.size:
+        for i, value in draw(st.lists(
+                st.tuples(st.integers(0, flat.size - 1),
+                          st.sampled_from(SPECIAL_VALUES)),
+                max_size=flat.size)):
+            flat[i] = value
     return x.T if transposed else x[::row_step]
 
 
 @st.composite
 def _matmul_case(draw):
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
-    # kc outer products per chunk, fewer if `inner` is smaller; below
-    # numerics.MATMUL_MIN_CHUNK the per-k loop runs instead.
-    kc = draw(st.integers(1, 9))
-    inner = draw(st.one_of(st.just(1), st.integers(1, max(kc - 1, 1)),
-                           st.integers(1, 4 * kc + 3)))
+    m = draw(st.integers(0, 9))
+    n = draw(st.integers(0, 5))
+    inner = draw(st.one_of(st.integers(0, 2), st.integers(1, 30)))
+    # Both constants are patched so that small shapes span several tiles:
+    # a tile has `rows` rows (often not dividing m, so the last tile is
+    # partial; with n = 1 and odd m it can hold a single element), and a
+    # chunk at least `tile_kc` k-steps. rows = 0 stands for a buffer too
+    # small for one row of `tile_kc` steps, where rows and kc floor at 1.
+    tile_kc = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, m + 1))
+    width = tile_kc * max(n, 1)
+    chunk_doubles = width * rows + draw(st.integers(0, width - 1))
     a = draw(_operand(m, inner, draw(st.booleans()), draw(st.integers(1, 2))))
     b = draw(_operand(inner, n, draw(st.booleans()), draw(st.integers(1, 2))))
-    return kc * m * n, a, b
+    return chunk_doubles, tile_kc, a, b
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_matmul_case())
-@example((4 * 2 * 3, np.ones((2, 1)), np.full((1, 3), -0.0)))
-@example((9 * 2 * 3, np.full((2, 13), -0.0), np.ones((13, 3))))
+# All-(-0.0) products must sum to +0.0, within one chunk and across chunks.
+@example((4 * 2 * 3, 4, np.ones((2, 1)), np.full((1, 3), -0.0)))
+@example((9 * 2 * 3, 9, np.full((2, 13), -0.0), np.ones((13, 3))))
+# n = 1 with odd m: two-row tiles leave a single-element last tile, whose
+# 8 products a pairwise sum would round differently.
+@example((16, 8, np.tile(PAIRWISE_DIFFERS, (5, 1)), np.ones((8, 1))))
+# A partial last tile of 2 rows after tiles of 3.
+@example((3 * 3 * 3, 3, np.arange(16.0).reshape(8, 2) - 7.5,
+          np.array([[0.1, -0.3, 7.0], [1e-300, -0.0, 5e-324]])))
+# Empty outputs and an empty inner axis.
+@example((8, 2, np.ones((0, 3)), np.ones((3, 2))))
+@example((8, 2, np.ones((3, 2)), np.ones((2, 0))))
+@example((8, 2, np.ones((3, 0)), np.ones((0, 2))))
 def test_matmul_matches_naive_on_random_shapes(case):
-    chunk_doubles, a, b = case
+    chunk_doubles, tile_kc, a, b = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "MATMUL_CHUNK_DOUBLES", chunk_doubles)
+        mp.setattr(numerics, "TILE_KC", tile_kc)
         got = matmul(a, b)
     assert same_bits(got, naive_matmul(a, b))
 
 
-@pytest.mark.parametrize("m, n", [(128, 128), (129, 128)])
-def test_matmul_at_the_default_chunk_rule(m, n):
-    # m * n = 16384 gives four products per chunk, the fewest that chunk;
-    # one more row leaves the per-k loop. Row 0 of `a` is positive and
-    # column 0 of `b` is -0.0, so out[0, 0] sums only -0.0 products and must
-    # come out +0.0.
-    assert (numerics.MATMUL_CHUNK_DOUBLES // (128 * 128)
-            == numerics.MATMUL_MIN_CHUNK)
+@pytest.mark.parametrize("m", [32, 33])
+def test_matmul_tiles_at_the_default_rule(m):
+    # With n = 64 a tile is 32 rows and a chunk 32 k-steps: 32 x 64 is one
+    # full tile, 33 x 64 adds a one-row tile of 64 elements. The inner size
+    # 40 ends each tile on a partial chunk of 8. Row 0 of `a` is positive
+    # and column 0 of `b` is -0.0, so out[0, 0] sums only -0.0 products and
+    # must come out +0.0.
+    assert numerics.MATMUL_CHUNK_DOUBLES // (numerics.TILE_KC * 64) == 32
     rng = Rng(5)
-    a = rng.child("a").normal(size=(m, 9))
-    b = rng.child("b").normal(size=(9, n))
+    a = rng.child("a").normal(size=(m, 40))
+    b = rng.child("b").normal(size=(40, 64))
     a[0] = np.abs(a[0]) + 0.5
     b[:, 0] = -0.0
     got = matmul(a, b)
@@ -222,13 +245,61 @@ def test_matmul_at_the_default_chunk_rule(m, n):
     assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
 
 
+# Every (a, b) shape that `matmul` sees in the studies' presets, probes,
+# rescue, CKA and norm analyses, with the operands' layouts: C-contiguous,
+# a transposed view ("T") or a strided slice ("S").
+STUDY_SHAPES = (
+    ((32, 48, 64), "TC"), ((32, 256, 32), "TC"), ((48, 32, 0), "CC"),
+    ((48, 32, 48), "CT"), ((48, 32, 64), "CT"), ((48, 32, 96), "CT"),
+    ((48, 32, 144), "CT"), ((48, 32, 192), "CT"), ((48, 32, 240), "CT"),
+    ((48, 32, 256), "CT"), ((48, 48, 32), "SC"), ((48, 64, 32), "CC"),
+    ((48, 64, 64), "CC"), ((48, 64, 64), "CT"), ((48, 96, 32), "SC"),
+    ((48, 144, 32), "SC"), ((48, 192, 32), "SC"), ((48, 240, 32), "SC"),
+    ((48, 256, 32), "SC"), ((48, 768, 64), "CC"), ((64, 48, 32), "TC"),
+    ((64, 48, 64), "TC"), ((64, 64, 8), "CC"), ((64, 64, 8), "TC"),
+    ((64, 256, 64), "TC"), ((96, 32, 64), "CC"), ((96, 32, 64), "CT"),
+    ((96, 64, 32), "CC"), ((96, 64, 32), "CT"), ((96, 64, 64), "CC"),
+    ((96, 64, 64), "CT"), ((96, 768, 64), "CC"), ((256, 32, 64), "CC"),
+    ((256, 64, 8), "CC"), ((256, 64, 32), "CC"), ((256, 64, 64), "CC"),
+    ((256, 768, 64), "CC"), ((384, 32, 64), "CC"), ((384, 64, 32), "CC"),
+    ((384, 64, 64), "CC"), ((384, 768, 64), "CC"), ((768, 48, 64), "TC"),
+)
+
+
+def _laid_out(x, layout):
+    if layout == "T":
+        return np.ascontiguousarray(x.T).T
+    if layout == "S":
+        return np.repeat(x, 2, axis=1)[:, ::2]
+    return x
+
+
+@pytest.mark.parametrize("shape, layouts", STUDY_SHAPES)
+def test_matmul_equals_frozen_per_k_loop_on_study_shapes(shape, layouts):
+    m, inner, n = shape
+    rng = Rng(17)
+    a = _laid_out(rng.child("a").normal(size=(m, inner)), layouts[0])
+    b = _laid_out(rng.child("b").normal(size=(inner, n)), layouts[1])
+    a[::7, ::5] = -0.0
+    b[::3, 1::4] = 2.5e-310
+    assert same_bits(matmul(a, b), matmul_per_k(a, b))
+
+
 def test_matmul_single_output_element_sums_in_order():
     # numpy sums a 1-d reduction pairwise, which gives 2.0000000000000004e16
     # here; k order gives the next double up.
-    a = np.array([[1.0, 1.0, 3.0, 0.5, 1e16, 1e16, 0.5, 0.5]])
+    a = PAIRWISE_DIFFERS[None, :]
     got = matmul(a, np.ones((8, 1)))
     assert same_bits(got, naive_matmul(a, np.ones((8, 1))))
     assert got[0, 0] == 2.000000000000001e16
+
+
+def test_matmul_single_element_last_tile_sums_in_order():
+    # With n = 1 a tile is 2048 rows, so 2049 rows leave a last tile of one
+    # element; it must sum in k order like a 1 x 1 output.
+    assert numerics.MATMUL_CHUNK_DOUBLES // numerics.TILE_KC == 2048
+    got = matmul(np.tile(PAIRWISE_DIFFERS, (2049, 1)), np.ones((8, 1)))
+    assert np.all(got == 2.000000000000001e16)
 
 
 def _draw_sequence(stream):

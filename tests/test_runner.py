@@ -503,6 +503,41 @@ class TestCommands:
         assert "ladder" in capsys.readouterr().err
 
 
+class TestSafeWrites:
+    def test_outputs_keep_their_bytes(self, run, tmp_path, monkeypatch):
+        # The bytes that writing each output in place gave: config.txt is
+        # the canonical text, and csv rows end in "\r\n".
+        _, result = run
+        assert ((result.run_dir / "config.txt").read_bytes()
+                == result.cfg.canonical_text().encode("utf-8"))
+        ckpt = result.checkpoint_path
+        acc = runner.cmd_eval_linear(ckpt, "", tmp_path / "eval.csv")
+        assert (tmp_path / "eval.csv").read_bytes() == (
+            f"checkpoint,probe_seed,top1\r\n{ckpt},0,{acc!r}\r\n".encode())
+        runner._write_rows(tmp_path / "rows.csv", ["stage", "cka"],
+                           [("a b", "0.5"), ("c,d", "1.0")])
+        assert ((tmp_path / "rows.csv").read_bytes()
+                == b'stage,cka\r\na b,0.5\r\n"c,d",1.0\r\n')
+        monkeypatch.setattr(runner, "study_collapse", lambda root: [
+            {"arm": "x", "v": 0.1}, {"arm": "y", "v": 2.0}])
+        _, table = runner.run_study("collapse", tmp_path)
+        assert table.read_bytes() == b"arm,v\r\nx,0.1\r\ny,2.0\r\n"
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "norms.csv"
+        runner._write_rows(path, ["tensor", "norm"], [("w", "1.0")])
+        before = path.read_bytes()
+
+        def rows():
+            yield ("w", "2.0")
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space"):
+            runner._write_rows(path, ["tensor", "norm"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["norms.csv"]
+
+
 # Each rung's complete overrides, restating the earlier rungs': what the
 # ladder's accumulated per-rung diffs must reproduce.
 FULL_LADDER = (

@@ -19,6 +19,13 @@ A second digest per run covers the eval-mode stage outputs
 teacher on the val images, stage by stage in depth order: the eval-mode
 forward that the linear probe and CKA read.
 
+A last line covers the products with tall outputs, (384x768)@(768x64) and
+the like, which the runs above never make: a copy of the final
+`moco_v2_plus` student gets its BN statistics refreshed on the 384
+training images (`REFRESH_PASSES` training-mode passes, as the crossover
+rescue does with more), and the digest covers the refreshed running
+statistics and then the eval-mode stage outputs on those images.
+
 Extra `section.key=value` arguments are added to every preset's config, for
 example to pin on the old side a setting that the change hard-codes.
 
@@ -42,6 +49,8 @@ from airl.frameworks import KINDS
 SEED = 7
 EPOCHS = 2
 UNHASHED_METADATA = ("config", "config_hash")
+REFRESH_KIND = "moco_v2_plus"
+REFRESH_PASSES = 3
 # (label, config overrides) of every digested run.
 RUNS = (
     *((kind, {"framework__kind": kind}) for kind in KINDS),
@@ -66,17 +75,35 @@ def run_digest(run_dir: Path) -> str:
     return digest.hexdigest()
 
 
+def digest_stages(digest, role: str, branch, x) -> None:
+    stages = encoder.eval_stage_outputs(branch, x)
+    for stage in branch.stage_names():
+        out = stages[stage]
+        digest.update(f"{role}|{stage}|{out.shape}".encode())
+        digest.update(out.astype("<f8").tobytes())
+
+
 def eval_digest(result: runner.PretrainResult) -> str:
     digest = hashlib.sha256()
     images = runner.dataset_from_config(result.cfg).val_images
     for role, branch in (("student", result.state.student),
                          ("teacher", result.state.teacher)):
-        x = evaluation.images_to_inputs(images, branch)
-        stages = encoder.eval_stage_outputs(branch, x)
-        for stage in branch.stage_names():
-            out = stages[stage]
-            digest.update(f"{role}|{stage}|{out.shape}".encode())
-            digest.update(out.astype("<f8").tobytes())
+        digest_stages(digest, role, branch,
+                      evaluation.images_to_inputs(images, branch))
+    return digest.hexdigest()
+
+
+def refresh_digest(result: runner.PretrainResult) -> str:
+    digest = hashlib.sha256()
+    branch = result.state.student.copy()
+    images = runner.dataset_from_config(result.cfg).train_images
+    x = evaluation.images_to_inputs(images, branch)
+    encoder.refresh_running_stats(branch, x, passes=REFRESH_PASSES)
+    for name in sorted(branch.running):
+        stat = branch.running[name]
+        digest.update(f"{name}|{stat.shape}".encode())
+        digest.update(stat.astype("<f8").tobytes())
+    digest_stages(digest, "student", branch, x)
     return digest.hexdigest()
 
 
@@ -107,6 +134,10 @@ def main(argv: list[str]) -> int:
             result = runner.pretrain(cfg, Path(tmp) / label)
             print(f"{label:<15} {run_digest(result.run_dir)} "
                   f"{eval_digest(result)}", flush=True)
+            if label == REFRESH_KIND:
+                refreshed = result
+        print(f"{REFRESH_KIND}_bn_refresh {refresh_digest(refreshed)}",
+              flush=True)
     return 0
 
 
