@@ -4,16 +4,15 @@ All tensors are plain numpy float64 arrays in row-major order. The few
 reductions whose result depends on summation order (matrix products) use an
 explicit fixed order so that repeated runs are bit-identical and small cases
 match a naive reference exactly: `matmul` sums each output element from +0.0
-over k = 0, 1, ... in order. It cuts the output into tiles of whole rows and
-takes each tile a chunk of k at a time, with one einsum of outer products and
-one in-order reduction per chunk; a tile of a single element goes k by k.
-`matmul`'s docstring says why tiles and chunks give the naive loop's bits.
+over k = 0, 1, ... in order. It is one numpy einsum contraction, whose C loop
+runs in that order; `matmul`'s docstring says why, names the two shapes the
+contraction cannot take, and describes the probe at import that checks
+einsum's order and rounding, with the per-k loop as its fallback.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Callable
 
 import numpy as np
@@ -21,10 +20,8 @@ import numpy as np
 from .errors import DegenerateFeatureError, DimensionError, OracleError
 
 FD_STEP_DEFAULT = 1e-5
-# `matmul`'s chunk buffer holds this many doubles of outer products (512 KB),
-# and its row tiles are sized to hold `TILE_KC` k-steps of them.
-MATMUL_CHUNK_DOUBLES = 65536
-TILE_KC = 32
+# Eight terms whose k-order sum differs from numpy's pairwise sum.
+PAIRWISE_DIFFERS = np.array([1.0, 1.0, 3.0, 0.5, 1e16, 1e16, 0.5, 0.5])
 
 
 def _stream_key(seed: int, stream_id: int) -> int:
@@ -127,19 +124,35 @@ def as_tensor(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _empty_aligned(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized float64 array whose data starts on a 64-byte boundary.
+def _einsum_is_naive(einsum=np.einsum) -> bool:
+    """Whether `einsum("ik,kj->ij", ...)` gives the naive loop's bits here.
 
-    numpy only guarantees 16-byte alignment, so whether a fresh array starts
-    on a cache line depends on what was allocated before it. `matmul`'s loop
-    ran about 30% slower on (384x768)@(768x64) when its `tmp` buffer did
-    not start on one (AVX-512 Xeon), so its speed changed with unrelated
-    allocations.
+    Two contractions on 67 output columns, so that the unrolled vector body,
+    the one-vector loop and the scalar tail of einsum's multiply-add all see
+    them:
+
+    - `PAIRWISE_DIFFERS` times ones must give its k-order sum in every
+      column; a reordered (pairwise or multi-accumulator) sum differs;
+    - `[-1, 1+2**-27] . [1, 1-2**-27]` must give +0.0: the second product
+      rounds to 1.0, while a fused multiply-add keeps it exact and gives
+      -2**-54.
     """
-    count = math.prod(shape)
-    raw = np.empty(count + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start:start + count].reshape(shape)
+    columns = 67
+    ones = np.ones((PAIRWISE_DIFFERS.size, columns))
+    in_order = 0.0
+    for term in PAIRWISE_DIFFERS:
+        in_order += term
+    summed = einsum("ik,kj->ij", np.tile(PAIRWISE_DIFFERS, (2, 1)), ones,
+                    optimize=False)
+    left = np.array([[-1.0, 1.0 + 2.0**-27]] * 2)
+    right = np.repeat([[1.0], [1.0 - 2.0**-27]], columns, axis=1)
+    zero = einsum("ik,kj->ij", left, right, optimize=False)
+    return bool(np.all(summed == in_order)
+                and np.all(zero.view(np.uint64) == 0))
+
+
+# The probe's verdict: True when `matmul` may use the einsum contraction.
+EINSUM_IS_NAIVE = _einsum_is_naive()
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,40 +163,32 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     once and summed in k order from +0.0. That is the naive triple loop bit
     for bit, unlike BLAS kernels, which are free to reorder partial sums.
 
-    One numpy call per k costs more in call overhead than in arithmetic, so
-    the output is cut into tiles of whole rows and each tile takes k `kc`
-    steps at a time. A tile has `MATMUL_CHUNK_DOUBLES // (TILE_KC * n)` rows
-    (at least 1, at most m), so a tall output gets about `TILE_KC` k-steps
-    per chunk and a small one is a single tile with a longer chunk: `kc` is
-    `MATMUL_CHUNK_DOUBLES // (rows * n)`, at least 1 and at most the inner
-    size. Per chunk, the tile's running sum goes into slab 0 of a
-    (kc + 1, rows, n) buffer and the chunk's outer products
-    `a[i, k] * b[k, :]` into the next slabs, all in one einsum. The einsum
-    has no summed index, so each product is still rounded once. One
-    `np.add.reduce` over the leading axis then folds the slabs into the tile.
+    It is one `np.einsum("ik,kj->ij", a, b, optimize=False)` on C-contiguous
+    copies of the operands. Why that is the naive loop:
 
-    Why the bits do not change: each output element depends only on its own
-    row of `a` and column of `b`, so which elements share a numpy call (the
-    tiling) cannot change its sum. On a C-contiguous buffer with more than
-    one element per slab the reduction adds whole slabs one after another,
-    so each element still sums k in order. It starts from the running sum,
-    not from the chunk's first product, so every sum still starts at +0.0.
-    Round-to-nearest addition gives -0.0 only from two -0.0 operands, so a
-    sum begun at +0.0 never becomes -0.0, and the sign of a zero product
-    changes no bit of the result. Two cases need care:
+    - With `optimize=False` numpy runs its own C loops, never BLAS.
+    - For C-contiguous `a` (m x K) and `b` (K x n) with n >= 2, numpy's
+      iterator orders the axes by stride: i outer, k middle, j inner. The
+      inner loop is then `out[i, :] += a[i, k] * b[k, :]`, which reduces
+      nothing, so each element gets its K terms in k order, starting from
+      the zero-filled output (+0.0). Round-to-nearest addition gives -0.0
+      only from two -0.0 operands, so a sum begun at +0.0 never becomes -0.0.
+    - Each product is rounded before the add only when einsum's multiply-add
+      is not fused. It is not on x86-64 builds whose baseline (X86_V2) has
+      no FMA, as numpy 2.4's; it would be where numpy's `npyv_muladd` is an
+      FMA, for example on aarch64 builds.
 
-    - A tile of a single element (a 1x1 output, or n = 1 with a one-row
-      last tile) would reduce a 1-d array, which numpy sums pairwise. It
-      takes the per-k loop instead.
-    - The slab-after-slab order was checked on C-contiguous buffers only,
-      so a last tile with fewer rows reduces over its own C-contiguous
-      (kc + 1, r, n) buffer, carved from the front of the full-size one,
-      not over a strided view into it.
+    The last two points rest on numpy's internals, so `EINSUM_IS_NAIVE`
+    checks them once at import (`_einsum_is_naive`). If it is False, every
+    product takes the per-k loop, one broadcast product and one add per k.
 
-    Each tile copies its rows of `a.T` into a contiguous block, so the chunk
-    reads whole rows of it without copying all of `a.T` at once. `b` is
-    copied once when it is not C-contiguous (`W.T` in the encoder's
-    backward). Empty outputs, and an inner size of 0, give zeros.
+    Shapes the contraction cannot take:
+
+    - With n = 1 there is no j axis, so k becomes the inner loop, which
+      numpy sums with several accumulators. Such a product is computed as
+      `matmul(b.T, a.T).T`: products commute, so the bits are the same.
+    - A 1 x 1 output takes the per-k loop.
+    - Empty outputs, and an inner size of 0, give zeros.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -197,30 +202,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     m, inner = a.shape
     n = b.shape[1]
-    out = _empty_aligned((m, n))
-    out.fill(0.0)
     if m * n == 0 or inner == 0:
+        return np.zeros((m, n))
+    if not EINSUM_IS_NAIVE or m * n == 1:
+        out = np.zeros((m, n))
+        for k in range(inner):
+            out += a[:, k, None] * b[k]
         return out
-    b = np.ascontiguousarray(b)
-    rows = min(m, max(1, MATMUL_CHUNK_DOUBLES // (TILE_KC * n)))
-    kc = min(inner, max(1, MATMUL_CHUNK_DOUBLES // (rows * n)))
-    flat = _empty_aligned(((kc + 1) * rows * n,))
-    for r0 in range(0, m, rows):
-        tile = out[r0:r0 + rows]
-        r = tile.shape[0]
-        a_t = np.ascontiguousarray(a[r0:r0 + r].T)
-        if r * n == 1:
-            for k in range(inner):
-                tile += a_t[k] * b[k]
-            continue
-        buf = flat[:(kc + 1) * r * n].reshape(kc + 1, r, n)
-        for k0 in range(0, inner, kc):
-            k1 = min(k0 + kc, inner)
-            slabs = buf[:k1 - k0 + 1]
-            slabs[0] = tile
-            np.einsum("ki,kj->kij", a_t[k0:k1], b[k0:k1], out=slabs[1:])
-            np.add.reduce(slabs, axis=0, out=tile)
-    return out
+    if n == 1:
+        return matmul(b.T, a.T).T
+    return np.einsum("ik,kj->ij", np.ascontiguousarray(a),
+                     np.ascontiguousarray(b), optimize=False)
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

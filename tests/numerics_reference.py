@@ -1,4 +1,4 @@
-"""The per-k matmul loop, frozen as the reference for the tiled exact path.
+"""The per-k matmul loop, frozen as the reference for the exact path.
 
 This is the loop that `airl.numerics.matmul` ran for every output before it
 cut outputs into row tiles: one broadcast product of a column of `a` by a row

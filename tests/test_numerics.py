@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from numerics_reference import matmul_per_k
 from airl import numerics
 from airl.errors import DegenerateFeatureError, DimensionError, OracleError
 from airl.numerics import (
+    PAIRWISE_DIFFERS,
     Rng,
     StreamLoader,
     finite_diff_grad,
@@ -159,21 +162,20 @@ def same_bits(x, y):
                                                  y.view(np.uint64))
 
 
-# Eight terms whose k-order sum differs from numpy's pairwise sum.
-PAIRWISE_DIFFERS = np.array([1.0, 1.0, 3.0, 0.5, 1e16, 1e16, 0.5, 0.5])
-
 # Values whose products underflow, stay subnormal, or are signed zeros.
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1.0,
                   -3.0)
+LAYOUTS = ("C", "F", "T", "S", "N")
 
 
 @st.composite
-def _operand(draw, rows, cols, transposed, row_step):
+def _operand(draw, rows, cols):
     """A (rows, cols) operand of normal draws with some entries replaced by
-    special values: C-contiguous, a transposed view, or every `row_step`-th
-    row of a taller array."""
-    shape = (cols, rows) if transposed else (rows * row_step, cols)
-    x = Rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+    special values, laid out C-contiguous ("C"), Fortran-ordered ("F"), as
+    a transposed view ("T"), as every other row of a taller array ("S"), or
+    with negative strides on both axes ("N")."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    x = Rng(draw(st.integers(0, 2**32 - 1))).normal(size=(rows, cols))
     flat = x.reshape(-1)
     if flat.size:
         for i, value in draw(st.lists(
@@ -181,62 +183,119 @@ def _operand(draw, rows, cols, transposed, row_step):
                           st.sampled_from(SPECIAL_VALUES)),
                 max_size=flat.size)):
             flat[i] = value
-    return x.T if transposed else x[::row_step]
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "T":
+        return np.ascontiguousarray(x.T).T
+    if layout == "S":
+        return np.repeat(x, 2, axis=0)[::2]
+    if layout == "N":
+        return np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1]
+    return x
 
 
 @st.composite
 def _matmul_case(draw):
+    # n up to 72 reaches einsum's unrolled vector body, its one-vector loop
+    # and its scalar tail; n = 1 is computed transposed.
     m = draw(st.integers(0, 9))
-    n = draw(st.integers(0, 5))
+    n = draw(st.one_of(st.integers(0, 2), st.integers(0, 72)))
     inner = draw(st.one_of(st.integers(0, 2), st.integers(1, 30)))
-    # Both constants are patched so that small shapes span several tiles:
-    # a tile has `rows` rows (often not dividing m, so the last tile is
-    # partial; with n = 1 and odd m it can hold a single element), and a
-    # chunk at least `tile_kc` k-steps. rows = 0 stands for a buffer too
-    # small for one row of `tile_kc` steps, where rows and kc floor at 1.
-    tile_kc = draw(st.integers(1, 6))
-    rows = draw(st.integers(0, m + 1))
-    width = tile_kc * max(n, 1)
-    chunk_doubles = width * rows + draw(st.integers(0, width - 1))
-    a = draw(_operand(m, inner, draw(st.booleans()), draw(st.integers(1, 2))))
-    b = draw(_operand(inner, n, draw(st.booleans()), draw(st.integers(1, 2))))
-    return chunk_doubles, tile_kc, a, b
+    return draw(_operand(m, inner)), draw(_operand(inner, n))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_matmul_case())
-# All-(-0.0) products must sum to +0.0, within one chunk and across chunks.
-@example((4 * 2 * 3, 4, np.ones((2, 1)), np.full((1, 3), -0.0)))
-@example((9 * 2 * 3, 9, np.full((2, 13), -0.0), np.ones((13, 3))))
-# n = 1 with odd m: two-row tiles leave a single-element last tile, whose
-# 8 products a pairwise sum would round differently.
-@example((16, 8, np.tile(PAIRWISE_DIFFERS, (5, 1)), np.ones((8, 1))))
-# A partial last tile of 2 rows after tiles of 3.
-@example((3 * 3 * 3, 3, np.arange(16.0).reshape(8, 2) - 7.5,
-          np.array([[0.1, -0.3, 7.0], [1e-300, -0.0, 5e-324]])))
-# Empty outputs and an empty inner axis.
-@example((8, 2, np.ones((0, 3)), np.ones((3, 2))))
-@example((8, 2, np.ones((3, 2)), np.ones((2, 0))))
-@example((8, 2, np.ones((3, 0)), np.ones((0, 2))))
+def _matmul_examples(test):
+    for case in (
+        # All-(-0.0) products must sum to +0.0.
+        (np.ones((2, 1)), np.full((1, 3), -0.0)),
+        (np.full((2, 13), -0.0), np.ones((13, 3))),
+        # n = 1 with odd m, whose 8 products a pairwise sum would round
+        # differently.
+        (np.tile(PAIRWISE_DIFFERS, (5, 1)), np.ones((8, 1))),
+        (np.arange(16.0).reshape(8, 2) - 7.5,
+         np.array([[0.1, -0.3, 7.0], [1e-300, -0.0, 5e-324]])),
+        # Empty outputs and an empty inner axis.
+        (np.ones((0, 3)), np.ones((3, 2))),
+        (np.ones((3, 2)), np.ones((2, 0))),
+        (np.ones((3, 0)), np.ones((0, 2))),
+    ):
+        test = example(case)(test)
+    return settings(max_examples=300, deadline=None)(
+        given(_matmul_case())(test))
+
+
+@_matmul_examples
 def test_matmul_matches_naive_on_random_shapes(case):
-    chunk_doubles, tile_kc, a, b = case
+    a, b = case
+    assert same_bits(matmul(a, b), naive_matmul(a, b))
+
+
+@_matmul_examples
+def test_matmul_per_k_fallback_matches_naive(case):
+    # The path every product takes when the import probe rejects einsum.
+    a, b = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numerics, "MATMUL_CHUNK_DOUBLES", chunk_doubles)
-        mp.setattr(numerics, "TILE_KC", tile_kc)
+        mp.setattr(numerics, "EINSUM_IS_NAIVE", False)
         got = matmul(a, b)
     assert same_bits(got, naive_matmul(a, b))
 
 
-@pytest.mark.parametrize("m", [32, 33])
-def test_matmul_tiles_at_the_default_rule(m):
-    # With n = 64 a tile is 32 rows and a chunk 32 k-steps: 32 x 64 is one
-    # full tile, 33 x 64 adds a one-row tile of 64 elements. The inner size
-    # 40 ends each tile on a partial chunk of 8. Row 0 of `a` is positive
-    # and column 0 of `b` is -0.0, so out[0, 0] sums only -0.0 products and
-    # must come out +0.0.
-    assert numerics.MATMUL_CHUNK_DOUBLES // (numerics.TILE_KC * 64) == 32
+def _in_order_sum(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_probe_operands_discriminate():
+    # A reordered sum of the probe's terms, numpy's pairwise sum of 8 terms
+    # as einsum gives it for n = 1, misses the k-order sum.
+    t = [float(x) for x in PAIRWISE_DIFFERS]
+    pairwise = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    assert _in_order_sum(t) == 2.000000000000001e16
+    assert pairwise == 2.0000000000000004e16
+    # A fused multiply-add keeps the second product exact: the sum is then
+    # -1 + (1 - 2**-54), where rounding first gives -1 + 1.
+    fused = Fraction(-1) + Fraction(1 + 2**-27) * Fraction(1 - 2**-27)
+    assert float(fused) == -(2.0**-54)
+    assert _in_order_sum([-1.0 * 1.0, (1 + 2**-27) * (1 - 2**-27)]) == 0.0
+
+
+def test_probe_rejects_reordered_or_fused_contractions():
+    def pairwise(spec, a, b, optimize):
+        products = np.ascontiguousarray(np.moveaxis(a[:, :, None] * b, 1, -1))
+        return np.sum(products, axis=-1)
+
+    def fused(spec, a, b, optimize):
+        exact = [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
+                      Fraction(0)) for col in b.T] for row in a]
+        return np.array(exact, dtype=np.float64)
+
+    assert not numerics._einsum_is_naive(pairwise)
+    assert not numerics._einsum_is_naive(fused)
+    assert numerics._einsum_is_naive(
+        lambda spec, a, b, optimize: matmul_per_k(a, b))
+
+
+def test_matmul_column_output_sums_in_order():
+    # With n = 1 einsum would make k its inner loop and sum it with several
+    # accumulators; each of the 2049 rows must still sum in k order.
+    got = matmul(np.tile(PAIRWISE_DIFFERS, (2049, 1)), np.ones((8, 1)))
+    assert got.shape == (2049, 1)
+    assert np.all(got == 2.000000000000001e16)
+
+
+def test_matmul_one_by_one_output_sums_from_positive_zero():
+    got = matmul(np.full((1, 5), -0.0), np.ones((5, 1)))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+
+
+def test_matmul_negative_zero_products_sum_to_positive_zero():
+    # Row 0 of `a` is positive and column 0 of `b` is -0.0, so out[0, 0]
+    # sums only -0.0 products, at n = 64 inside einsum's vector body.
     rng = Rng(5)
-    a = rng.child("a").normal(size=(m, 40))
+    a = rng.child("a").normal(size=(33, 40))
     b = rng.child("b").normal(size=(40, 64))
     a[0] = np.abs(a[0]) + 0.5
     b[:, 0] = -0.0
@@ -292,14 +351,6 @@ def test_matmul_single_output_element_sums_in_order():
     got = matmul(a, np.ones((8, 1)))
     assert same_bits(got, naive_matmul(a, np.ones((8, 1))))
     assert got[0, 0] == 2.000000000000001e16
-
-
-def test_matmul_single_element_last_tile_sums_in_order():
-    # With n = 1 a tile is 2048 rows, so 2049 rows leave a last tile of one
-    # element; it must sum in k order like a 1 x 1 output.
-    assert numerics.MATMUL_CHUNK_DOUBLES // numerics.TILE_KC == 2048
-    got = matmul(np.tile(PAIRWISE_DIFFERS, (2049, 1)), np.ones((8, 1)))
-    assert np.all(got == 2.000000000000001e16)
 
 
 def _draw_sequence(stream):

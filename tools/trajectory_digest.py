@@ -26,6 +26,11 @@ training images (`REFRESH_PASSES` training-mode passes, as the crossover
 rescue does with more), and the digest covers the refreshed running
 statistics and then the eval-mode stage outputs on those images.
 
+The numpy version and the `matmul` path that `numerics`' import probe
+chose (the einsum contraction or the per-k loop) go to stderr, so digests
+compared across machines say what produced them; stdout holds only the
+digest lines.
+
 Extra `section.key=value` arguments are added to every preset's config, for
 example to pin on the old side a setting that the change hard-codes.
 
@@ -42,7 +47,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from airl import checkpoint, encoder, evaluation, runner
+import numpy as np
+
+from airl import checkpoint, encoder, evaluation, numerics, runner
 from airl.config import config_from_overrides
 from airl.frameworks import KINDS
 
@@ -119,6 +126,8 @@ def parse_overrides(args: list[str]) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     extra = parse_overrides(argv)
+    path = "einsum" if numerics.EINSUM_IS_NAIVE else "per-k loop"
+    print(f"numpy {np.__version__}, matmul path: {path}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for label, overrides in RUNS:
             cfg = config_from_overrides(**{
