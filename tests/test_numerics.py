@@ -286,11 +286,15 @@ def test_matmul_column_output_sums_in_order():
     assert np.all(got == 2.000000000000001e16)
 
 
-def test_matmul_negative_zero_products_sum_to_positive_zero():
-    # Row 0 of `a` is positive and column 0 of `b` is -0.0, so out[0, 0]
-    # sums only -0.0 products, at n = 64 inside einsum's vector body.
+@pytest.mark.parametrize("m", [32, 33])
+def test_matmul_tiles_at_the_default_rule(m):
+    # The shapes that once sat at the row-tile boundary: 32 x 64 was one
+    # full tile and 33 x 64 added a one-row tile. The contraction has no
+    # tiles now, and both must still equal the naive loop. Row 0 of `a` is
+    # positive and column 0 of `b` is -0.0, so out[0, 0] sums only -0.0
+    # products, at n = 64 inside einsum's vector body, and must be +0.0.
     rng = Rng(5)
-    a = rng.child("a").normal(size=(33, 40))
+    a = rng.child("a").normal(size=(m, 40))
     b = rng.child("b").normal(size=(40, 64))
     a[0] = np.abs(a[0]) + 0.5
     b[:, 0] = -0.0
