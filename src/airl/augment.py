@@ -46,7 +46,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import Rng, StreamLoader
+from .numerics import (
+    PHILOX_WORDS,
+    Rng,
+    StreamLoader,
+    child_keys,
+    integer_pair,
+    philox_doubles,
+    philox_words,
+    uniform_of,
+)
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -274,12 +283,14 @@ def adjust_colors(img: np.ndarray, factors, col_major) -> np.ndarray:
     return clamp01(out)
 
 
-def _draw_jitter(stream, strengths) -> tuple:
+def _jitter_bounds(strengths) -> tuple:
     sb, sc, ss, sh = strengths
-    return (stream.uniform(1.0 - sb, 1.0 + sb),
-            stream.uniform(1.0 - sc, 1.0 + sc),
-            stream.uniform(1.0 - ss, 1.0 + ss),
-            stream.uniform(-sh, sh))
+    return ((1.0 - sb, 1.0 + sb), (1.0 - sc, 1.0 + sc), (1.0 - ss, 1.0 + ss),
+            (-sh, sh))
+
+
+def _draw_jitter(stream, strengths) -> tuple:
+    return tuple(stream.uniform(lo, hi) for lo, hi in _jitter_bounds(strengths))
 
 
 def color_jitter(img: np.ndarray, strengths, rng: Rng) -> np.ndarray:
@@ -357,6 +368,93 @@ def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape,
     return plan
 
 
+# The gate takes word 0 and each crop attempt two words; the box corner of
+# the attempt that fits takes one more.
+CROP_ATTEMPTS_IN_WORDS = (PHILOX_WORDS - 2) // 2
+
+
+def _crop_boxes(words, doubles, h, w, scale, aspect):
+    # Per stream: the box of a crop that fits within the attempts its words
+    # hold. Attempt a draws from words 1 + 2a and 2 + 2a, and its box
+    # corner from word 3 + 2a; streams whose crop needs a further attempt
+    # or a rejected integer are flagged.
+    boxes = np.zeros((len(h), 4), dtype=np.int64)
+    done = np.zeros(len(h), dtype=bool)
+    redraw = np.zeros(len(h), dtype=bool)
+    image_area = (h * w).astype(np.float64)
+    for a in range(CROP_ATTEMPTS_IN_WORDS):
+        area = image_area * uniform_of(doubles[:, 1 + 2 * a], *scale)
+        ratio = uniform_of(doubles[:, 2 + 2 * a], *aspect)
+        cw = np.rint(np.sqrt(area * ratio)).astype(np.int64)
+        ch = np.rint(np.sqrt(area / ratio)).astype(np.int64)
+        fits = ~done & (1 <= cw) & (cw <= w) & (1 <= ch) & (ch <= h)
+        top, left, rejected = integer_pair(
+            words[:, 3 + 2 * a], np.where(fits, h - ch + 1, 1),
+            np.where(fits, w - cw + 1, 1))
+        boxes[fits] = np.stack([top, left, ch, cw], axis=1)[fits]
+        redraw |= fits & rejected
+        done |= fits
+    return boxes, redraw | ~done
+
+
+def draw_plans(pipeline: AugPipeline, rngs, in_shape,
+               streams: StreamLoader) -> tuple[list, list]:
+    """`draw_plan` for both views of every image, all streams at once.
+
+    Returns the plans of view 0 and of view 1; `plans[v][i]` equals
+    `draw_plan(pipeline, rngs[i].child("view", v), in_shape, streams)`.
+    Each stage stream's draws come from its first `PHILOX_WORDS` words,
+    computed for all streams together. A stream whose stage needs more, a
+    crop that fits only at its fourth attempt or later, or a rejected crop
+    corner, is drawn by `draw_plan` through `streams`.
+    """
+    stages = pipeline.stages
+    view_ids, keys = child_keys(rngs, [("view", 0), ("view", 1)],
+                                [(stage.name,) for stage in stages])
+    # Rows are the (image, view) streams, image-major.
+    rows = 2 * len(rngs)
+    words = philox_words(keys.reshape(rows, len(stages), 2))
+    doubles = philox_doubles(words)
+    h = np.full(rows, in_shape[0], dtype=np.int64)
+    w = np.full(rows, in_shape[1], dtype=np.int64)
+    redraw = np.zeros(rows, dtype=bool)
+    columns = []
+    for k, stage in enumerate(stages):
+        fired = doubles[:, k, 0] < stage.probability
+        params = dict(stage.params)
+        drawn = [{}] * rows
+        if stage.name == "random_crop" and fired.any():
+            _check_crop_sizes(int(h[fired].min()), int(w[fired].min()),
+                              pipeline.out_side)
+            boxes, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
+                                      params["scale"], params["aspect"])
+            redraw |= fired & more
+            drawn = [{"box": tuple(box)} for box in boxes.tolist()]
+            h = np.where(fired, pipeline.out_side, h)
+            w = np.where(fired, pipeline.out_side, w)
+        elif stage.name == "color_jitter":
+            factors = np.stack(
+                [uniform_of(doubles[:, k, 1 + j], lo, hi) for j, (lo, hi)
+                 in enumerate(_jitter_bounds(params["strengths"]))], axis=1)
+            drawn = [{"factors": tuple(f)} for f in factors.tolist()]
+        elif stage.name == "gaussian_blur":
+            sigmas = uniform_of(doubles[:, k, 1], *params["sigma"])
+            drawn = [{"sigma": s} for s in sigmas.tolist()]
+        elif stage.name == "solarization":
+            drawn = [{"threshold": params["threshold"]}] * rows
+        columns.append((stage.name, fired.tolist(), drawn))
+    plans = []
+    for r in range(rows):
+        if redraw[r]:
+            image, view = divmod(r, 2)
+            stream = Rng(rngs[image].seed, view_ids[image][view])
+            plans.append(draw_plan(pipeline, stream, in_shape, streams))
+        else:
+            plans.append([(name, fired[r], drawn[r] if fired[r] else {})
+                          for name, fired, drawn in columns])
+    return plans[0::2], plans[1::2]
+
+
 def _apply_same_size(x: np.ndarray, plans: list, out_side: int) -> np.ndarray:
     # Every image in `x` has the same size at every stage: their crops fired
     # alike. `col_major` tracks the order each image's contrast mean sums in.
@@ -425,12 +523,8 @@ def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
     streams. Returns two (n, d) matrices whose rows are the views flattened
     in (row, column, channel) order.
     """
-    streams = StreamLoader()
-    views = []
-    for view in (0, 1):
-        plans = [draw_plan(pipeline, rng.child("view", view),
-                           images.shape[1:3], streams)
-                 for rng in rngs]
-        out = apply_plans(images, plans, pipeline.out_side)
-        views.append(out.reshape(len(rngs), -1))
-    return views[0], views[1]
+    first, second = (
+        apply_plans(images, plans, pipeline.out_side).reshape(len(rngs), -1)
+        for plans in draw_plans(pipeline, rngs, images.shape[1:3],
+                                StreamLoader()))
+    return first, second

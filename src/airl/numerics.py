@@ -24,11 +24,36 @@ FD_STEP_DEFAULT = 1e-5
 PAIRWISE_DIFFERS = np.array([1.0, 1.0, 3.0, 0.5, 1e16, 1e16, 0.5, 0.5])
 
 
+def _label_tag(labels) -> str:
+    return "|".join(str(x) for x in labels)
+
+
+# A child's stream id hashes "<parent id>|<label tag>" to 8 bytes; a stream's
+# Philox key hashes "<seed>|<stream id>" to 16 bytes. Both read the digest
+# as a little-endian integer. The two hashers below hold the part before the
+# last field, so that many streams can share one prefix by copying it.
+
+
+def _child_hasher(stream_id: int):
+    return hashlib.blake2b(f"{stream_id}|".encode(), digest_size=8)
+
+
+def _key_hasher(seed: int):
+    return hashlib.blake2b(f"{seed}|".encode(), digest_size=16)
+
+
+def _finish(prefix, last: str) -> bytes:
+    h = prefix.copy()
+    h.update(last.encode())
+    return h.digest()
+
+
+def _child_id(stream_id: int, tag: str) -> int:
+    return int.from_bytes(_finish(_child_hasher(stream_id), tag), "little")
+
+
 def _stream_key(seed: int, stream_id: int) -> int:
-    digest = hashlib.blake2b(
-        f"{seed}|{stream_id}".encode(), digest_size=16
-    ).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(_finish(_key_hasher(seed), str(stream_id)), "little")
 
 
 class Rng:
@@ -58,11 +83,7 @@ class Rng:
 
     def child(self, *labels: object) -> "Rng":
         """Derive an independent stream keyed by this stream and `labels`."""
-        tag = "|".join(str(x) for x in labels)
-        digest = hashlib.blake2b(
-            f"{self.stream_id}|{tag}".encode(), digest_size=8
-        ).digest()
-        return Rng(self.seed, int.from_bytes(digest, "little"))
+        return Rng(self.seed, _child_id(self.stream_id, _label_tag(labels)))
 
     def random(self, size=None):
         return self._generator.random(size)
@@ -117,6 +138,127 @@ class StreamLoader:
         self._key[1] = key >> 64
         self._bits.state = self._fresh
         return self._gen
+
+
+def child_keys(rngs, branches, leaves) -> tuple[list[list[int]], np.ndarray]:
+    """Stream ids and Philox keys of a two-level tree of child streams.
+
+    For every `rngs[i]`, label tuple `branches[j]` and label tuple
+    `leaves[k]`, without building an `Rng`: `ids[i][j]` is the stream id of
+    `rngs[i].child(*branches[j])`, and `keys[i, j, k]` is the Philox key of
+    `rngs[i].child(*branches[j]).child(*leaves[k])` as two uint64 words, low
+    word first, the way `np.random.Philox(key=...)` and `StreamLoader` take
+    it. Returns (ids, keys) with keys shaped (len(rngs), len(branches),
+    len(leaves), 2).
+    """
+    branch_tags = [_label_tag(b) for b in branches]
+    leaf_tags = [_label_tag(leaf) for leaf in leaves]
+    ids = []
+    digests = []
+    for rng in rngs:
+        parent = _child_hasher(rng.stream_id)
+        row = [int.from_bytes(_finish(parent, tag), "little")
+               for tag in branch_tags]
+        ids.append(row)
+        key = _key_hasher(rng.seed)
+        for branch_id in row:
+            branch = _child_hasher(branch_id)
+            digests.extend(
+                _finish(key, str(int.from_bytes(_finish(branch, tag),
+                                                "little")))
+                for tag in leaf_tags)
+    keys = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
+    return ids, keys.reshape(len(rngs), len(branches), len(leaves), 2)
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11), as numpy's bit generator computes it.
+PHILOX_ROUNDS = 10
+# The words of each stream that `philox_words` computes: two blocks of four.
+PHILOX_WORDS = 8
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFF_FFFF)
+_HALF = np.uint64(32)
+
+
+def _mulhilo(multiplier: int, x: np.ndarray):
+    # The low and high words of the 128-bit products multiplier * x, the
+    # high word summed from the four 32 x 32-bit partial products.
+    m_lo, m_hi = np.uint64(multiplier & 0xFFFF_FFFF), np.uint64(multiplier >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _HALF
+    lo_lo, lo_hi = m_lo * x_lo, m_lo * x_hi
+    hi_lo, hi_hi = m_hi * x_lo, m_hi * x_hi
+    carry = (lo_lo >> _HALF) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    high = hi_hi + (lo_hi >> _HALF) + (hi_lo >> _HALF) + (carry >> _HALF)
+    return x * np.uint64(multiplier), high
+
+
+def philox_words(keys: np.ndarray) -> np.ndarray:
+    """The first `PHILOX_WORDS` outputs of a freshly keyed numpy Philox.
+
+    `keys` is (..., 2) uint64, one key per stream as `child_keys` gives it.
+    Row r of the result equals `np.random.Philox(key=k).random_raw(8)` for
+    the key k of row r: numpy increments the 256-bit counter before it
+    computes a block, so block b (from 0) is Philox4x64-10 of the counter
+    (b + 1, 0, 0, 0). All streams and blocks run as one array.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    lead = keys.shape[:-1]
+    blocks = PHILOX_WORDS // 4
+    k0 = np.repeat(keys[..., 0].reshape(-1), blocks)
+    k1 = np.repeat(keys[..., 1].reshape(-1), blocks)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), k0.size // blocks)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(PHILOX_ROUNDS):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(*lead, PHILOX_WORDS)
+
+
+def philox_doubles(words: np.ndarray) -> np.ndarray:
+    """`Generator.random()` of each word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def uniform_of(doubles: np.ndarray, low: float, high: float) -> np.ndarray:
+    """`Generator.uniform(low, high)` from its `random()` doubles."""
+    low, high = float(low), float(high)
+    return low + (high - low) * doubles
+
+
+def _lemire(half: np.ndarray, n: np.ndarray):
+    # numpy's 32-bit Lemire draw of integers(0, n) from one half-word; the
+    # draw is rejected, and needs another half-word, when the low half of
+    # the product falls below (2**32 - n) % n.
+    product = half * n
+    threshold = (np.uint64(2**32) - n) % n
+    return product >> _HALF, (product & _LOW32) < threshold
+
+
+def integer_pair(words: np.ndarray, n_first, n_second):
+    """Two scalar `Generator.integers(0, n)` calls, first then second.
+
+    Both draw from `words`, the stream's next 64-bit word, with numpy's
+    32-bit half-word buffer empty. numpy takes a word's low half first and
+    keeps its high half for the next 32-bit draw; a range of one (n == 1)
+    draws nothing. So the first value comes from the low half, and the
+    second from the high half, or from the low half when n_first == 1.
+    Every n must be in [1, 2**32). Returns (first, second, rejected):
+    where `rejected` is set, numpy's rejection loop would draw a further
+    half-word, so the values there are not the stream's.
+    """
+    n_first = np.asarray(n_first, dtype=np.uint64)
+    n_second = np.asarray(n_second, dtype=np.uint64)
+    low, high = words & _LOW32, words >> _HALF
+    first, reject_first = _lemire(low, n_first)
+    second, reject_second = _lemire(
+        np.where(n_first == 1, low, high), n_second)
+    return first, second, reject_first | reject_second
 
 
 def as_tensor(x) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import augment_reference as reference
+from airl import augment
 from airl.augment import (
     REMOVAL_ORDER,
     AugPipeline,
@@ -11,6 +12,7 @@ from airl.augment import (
     apply_pipeline,
     color_jitter,
     draw_plan,
+    draw_plans,
     gaussian_blur,
     grayscale,
     hflip,
@@ -280,3 +282,77 @@ def test_any_stage_order_and_gates_equal_reference(seed, order, gates, sides):
     images = Rng(seed).child("img").random((6, side, side, 3))
     rngs = [Rng(seed).child("aug", 0, i) for i in range(6)]
     assert_views_match_reference(images, pipe, rngs)
+
+
+@st.composite
+def _pipelines(draw):
+    """Default stages with a removed subset, gates overridden to 0, 1 or
+    0.5, a crop scale that may rarely fit in three attempts, and any
+    output side, including the too small side 1."""
+    removed = draw(st.sets(st.sampled_from(STAGE_NAMES)))
+    crop_scale = draw(st.sampled_from([(0.08, 1.0), (0.4, 1.0), (0.9, 1.0),
+                                       (1.0, 1.0)]))
+    out_side = draw(st.sampled_from([1, 2, 5, 8, 16]))
+    stages = tuple(
+        stage if gate is None else AugStage(stage.name, gate, stage.params)
+        for stage, gate in (
+            (stage, draw(st.sampled_from([None, 0.0, 1.0, 0.5])))
+            for stage in AugPipeline.default(out_side, tuple(removed),
+                                             crop_scale).stages))
+    return AugPipeline(out_side=out_side, stages=stages)
+
+
+def _draw_plans_or_error(pipe, rngs, in_shape, draw):
+    try:
+        return draw(pipe, rngs, in_shape)
+    except ConfigError as exc:
+        return ConfigError, str(exc)
+
+
+def test_batched_plans_equal_draw_plan(monkeypatch):
+    # The per-stream oracle is the unpatched draw_plan; the batched draw's
+    # own calls to augment.draw_plan are its fallback streams.
+    fallback = []
+    monkeypatch.setattr(augment, "draw_plan",
+                        lambda *args: fallback.append(1) or draw_plan(*args))
+    streams = {"plans": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(pipe=_pipelines(), seed=st.integers(0, 2**32 - 1),
+           in_shape=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+           batch=st.integers(1, 6))
+    @example(pipe=AugPipeline.default(8, crop_scale=(0.9, 1.0)), seed=3,
+             in_shape=(2, 16), batch=6)
+    # A second crop sees the first one's output size.
+    @example(pipe=AugPipeline(5, (*AugPipeline.default(5).stages[:2],
+                                  AugPipeline.default(5).stages[0])),
+             seed=4, in_shape=(16, 9), batch=6)
+    def check(pipe, seed, in_shape, batch):
+        rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
+        expected = _draw_plans_or_error(
+            pipe, rngs, in_shape, lambda p, r, s: tuple(
+                [draw_plan(p, rng.child("view", v), s, StreamLoader())
+                 for rng in r] for v in (0, 1)))
+        got = _draw_plans_or_error(
+            pipe, rngs, in_shape,
+            lambda p, r, s: draw_plans(p, r, s, StreamLoader()))
+        assert got == expected
+        if isinstance(got, tuple) and got[0] is not ConfigError:
+            streams["plans"] += 2 * batch
+
+    check()
+    assert 0 < len(fallback) < streams["plans"]
+
+
+def test_crop_on_too_small_image_raises_only_when_fired():
+    rngs = [Rng(0).child("aug", 0, i) for i in range(4)]
+    for pipe, in_shape in ((AugPipeline.default(8), (1, 9)),
+                           (AugPipeline.default(1), (9, 9))):
+        with pytest.raises(ConfigError):
+            draw_plans(pipe, rngs, in_shape, StreamLoader())
+    never = AugPipeline(8, tuple(
+        AugStage(s.name, 0.0, s.params) if s.name == "random_crop" else s
+        for s in AugPipeline.default(8).stages))
+    assert draw_plans(never, rngs, (1, 9), StreamLoader()) == tuple(
+        [draw_plan(never, rng.child("view", v), (1, 9), StreamLoader())
+         for rng in rngs] for v in (0, 1))

@@ -12,12 +12,17 @@ from airl.numerics import (
     PAIRWISE_DIFFERS,
     Rng,
     StreamLoader,
+    child_keys,
     finite_diff_grad,
+    integer_pair,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     matmul,
+    philox_doubles,
+    philox_words,
     relative_error,
     row_norms,
+    uniform_of,
 )
 
 
@@ -380,3 +385,112 @@ def test_stream_loader_matches_rng_draw_for_draw(seed, labels):
     _assert_same_draws(_draw_sequence(loader.load(stream)), expected)
     # Loading reads the key only; the Rng's own stream is not advanced.
     _assert_same_draws(_draw_sequence(stream), expected)
+
+
+KEYS = st.integers(0, 2**128 - 1)
+
+
+def _key_words(key):
+    return np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+
+
+def _words_of(key):
+    return philox_words(_key_words(key)[None])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(KEYS, min_size=1, max_size=8))
+@example(keys=[0, 2**128 - 1, 2**64 - 1, 2**64])
+def test_philox_words_match_numpy(keys):
+    words = philox_words(np.stack([_key_words(k) for k in keys]))
+    assert words.shape == (len(keys), 8)
+    for key, row in zip(keys, words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(8))
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=KEYS,
+       bounds=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 4.0)),
+                       min_size=4, max_size=4))
+@example(key=0, bounds=[(0.6, 0.8), (-0.1, 0.2), (0.1, 1.9), (1.0, 0.0)])
+@example(key=2**128 - 1, bounds=[(0.0, 1.0)] * 4)
+def test_philox_doubles_and_uniform_match_generator(key, bounds):
+    # random() and uniform(low, low + width) in turn, draw for draw.
+    doubles = philox_doubles(_words_of(key))
+    gen = np.random.Generator(np.random.Philox(key=key))
+    for j, (low, width) in enumerate(bounds):
+        assert _hex(gen.random()) == _hex(doubles[2 * j])
+        high = low + width
+        assert (_hex(gen.uniform(low, high))
+                == _hex(uniform_of(doubles[2 * j + 1], low, high)))
+
+
+def _halves_drawn(gen, words_before):
+    # 32-bit halves a Philox generator has drawn since `words_before` words.
+    state = gen.bit_generator.state
+    words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    return 2 * (words - words_before) - state["has_uint32"]
+
+
+RANGES = st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=KEYS, skip=st.integers(0, 7), n_first=RANGES, n_second=RANGES)
+@example(key=1, skip=0, n_first=1, n_second=9)
+@example(key=2, skip=3, n_first=9, n_second=1)
+@example(key=3, skip=7, n_first=1, n_second=1)
+@example(key=4, skip=2, n_first=2**31 + 1, n_second=2**31 + 1)
+def test_integer_pair_matches_paired_integers(key, skip, n_first, n_second):
+    # integers(0, n_first), then integers(0, n_second), after `skip` 64-bit
+    # draws; rejected pairs are exactly those where numpy drew a further
+    # half-word.
+    gen = np.random.Generator(np.random.Philox(key=key))
+    for _ in range(skip):
+        gen.random()
+    expected = (int(gen.integers(0, n_first)), int(gen.integers(0, n_second)))
+    first, second, rejected = integer_pair(_words_of(key)[skip], n_first,
+                                           n_second)
+    needed = (n_first > 1) + (n_second > 1)
+    if rejected:
+        assert _halves_drawn(gen, skip) > needed
+    else:
+        assert (int(first), int(second)) == expected
+        assert _halves_drawn(gen, skip) == needed
+
+
+def test_integer_pair_flags_rejections():
+    # (2**32 - 3) % 3 == 1, so a zero half-word is rejected for n = 3.
+    zero_low = np.array([0xFFFF_FFFF_0000_0000], dtype=np.uint64)
+    zero_high = np.array([0x0000_0000_FFFF_FFFF], dtype=np.uint64)
+    assert integer_pair(zero_low, 3, 2)[2].all()
+    assert integer_pair(zero_high, 2, 3)[2].all()
+    assert integer_pair(zero_low, 1, 3)[2].all()
+    # n = 1 draws nothing, so the zero half goes to the second call.
+    assert not integer_pair(zero_high, 1, 3)[2].any()
+    assert not integer_pair(zero_low, 2, 1)[2].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63),
+       parents=st.lists(st.lists(st.one_of(st.integers(), st.text(max_size=4)),
+                                 max_size=2), min_size=1, max_size=3),
+       branches=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+                         min_size=1, max_size=3),
+       leaves=st.lists(st.text(max_size=5).map(lambda t: (t,)), max_size=4))
+def test_child_keys_match_rng_children(seed, parents, branches, leaves):
+    rngs = [Rng(seed).child(*labels) for labels in parents]
+    ids, keys = child_keys(rngs, branches, leaves)
+    assert keys.shape == (len(rngs), len(branches), len(leaves), 2)
+    for i, rng in enumerate(rngs):
+        for j, branch in enumerate(branches):
+            child = rng.child(*branch)
+            assert ids[i][j] == child.stream_id
+            for k, leaf in enumerate(leaves):
+                stream = child.child(*leaf)
+                expected = numerics._stream_key(stream.seed, stream.stream_id)
+                assert np.array_equal(keys[i, j, k], _key_words(expected))
