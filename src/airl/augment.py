@@ -19,6 +19,16 @@ Batched path. `two_views` augments a whole batch in two steps:
    draws its brightness, contrast, saturation and hue values (`uniform`
    four times); blur draws its sigma (`uniform`). The other stages draw
    nothing. A plan holds only these concrete values.
+
+   `draw_plans` draws the plans of both views of the whole batch at once,
+   equal to `draw_plan`'s. It derives every stage stream's Philox key in
+   one loop of hashes, computes the first eight 64-bit words of all the
+   streams as one numpy array (`numerics.philox_words`), and converts them
+   the way numpy's generator does. The gate takes word 0, jitter words 1-4
+   and blur word 1; a crop takes two words per attempt and one for its box
+   corner, so eight words hold a crop that fits within three attempts. A
+   stream that needs more, because its crop fits only later or a corner
+   draw is rejected, is drawn by `draw_plan` instead.
 2. `apply_plans` applies each stage, in pipeline order, to the sub-batch
    where it fired: the crop-resize is one gather with per-image indices,
    the blur runs per group of images with the same radius and adds its taps
@@ -397,16 +407,15 @@ def _crop_boxes(words, doubles, h, w, scale, aspect):
     return boxes, redraw | ~done
 
 
-def draw_plans(pipeline: AugPipeline, rngs, in_shape,
-               streams: StreamLoader) -> tuple[list, list]:
+def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> tuple[list, list]:
     """`draw_plan` for both views of every image, all streams at once.
 
     Returns the plans of view 0 and of view 1; `plans[v][i]` equals
-    `draw_plan(pipeline, rngs[i].child("view", v), in_shape, streams)`.
+    `draw_plan(pipeline, rngs[i].child("view", v), in_shape, StreamLoader())`.
     Each stage stream's draws come from its first `PHILOX_WORDS` words,
     computed for all streams together. A stream whose stage needs more, a
     crop that fits only at its fourth attempt or later, or a rejected crop
-    corner, is drawn by `draw_plan` through `streams`.
+    corner, is drawn by `draw_plan` through one shared `StreamLoader`.
     """
     stages = pipeline.stages
     view_ids, keys = child_keys(rngs, [("view", 0), ("view", 1)],
@@ -444,6 +453,7 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape,
             drawn = [{"threshold": params["threshold"]}] * rows
         columns.append((stage.name, fired.tolist(), drawn))
     plans = []
+    streams = StreamLoader()
     for r in range(rows):
         if redraw[r]:
             image, view = divmod(r, 2)
@@ -525,6 +535,5 @@ def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
     """
     first, second = (
         apply_plans(images, plans, pipeline.out_side).reshape(len(rngs), -1)
-        for plans in draw_plans(pipeline, rngs, images.shape[1:3],
-                                StreamLoader()))
+        for plans in draw_plans(pipeline, rngs, images.shape[1:3]))
     return first, second

@@ -8,6 +8,18 @@ over k = 0, 1, ... in order. It is one numpy einsum contraction, whose C loop
 runs in that order; `matmul`'s docstring says why, names the two shapes the
 contraction cannot take, and describes the probe at import that checks
 einsum's order and rounding, with the per-k loop as its fallback.
+
+Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
+hashed from (seed, stream id); `child` hashes a new stream id from the
+parent's id and its labels. For many streams at once, `child_keys` derives
+the ids and keys in one loop of hashes, and `philox_words` emulates the
+generator in numpy uint64 arithmetic: the first two blocks (eight 64-bit
+words) of every freshly keyed stream, with the 64 x 64-bit high product
+built from 32-bit halves. numpy's conversions of those words are reproduced
+exactly: `random()` is `(word >> 11) * 2**-53` (`philox_doubles`);
+`uniform(low, high)` is `low + (high - low) * random()` (`uniform_of`); a
+scalar `integers(0, n)` is a 32-bit Lemire draw from a half-word, low half
+first, with the high half kept for the next 32-bit draw (`integer_pair`).
 """
 
 from __future__ import annotations

@@ -302,6 +302,12 @@ def _pipelines(draw):
     return AugPipeline(out_side=out_side, stages=stages)
 
 
+def per_stream_plans(pipe, rngs, in_shape):
+    """Both views' plans from `draw_plan`, one stream at a time."""
+    return tuple([draw_plan(pipe, rng.child("view", v), in_shape,
+                            StreamLoader()) for rng in rngs] for v in (0, 1))
+
+
 def _draw_plans_or_error(pipe, rngs, in_shape, draw):
     try:
         return draw(pipe, rngs, in_shape)
@@ -329,13 +335,9 @@ def test_batched_plans_equal_draw_plan(monkeypatch):
              seed=4, in_shape=(16, 9), batch=6)
     def check(pipe, seed, in_shape, batch):
         rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
-        expected = _draw_plans_or_error(
-            pipe, rngs, in_shape, lambda p, r, s: tuple(
-                [draw_plan(p, rng.child("view", v), s, StreamLoader())
-                 for rng in r] for v in (0, 1)))
-        got = _draw_plans_or_error(
-            pipe, rngs, in_shape,
-            lambda p, r, s: draw_plans(p, r, s, StreamLoader()))
+        expected = _draw_plans_or_error(pipe, rngs, in_shape,
+                                        per_stream_plans)
+        got = _draw_plans_or_error(pipe, rngs, in_shape, draw_plans)
         assert got == expected
         if isinstance(got, tuple) and got[0] is not ConfigError:
             streams["plans"] += 2 * batch
@@ -349,10 +351,9 @@ def test_crop_on_too_small_image_raises_only_when_fired():
     for pipe, in_shape in ((AugPipeline.default(8), (1, 9)),
                            (AugPipeline.default(1), (9, 9))):
         with pytest.raises(ConfigError):
-            draw_plans(pipe, rngs, in_shape, StreamLoader())
+            draw_plans(pipe, rngs, in_shape)
     never = AugPipeline(8, tuple(
         AugStage(s.name, 0.0, s.params) if s.name == "random_crop" else s
         for s in AugPipeline.default(8).stages))
-    assert draw_plans(never, rngs, (1, 9), StreamLoader()) == tuple(
-        [draw_plan(never, rng.child("view", v), (1, 9), StreamLoader())
-         for rng in rngs] for v in (0, 1))
+    assert draw_plans(never, rngs, (1, 9)) == per_stream_plans(never, rngs,
+                                                               (1, 9))
