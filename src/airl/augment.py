@@ -7,35 +7,44 @@ its gate and parameters from its own named rng sub-stream, so removing one
 stage never shifts the randomness any other stage sees: ablations stay paired
 sample by sample.
 
-Batched path. `two_views` augments a whole batch in two steps:
+Batched path. `two_views` augments a whole batch in two steps, over 2n
+rows, one per (image, view), view-major: row v * n + i is view v of image i.
 
-1. `draw_plan` runs once per (image, view). The stream of stage s is
-   `rng.child("view", v).child(s)`, where `rng` is the image's stream, and it
-   draws in this order: the gate, `random() < probability`; then, only if
-   the gate fired, the stage's parameters. The crop makes up to ten
-   attempts, each drawing an area scale and an aspect ratio (`uniform`
-   twice); the first attempt that fits draws its top row, then its left
-   column (`integers`), and if none fits the box is the whole image. Jitter
-   draws its brightness, contrast, saturation and hue values (`uniform`
-   four times); blur draws its sigma (`uniform`). The other stages draw
-   nothing. A plan holds only these concrete values.
+1. `draw_plan` is the per-stream definition of a plan. The stream of stage
+   s is `rng.child("view", v).child(s)`, where `rng` is the image's
+   stream, and it draws in this order: the gate, `random() < probability`;
+   then, only if the gate fired, the stage's parameters. The crop makes up
+   to ten attempts, each drawing an area scale and an aspect ratio
+   (`uniform` twice); the first attempt that fits draws its top row, then
+   its left column (`integers`), and if none fits the box is the whole
+   image. Jitter draws its brightness, contrast, saturation and hue values
+   (`uniform` four times); blur draws its sigma (`uniform`). The other
+   stages draw nothing. A plan holds only these concrete values.
 
-   `draw_plans` draws the plans of both views of the whole batch at once,
-   equal to `draw_plan`'s. It derives every stage stream's Philox key in
-   one loop of hashes, computes the first eight 64-bit words of all the
-   streams as one numpy array (`numerics.philox_words`), and converts them
-   the way numpy's generator does. The gate takes word 0, jitter words 1-4
-   and blur word 1; a crop takes two words per attempt and one for its box
-   corner, so eight words hold a crop that fits within three attempts. A
-   stream that needs more, because its crop fits only later or a corner
-   draw is rejected, is drawn by `draw_plan` instead.
-2. `apply_plans` applies each stage, in pipeline order, to the sub-batch
-   where it fired: the crop-resize is one gather with per-image indices,
-   the blur runs per group of images with the same radius and adds its taps
-   in kernel order, and the other stages are broadcasts. Per-image coefficients (blur
-   kernels, hue rotations) come from the same scalar code as for one image.
-   Images whose crops fired differently have different sizes between
-   stages, so they are processed in separate groups.
+   `draw_plans` draws all 2n rows at once into one columnar plan
+   (`Plans`): per stage a fired mask over the rows and, as an array, the
+   value each row drew (crop boxes 2n x 4, jitter factors 2n x 4, blur
+   sigmas, solarize thresholds). Row for row it equals `draw_plan`. It
+   derives every stage stream's Philox key in one loop of hashes, computes
+   the first eight 64-bit words of all the streams as one numpy array
+   (`numerics.philox_words`), and converts them the way numpy's generator
+   does. The gate takes word 0, jitter words 1-4 and blur word 1; a crop
+   takes two words per attempt and one for its box corner, so eight words
+   hold a crop that fits within three attempts. A stream that needs more,
+   because its crop fits only later or a corner draw is rejected, is drawn
+   by `draw_plan` instead and written into its row.
+2. `apply_plans` makes one pass over the 2n rows: each stage runs once, in
+   pipeline order, on its fired rows of both views. The crop-resize
+   gathers straight from the n source images with per-row boxes. A row is
+   at the source size until its first crop and at the output size after
+   it, so when the two differ, the rows of one stage are taken in two size
+   groups, whichever view they belong to. Every kernel runs on blocks of
+   at most `BLOCK_VALUES` values per array, which bounds its temporaries.
+   Per-image coefficients (blur kernels, hue rotations) are computed as
+   arrays, with the same operations as for one image. The blur and the
+   jitter lay their work out so that each numpy operation is one long
+   contiguous loop: the blur with the blurred axis outermost and the image
+   axis innermost, the jitter as channel planes.
 
 The result equals augmenting each image on its own, bit for bit.
 
@@ -51,7 +60,8 @@ checkpoint trained with the per-image pipeline reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,10 +142,6 @@ class AugPipeline:
         raise ConfigError(f"no stage named {name!r}")
 
 
-def clamp01(img: np.ndarray) -> np.ndarray:
-    return np.clip(img, 0.0, 1.0)
-
-
 def luma(img: np.ndarray) -> np.ndarray:
     r, g, b = LUMA_WEIGHTS
     return r * img[..., 0] + g * img[..., 1] + b * img[..., 2]
@@ -168,92 +174,140 @@ def _resample_taps(out_len: int, in_len: np.ndarray):
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int,
-                    boxes=None) -> np.ndarray:
+                    boxes=None, index=None) -> np.ndarray:
     """Bilinear resample with half-pixel-centered sampling.
 
-    `img` is one (h, w, 3) image or an (n, h, w, 3) batch. `boxes` restricts
-    each image to a crop window (top, left, height, width): one 4-tuple for
-    an image, one row per image for a batch; the default is the whole image.
-    Resizing to the input size reproduces the input bit-for-bit.
+    `img` is one (h, w, 3) image or an (n, h, w, 3) batch. For a batch,
+    output image j resamples `img[index[j]]` (by default, image j). `boxes`
+    restricts each one to a crop window (top, left, height, width): one
+    4-tuple for an image, one row per output image for a batch; the default
+    is the whole image. Resizing to the input size reproduces the input
+    bit-for-bit.
     """
     single = img.ndim == 3
     x = img[None] if single else img
-    n = x.shape[0]
+    index = np.arange(x.shape[0]) if index is None else np.asarray(
+        index, dtype=np.int64)
+    n = len(index)
     if boxes is None:
         boxes = (0, 0, *x.shape[1:3])
     top, left, h, w = np.broadcast_to(
         np.asarray(boxes, dtype=np.int64).reshape(-1, 4), (n, 4)).T
     y0, y1, wy = _resample_taps(out_h, h)
     x0, x1, wx = _resample_taps(out_w, w)
-    # Gather whole pixels by flat index; the arithmetic then runs on
-    # (n, out_h, out_w * 3) rows so numpy's inner loops stay long.
+    # Resample along every row of the crops first, then between rows: each
+    # row blended once, however many output rows read it. Whole pixels are
+    # gathered by flat index, and the arithmetic runs on (n, rows, out_w * 3)
+    # arrays so that numpy's inner loops stay long.
     pixels = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, 3)
-    first = (np.arange(n) * x.shape[1])[:, None] + top[:, None]
-    r0, r1 = (((first + y) * x.shape[2])[:, :, None] for y in (y0, y1))
-    c0, c1 = ((left[:, None] + c)[:, None, :] for c in (x0, x1))
-
+    crop_rows = int(h.max(initial=1))
+    rows = np.minimum(np.arange(crop_rows), (h - 1)[:, None])
+    rows = ((index * x.shape[1] + top)[:, None] + rows) * x.shape[2]
     wx = np.repeat(wx, 3, axis=1)[:, None, :]
-    wy = wy[:, :, None]
-
-    def along_row(rows):
-        # (1 - wx) * near + wx * far, computed in place.
-        near = np.take(pixels, rows + c0, axis=0).reshape(n, out_h, -1)
-        far = np.take(pixels, rows + c1, axis=0).reshape(n, out_h, -1)
-        near *= 1.0 - wx
-        far *= wx
-        near += far
-        return near
-
-    out = along_row(r0)
-    out *= 1.0 - wy
-    lower = along_row(r1)
-    lower *= wy
+    along = np.take(pixels, rows[:, :, None] + (left[:, None] + x0)[:, None, :],
+                    axis=0).reshape(n, crop_rows, out_w * 3)
+    far = np.take(pixels, rows[:, :, None] + (left[:, None] + x1)[:, None, :],
+                  axis=0).reshape(n, crop_rows, out_w * 3)
+    along *= 1.0 - wx
+    far *= wx
+    along += far
+    del far
+    along = along.reshape(n * crop_rows, out_w * 3)
+    first = (np.arange(n) * crop_rows)[:, None]
+    out = np.take(along, first + y0, axis=0)
+    lower = np.take(along, first + y1, axis=0)
+    del along
+    out *= 1.0 - wy[:, :, None]
+    lower *= wy[:, :, None]
     out += lower
-    out = clamp01(out).reshape(n, out_h, out_w, 3)
+    del lower
+    out = np.clip(out, 0.0, 1.0, out=out).reshape(n, out_h, out_w, 3)
     return out[0] if single else out
 
 
-def _blur_kernel(sigma: float, radius: int) -> np.ndarray:
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
-    return kernel
+def _blur_kernels(sigmas: np.ndarray, radius: int) -> np.ndarray:
+    # One row per sigma: its kernel, of radius ceil(2 * sigma), centred in
+    # 2 * radius + 1 taps, with weight 0 on the taps beyond its own radius.
+    radii = np.ceil(2.0 * sigmas).astype(int)
+    kernels = np.zeros((len(sigmas), 2 * radius + 1))
+    for r in np.unique(radii).tolist():
+        rows = radii == r
+        offsets = np.arange(-r, r + 1)
+        own = np.exp(-(offsets**2) / (2.0 * sigmas[rows] * sigmas[rows])[:, None])
+        own /= own.sum(axis=1, keepdims=True)
+        kernels[rows, radius - r:radius + r + 1] = own
+    return kernels
+
+
+def _blur_pass(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # Sum over taps t of weights[t] * padded[t:t + size], tap by tap from
+    # +0.0, where size is the length of the blurred axis, axis 0.
+    size = len(padded) - len(weights) + 1
+    acc = np.zeros((size, *padded.shape[1:]))
+    product = np.empty(acc.shape)
+    for tap, weight in enumerate(weights):
+        np.multiply(weight, padded[tap:tap + size], out=product)
+        acc += product
+    return acc
+
+
+def _edge_padded(x: np.ndarray, radius: int) -> np.ndarray:
+    # x with `radius` copies of its first and last slab along axis 0.
+    padded = np.empty((len(x) + 2 * radius, *x.shape[1:]))
+    padded[radius:radius + len(x)] = x
+    padded[:radius] = padded[radius]
+    padded[radius + len(x):] = padded[radius + len(x) - 1]
+    return padded
 
 
 def gaussian_blur(img: np.ndarray, sigma) -> np.ndarray:
     """Separable Gaussian with kernel radius ceil(2*sigma), edge padding.
 
     `img` is one (h, w, 3) image with one sigma, or an (n, h, w, 3) batch
-    with one sigma per image. Images of equal radius are blurred together,
-    each output pixel summing its taps in kernel order.
+    with one sigma per image; pixel values must be finite. Each output
+    pixel sums its taps in kernel order, from +0.0.
+
+    All images are blurred together, first down the columns and then along
+    the rows, each pass with the blurred axis outermost and the image axis
+    innermost: (h, w, 3 * n), then (w, h, 3 * n). A tap is then one
+    multiply and one add over a contiguous slab of the padded buffer. Each
+    image's kernel is centred in the taps of the largest radius, with
+    weight 0 beyond its own; a zero product leaves a sum begun at +0.0
+    unchanged, so the extra taps change no bit.
     """
     single = img.ndim == 3
     x = img[None] if single else img
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
     radii = np.ceil(2.0 * sigmas).astype(int)
-    out = x.copy()
-    for radius in sorted(set(radii[radii >= 1].tolist())):
-        members = np.flatnonzero(radii == radius)
-        kernels = np.stack([_blur_kernel(sigmas[i], radius) for i in members])
-        group = x[members]
-        for axis in (1, 2):
-            size = group.shape[axis]
-            padded = np.take(group, np.clip(np.arange(-radius, size + radius),
-                                            0, size - 1), axis=axis)
-            acc = np.zeros_like(group)
-            for tap in range(2 * radius + 1):
-                window = [slice(None)] * 4
-                window[axis] = slice(tap, tap + size)
-                weight = kernels[:, tap, None, None, None]
-                acc += weight * padded[tuple(window)]
-            group = acc
-        out[members] = clamp01(group)
+    members = np.flatnonzero(radii >= 1)
+    if members.size < len(x):
+        out = x.copy()
+        if members.size:
+            out[members] = gaussian_blur(x[members], sigmas[members])
+        return out[0] if single else out
+    n, h, w, c = x.shape
+    radius = int(radii.max())
+    kernels = np.repeat(_blur_kernels(sigmas, radius).T[:, None, None, :], c,
+                        axis=2)
+    # Each buffer is dropped as soon as it is spent, to keep the peak low.
+    padded = _edge_padded(x.transpose(1, 2, 3, 0), radius)
+    blurred = _blur_pass(padded, np.repeat(kernels, w, axis=1))
+    del padded
+    padded = _edge_padded(blurred.transpose(1, 0, 2, 3), radius)
+    del blurred
+    blurred = _blur_pass(padded, np.repeat(kernels, h, axis=1))
+    del padded
+    np.clip(blurred, 0.0, 1.0, out=blurred)
+    out = np.empty(x.shape)
+    for channel in range(c):
+        out[..., channel] = blurred[:, :, channel].T
     return out[0] if single else out
 
 
-def _hue_coefficients(shift: float) -> tuple:
+def _hue_coefficients(shift) -> tuple:
     # Rotation about the achromatic axis; an RGB-space stand-in for a hue
-    # shift of `shift` turns. Exactly the identity at shift == 0.
+    # shift of `shift` turns (a number or an array of them). Exactly the
+    # identity at shift == 0.
     theta = 2.0 * np.pi * shift
     c, s = np.cos(theta), np.sin(theta)
     a = c + (1.0 - c) / 3.0
@@ -262,35 +316,60 @@ def _hue_coefficients(shift: float) -> tuple:
     return a, b, d
 
 
+def _plane_luma(planes: np.ndarray, out=None) -> np.ndarray:
+    # `luma` of channel planes (3, ...), in the same order of operations.
+    r, g, b = LUMA_WEIGHTS
+    y = np.multiply(planes[0], r, out=out)
+    y += g * planes[1]
+    y += b * planes[2]
+    return y
+
+
 def adjust_colors(img: np.ndarray, factors, col_major) -> np.ndarray:
     """Brightness, contrast, saturation, hue in that order, on a batch.
 
     `img` is (n, h, w, 3); row i of `factors` holds image i's brightness,
     contrast and saturation scale and its hue shift in turns. `col_major[i]`
     sums image i's contrast mean column by column instead of row by row
-    (see the module docstring).
+    (see the module docstring). The work runs on channel planes, (3, n,
+    h * w), so that every step is a contiguous array operation.
     """
-    n = img.shape[0]
+    n, h, w, c = img.shape
     f = np.asarray(factors, dtype=np.float64).reshape(n, 4)
-    fb, fc, fs = (f[:, k, None, None, None] for k in range(3))
-    out = clamp01(img * fb)
-    y = luma(out)
-    pixels = np.where(np.asarray(col_major, dtype=bool)[:, None],
-                      y.transpose(0, 2, 1).reshape(n, -1), y.reshape(n, -1))
-    mean = (pixels.sum(axis=1) / pixels.shape[1])[:, None, None, None]
-    out = clamp01((1.0 - fc) * mean + fc * out)
-    gray = luma(out)[..., None]
-    out = clamp01((1.0 - fs) * gray + fs * out)
-    a, b, d = (np.array(c)[:, None, None] for c in
-               zip(*(_hue_coefficients(float(s)) for s in f[:, 3])))
-    r, g, bl = out[..., 0], out[..., 1], out[..., 2]
-    out = np.stack(
-        [a * r + b * g + d * bl,
-         d * r + a * g + b * bl,
-         b * r + d * g + a * bl],
-        axis=-1,
-    )
-    return clamp01(out)
+    fb, fc, fs = (f[:, k, None] for k in range(3))
+    planes = np.empty((c, n, h * w))
+    for channel, plane in enumerate(planes):
+        np.multiply(img[..., channel], fb[..., None],
+                    out=plane.reshape(n, h, w))
+    np.clip(planes, 0.0, 1.0, out=planes)
+    y = _plane_luma(planes)
+    sums = y.sum(axis=1)
+    col_major = np.asarray(col_major, dtype=bool)
+    if col_major.any():
+        sums[col_major] = y[col_major].reshape(-1, h, w).transpose(
+            0, 2, 1).reshape(-1, h * w).sum(axis=1)
+    mean = (sums / (h * w))[:, None]
+    planes *= fc
+    planes += (1.0 - fc) * mean
+    np.clip(planes, 0.0, 1.0, out=planes)
+    gray = _plane_luma(planes, out=y)
+    gray *= 1.0 - fs
+    planes *= fs
+    planes += gray
+    del y, gray
+    np.clip(planes, 0.0, 1.0, out=planes)
+    a, b, d = (k[:, None] for k in _hue_coefficients(f[:, 3]))
+    rotated = np.empty(planes.shape)
+    for dest, weights in zip(rotated, ((a, b, d), (d, a, b), (b, d, a))):
+        np.multiply(weights[0], planes[0], out=dest)
+        dest += weights[1] * planes[1]
+        dest += weights[2] * planes[2]
+    np.clip(rotated, 0.0, 1.0, out=rotated)
+    # The planes are spent: their buffer takes the result, pixel-major.
+    out = planes.reshape(img.shape)
+    for channel, plane in enumerate(rotated):
+        out[..., channel] = plane.reshape(n, h, w)
+    return out
 
 
 def _jitter_bounds(strengths) -> tuple:
@@ -381,6 +460,55 @@ def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape,
 # The gate takes word 0 and each crop attempt two words; the box corner of
 # the attempt that fits takes one more.
 CROP_ATTEMPTS_IN_WORDS = (PHILOX_WORDS - 2) // 2
+# The plan value that each stage draws, by stage name; the other stages
+# draw none.
+PLAN_VALUES = {"random_crop": "box", "color_jitter": "factors",
+               "gaussian_blur": "sigma", "solarization": "threshold"}
+
+
+def _empty_values(name: str, rows: int) -> np.ndarray | None:
+    # A zeroed value column for `rows` rows of stage `name`.
+    if name not in PLAN_VALUES:
+        return None
+    if name == "random_crop":
+        return np.zeros((rows, 4), dtype=np.int64)
+    return np.zeros((rows, 4) if name == "color_jitter" else rows)
+
+
+class StageColumn(NamedTuple):
+    """One stage of a columnar plan: per row, whether it fired and its value.
+
+    `values` is None for a stage that draws nothing; otherwise row r holds
+    the value `draw_plan` returns for that row: a crop box (top, left,
+    height, width), the four jitter factors, a blur sigma or a solarize
+    threshold. Rows where the stage did not fire hold no meaningful value.
+    """
+
+    name: str
+    fired: np.ndarray
+    values: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class Plans:
+    """The plans of many (image, view) rows as one column per stage."""
+
+    rows: int
+    stages: tuple[StageColumn, ...]
+
+    @staticmethod
+    def empty(pipeline: AugPipeline, rows: int) -> "Plans":
+        return Plans(rows, tuple(
+            StageColumn(stage.name, np.zeros(rows, dtype=bool),
+                        _empty_values(stage.name, rows))
+            for stage in pipeline.stages))
+
+    def write(self, row: int, plan: list[tuple]) -> None:
+        """Set row `row` to a plan in `draw_plan`'s form."""
+        for column, (_, fired, drawn) in zip(self.stages, plan):
+            column.fired[row] = fired
+            if fired and column.values is not None:
+                column.values[row] = drawn[PLAN_VALUES[column.name]]
 
 
 def _crop_boxes(words, doubles, h, w, scale, aspect):
@@ -407,22 +535,22 @@ def _crop_boxes(words, doubles, h, w, scale, aspect):
     return boxes, redraw | ~done
 
 
-def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> tuple[list, list]:
+def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     """`draw_plan` for both views of every image, all streams at once.
 
-    Returns the plans of view 0 and of view 1; `plans[v][i]` equals
-    `draw_plan(pipeline, rngs[i].child("view", v), in_shape, StreamLoader())`.
-    Each stage stream's draws come from its first `PHILOX_WORDS` words,
-    computed for all streams together. A stream whose stage needs more, a
-    crop that fits only at its fourth attempt or later, or a rejected crop
-    corner, is drawn by `draw_plan` through one shared `StreamLoader`.
+    Row v * n + i of the result, for n = len(rngs), is the plan of view v
+    of image i: it equals `draw_plan(pipeline, rngs[i].child("view", v),
+    in_shape, StreamLoader())`. Each stage stream's draws come from its
+    first `PHILOX_WORDS` words, computed for all streams together. A stream
+    whose stage needs more, a crop that fits only at its fourth attempt or
+    later, or a rejected crop corner, is drawn by `draw_plan` through one
+    shared `StreamLoader` and written into its row.
     """
     stages = pipeline.stages
     view_ids, keys = child_keys(rngs, [("view", 0), ("view", 1)],
                                 [(stage.name,) for stage in stages])
-    # Rows are the (image, view) streams, image-major.
     rows = 2 * len(rngs)
-    words = philox_words(keys.reshape(rows, len(stages), 2))
+    words = philox_words(keys.swapaxes(0, 1).reshape(rows, len(stages), 2))
     doubles = philox_doubles(words)
     h = np.full(rows, in_shape[0], dtype=np.int64)
     w = np.full(rows, in_shape[1], dtype=np.int64)
@@ -431,98 +559,144 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> tuple[list, list]:
     for k, stage in enumerate(stages):
         fired = doubles[:, k, 0] < stage.probability
         params = dict(stage.params)
-        drawn = [{}] * rows
-        if stage.name == "random_crop" and fired.any():
-            _check_crop_sizes(int(h[fired].min()), int(w[fired].min()),
-                              pipeline.out_side)
-            boxes, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
-                                      params["scale"], params["aspect"])
-            redraw |= fired & more
-            drawn = [{"box": tuple(box)} for box in boxes.tolist()]
-            h = np.where(fired, pipeline.out_side, h)
-            w = np.where(fired, pipeline.out_side, w)
+        values = None
+        if stage.name == "random_crop":
+            values = _empty_values(stage.name, rows)
+            if fired.any():
+                _check_crop_sizes(int(h[fired].min()), int(w[fired].min()),
+                                  pipeline.out_side)
+                values, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
+                                           params["scale"], params["aspect"])
+                redraw |= fired & more
+                h = np.where(fired, pipeline.out_side, h)
+                w = np.where(fired, pipeline.out_side, w)
         elif stage.name == "color_jitter":
-            factors = np.stack(
+            values = np.stack(
                 [uniform_of(doubles[:, k, 1 + j], lo, hi) for j, (lo, hi)
                  in enumerate(_jitter_bounds(params["strengths"]))], axis=1)
-            drawn = [{"factors": tuple(f)} for f in factors.tolist()]
         elif stage.name == "gaussian_blur":
-            sigmas = uniform_of(doubles[:, k, 1], *params["sigma"])
-            drawn = [{"sigma": s} for s in sigmas.tolist()]
+            values = uniform_of(doubles[:, k, 1], *params["sigma"])
         elif stage.name == "solarization":
-            drawn = [{"threshold": params["threshold"]}] * rows
-        columns.append((stage.name, fired.tolist(), drawn))
-    plans = []
+            values = np.full(rows, params["threshold"], dtype=np.float64)
+        columns.append(StageColumn(stage.name, fired, values))
+    plans = Plans(rows, tuple(columns))
     streams = StreamLoader()
-    for r in range(rows):
-        if redraw[r]:
-            image, view = divmod(r, 2)
-            stream = Rng(rngs[image].seed, view_ids[image][view])
-            plans.append(draw_plan(pipeline, stream, in_shape, streams))
-        else:
-            plans.append([(name, fired[r], drawn[r] if fired[r] else {})
-                          for name, fired, drawn in columns])
-    return plans[0::2], plans[1::2]
+    for r in np.flatnonzero(redraw).tolist():
+        view, image = divmod(r, len(rngs))
+        stream = Rng(rngs[image].seed, view_ids[image][view])
+        plans.write(r, draw_plan(pipeline, stream, in_shape, streams))
+    return plans
 
 
-def _apply_same_size(x: np.ndarray, plans: list, out_side: int) -> np.ndarray:
-    # Every image in `x` has the same size at every stage: their crops fired
-    # alike. `col_major` tracks the order each image's contrast mean sums in.
-    col_major = np.zeros(len(plans), dtype=bool)
-    for k, (name, _, _) in enumerate(plans[0]):
-        sel = [i for i, plan in enumerate(plans) if plan[k][1]]
-        if not sel:
+# Stage kernels run on blocks of rows of at most this many values per image
+# array (288 KiB). Inside a training loop, larger temporaries come as fresh
+# pages from the OS on every call, and faulting those in cost more than the
+# longer loops saved (measured in a `MAIN_DATA` pretrain).
+BLOCK_VALUES = 36_864
+
+
+def _blocks(rows: np.ndarray, image_values: int):
+    # `rows` in blocks of at most BLOCK_VALUES values, each as a slice when
+    # its rows are consecutive.
+    step = max(1, BLOCK_VALUES // image_values)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        if block[-1] - block[0] == len(block) - 1:
+            block = slice(block[0], block[-1] + 1)
+        yield block
+
+
+def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
+    """Apply row r of `plans` to images[r % n], n = len(images).
+
+    Returns (plans.rows, out_side, out_side, 3); for the rows of
+    `draw_plans`, both views of the batch, view-major. All rows come from
+    one pipeline: same stages, same fixed parameters. Each stage runs once,
+    on its fired rows, in blocks of rows of one image size (see the module
+    docstring).
+    """
+    n, in_h, in_w = images.shape[:3]
+    rows = plans.rows
+    source = np.arange(rows) % n
+    col_major = np.zeros(rows, dtype=bool)
+    # A row's pixels are its source image until a stage changes them; then
+    # they are kept in `out` once the row is at the output size, and in
+    # `large` before that.
+    fresh = np.ones(rows, dtype=bool)
+    same_size = (in_h, in_w) == (out_side, out_side)
+    at_out = np.full(rows, same_size)
+    out = np.empty((rows, out_side, out_side, 3))
+    large = None
+
+    every = np.arange(rows)
+
+    def kept(picked):
+        # (pixels, index, group): the rows of `picked` split by where they
+        # are kept; row r of a group is pixels[index[r]].
+        yield images, source, picked[fresh[picked]]
+        changed = picked[~fresh[picked]]
+        yield out, every, changed[at_out[changed]]
+        yield large, every, changed[~at_out[changed]]
+
+    def run(kernel, picked, *per_row):
+        # kernel(pixels, *per_row values) on the changed rows `picked`,
+        # block by block, in place.
+        for pixels, _, group in kept(picked):
+            if not len(group):
+                continue
+            for block in _blocks(group, pixels[0].size):
+                pixels[block] = kernel(pixels[block],
+                                       *(v[block] for v in per_row))
+
+    for name, fired, values in plans.stages:
+        picked = np.flatnonzero(fired)
+        if not len(picked):
             continue
-        drawn = [plans[i][k][2] for i in sel]
         if name == "random_crop":
-            boxes = [d["box"] for d in drawn]
-            x = resize_bilinear(x, out_side, out_side, boxes)
-            col_major[:] = True
+            for pixels, index, group in kept(picked):
+                for block in _blocks(group, out[0].size):
+                    out[block] = resize_bilinear(
+                        pixels, out_side, out_side, values[block],
+                        index=index[block])
+            fresh[picked] = False
+            at_out[picked] = True
+            col_major[picked] = True
             continue
+        new = picked[fresh[picked]]
+        if len(new):
+            if same_size:
+                out[new] = images[source[new]]
+            else:
+                if large is None:
+                    large = np.empty((rows, in_h, in_w, 3))
+                large[new] = images[source[new]]
+            fresh[new] = False
         if name == "horizontal_flip":
-            part = hflip(x[sel])
-            col_major[sel] = False
+            run(hflip, picked)
+            col_major[picked] = False
         elif name == "color_jitter":
-            part = adjust_colors(x[sel], [d["factors"] for d in drawn],
-                                 col_major[sel])
+            run(adjust_colors, picked, values, col_major)
         elif name == "grayscale":
-            part = grayscale(x[sel])
-            col_major[sel] = False
+            run(grayscale, picked)
+            col_major[picked] = False
         elif name == "gaussian_blur":
-            part = gaussian_blur(x[sel], [d["sigma"] for d in drawn])
+            run(gaussian_blur, picked, values)
         elif name == "solarization":
-            part = solarize(x[sel], drawn[0]["threshold"])
+            run(lambda x: solarize(x, float(values[picked[0]])), picked)
         else:
             raise ConfigError(f"unknown augmentation stage {name!r}")
-        x[sel] = part
-    if x.shape[1:3] != (out_side, out_side):
-        x = resize_bilinear(x, out_side, out_side)
-    return x
-
-
-def apply_plans(images: np.ndarray, plans: list, out_side: int) -> np.ndarray:
-    """Apply plans[i] to images[i]; returns (n, out_side, out_side, 3).
-
-    All plans come from one pipeline: same stages, same fixed parameters.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, plan in enumerate(plans):
-        crops = tuple(f for name, f, _ in plan if name == "random_crop")
-        groups.setdefault(crops, []).append(i)
-    if len(groups) == 1:
-        # The usual case; skipping the scatter saves a batch-sized array.
-        return _apply_same_size(images.copy(), plans, out_side)
-    out = np.empty((len(plans), out_side, out_side, 3))
-    for members in groups.values():
-        out[members] = _apply_same_size(
-            images[members], [plans[i] for i in members], out_side)
+    for pixels, index, group in kept(np.flatnonzero(~at_out | fresh)):
+        for block in _blocks(group, out[0].size):
+            out[block] = resize_bilinear(pixels, out_side, out_side,
+                                         index=index[block])
     return out
 
 
 def apply_pipeline(img: np.ndarray, pipeline: AugPipeline, rng: Rng) -> np.ndarray:
     """One pipeline draw of one (h, w, 3) image, from the stream `rng`."""
-    plan = draw_plan(pipeline, rng, img.shape[:2], StreamLoader())
-    return apply_plans(img[None], [plan], pipeline.out_side)[0]
+    plans = Plans.empty(pipeline, 1)
+    plans.write(0, draw_plan(pipeline, rng, img.shape[:2], StreamLoader()))
+    return apply_plans(img[None], plans, pipeline.out_side)[0]
 
 
 def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
@@ -533,7 +707,7 @@ def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
     streams. Returns two (n, d) matrices whose rows are the views flattened
     in (row, column, channel) order.
     """
-    first, second = (
-        apply_plans(images, plans, pipeline.out_side).reshape(len(rngs), -1)
-        for plans in draw_plans(pipeline, rngs, images.shape[1:3]))
+    plans = draw_plans(pipeline, rngs, images.shape[1:3])
+    views = apply_plans(images, plans, pipeline.out_side)
+    first, second = views.reshape(2, len(rngs), -1)
     return first, second

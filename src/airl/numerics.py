@@ -317,16 +317,25 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     once and summed in k order from +0.0. That is the naive triple loop bit
     for bit, unlike BLAS kernels, which are free to reorder partial sums.
 
-    It is one `np.einsum("ik,kj->ij", a, b, optimize=False)` on C-contiguous
-    copies of the operands. Why that is the naive loop:
+    It is one `np.einsum("ik,kj->ij", a, b, optimize=False)` on a
+    C-contiguous copy of `b`, and on `a` as it is laid out unless one of its
+    strides is negative. Why that is the naive loop:
 
     - With `optimize=False` numpy runs its own C loops, never BLAS.
-    - For C-contiguous `a` (m x K) and `b` (K x n) with n >= 2, numpy's
-      iterator orders the axes by stride: i outer, k middle, j inner. The
-      inner loop is then `out[i, :] += a[i, k] * b[k, :]`, which reduces
-      nothing, so each element gets its K terms in k order, starting from
-      the zero-filled output (+0.0). Round-to-nearest addition gives -0.0
-      only from two -0.0 operands, so a sum begun at +0.0 never becomes -0.0.
+    - For C-contiguous `b` (K x n) with n >= 2, numpy's iterator makes j the
+      inner axis: j has the smallest stride in `b` and in the output, and
+      `a` does not vary along j. The inner loop is then
+      `out[i, :] += a[i, k] * b[k, :]`, which reduces nothing.
+    - i and k are ordered by `a`'s strides alone, since the output does not
+      vary along k nor `b` along i. For C-contiguous `a` i is the outer
+      axis and k the middle one; for a transposed or Fortran-order `a` k is
+      outer and i middle. Either way each element gets its K terms in
+      ascending k order, starting from the zero-filled output (+0.0):
+      numpy's iterator reverses an axis only when no operand has a
+      positive stride along it, and `a` is copied when a stride is
+      negative, so k is never walked backwards. Round-to-nearest addition
+      gives -0.0 only from two -0.0 operands, so a sum begun at +0.0 never
+      becomes -0.0.
     - Each product is rounded before the add only when einsum's multiply-add
       is not fused. It is not on x86-64 builds whose baseline (X86_V2) has
       no FMA, as numpy 2.4's; it would be where numpy's `npyv_muladd` is an
@@ -365,8 +374,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     if n == 1:
         return matmul(b.T, a.T).T
-    return np.einsum("ik,kj->ij", np.ascontiguousarray(a),
-                     np.ascontiguousarray(b), optimize=False)
+    if min(a.strides) < 0:
+        a = np.ascontiguousarray(a)
+    return np.einsum("ik,kj->ij", a, np.ascontiguousarray(b), optimize=False)
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

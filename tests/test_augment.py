@@ -258,6 +258,60 @@ def test_batched_views_equal_per_image_reference(seed, epoch, removed, sides,
     assert_views_match_reference(images, pipe, rngs)
 
 
+def _with_gates(pipe, **gates):
+    return AugPipeline(pipe.out_side, tuple(
+        AugStage(s.name, gates.get(s.name, s.probability), s.params)
+        for s in pipe.stages))
+
+
+def _fired(plans, name):
+    return next(c.fired for c in plans.stages if c.name == name)
+
+
+def test_views_whose_crops_fired_differently_equal_reference():
+    # 16x16 sources and 8x8 outputs: a row whose crop did not fire stays
+    # 16x16 until the final resize, so the one pass holds two image sizes.
+    pipe = _with_gates(AugPipeline.default(8), random_crop=0.5)
+    images = Rng(31).child("img").random((12, 16, 16, 3))
+    rngs = [Rng(31).child("aug", 2, i) for i in range(12)]
+    crop = _fired(draw_plans(pipe, rngs, (16, 16)), "random_crop")
+    first, second = crop[:12], crop[12:]
+    assert np.any(first & ~second) and np.any(~first & second)
+    assert np.any(first & second) and np.any(~first & ~second)
+    assert_views_match_reference(images, pipe, rngs)
+
+
+def test_batch_holding_every_blur_radius_equals_reference():
+    pipe = _with_gates(AugPipeline.default(), gaussian_blur=1.0)
+    images = Rng(32).child("img").random((16, 16, 16, 3))
+    rngs = [Rng(32).child("aug", 0, i) for i in range(16)]
+    plans = draw_plans(pipe, rngs, (16, 16))
+    sigmas = next(c.values for c in plans.stages if c.name == "gaussian_blur")
+    assert set(np.ceil(2.0 * sigmas).astype(int).tolist()) == {1, 2, 3, 4}
+    assert_views_match_reference(images, pipe, rngs)
+
+
+@pytest.mark.parametrize("block_images", [1, 2, 5])
+def test_kernels_in_small_blocks_equal_reference(monkeypatch, block_images):
+    # Blocks of a few 8x8 images, and a single 16x16 image or a part of
+    # one: every stage runs on many blocks, some of consecutive rows.
+    monkeypatch.setattr(augment, "BLOCK_VALUES", block_images * 8 * 8 * 3)
+    for pipe in (_with_gates(AugPipeline.default(8), random_crop=0.5),
+                 _with_gates(AugPipeline.default(8), gaussian_blur=1.0,
+                             color_jitter=1.0)):
+        images = Rng(33).child("img").random((9, 16, 16, 3))
+        rngs = [Rng(33).child("aug", 1, i) for i in range(9)]
+        assert_views_match_reference(images, pipe, rngs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_of_one_equals_reference(seed):
+    images = Rng(seed).child("img").random((1, 16, 16, 3))
+    for pipe in (AugPipeline.default(), AugPipeline.default(8),
+                 _with_gates(AugPipeline.default(8), random_crop=0.5)):
+        assert_views_match_reference(images, pipe, [Rng(seed).child("s", 0)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        order=st.permutations(range(len(STAGE_NAMES))),
@@ -303,9 +357,30 @@ def _pipelines(draw):
 
 
 def per_stream_plans(pipe, rngs, in_shape):
-    """Both views' plans from `draw_plan`, one stream at a time."""
-    return tuple([draw_plan(pipe, rng.child("view", v), in_shape,
-                            StreamLoader()) for rng in rngs] for v in (0, 1))
+    """Both views' plans from `draw_plan`, one stream at a time, in the
+    rows of `draw_plans`: view 0 of every image, then view 1."""
+    return [draw_plan(pipe, rng.child("view", v), in_shape, StreamLoader())
+            for v in (0, 1) for rng in rngs]
+
+
+def plan_rows(plans):
+    """Every row of a columnar plan in `draw_plan`'s form."""
+    rows = []
+    for r in range(plans.rows):
+        row = []
+        for name, fired, values in plans.stages:
+            drawn = {}
+            if fired[r] and values is not None:
+                value = values[r].tolist()
+                drawn = {augment.PLAN_VALUES[name]:
+                         tuple(value) if isinstance(value, list) else value}
+            row.append((name, bool(fired[r]), drawn))
+        rows.append(row)
+    return rows
+
+
+def batched_plans(pipe, rngs, in_shape):
+    return plan_rows(draw_plans(pipe, rngs, in_shape))
 
 
 def _draw_plans_or_error(pipe, rngs, in_shape, draw):
@@ -337,9 +412,9 @@ def test_batched_plans_equal_draw_plan(monkeypatch):
         rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
         expected = _draw_plans_or_error(pipe, rngs, in_shape,
                                         per_stream_plans)
-        got = _draw_plans_or_error(pipe, rngs, in_shape, draw_plans)
+        got = _draw_plans_or_error(pipe, rngs, in_shape, batched_plans)
         assert got == expected
-        if isinstance(got, tuple) and got[0] is not ConfigError:
+        if isinstance(got, list):
             streams["plans"] += 2 * batch
 
     check()
@@ -355,5 +430,5 @@ def test_crop_on_too_small_image_raises_only_when_fired():
     never = AugPipeline(8, tuple(
         AugStage(s.name, 0.0, s.params) if s.name == "random_crop" else s
         for s in AugPipeline.default(8).stages))
-    assert draw_plans(never, rngs, (1, 9)) == per_stream_plans(never, rngs,
-                                                               (1, 9))
+    assert batched_plans(never, rngs, (1, 9)) == per_stream_plans(never, rngs,
+                                                                  (1, 9))

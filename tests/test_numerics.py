@@ -348,6 +348,36 @@ def test_matmul_equals_frozen_per_k_loop_on_study_shapes(shape, layouts):
     assert same_bits(matmul(a, b), matmul_per_k(a, b))
 
 
+# Layouts of `a` that `matmul` hands to einsum as they are ("T" transposed,
+# "F" Fortran order, "R" every other row) and one it copies first ("N"
+# negative strides).
+LEFT_LAYOUTS = {
+    "T": lambda x: np.ascontiguousarray(x.T).T,
+    "F": np.asfortranarray,
+    "R": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "N": lambda x: np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LEFT_LAYOUTS))
+@pytest.mark.parametrize("shape", [(768, 48, 64), (64, 48, 32), (5, 3, 7),
+                                   (1, 9, 4), (7, 1, 3), (9, 40, 2)])
+def test_matmul_left_operand_layouts_equal_per_k_loop(shape, layout):
+    # k is the outer axis of einsum's loop for a transposed or Fortran-order
+    # `a` and the middle one for a row-major one; each element must still
+    # sum its products in ascending k order from +0.0.
+    m, inner, n = shape
+    rng = Rng(23)
+    a = rng.child("a").normal(size=(m, inner))
+    b = rng.child("b").normal(size=(inner, n))
+    a[::5, ::3] = -0.0
+    a[1::4, 1::2] *= 1e-300
+    b[:, 0] = -0.0
+    laid = LEFT_LAYOUTS[layout](a)
+    assert np.array_equal(laid, a)
+    assert same_bits(matmul(laid, b), matmul_per_k(a, b))
+
+
 def test_matmul_single_output_element_sums_in_order():
     # numpy sums a 1-d reduction pairwise, which gives 2.0000000000000004e16
     # here; k order gives the next double up.

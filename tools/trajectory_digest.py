@@ -26,6 +26,15 @@ training images (`REFRESH_PASSES` training-mode passes, as the crossover
 rescue does with more), and the digest covers the refreshed running
 statistics and then the eval-mode stage outputs on those images.
 
+Then one line per augmentation pipeline that the studies run covers the
+views `augment.two_views` makes of the `MAIN_DATA` training images, in
+batches of 48, for `AUG_SEEDS` seeds and `AUG_EPOCHS` epochs: every rung
+of the aug-ablation ladder (0 to 4 stages removed, at the studies' crop
+scale), and two pipelines with 8x8 outputs, one with the crop removed (the
+final resize does the size change) and one whose crop fires with
+probability 0.5 (rows of a batch, and the two views of an image, then
+differ in size between stages).
+
 The numpy version and the `matmul` path that `numerics`' import probe
 chose (the einsum contraction or the per-k loop) go to stderr, so digests
 compared across machines say what produced them; stdout holds only the
@@ -49,7 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
-from airl import checkpoint, encoder, evaluation, numerics, runner
+from airl import augment, checkpoint, encoder, evaluation, numerics, runner
+from airl.augment import REMOVAL_ORDER, AugPipeline, AugStage
 from airl.config import config_from_overrides
 from airl.frameworks import KINDS
 
@@ -114,6 +124,41 @@ def refresh_digest(result: runner.PretrainResult) -> str:
     return digest.hexdigest()
 
 
+AUG_SEEDS = (7, 8, 9)
+AUG_EPOCHS = 2
+AUG_BATCH = 48
+
+
+def aug_pipelines() -> tuple:
+    """(label, pipeline) of every digested augmentation pipeline."""
+    crop_scale = runner.MAIN_DATA["augment__crop_scale"]
+    half_crop = tuple(
+        AugStage(s.name, 0.5, s.params) if s.name == "random_crop" else s
+        for s in AugPipeline.default(8, crop_scale=crop_scale).stages)
+    return (
+        *((f"aug_ladder_{r}", AugPipeline.default(
+            16, REMOVAL_ORDER[:r], crop_scale))
+          for r in range(len(REMOVAL_ORDER) + 1)),
+        ("aug_no_crop_8", AugPipeline.default(8, ("random_crop",),
+                                              crop_scale)),
+        ("aug_crop_p0.5_8", AugPipeline(8, half_crop)),
+    )
+
+
+def views_digest(images, pipeline) -> str:
+    digest = hashlib.sha256()
+    for seed in AUG_SEEDS:
+        for epoch in range(AUG_EPOCHS):
+            for start in range(0, len(images), AUG_BATCH):
+                indices = range(start, min(start + AUG_BATCH, len(images)))
+                rngs = [numerics.Rng(seed).child("aug", epoch, i)
+                        for i in indices]
+                for view in augment.two_views(images[start:start + len(rngs)],
+                                              pipeline, rngs):
+                    digest.update(np.ascontiguousarray(view).tobytes())
+    return digest.hexdigest()
+
+
 def parse_overrides(args: list[str]) -> dict[str, str]:
     overrides = {}
     for arg in args:
@@ -147,6 +192,9 @@ def main(argv: list[str]) -> int:
                 refreshed = result
         print(f"{REFRESH_KIND}_bn_refresh {refresh_digest(refreshed)}",
               flush=True)
+    images = runner.dataset_from_config(refreshed.cfg).train_images
+    for label, pipeline in aug_pipelines():
+        print(f"{label:<15} {views_digest(images, pipeline)}", flush=True)
     return 0
 
 
