@@ -48,6 +48,15 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
 
 The result equals augmenting each image on its own, bit for bit.
 
+Memo. The studies give their framework arms the same seed, data and
+pipeline, so those arms draw the same augmentation streams. `draw_plans`
+keeps its plans in one process-wide LRU, `PLAN_MEMO`, keyed by the pipeline,
+the (seed, stream_id) of every image's stream and the source size, and
+bounded by `PLAN_MEMO_BYTES`. Reuse is exact: a plan depends on nothing
+else, so a hit returns what a fresh draw would, bit for bit, and needs no
+change to any stream's key. Memoized plans are read-only, and a draw that
+raises is not stored.
+
 Layout rule. The contrast step of the jitter takes each image's mean luma,
 and a floating-point sum depends on its order. The per-image pipeline that
 the batched one replaced summed in memory order, and its crop-resize returned
@@ -60,6 +69,8 @@ checkpoint trained with the per-image pipeline reproducible.
 
 from __future__ import annotations
 
+import sys
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -114,16 +125,6 @@ class AugPipeline:
         )
         pipe = AugPipeline(out_side=out_side, stages=stages)
         return pipe.remove(*removed) if removed else pipe
-
-    @staticmethod
-    def ladder(out_side: int = 16, removals: int = 0) -> "AugPipeline":
-        """Pipeline with the first `removals` stages of the ladder dropped."""
-        if not 0 <= removals <= len(REMOVAL_ORDER):
-            raise ConfigError(
-                f"ladder removals must be in [0, {len(REMOVAL_ORDER)}], "
-                f"got {removals}"
-            )
-        return AugPipeline.default(out_side, REMOVAL_ORDER[:removals])
 
     def remove(self, *names: str) -> "AugPipeline":
         known = {s.name for s in self.stages}
@@ -496,13 +497,6 @@ class Plans:
     rows: int
     stages: tuple[StageColumn, ...]
 
-    @staticmethod
-    def empty(pipeline: AugPipeline, rows: int) -> "Plans":
-        return Plans(rows, tuple(
-            StageColumn(stage.name, np.zeros(rows, dtype=bool),
-                        _empty_values(stage.name, rows))
-            for stage in pipeline.stages))
-
     def write(self, row: int, plan: list[tuple]) -> None:
         """Set row `row` to a plan in `draw_plan`'s form."""
         for column, (_, fired, drawn) in zip(self.stages, plan):
@@ -535,6 +529,69 @@ def _crop_boxes(words, doubles, h, w, scale, aspect):
     return boxes, redraw | ~done
 
 
+# The byte budget of the plan memo. One full-scale `MAIN_DATA` run draws
+# 240 batches of 48 images, 15.6 KB each with its key (3.7 MB), and a run
+# that shares its streams asks for them again in the same order. An LRU
+# smaller than that cycle evicts every batch just before it is asked for
+# again and hits nothing, so the budget holds such a run with room to
+# spare, and also one full-scale norm-divergence arm, whose two arms share
+# streams too (1,920 batches of 12, 4.8 KB each: 9.2 MB). It bounds what a
+# study process keeps for reuse; a four-epoch run at `MAIN_DATA` fills
+# half a megabyte of it.
+PLAN_MEMO_BYTES = 16 * 2**20
+
+
+class PlanMemo:
+    """A least-recently-used store of `draw_plans` results, bounded by
+    `PLAN_MEMO_BYTES`, with counts of hits and misses."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (plans, bytes)
+        self.bytes = self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        """Forget every entry and zero the counts."""
+        self._entries.clear()
+        self.bytes = self.hits = self.misses = 0
+
+    def get(self, key) -> Plans | None:
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, plans: Plans) -> None:
+        """Keep `plans`, made read-only, under a key that is not held yet,
+        then evict the least recently used entries until the budget holds.
+
+        An entry counts its arrays and the streams of its key; the pipeline
+        in the key is the one object that all of a run's batches share.
+        """
+        _, streams, _ = key
+        size = sys.getsizeof(streams) + sum(
+            sys.getsizeof(pair) + sys.getsizeof(pair[0]) + sys.getsizeof(pair[1])
+            for pair in streams)
+        for column in plans.stages:
+            for array in (column.fired, column.values):
+                if array is not None:
+                    array.flags.writeable = False
+                    size += sys.getsizeof(array)
+        self._entries[key] = (plans, size)
+        self.bytes += size
+        while self.bytes > PLAN_MEMO_BYTES:
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.bytes -= evicted
+
+
+PLAN_MEMO = PlanMemo()
+
+
 def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     """`draw_plan` for both views of every image, all streams at once.
 
@@ -545,7 +602,26 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     whose stage needs more, a crop that fits only at its fourth attempt or
     later, or a rejected crop corner, is drawn by `draw_plan` through one
     shared `StreamLoader` and written into its row.
+
+    The result is memoized in `PLAN_MEMO`, keyed by (pipeline, the (seed,
+    stream_id) of every `rngs[i]`, in_shape). A plan is a pure function of
+    these: the pipeline is a frozen dataclass whose equality covers the
+    output side, every stage and its parameters, and each stream's draws
+    depend only on its seed and id. So a hit returns exactly what a fresh
+    draw would. The arrays of a memoized plan are read-only, so no caller
+    can change what a later hit returns. A draw that raises is not stored.
     """
+    key = (pipeline, tuple((rng.seed, rng.stream_id) for rng in rngs),
+           (int(in_shape[0]), int(in_shape[1])))
+    plans = PLAN_MEMO.get(key)
+    if plans is None:
+        plans = _draw_plans(pipeline, rngs, key[2])
+        PLAN_MEMO.put(key, plans)
+    return plans
+
+
+def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
+    # `draw_plans` without the memo.
     stages = pipeline.stages
     view_ids, keys = child_keys(rngs, [("view", 0), ("view", 1)],
                                 [(stage.name,) for stage in stages])
@@ -690,13 +766,6 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
             out[block] = resize_bilinear(pixels, out_side, out_side,
                                          index=index[block])
     return out
-
-
-def apply_pipeline(img: np.ndarray, pipeline: AugPipeline, rng: Rng) -> np.ndarray:
-    """One pipeline draw of one (h, w, 3) image, from the stream `rng`."""
-    plans = Plans.empty(pipeline, 1)
-    plans.write(0, draw_plan(pipeline, rng, img.shape[:2], StreamLoader()))
-    return apply_plans(img[None], plans, pipeline.out_side)[0]
 
 
 def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):

@@ -412,20 +412,26 @@ def study_aug_ablation(root: Path, seeds=(0, 1, 2)) -> list[dict]:
     aligned frameworks; probe accuracy per (framework, rung, seed)."""
     from .augment import REMOVAL_ORDER
 
-    rows = []
-    for kind in ("moco_v2_plus", "s_moco_v2_plus", "byol"):
-        for rung in range(len(REMOVAL_ORDER) + 1):
-            removed = ",".join(REMOVAL_ORDER[:rung])
-            for seed in seeds:
+    kinds = ("moco_v2_plus", "s_moco_v2_plus", "byol")
+    rungs = range(len(REMOVAL_ORDER) + 1)
+    rows = {}
+    # The frameworks of one (rung, seed) draw the same augmentation streams,
+    # so they run back to back, where the second and third take their plans
+    # from `augment.draw_plans`' memo. The table stays framework-major.
+    for rung in rungs:
+        removed = ",".join(REMOVAL_ORDER[:rung])
+        for seed in seeds:
+            for kind in kinds:
                 cfg = _study_cfg(kind, seed=seed, augment__removed=removed)
                 _, acc = _run_and_probe(
                     cfg, root / f"{kind}_r{rung}_s{seed}"
                 )
-                rows.append({
+                rows[kind, rung, seed] = {
                     "framework": kind, "rung": rung,
                     "removed": removed or "(none)", "seed": seed, "top1": acc,
-                })
-    return rows
+                }
+    return [rows[kind, rung, seed]
+            for kind in kinds for rung in rungs for seed in seeds]
 
 
 def study_collapse(root: Path) -> list[dict]:

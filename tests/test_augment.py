@@ -4,12 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import augment_reference as reference
-from airl import augment
+from airl import augment, runner
 from airl.augment import (
     REMOVAL_ORDER,
     AugPipeline,
     AugStage,
-    apply_pipeline,
     color_jitter,
     draw_plan,
     draw_plans,
@@ -154,12 +153,15 @@ class TestPipeline:
         assert REMOVAL_ORDER == (
             "solarization", "gaussian_blur", "grayscale", "color_jitter"
         )
-        names = [s.name for s in AugPipeline.ladder(removals=2).stages]
+        rungs = [AugPipeline.default(removed=REMOVAL_ORDER[:r])
+                 for r in range(len(REMOVAL_ORDER) + 1)]
+        names = [s.name for s in rungs[2].stages]
         assert "solarization" not in names
         assert "gaussian_blur" not in names
         assert "grayscale" in names
-        with pytest.raises(ConfigError):
-            AugPipeline.ladder(removals=5)
+        assert [len(rung.stages) for rung in rungs] == [6, 5, 4, 3, 2]
+        assert [s.name for s in rungs[-1].stages] == ["random_crop",
+                                                      "horizontal_flip"]
 
     def test_remove_unknown_stage(self):
         with pytest.raises(ConfigError):
@@ -198,11 +200,16 @@ class TestPipeline:
         never_fires = AugPipeline(out_side=16, stages=stages_p0)
         removed = base.remove("gaussian_blur")
         for sample in range(6):
-            rng_a = Rng(3).child("sample", sample)
-            rng_b = Rng(3).child("sample", sample)
-            a = apply_pipeline(img, never_fires, rng_a)
-            b = apply_pipeline(img, removed, rng_b)
-            assert np.array_equal(a, b)
+            rng = Rng(3).child("sample", sample)
+            for a, b in zip(views_of(img, never_fires, rng),
+                            views_of(img, removed, rng)):
+                assert np.array_equal(a, b)
+            for view in (rng.child("view", 0), rng.child("view", 1)):
+                kept = [stage for stage in draw_plan(never_fires, view,
+                                                     (16, 16), StreamLoader())
+                        if stage[0] != "gaussian_blur"]
+                assert kept == draw_plan(removed, view, (16, 16),
+                                         StreamLoader())
 
     def test_empirical_gate_probabilities(self):
         pipe = AugPipeline.default()
@@ -432,3 +439,143 @@ def test_crop_on_too_small_image_raises_only_when_fired():
         for s in AugPipeline.default(8).stages))
     assert batched_plans(never, rngs, (1, 9)) == per_stream_plans(never, rngs,
                                                                   (1, 9))
+
+
+# The plan memo of `draw_plans` (tests/conftest.py empties it before every
+# test).
+
+
+def plan_bytes(plans):
+    """Every column of a columnar plan: name, then each array's dtype, shape
+    and bytes."""
+    return [(name, *((a.dtype.str, a.shape, a.tobytes()) if a is not None
+                     else None for a in (fired, values)))
+            for name, fired, values in plans.stages]
+
+
+def _copy_of(pipe):
+    """An equal pipeline built from new objects."""
+    return AugPipeline(pipe.out_side, tuple(
+        AugStage(s.name, s.probability, tuple(s.params)) for s in pipe.stages))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pipe=_pipelines(), seed=st.integers(0, 2**32 - 1),
+       in_shape=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+       batch=st.integers(1, 6))
+def test_memo_hit_equals_cold_draw(pipe, seed, in_shape, batch):
+    def draw(p):
+        rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
+        return _draw_plans_or_error(p, rngs, in_shape, draw_plans)
+
+    memo = augment.PLAN_MEMO
+    memo.clear()
+    first = draw(pipe)
+    hit = draw(_copy_of(pipe))
+    memo_hits = memo.hits
+    memo.clear()
+    cold = draw(pipe)
+    if isinstance(cold, tuple):  # the draw raised
+        assert first == hit == cold
+        assert memo_hits == 0
+        return
+    assert memo_hits == 1 and hit is first and hit is not cold
+    assert plan_bytes(hit) == plan_bytes(cold)
+
+
+def test_memoized_plans_are_read_only():
+    rngs = [Rng(4).child("aug", 0, i) for i in range(3)]
+    plans = draw_plans(AugPipeline.default(), rngs, (16, 16))
+    for _, fired, values in plans.stages:
+        with pytest.raises(ValueError, match="read-only"):
+            fired[0] = not fired[0]
+        if values is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        plans.write(0, draw_plan(AugPipeline.default(), rngs[0].child(
+            "view", 0), (16, 16), StreamLoader()))
+    assert plan_bytes(draw_plans(AugPipeline.default(), rngs, (16, 16))) \
+        == plan_bytes(augment._draw_plans(AugPipeline.default(), rngs,
+                                          (16, 16)))
+
+
+MEMO_BASE = (AugPipeline.default(16, (), (0.4, 1.0)), 5, 0, (16, 16))
+
+
+@pytest.mark.parametrize("changed", [
+    dict(seed=6),
+    dict(epoch=1),
+    dict(in_shape=(12, 12)),
+    dict(pipe=AugPipeline.default(8, (), (0.4, 1.0))),
+    dict(pipe=AugPipeline.default(16, (), (0.08, 1.0))),
+    dict(pipe=AugPipeline.default(16, ("solarization",), (0.4, 1.0))),
+    dict(reverse=True),
+], ids=["seed", "stream_id", "in_shape", "out_side", "crop_scale",
+        "removed_stage", "stream_order"])
+def test_memo_misses_on_any_key_change(changed):
+    # A different seed keeps every stream id: child ids derive from the
+    # parent's id and the labels alone.
+    def draw(pipe=MEMO_BASE[0], seed=MEMO_BASE[1], epoch=MEMO_BASE[2],
+             in_shape=MEMO_BASE[3], reverse=False):
+        rngs = [Rng(seed).child("aug", epoch, i) for i in range(4)]
+        rngs = rngs[::-1] if reverse else rngs
+        return draw_plans(pipe, rngs, in_shape), augment._draw_plans(
+            pipe, rngs, in_shape)
+
+    draw()
+    got, cold = draw(**changed)
+    memo = augment.PLAN_MEMO
+    assert (memo.hits, memo.misses, len(memo)) == (0, 2, 2)
+    assert plan_bytes(got) == plan_bytes(cold)
+    draw(**changed)
+    assert memo.hits == 1
+
+
+def test_raising_draw_is_not_memoized():
+    rngs = [Rng(0).child("aug", 0, i) for i in range(4)]
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="crop"):
+            draw_plans(AugPipeline.default(8), rngs, (1, 9))
+    memo = augment.PLAN_MEMO
+    assert (memo.hits, memo.misses, len(memo), memo.bytes) == (0, 2, 0, 0)
+
+
+def test_memo_evicts_least_recently_used_within_budget(monkeypatch):
+    pipe = AugPipeline.default()
+    memo = augment.PLAN_MEMO
+
+    def draw(epoch):
+        return draw_plans(pipe, [Rng(2).child("aug", epoch, i)
+                                 for i in range(4)], (16, 16))
+
+    draw(0)
+    one = memo.bytes
+    memo.clear()
+    # Entries differ by a few bytes of stream-id ints; two fit, three do not.
+    monkeypatch.setattr(augment, "PLAN_MEMO_BYTES", int(2.5 * one))
+    a, _ = draw(0), draw(1)
+    assert draw(0) is a  # a hit makes epoch 0 the most recently used
+    draw(2)  # evicts epoch 1
+    assert len(memo) == 2 and memo.bytes <= augment.PLAN_MEMO_BYTES
+    assert draw(0) is a
+    assert (memo.hits, memo.misses) == (2, 3)
+    draw(1)
+    assert (memo.hits, memo.misses) == (2, 4)
+    # An entry larger than the whole budget is not kept.
+    monkeypatch.setattr(augment, "PLAN_MEMO_BYTES", one // 2)
+    memo.clear()
+    assert plan_bytes(draw(3)) == plan_bytes(augment._draw_plans(
+        pipe, [Rng(2).child("aug", 3, i) for i in range(4)], (16, 16)))
+    assert (len(memo), memo.bytes) == (0, 0)
+
+
+def test_budget_holds_a_full_scale_main_data_run():
+    cfg = runner._study_cfg("moco_v2_plus")
+    batch = cfg["run.batch"]
+    n_train = cfg["data.classes"] * cfg["data.per_class"]
+    side = cfg["data.side"]
+    draw_plans(cfg.pipeline(), [Rng(0).child("aug", 0, i)
+                                for i in range(batch)], (side, side))
+    batches = runner.MAIN_EPOCHS * (n_train // batch)
+    assert batches * augment.PLAN_MEMO.bytes <= augment.PLAN_MEMO_BYTES

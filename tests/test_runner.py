@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import augment_reference
 from airl import checkpoint, encoder, evaluation, runner
+from airl.augment import REMOVAL_ORDER
 from airl.cli import main as cli_main
 from airl.config import config_from_overrides, parse_config
 from airl.errors import AirlError, CheckpointError, ConfigError
@@ -592,3 +594,32 @@ class TestLadder:
         assert rung.kind == "moco_v2"
         assert (replace(rung, kind="moco_v2_plus")
                 == FrameworkConfig.preset("moco_v2_plus"))
+
+
+def test_aug_ablation_runs_each_rung_and_seed_together(tmp_path, monkeypatch):
+    # The frameworks of one (rung, seed) share augmentation streams and run
+    # back to back; the table keeps its framework-major row order.
+    runs = []
+
+    def record(cfg, run_dir):
+        runs.append((cfg["framework.kind"], cfg["augment.removed"],
+                     cfg["run.seed"], Path(run_dir).name))
+        return None, float(len(runs))
+
+    monkeypatch.setattr(runner, "_run_and_probe", record)
+    rows = runner.study_aug_ablation(tmp_path, seeds=(0, 1))
+    kinds = ("moco_v2_plus", "s_moco_v2_plus", "byol")
+    rungs = range(len(REMOVAL_ORDER) + 1)
+    assert runs == [
+        (kind, ",".join(REMOVAL_ORDER[:rung]), seed, f"{kind}_r{rung}_s{seed}")
+        for rung in rungs for seed in (0, 1) for kind in kinds]
+    assert [(r["framework"], r["rung"], r["seed"]) for r in rows] == [
+        (kind, rung, seed) for kind in kinds for rung in rungs
+        for seed in (0, 1)]
+    for row in rows:
+        run = runs.index((row["framework"], ",".join(
+            REMOVAL_ORDER[:row["rung"]]), row["seed"],
+            f"{row['framework']}_r{row['rung']}_s{row['seed']}"))
+        assert row["top1"] == float(run + 1)
+        assert row["removed"] == (",".join(REMOVAL_ORDER[:row["rung"]])
+                                  or "(none)")

@@ -38,7 +38,9 @@ differ in size between stages).
 The numpy version and the `matmul` path that `numerics`' import probe
 chose (the einsum contraction or the per-k loop) go to stderr, so digests
 compared across machines say what produced them; stdout holds only the
-digest lines.
+digest lines. The runs share one process, so the presets after the first
+take their augmentation plans from `augment.draw_plans`' memo; its hit and
+miss counts go to stderr at the end.
 
 Extra `section.key=value` arguments are added to every preset's config, for
 example to pin on the old side a setting that the change hard-codes.
@@ -195,6 +197,9 @@ def main(argv: list[str]) -> int:
     images = runner.dataset_from_config(refreshed.cfg).train_images
     for label, pipeline in aug_pipelines():
         print(f"{label:<15} {views_digest(images, pipeline)}", flush=True)
+    memo = augment.PLAN_MEMO
+    print(f"plan memo: {memo.hits} hits, {memo.misses} misses",
+          file=sys.stderr)
     return 0
 
 
