@@ -50,12 +50,12 @@ The result equals augmenting each image on its own, bit for bit.
 
 Memo. The studies give their framework arms the same seed, data and
 pipeline, so those arms draw the same augmentation streams. `draw_plans`
-keeps its plans in one process-wide LRU, `PLAN_MEMO`, keyed by the pipeline,
-the (seed, stream_id) of every image's stream and the source size, and
-bounded by `PLAN_MEMO_BYTES`. Reuse is exact: a plan depends on nothing
-else, so a hit returns what a fresh draw would, bit for bit, and needs no
-change to any stream's key. Memoized plans are read-only, and a draw that
-raises is not stored.
+keeps its plans in one process-wide LRU, `memo_plans`, keyed by the
+pipeline, the (seed, stream_id) of every image's stream and the source
+size, and bounded at `PLAN_MEMO_SIZE` batches. Reuse is exact: a plan
+depends on nothing else, so a hit returns what a fresh draw would, bit for
+bit, and needs no change to any stream's key. Memoized plans are
+read-only, and a draw that raises is not stored.
 
 Layout rule. The contrast step of the jitter takes each image's mean luma,
 and a floating-point sum depends on its order. The per-image pipeline that
@@ -69,8 +69,7 @@ checkpoint trained with the per-image pipeline reproducible.
 
 from __future__ import annotations
 
-import sys
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -529,67 +528,30 @@ def _crop_boxes(words, doubles, h, w, scale, aspect):
     return boxes, redraw | ~done
 
 
-# The byte budget of the plan memo. One full-scale `MAIN_DATA` run draws
-# 240 batches of 48 images, 15.6 KB each with its key (3.7 MB), and a run
-# that shares its streams asks for them again in the same order. An LRU
-# smaller than that cycle evicts every batch just before it is asked for
-# again and hits nothing, so the budget holds such a run with room to
-# spare, and also one full-scale norm-divergence arm, whose two arms share
-# streams too (1,920 batches of 12, 4.8 KB each: 9.2 MB). It bounds what a
-# study process keeps for reuse; a four-epoch run at `MAIN_DATA` fills
-# half a megabyte of it.
-PLAN_MEMO_BYTES = 16 * 2**20
+# The number of batches whose plans the memo keeps. Arms that share their
+# streams ask for them again in the same order, one run later, so an LRU
+# that holds fewer batches than one run evicts every plan just before it is
+# asked for and hits nothing. The longest such run is a full-scale
+# norm-divergence arm: 60 epochs of 32 batches of 12 (1,920), whose LARS
+# arm reuses the SGD arm's plans; a `MAIN_DATA` run has 240 batches of 48.
+# Measured with tracemalloc, key and Python objects included, an entry holds
+# about 18 KB at 48 images and 5.3 KB at 12, so a full memo holds at most
+# about 36 MB of `MAIN_DATA` plans and the norm-divergence study keeps
+# 10.3 MB. `runner.study_aug_ablation` empties it after each group of arms.
+PLAN_MEMO_SIZE = 2048
 
 
-class PlanMemo:
-    """A least-recently-used store of `draw_plans` results, bounded by
-    `PLAN_MEMO_BYTES`, with counts of hits and misses."""
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()  # key -> (plans, bytes)
-        self.bytes = self.hits = self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Forget every entry and zero the counts."""
-        self._entries.clear()
-        self.bytes = self.hits = self.misses = 0
-
-    def get(self, key) -> Plans | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, plans: Plans) -> None:
-        """Keep `plans`, made read-only, under a key that is not held yet,
-        then evict the least recently used entries until the budget holds.
-
-        An entry counts its arrays and the streams of its key; the pipeline
-        in the key is the one object that all of a run's batches share.
-        """
-        _, streams, _ = key
-        size = sys.getsizeof(streams) + sum(
-            sys.getsizeof(pair) + sys.getsizeof(pair[0]) + sys.getsizeof(pair[1])
-            for pair in streams)
-        for column in plans.stages:
-            for array in (column.fired, column.values):
-                if array is not None:
-                    array.flags.writeable = False
-                    size += sys.getsizeof(array)
-        self._entries[key] = (plans, size)
-        self.bytes += size
-        while self.bytes > PLAN_MEMO_BYTES:
-            _, (_, evicted) = self._entries.popitem(last=False)
-            self.bytes -= evicted
-
-
-PLAN_MEMO = PlanMemo()
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def memo_plans(pipeline: AugPipeline, streams: tuple, in_shape: tuple) -> Plans:
+    """The plans of `draw_plans` for the streams `(seed, stream_id)` in
+    `streams`, with every array read-only; `draw_plans`' memo."""
+    plans = _draw_plans(pipeline, [Rng(*stream) for stream in streams],
+                        in_shape)
+    for column in plans.stages:
+        for array in (column.fired, column.values):
+            if array is not None:
+                array.flags.writeable = False
+    return plans
 
 
 def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
@@ -603,7 +565,7 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     later, or a rejected crop corner, is drawn by `draw_plan` through one
     shared `StreamLoader` and written into its row.
 
-    The result is memoized in `PLAN_MEMO`, keyed by (pipeline, the (seed,
+    The result is memoized by `memo_plans`, keyed by (pipeline, the (seed,
     stream_id) of every `rngs[i]`, in_shape). A plan is a pure function of
     these: the pipeline is a frozen dataclass whose equality covers the
     output side, every stage and its parameters, and each stream's draws
@@ -611,13 +573,9 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     draw would. The arrays of a memoized plan are read-only, so no caller
     can change what a later hit returns. A draw that raises is not stored.
     """
-    key = (pipeline, tuple((rng.seed, rng.stream_id) for rng in rngs),
-           (int(in_shape[0]), int(in_shape[1])))
-    plans = PLAN_MEMO.get(key)
-    if plans is None:
-        plans = _draw_plans(pipeline, rngs, key[2])
-        PLAN_MEMO.put(key, plans)
-    return plans
+    return memo_plans(pipeline, tuple((rng.seed, rng.stream_id)
+                                      for rng in rngs),
+                      (int(in_shape[0]), int(in_shape[1])))
 
 
 def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:

@@ -410,14 +410,15 @@ def study_crossover(root: Path) -> list[dict]:
 def study_aug_ablation(root: Path, seeds=(0, 1, 2)) -> list[dict]:
     """Remove color augmentations in the fixed ladder order for all three
     aligned frameworks; probe accuracy per (framework, rung, seed)."""
-    from .augment import REMOVAL_ORDER
+    from .augment import REMOVAL_ORDER, memo_plans
 
     kinds = ("moco_v2_plus", "s_moco_v2_plus", "byol")
     rungs = range(len(REMOVAL_ORDER) + 1)
     rows = {}
     # The frameworks of one (rung, seed) draw the same augmentation streams,
     # so they run back to back, where the second and third take their plans
-    # from `augment.draw_plans`' memo. The table stays framework-major.
+    # from `augment.draw_plans`' memo. No later group asks for those plans,
+    # so the memo is emptied after each. The table stays framework-major.
     for rung in rungs:
         removed = ",".join(REMOVAL_ORDER[:rung])
         for seed in seeds:
@@ -430,6 +431,7 @@ def study_aug_ablation(root: Path, seeds=(0, 1, 2)) -> list[dict]:
                     "framework": kind, "rung": rung,
                     "removed": removed or "(none)", "seed": seed, "top1": acc,
                 }
+            memo_plans.cache_clear()
     return [rows[kind, rung, seed]
             for kind in kinds for rung in rungs for seed in seeds]
 

@@ -7,6 +7,6 @@ from airl import augment
 def cold_plan_memo():
     """Each test starts with an empty `augment.draw_plans` memo, so what one
     test drew never turns another test's draws into hits."""
-    augment.PLAN_MEMO.clear()
+    augment.memo_plans.cache_clear()
     yield
-    augment.PLAN_MEMO.clear()
+    augment.memo_plans.cache_clear()

@@ -468,12 +468,12 @@ def test_memo_hit_equals_cold_draw(pipe, seed, in_shape, batch):
         rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
         return _draw_plans_or_error(p, rngs, in_shape, draw_plans)
 
-    memo = augment.PLAN_MEMO
-    memo.clear()
+    memo = augment.memo_plans
+    memo.cache_clear()
     first = draw(pipe)
     hit = draw(_copy_of(pipe))
-    memo_hits = memo.hits
-    memo.clear()
+    memo_hits = memo.cache_info().hits
+    memo.cache_clear()
     cold = draw(pipe)
     if isinstance(cold, tuple):  # the draw raised
         assert first == hit == cold
@@ -525,11 +525,11 @@ def test_memo_misses_on_any_key_change(changed):
 
     draw()
     got, cold = draw(**changed)
-    memo = augment.PLAN_MEMO
-    assert (memo.hits, memo.misses, len(memo)) == (0, 2, 2)
+    memo = augment.memo_plans.cache_info()
+    assert (memo.hits, memo.misses, memo.currsize) == (0, 2, 2)
     assert plan_bytes(got) == plan_bytes(cold)
     draw(**changed)
-    assert memo.hits == 1
+    assert augment.memo_plans.cache_info().hits == 1
 
 
 def test_raising_draw_is_not_memoized():
@@ -537,45 +537,40 @@ def test_raising_draw_is_not_memoized():
     for _ in range(2):
         with pytest.raises(ConfigError, match="crop"):
             draw_plans(AugPipeline.default(8), rngs, (1, 9))
-    memo = augment.PLAN_MEMO
-    assert (memo.hits, memo.misses, len(memo), memo.bytes) == (0, 2, 0, 0)
+    memo = augment.memo_plans.cache_info()
+    assert (memo.hits, memo.misses, memo.currsize) == (0, 2, 0)
 
 
-def test_memo_evicts_least_recently_used_within_budget(monkeypatch):
+def test_memo_evicts_least_recently_used_beyond_its_size():
     pipe = AugPipeline.default()
-    memo = augment.PLAN_MEMO
+    size = augment.PLAN_MEMO_SIZE
 
     def draw(epoch):
-        return draw_plans(pipe, [Rng(2).child("aug", epoch, i)
-                                 for i in range(4)], (16, 16))
+        return draw_plans(pipe, [Rng(2).child("aug", epoch, 0)], (16, 16))
 
-    draw(0)
-    one = memo.bytes
-    memo.clear()
-    # Entries differ by a few bytes of stream-id ints; two fit, three do not.
-    monkeypatch.setattr(augment, "PLAN_MEMO_BYTES", int(2.5 * one))
-    a, _ = draw(0), draw(1)
-    assert draw(0) is a  # a hit makes epoch 0 the most recently used
-    draw(2)  # evicts epoch 1
-    assert len(memo) == 2 and memo.bytes <= augment.PLAN_MEMO_BYTES
-    assert draw(0) is a
-    assert (memo.hits, memo.misses) == (2, 3)
+    first = draw(0)
+    for epoch in range(1, size):
+        draw(epoch)
+    assert draw(0) is first  # full, and epoch 0 is now the most recently used
+    draw(size)  # evicts epoch 1
+    memo = augment.memo_plans.cache_info()
+    assert (memo.hits, memo.misses, memo.currsize) == (1, size + 1, size)
+    assert draw(0) is first
     draw(1)
-    assert (memo.hits, memo.misses) == (2, 4)
-    # An entry larger than the whole budget is not kept.
-    monkeypatch.setattr(augment, "PLAN_MEMO_BYTES", one // 2)
-    memo.clear()
-    assert plan_bytes(draw(3)) == plan_bytes(augment._draw_plans(
-        pipe, [Rng(2).child("aug", 3, i) for i in range(4)], (16, 16)))
-    assert (len(memo), memo.bytes) == (0, 0)
+    memo = augment.memo_plans.cache_info()
+    assert (memo.hits, memo.misses, memo.currsize) == (2, size + 2, size)
 
 
-def test_budget_holds_a_full_scale_main_data_run():
-    cfg = runner._study_cfg("moco_v2_plus")
-    batch = cfg["run.batch"]
-    n_train = cfg["data.classes"] * cfg["data.per_class"]
-    side = cfg["data.side"]
-    draw_plans(cfg.pipeline(), [Rng(0).child("aug", 0, i)
-                                for i in range(batch)], (side, side))
-    batches = runner.MAIN_EPOCHS * (n_train // batch)
-    assert batches * augment.PLAN_MEMO.bytes <= augment.PLAN_MEMO_BYTES
+@pytest.mark.parametrize("study", ["main", "collapse", "norm_divergence"])
+def test_memo_holds_a_full_scale_run_of_every_study(study):
+    # Arms that share streams ask for a run's plans again one run later, so
+    # the memo must hold every batch of the longest run.
+    epochs, batch, data = {
+        "main": (runner.MAIN_EPOCHS, 48, runner.MAIN_DATA),
+        "collapse": (runner.COLLAPSE_EPOCHS, 48, runner.COLLAPSE_DATA),
+        "norm_divergence": (runner.NORMDIV_EPOCHS, runner.NORMDIV_BATCH,
+                            runner.NORMDIV_DATA),
+    }[study]
+    batches = epochs * (data["data__classes"] * data["data__per_class"]
+                        // batch)
+    assert batches <= augment.PLAN_MEMO_SIZE

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import augment_reference
-from airl import checkpoint, encoder, evaluation, runner
+from airl import augment, checkpoint, encoder, evaluation, runner
 from airl.augment import REMOVAL_ORDER
 from airl.cli import main as cli_main
 from airl.config import config_from_overrides, parse_config
@@ -598,12 +598,15 @@ class TestLadder:
 
 def test_aug_ablation_runs_each_rung_and_seed_together(tmp_path, monkeypatch):
     # The frameworks of one (rung, seed) share augmentation streams and run
-    # back to back; the table keeps its framework-major row order.
-    runs = []
+    # back to back, and the memo is emptied after each such group; the table
+    # keeps its framework-major row order.
+    runs, memo_sizes = [], []
 
     def record(cfg, run_dir):
         runs.append((cfg["framework.kind"], cfg["augment.removed"],
                      cfg["run.seed"], Path(run_dir).name))
+        memo_sizes.append(augment.memo_plans.cache_info().currsize)
+        augment.draw_plans(cfg.pipeline(), [Rng(cfg["run.seed"])], (16, 16))
         return None, float(len(runs))
 
     monkeypatch.setattr(runner, "_run_and_probe", record)
@@ -613,6 +616,7 @@ def test_aug_ablation_runs_each_rung_and_seed_together(tmp_path, monkeypatch):
     assert runs == [
         (kind, ",".join(REMOVAL_ORDER[:rung]), seed, f"{kind}_r{rung}_s{seed}")
         for rung in rungs for seed in (0, 1) for kind in kinds]
+    assert memo_sizes == [0, 1, 1] * (len(rungs) * 2)
     assert [(r["framework"], r["rung"], r["seed"]) for r in rows] == [
         (kind, rung, seed) for kind in kinds for rung in rungs
         for seed in (0, 1)]

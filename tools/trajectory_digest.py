@@ -197,7 +197,7 @@ def main(argv: list[str]) -> int:
     images = runner.dataset_from_config(refreshed.cfg).train_images
     for label, pipeline in aug_pipelines():
         print(f"{label:<15} {views_digest(images, pipeline)}", flush=True)
-    memo = augment.PLAN_MEMO
+    memo = augment.memo_plans.cache_info()
     print(f"plan memo: {memo.hits} hits, {memo.misses} misses",
           file=sys.stderr)
     return 0
