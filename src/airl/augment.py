@@ -466,15 +466,6 @@ PLAN_VALUES = {"random_crop": "box", "color_jitter": "factors",
                "gaussian_blur": "sigma", "solarization": "threshold"}
 
 
-def _empty_values(name: str, rows: int) -> np.ndarray | None:
-    # A zeroed value column for `rows` rows of stage `name`.
-    if name not in PLAN_VALUES:
-        return None
-    if name == "random_crop":
-        return np.zeros((rows, 4), dtype=np.int64)
-    return np.zeros((rows, 4) if name == "color_jitter" else rows)
-
-
 class StageColumn(NamedTuple):
     """One stage of a columnar plan: per row, whether it fired and its value.
 
@@ -595,7 +586,7 @@ def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
         params = dict(stage.params)
         values = None
         if stage.name == "random_crop":
-            values = _empty_values(stage.name, rows)
+            values = np.zeros((rows, 4), dtype=np.int64)
             if fired.any():
                 _check_crop_sizes(int(h[fired].min()), int(w[fired].min()),
                                   pipeline.out_side)

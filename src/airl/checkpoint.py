@@ -229,7 +229,12 @@ def _require_metadata(metadata: dict, keys) -> None:
 
 def load_state(path):
     """Rebuild (state, experiment config, metadata) from a checkpoint."""
-    records, metadata = load_checkpoint(path)
+    return state_from_records(*load_checkpoint(path))
+
+
+def state_from_records(records: dict, metadata: dict):
+    """Rebuild (state, experiment config, metadata) from a checkpoint's
+    records and metadata, as `parse_checkpoint_bytes` returns them."""
     _require_metadata(metadata, REQUIRED_METADATA)
     cfg = parse_config(metadata["config"])
     fw = cfg.framework_config()

@@ -4,6 +4,13 @@ Human-diffable on purpose: every study arm is one config diff. Unknown keys
 and duplicate keys are hard errors so typos cannot silently revert a setting
 to its default. Framework keys left unset inherit the preset of
 `framework.kind`.
+
+Pretraining always uses a cosine schedule after `schedule.warmup_epochs`
+of linear warmup, a symmetrized loss always averages its two directions, and
+LARS always exempts norm gains, norm biases and biases. The keys that once
+chose otherwise are retired (`RETIRED_KEYS`): configs written before their
+removal, such as the text embedded in older checkpoints, still parse as long
+as each such line holds the one value every run used.
 """
 
 from __future__ import annotations
@@ -14,14 +21,7 @@ from dataclasses import dataclass
 from . import augment
 from .errors import ConfigError
 from .frameworks import _PRESETS, KINDS, FrameworkConfig
-from .optim import (
-    EXCLUDE_BIAS_ROLES,
-    EXCLUDE_NORM_ROLES,
-    LarsConfig,
-    LrSchedule,
-    Optimizer,
-    SgdConfig,
-)
+from .optim import LarsConfig, LrSchedule, Optimizer, SgdConfig
 
 _REQUIRED = object()
 _PRESET = object()
@@ -37,7 +37,6 @@ KEY_SPEC: dict[str, tuple[str, object]] = {
     "framework.momentum_schedule": ("str", _PRESET),
     "framework.projector_hidden_bn": ("bool", _PRESET),
     "framework.stop_gradient": ("bool", True),
-    "framework.symmetric_sum": ("bool", False),
     "encoder.backbone_hidden": ("int", 64),
     "encoder.backbone_out": ("int", 64),
     "encoder.projector_hidden": ("int", 64),
@@ -56,20 +55,27 @@ KEY_SPEC: dict[str, tuple[str, object]] = {
     "optimizer.lr": ("float", 0.06),
     "optimizer.momentum": ("float", 0.9),
     "optimizer.weight_decay": ("float", 1e-4),
-    "optimizer.nesterov": ("bool", False),
     "optimizer.trust_coefficient": ("float", 1e-3),
     "optimizer.eps": ("float", 1e-9),
-    "optimizer.exclude_norm": ("bool", True),
-    "optimizer.exclude_bias": ("bool", True),
-    "schedule.kind": ("str", "cosine"),
     "schedule.warmup_epochs": ("int", 3),
-    "schedule.milestones": ("floats", (0.6, 0.8)),
-    "schedule.decay_factor": ("float", 0.1),
     "run.name": ("str", ""),
     "run.epochs": ("int", 30),
     "run.batch": ("int", 64),
     "run.seed": ("int", 0),
     "run.checkpoint_every": ("int", 0),
+}
+
+# Removed keys -> (type tag, the one value still accepted). Every run used
+# these values, and older checkpoints embed them; `parse_config` drops such
+# a line and rejects any other value.
+RETIRED_KEYS: dict[str, tuple[str, object]] = {
+    "framework.symmetric_sum": ("bool", False),
+    "optimizer.nesterov": ("bool", False),
+    "optimizer.exclude_norm": ("bool", True),
+    "optimizer.exclude_bias": ("bool", True),
+    "schedule.kind": ("str", "cosine"),
+    "schedule.milestones": ("floats", (0.6, 0.8)),
+    "schedule.decay_factor": ("float", 0.1),
 }
 
 # Smallest accepted value of each bounded int key: sizes must be positive,
@@ -91,8 +97,7 @@ MIN_VALUE: dict[str, int] = {
 }
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    kind = KEY_SPEC[key][0]
+def _parse_value(key: str, kind: str, raw: str, line_no: int):
     try:
         if kind == "int":
             return int(raw)
@@ -114,8 +119,7 @@ def _parse_value(key: str, raw: str, line_no: int):
         ) from None
 
 
-def _format_value(key: str, value) -> str:
-    kind = KEY_SPEC[key][0]
+def _format_value(kind: str, value) -> str:
     if kind == "bool":
         return "true" if value else "false"
     if kind == "float":
@@ -134,7 +138,7 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         lines = [
-            f"{key} = {_format_value(key, self.values[key])}"
+            f"{key} = {_format_value(KEY_SPEC[key][0], self.values[key])}"
             for key in sorted(self.values)
         ]
         return "\n".join(lines) + "\n"
@@ -158,7 +162,6 @@ class ExperimentConfig:
             momentum_schedule=v["framework.momentum_schedule"],
             projector_hidden_bn=v["framework.projector_hidden_bn"],
             stop_gradient=v["framework.stop_gradient"],
-            symmetric_sum=v["framework.symmetric_sum"],
             input_dim=self.input_dim,
             backbone_hidden=v["encoder.backbone_hidden"],
             backbone_out=v["encoder.backbone_out"],
@@ -182,12 +185,10 @@ class ExperimentConfig:
         v = self.values
         total = max(v["run.epochs"], 1)  # 0-epoch runs never consult the lr
         return LrSchedule(
-            kind=v["schedule.kind"],
+            kind="cosine",
             base_lr=v["optimizer.lr"],
             warmup_epochs=min(v["schedule.warmup_epochs"], total),
             total_epochs=total,
-            milestones=tuple(v["schedule.milestones"]),
-            decay_factor=v["schedule.decay_factor"],
         )
 
     def optimizer(self) -> Optimizer:
@@ -197,21 +198,14 @@ class ExperimentConfig:
                 lr=v["optimizer.lr"],
                 momentum=v["optimizer.momentum"],
                 weight_decay=v["optimizer.weight_decay"],
-                nesterov=v["optimizer.nesterov"],
             )
         elif v["optimizer.kind"] == "lars":
-            exclude = frozenset()
-            if v["optimizer.exclude_norm"]:
-                exclude |= EXCLUDE_NORM_ROLES
-            if v["optimizer.exclude_bias"]:
-                exclude |= EXCLUDE_BIAS_ROLES
             cfg = LarsConfig(
                 lr=v["optimizer.lr"],
                 momentum=v["optimizer.momentum"],
                 weight_decay=v["optimizer.weight_decay"],
                 trust_coefficient=v["optimizer.trust_coefficient"],
                 eps=v["optimizer.eps"],
-                exclude_roles=exclude,
             )
         else:
             raise ConfigError(
@@ -231,15 +225,29 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in KEY_SPEC:
+        spec = KEY_SPEC.get(key) or RETIRED_KEYS.get(key)
+        if spec is None:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in provided:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
-        value = _parse_value(key, raw_value, line_no)
+        tag = spec[0]
+        value = _parse_value(key, tag, raw_value, line_no)
+        if key in RETIRED_KEYS and value != RETIRED_KEYS[key][1]:
+            raise ConfigError(
+                f"line {line_no}: {key} is retired and accepted only as "
+                f"{_format_value(tag, RETIRED_KEYS[key][1])}, got "
+                f"{raw_value!r}"
+            )
         if key in MIN_VALUE and value < MIN_VALUE[key]:
             raise ConfigError(
                 f"line {line_no}: {key} must be >= {MIN_VALUE[key]}, "
                 f"got {value}"
+            )
+        if key == "augment.crop_scale" and not (
+                len(value) == 2 and 0.0 < value[0] <= value[1] <= 1.0):
+            raise ConfigError(
+                f"line {line_no}: {key} must be two values low,high with "
+                f"0 < low <= high <= 1, got {raw_value!r}"
             )
         provided[key] = value
 
@@ -249,6 +257,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"unknown framework kind {kind!r}")
 
+    # Retired keys are not in KEY_SPEC, so their lines are dropped here.
     values: dict[str, object] = {}
     preset = _PRESETS[kind]
     for key, (_, default) in KEY_SPEC.items():

@@ -80,9 +80,6 @@ class FrameworkConfig:
     momentum_schedule: str = "cosine_ascend"
     projector_hidden_bn: bool = True
     stop_gradient: bool = True
-    # Symmetrized losses average the two directions by default; set True to
-    # sum them instead (equivalent to doubling the learning rate).
-    symmetric_sum: bool = False
     input_dim: int = 768
     backbone_hidden: int = 64
     backbone_out: int = 64
@@ -347,7 +344,8 @@ def compute_loss_and_grads(
     grad_out = l2_normalize_rows_backward(q, norms, np.concatenate(grad_qs))
     grad_sets = encoder.backward(cache, grad_out)
 
-    scale = 1.0 if (cfg.symmetric_sum or directions == 1) else 0.5
+    # A symmetrized loss averages its two directions.
+    scale = 1.0 if directions == 1 else 0.5
     loss = sum(losses) * scale
     grads = {
         name: scale * sum(g[name] for g in grad_sets)

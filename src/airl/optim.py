@@ -1,5 +1,8 @@
 """SGD-with-momentum and LARS optimizers plus learning-rate schedules.
 
+Pretraining uses linear warmup then cosine decay; the linear probe uses
+step decay.
+
 LARS scales each tensor's step by the layer-wise trust ratio
 eta * ||w|| / (||grad + wd*w|| + eps) and, per its standard large-batch
 configuration, excludes normalization and bias parameters from both weight
@@ -16,8 +19,8 @@ import numpy as np
 from .encoder import EncoderParams
 from .errors import ConfigError, NumericOverflowError
 
-EXCLUDE_NORM_ROLES = frozenset({"norm_gain", "norm_bias"})
-EXCLUDE_BIAS_ROLES = frozenset({"bias"})
+# Roles that LARS leaves without weight decay and trust-ratio adaptation.
+LARS_EXCLUDED_ROLES = frozenset({"norm_gain", "norm_bias", "bias"})
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,6 @@ class SgdConfig:
     lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    nesterov: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -41,7 +43,6 @@ class LarsConfig:
     weight_decay: float = 0.0
     trust_coefficient: float = 1e-3
     eps: float = 1e-9
-    exclude_roles: frozenset = EXCLUDE_NORM_ROLES | EXCLUDE_BIAS_ROLES
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -98,10 +99,7 @@ def sgd_step(
     cfg: SgdConfig,
     lr_t: float,
 ) -> dict[str, np.ndarray]:
-    """In-place SGD update: g += wd*w; v = mu*v + g; w -= lr * v.
-
-    The nesterov variant applies w -= lr * (g + mu*v) instead.
-    """
+    """In-place SGD update: g += wd*w; v = mu*v + g; w -= lr * v."""
     for name, w in params.items():
         grad = grads[name]
         _check_finite(name, grad)
@@ -111,10 +109,7 @@ def sgd_step(
             v = velocities[name] = np.zeros_like(w)
         v *= cfg.momentum
         v += g
-        if cfg.nesterov:
-            w -= lr_t * (g + cfg.momentum * v)
-        else:
-            w -= lr_t * v
+        w -= lr_t * v
     return params
 
 
@@ -129,8 +124,9 @@ def lars_step(
     """In-place LARS update.
 
     Non-excluded tensors: g += wd*w, scaled by the trust ratio
-    eta*||w||/(||g||+eps) (1 when either norm vanishes); excluded roles get
-    no decay and no adaptation. v = mu*v + lr*local*g; w -= v.
+    eta*||w||/(||g||+eps) (1 when either norm vanishes); the roles in
+    LARS_EXCLUDED_ROLES get no decay and no adaptation.
+    v = mu*v + lr*local*g; w -= v.
     """
     for name, w in params.items():
         grad = grads[name]
@@ -138,7 +134,7 @@ def lars_step(
         role = roles.get(name)
         if role is None:
             raise ConfigError(f"parameter {name!r} has no role tag")
-        if role in cfg.exclude_roles:
+        if role in LARS_EXCLUDED_ROLES:
             g = grad
             local = 1.0
         else:

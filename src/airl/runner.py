@@ -240,16 +240,15 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
         "anchor": str(anchor_path) if anchor_path is not None else None,
         "factor": factor,
     }
-    checkpoint.save_checkpoint(output_path, new_records, metadata)
     if refresh_stats:
-        state, cfg, meta = checkpoint.load_state(output_path)
+        state, cfg, _ = checkpoint.state_from_records(new_records, metadata)
         data = dataset_from_config(cfg)
         for branch in (state.student, state.teacher):
             encoder.refresh_running_stats(
                 branch, evaluation.images_to_inputs(data.train_images, branch)
             )
-        records2, _ = checkpoint.state_records(state, cfg)
-        checkpoint.save_checkpoint(output_path, records2, meta)
+        new_records, _ = checkpoint.state_records(state, cfg)
+    checkpoint.save_checkpoint(output_path, new_records, metadata)
     return report
 
 

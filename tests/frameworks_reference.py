@@ -63,7 +63,7 @@ def compute_loss_and_grads(state, x1, x2, cfg):
         grad_sets.append(grads_i)
         keys.append(k)
 
-    scale = 1.0 if (cfg.symmetric_sum or len(directions) == 1) else 0.5
+    scale = 1.0 if len(directions) == 1 else 0.5
     loss = sum(losses) * scale
     grads = {
         name: scale * sum(g[name] for g in grad_sets)

@@ -238,13 +238,6 @@ class TestTrainingStep:
         l1, l2 = aux["direction_losses"]
         assert loss == (l1 + l2) * 0.5
 
-    def test_symmetric_sum_flag(self):
-        cfg, state = tiny_state("moco_v2_plus", symmetric_sum=True)
-        x1, x2 = self.make_batch(1)
-        loss, _, aux = compute_loss_and_grads(state, x1, x2, cfg)
-        l1, l2 = aux["direction_losses"]
-        assert loss == l1 + l2
-
     def test_identical_views_make_directions_equal(self):
         # deterministic encoders + identical views
         cfg, state = tiny_state("moco_v2_plus")
@@ -344,17 +337,16 @@ class TestStackedStep:
 
     @settings(max_examples=40, deadline=None)
     @given(variant=st.sampled_from(sorted(STEP_VARIANTS)),
-           symmetric_sum=st.booleans(),
            seed=st.integers(0, 2**16),
            n=st.integers(2, 6),
            queue_rows=st.integers(0, 16))
-    def test_equals_per_direction_reference(self, variant, symmetric_sum,
-                                            seed, n, queue_rows):
+    def test_equals_per_direction_reference(self, variant, seed, n,
+                                            queue_rows):
         kind, overrides = STEP_VARIANTS[variant]
         cfg, state = tiny_state(kind, seed=seed, queue_rows=queue_rows,
-                                symmetric_sum=symmetric_sum, **overrides)
+                                **overrides)
         _, ref_state = tiny_state(kind, seed=seed, queue_rows=queue_rows,
-                                  symmetric_sum=symmetric_sum, **overrides)
+                                  **overrides)
         rng = Rng(seed).child("views")
         x1 = rng.child("x1").random((n, 12))
         x2 = rng.child("x2").random((n, 12))

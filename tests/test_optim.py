@@ -54,14 +54,6 @@ class TestSgd:
         # g = 0 + 0.1*2 = 0.2; w = 2 - 0.5*0.2
         assert abs(params["w"][0] - 1.9) < 1e-15
 
-    def test_nesterov_variant(self):
-        lr, mu = 0.1, 0.9
-        params = {"w": np.array([1.0])}
-        cfg = SgdConfig(lr=lr, momentum=mu, nesterov=True)
-        sgd_step(params, {"w": np.array([0.5])}, {}, cfg, lr)
-        # v = 0.5; update = g + mu*v = 0.5 + 0.45
-        assert abs(params["w"][0] - (1.0 - lr * 0.95)) < 1e-15
-
     def test_non_finite_grad_names_tensor(self):
         with pytest.raises(NumericOverflowError, match="lin.weight"):
             sgd_step({"lin.weight": np.ones(2)},
@@ -76,7 +68,7 @@ class TestLars:
     def test_zero_weight_norm_gives_plain_step(self):
         params = {"w": np.zeros(3)}
         grads = {"w": np.array([1.0, 0.0, 0.0])}
-        cfg = LarsConfig(lr=0.1, momentum=0.0, exclude_roles=frozenset())
+        cfg = LarsConfig(lr=0.1, momentum=0.0)
         lars_step(params, grads, {}, self.roles("w"), cfg, 0.1)
         # local = 1 -> w -= lr * g
         assert np.allclose(params["w"], [-0.1, 0.0, 0.0], atol=1e-15)
@@ -85,8 +77,7 @@ class TestLars:
         # ||w|| = 2, ||g|| = 1, eta = 1e-3 -> local = 2e-3 (up to eps)
         params = {"w": np.array([2.0, 0.0])}
         grads = {"w": np.array([0.0, 1.0])}
-        cfg = LarsConfig(lr=1.0, momentum=0.0, weight_decay=0.0,
-                         exclude_roles=frozenset())
+        cfg = LarsConfig(lr=1.0, momentum=0.0, weight_decay=0.0)
         lars_step(params, grads, {}, self.roles("w"), cfg, 1.0)
         step = np.array([2.0, 0.0]) - params["w"]
         local = step[1] / 1.0  # lr * local * g
@@ -110,20 +101,19 @@ class TestLars:
         # dyadic lr/momentum/values keep float ops exact, so the two
         # trajectories must agree bit for bit
         lr, mu = 0.25, 0.5
-        w0 = {"a.weight": np.array([1.0, -0.5]), "b.bias": np.array([0.75])}
+        w0 = {"bn.gain": np.array([1.0, -0.5]), "b.bias": np.array([0.75])}
         grad_seq = [
-            {"a.weight": np.array([0.5, 0.25]), "b.bias": np.array([-0.5])},
-            {"a.weight": np.array([-0.25, 1.0]), "b.bias": np.array([0.125])},
-            {"a.weight": np.array([0.0, -0.5]), "b.bias": np.array([0.25])},
+            {"bn.gain": np.array([0.5, 0.25]), "b.bias": np.array([-0.5])},
+            {"bn.gain": np.array([-0.25, 1.0]), "b.bias": np.array([0.125])},
+            {"bn.gain": np.array([0.0, -0.5]), "b.bias": np.array([0.25])},
         ]
-        roles = {"a.weight": "weight", "b.bias": "bias"}
+        roles = {"bn.gain": "norm_gain", "b.bias": "bias"}
 
         sgd_params = {k: v.copy() for k, v in w0.items()}
         sgd_vel = {}
         lars_params = {k: v.copy() for k, v in w0.items()}
         lars_vel = {}
-        lars_cfg = LarsConfig(lr=lr, momentum=mu, weight_decay=0.0,
-                              exclude_roles=frozenset({"weight", "bias"}))
+        lars_cfg = LarsConfig(lr=lr, momentum=mu, weight_decay=0.0)
         sgd_cfg = SgdConfig(lr=lr, momentum=mu, weight_decay=0.0)
         for grads in grad_seq:
             sgd_step(sgd_params, grads, sgd_vel, sgd_cfg, lr)

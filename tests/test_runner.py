@@ -33,6 +33,24 @@ def fast_cfg(**overrides):
     return config_from_overrides(**base)
 
 
+# The seven lines of the retired keys, as every config text and checkpoint
+# written before their removal holds them.
+RETIRED_LINES = (
+    "framework.symmetric_sum = false",
+    "optimizer.exclude_bias = true",
+    "optimizer.exclude_norm = true",
+    "optimizer.nesterov = false",
+    "schedule.decay_factor = 0.1",
+    "schedule.kind = cosine",
+    "schedule.milestones = 0.6,0.8",
+)
+
+
+def with_retired_lines(text: str) -> str:
+    """`text` as the old canonical form: sorted, retired keys included."""
+    return "\n".join(sorted([*text.splitlines(), *RETIRED_LINES])) + "\n"
+
+
 class TestConfig:
     def test_unknown_key_is_error_with_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -88,6 +106,50 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=f"line 2: {key} must be >= {minimum},"):
             parse_config(f"framework.kind = byol\n{line}\n")
+
+    @pytest.mark.parametrize("line", RETIRED_LINES)
+    def test_retired_key_at_its_value_is_dropped(self, line):
+        cfg = parse_config(f"framework.kind = byol\n{line}\n")
+        assert cfg.values == parse_config("framework.kind = byol\n").values
+        assert line.split(" = ")[0] not in cfg.canonical_text()
+
+    def test_old_canonical_text_parses_to_same_config(self):
+        cfg = fast_cfg(optimizer__kind="lars")
+        old = parse_config(with_retired_lines(cfg.canonical_text()))
+        assert old.values == cfg.values
+        assert old.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize("line", [
+        "framework.symmetric_sum = true",
+        "optimizer.nesterov = true",
+        "optimizer.exclude_norm = false",
+        "optimizer.exclude_bias = false",
+        "schedule.kind = step_decay",
+        "schedule.milestones = 0.5,0.8",
+        "schedule.decay_factor = 0.5",
+    ])
+    def test_retired_key_at_another_value_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"line 2: {key} is retired"):
+            parse_config(f"framework.kind = byol\n{line}\n")
+
+    def test_retired_key_twice_is_error(self):
+        text = ("framework.kind = byol\noptimizer.nesterov = false\n"
+                "optimizer.nesterov = false\n")
+        with pytest.raises(ConfigError, match="duplicate"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("value", [
+        "0.5",  # one value: failed in the first crop draw
+        "",  # none: likewise
+        "-1,2",  # outside (0, 1]: failed converting a NaN side
+        "0.9,0.1",  # low above high: accepted without error
+    ])
+    def test_bad_crop_scale_rejected(self, value):
+        with pytest.raises(ConfigError,
+                           match="line 2: augment.crop_scale must be"):
+            parse_config(f"framework.kind = byol\naugment.crop_scale = "
+                         f"{value}\n")
 
     def test_crop_scale_key_reaches_pipeline(self):
         cfg = parse_config(
@@ -263,6 +325,23 @@ class TestCheckpoint:
         with pytest.raises(ConfigError,
                            match="unknown config key 'framework.bn_mode'"):
             checkpoint.load_state(path)
+
+    def test_checkpoint_with_retired_lines_loads(self, tiny_checkpoint,
+                                                 tmp_path):
+        # Checkpoints written while the retired keys existed embed them.
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        _, cfg, _ = checkpoint.load_state(tiny_checkpoint)
+        meta["config"] = with_retired_lines(meta["config"])
+        path = tmp_path / "old.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        old_state, old_cfg, old_meta = checkpoint.load_state(path)
+        assert old_cfg.values == cfg.values
+        assert old_meta == meta
+        old_records, _ = checkpoint.state_records(old_state, old_cfg)
+        assert old_records.keys() == records.keys()
+        for name, (role, array) in records.items():
+            assert old_records[name][0] == role
+            assert np.array_equal(old_records[name][1], array), name
 
     def test_metadata_carries_config_hash_and_step(self, tmp_path):
         cfg = fast_cfg()
@@ -468,6 +547,31 @@ class TestCommands:
         key = "backbone1_bn.mean"
         assert not np.allclose(state.student.running[key],
                                before.student.running[key])
+
+    def test_surgery_refresh_writes_once_what_a_reload_gives(
+            self, run, tmp_path, monkeypatch):
+        # The refreshed checkpoint equals a plain rescale that is loaded,
+        # refreshed and saved again, and it is written once.
+        _, result = run
+        plain = tmp_path / "plain.airl"
+        runner.cmd_surgery_rescale(result.checkpoint_path, plain, factor=2.0)
+        state, cfg, meta = checkpoint.load_state(plain)
+        data = runner.dataset_from_config(cfg)
+        for branch in (state.student, state.teacher):
+            encoder.refresh_running_stats(
+                branch, evaluation.images_to_inputs(data.train_images, branch))
+        expected = checkpoint.checkpoint_bytes(
+            checkpoint.state_records(state, cfg)[0], meta)
+        writes = []
+        save = checkpoint.save_checkpoint
+        monkeypatch.setattr(checkpoint, "save_checkpoint",
+                            lambda path, *rest: (writes.append(path),
+                                                 save(path, *rest)))
+        out_path = tmp_path / "refreshed.airl"
+        runner.cmd_surgery_rescale(result.checkpoint_path, out_path,
+                                   factor=2.0, refresh_stats=True)
+        assert writes == [out_path]
+        assert out_path.read_bytes() == expected
 
     def test_surgery_rescale_constant_factor(self, run, tmp_path):
         _, result = run

@@ -3,10 +3,13 @@
 A change that is meant to keep behaviour identical (a refactor, a deletion)
 must print the same digests before and after it. Each of the four presets is
 pretrained at the studies' `MAIN_DATA` (seed 7, 2 epochs, batch 48, queue
-256, a checkpoint every epoch) in a temporary directory, and so is a fifth
-run, the collapse study's ablation arm: `byol` with
+256, a checkpoint every epoch) in a temporary directory, and so are two more
+runs. One is the collapse study's ablation arm: `byol` with
 `framework.predictor_placement = none` and `framework.stop_gradient = false`,
 the only run whose loss trains the student on both views without a teacher.
+The other is the crossover study's LARS arm: `moco_v2_plus` with
+`optimizer.kind = lars` at `runner.CROSSOVER_LARS_LR`, the only run that
+takes `optim.lars_step` and its exemption of norm and bias parameters.
 Each run's first digest covers, in order:
 
   - every checkpoint's tensor records (name, role, shape, float64 bytes);
@@ -76,6 +79,9 @@ RUNS = (
     ("byol_no_pred_no_stopgrad", {"framework__kind": "byol",
                                   "framework__predictor_placement": "none",
                                   "framework__stop_gradient": False}),
+    ("moco_v2_plus_lars", {"framework__kind": "moco_v2_plus",
+                           "optimizer__kind": "lars",
+                           "optimizer__lr": runner.CROSSOVER_LARS_LR}),
 )
 
 
