@@ -22,7 +22,7 @@ A second digest per run covers the eval-mode stage outputs
 teacher on the val images, stage by stage in depth order: the eval-mode
 forward that the linear probe and CKA read.
 
-A last line covers the products with tall outputs, (384x768)@(768x64) and
+Another line covers the products with tall outputs, (384x768)@(768x64) and
 the like, which the runs above never make: a copy of the final
 `moco_v2_plus` student gets its BN statistics refreshed on the 384
 training images (`REFRESH_PASSES` training-mode passes, as the crossover
@@ -37,6 +37,12 @@ scale), and two pipelines with 8x8 outputs, one with the crop removed (the
 final resize does the size change) and one whose crop fires with
 probability 0.5 (rows of a batch, and the two views of an image, then
 differ in size between stages).
+
+A last line covers the linear probe: for each run above in order, the
+run's label, `repr` of the top-1 and the bytes of the classifier weights
+and bias that `evaluation.linear_probe` fits on the final student at probe
+seed 0, and then the same for the final `moco_v2_plus` student at probe
+seed 3 (`PROBE_SEED_KIND`, `PROBE_SEED`).
 
 The numpy version and the `matmul` path that `numerics`' import probe
 chose (the einsum contraction or the per-k loop) go to stderr, so digests
@@ -73,6 +79,8 @@ EPOCHS = 2
 UNHASHED_METADATA = ("config", "config_hash")
 REFRESH_KIND = "moco_v2_plus"
 REFRESH_PASSES = 3
+PROBE_SEED_KIND = "moco_v2_plus"
+PROBE_SEED = 3
 # (label, config overrides) of every digested run.
 RUNS = (
     *((kind, {"framework__kind": kind}) for kind in KINDS),
@@ -132,6 +140,28 @@ def refresh_digest(result: runner.PretrainResult) -> str:
     return digest.hexdigest()
 
 
+def probe(student, dataset, seed: int):
+    if hasattr(evaluation, "ProbeConfig"):
+        # sources from before the probe recipe was fixed, for comparison
+        return evaluation.linear_probe(student, dataset,
+                                       evaluation.ProbeConfig(seed=seed))
+    return evaluation.linear_probe(student, dataset, seed)
+
+
+def probe_digest(results: dict) -> str:
+    digest = hashlib.sha256()
+    probes = [(label, 0) for label in results]
+    probes.append((PROBE_SEED_KIND, PROBE_SEED))
+    for label, seed in probes:
+        result = results[label]
+        top1, (w, b) = probe(result.state.student,
+                             runner.dataset_from_config(result.cfg), seed)
+        digest.update(f"{label}|{seed}|{top1!r}".encode())
+        digest.update(w.astype("<f8").tobytes())
+        digest.update(b.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
 AUG_SEEDS = (7, 8, 9)
 AUG_EPOCHS = 2
 AUG_BATCH = 48
@@ -181,6 +211,7 @@ def main(argv: list[str]) -> int:
     extra = parse_overrides(argv)
     path = "einsum" if numerics.EINSUM_IS_NAIVE else "per-k loop"
     print(f"numpy {np.__version__}, matmul path: {path}", file=sys.stderr)
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, overrides in RUNS:
             cfg = config_from_overrides(**{
@@ -196,13 +227,14 @@ def main(argv: list[str]) -> int:
             result = runner.pretrain(cfg, Path(tmp) / label)
             print(f"{label:<15} {run_digest(result.run_dir)} "
                   f"{eval_digest(result)}", flush=True)
-            if label == REFRESH_KIND:
-                refreshed = result
+            results[label] = result
+        refreshed = results[REFRESH_KIND]
         print(f"{REFRESH_KIND}_bn_refresh {refresh_digest(refreshed)}",
               flush=True)
     images = runner.dataset_from_config(refreshed.cfg).train_images
     for label, pipeline in aug_pipelines():
         print(f"{label:<15} {views_digest(images, pipeline)}", flush=True)
+    print(f"{'linear_probe':<15} {probe_digest(results)}", flush=True)
     memo = augment.memo_plans.cache_info()
     print(f"plan memo: {memo.hits} hits, {memo.misses} misses",
           file=sys.stderr)
