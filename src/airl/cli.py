@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="data spec, e.g. classes=8,per_class=64,seed=1 "
                          "(defaults to the checkpoint's dataset)")
     pl.add_argument("--out", required=True, help="metrics CSV path")
-    pl.add_argument("--seed", type=int, default=0, help="probe seed")
+    pl.add_argument("--seed", type=int, default=0,
+                    help="probe seed (picks only the batch order)")
 
     p = sub.add_parser("surgery", help="checkpoint post-processing")
     surgery_sub = p.add_subparsers(dest="surgery_command", required=True)

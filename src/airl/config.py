@@ -97,7 +97,7 @@ MIN_VALUE: dict[str, int] = {
 }
 
 
-def _parse_value(key: str, kind: str, raw: str, line_no: int):
+def _parse_value(key: str, kind: str, raw: str, where: str):
     try:
         if kind == "int":
             return int(raw)
@@ -115,8 +115,31 @@ def _parse_value(key: str, kind: str, raw: str, line_no: int):
         return raw
     except ValueError:
         raise ConfigError(
-            f"line {line_no}: cannot parse {key} value {raw!r} as {kind}"
+            f"{where}: cannot parse {key} value {raw!r} as {kind}"
         ) from None
+
+
+def parse_value(key: str, raw: str, where: str):
+    """Parse one value of a known or retired key and check its range;
+    errors start with `where` (such as "line 3") and name the key."""
+    tag = (KEY_SPEC.get(key) or RETIRED_KEYS[key])[0]
+    value = _parse_value(key, tag, raw, where)
+    if key in RETIRED_KEYS and value != RETIRED_KEYS[key][1]:
+        raise ConfigError(
+            f"{where}: {key} is retired and accepted only as "
+            f"{_format_value(tag, RETIRED_KEYS[key][1])}, got {raw!r}"
+        )
+    if key in MIN_VALUE and value < MIN_VALUE[key]:
+        raise ConfigError(
+            f"{where}: {key} must be >= {MIN_VALUE[key]}, got {value}"
+        )
+    if key == "augment.crop_scale" and not (
+            len(value) == 2 and 0.0 < value[0] <= value[1] <= 1.0):
+        raise ConfigError(
+            f"{where}: {key} must be two values low,high with "
+            f"0 < low <= high <= 1, got {raw!r}"
+        )
+    return value
 
 
 def _format_value(kind: str, value) -> str:
@@ -185,7 +208,6 @@ class ExperimentConfig:
         v = self.values
         total = max(v["run.epochs"], 1)  # 0-epoch runs never consult the lr
         return LrSchedule(
-            kind="cosine",
             base_lr=v["optimizer.lr"],
             warmup_epochs=min(v["schedule.warmup_epochs"], total),
             total_epochs=total,
@@ -225,31 +247,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        spec = KEY_SPEC.get(key) or RETIRED_KEYS.get(key)
-        if spec is None:
+        if key not in KEY_SPEC and key not in RETIRED_KEYS:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in provided:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
-        tag = spec[0]
-        value = _parse_value(key, tag, raw_value, line_no)
-        if key in RETIRED_KEYS and value != RETIRED_KEYS[key][1]:
-            raise ConfigError(
-                f"line {line_no}: {key} is retired and accepted only as "
-                f"{_format_value(tag, RETIRED_KEYS[key][1])}, got "
-                f"{raw_value!r}"
-            )
-        if key in MIN_VALUE and value < MIN_VALUE[key]:
-            raise ConfigError(
-                f"line {line_no}: {key} must be >= {MIN_VALUE[key]}, "
-                f"got {value}"
-            )
-        if key == "augment.crop_scale" and not (
-                len(value) == 2 and 0.0 < value[0] <= value[1] <= 1.0):
-            raise ConfigError(
-                f"line {line_no}: {key} must be two values low,high with "
-                f"0 < low <= high <= 1, got {raw_value!r}"
-            )
-        provided[key] = value
+        provided[key] = parse_value(key, raw_value, f"line {line_no}")
 
     if "framework.kind" not in provided:
         raise ConfigError("missing required key framework.kind")

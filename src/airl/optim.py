@@ -1,7 +1,7 @@
-"""SGD-with-momentum and LARS optimizers plus learning-rate schedules.
+"""SGD-with-momentum and LARS optimizers plus the pretraining lr schedule.
 
-Pretraining uses linear warmup then cosine decay; the linear probe uses
-step decay.
+Pretraining uses linear warmup then cosine decay. The linear probe keeps its
+own fixed step-decay recipe in `evaluation`.
 
 LARS scales each tensor's step by the layer-wise trust ratio
 eta * ||w|| / (||grad + wd*w|| + eps) and, per its standard large-batch
@@ -53,18 +53,13 @@ class LarsConfig:
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Linear warmup from 0 to base_lr, then cosine or stepwise decay."""
+    """Linear warmup from 0 to base_lr, then cosine decay to 0."""
 
-    kind: str  # "cosine" | "step_decay"
     base_lr: float
     warmup_epochs: int = 0
     total_epochs: int = 1
-    milestones: tuple[float, ...] = (0.6, 0.8)
-    decay_factor: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in ("cosine", "step_decay"):
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.total_epochs < 1:
             raise ConfigError("total_epochs must be >= 1")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
@@ -81,10 +76,7 @@ def lr_at(epoch_frac: float, sched: LrSchedule) -> float:
     if warmup_frac >= 1.0:
         return sched.base_lr
     p = (epoch_frac - warmup_frac) / (1.0 - warmup_frac)
-    if sched.kind == "cosine":
-        return float(sched.base_lr * (np.cos(np.pi * p) + 1.0) / 2.0)
-    hits = sum(1 for m in sched.milestones if p >= m)
-    return sched.base_lr * sched.decay_factor**hits
+    return float(sched.base_lr * (np.cos(np.pi * p) + 1.0) / 2.0)
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
@@ -166,12 +158,9 @@ class Optimizer:
     def kind(self) -> str:
         return "lars" if isinstance(self.cfg, LarsConfig) else "sgd"
 
-    def lr(self, progress: float) -> float:
-        return lr_at(progress, self.schedule)
-
     def step(self, params, grads, roles, progress: float) -> float:
         """Apply one update at the given progress; returns the lr used."""
-        lr_t = self.lr(progress)
+        lr_t = lr_at(progress, self.schedule)
         if isinstance(self.cfg, LarsConfig):
             lars_step(params, grads, self.velocities, roles, self.cfg, lr_t)
         else:

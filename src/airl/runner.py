@@ -19,14 +19,15 @@ import numpy as np
 
 from . import checkpoint, encoder, evaluation, frameworks, surgery
 from .augment import two_views
-from .config import ExperimentConfig, config_from_overrides, load_config
-from .errors import ConfigError, NumericOverflowError
-from .evaluation import (
-    ProbeConfig,
-    collapse_metrics,
-    linear_probe,
-    make_synthetic_dataset,
+from .config import (
+    KEY_SPEC,
+    ExperimentConfig,
+    config_from_overrides,
+    load_config,
+    parse_value,
 )
+from .errors import ConfigError, NumericOverflowError
+from .evaluation import collapse_metrics, linear_probe, make_synthetic_dataset
 from .numerics import Rng, l2_normalize_rows
 from .optim import norm_sum_by_role, weight_norm_report
 
@@ -45,7 +46,9 @@ def out_root(explicit=None) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "airl_runs"))
 
 
-def dataset_from_config(cfg: ExperimentConfig) -> evaluation.Dataset:
+def dataset_from_config(cfg) -> evaluation.Dataset:
+    """The dataset of the `data.*` keys of a config (or of a mapping that
+    holds them, such as `parse_data_spec`'s)."""
     return make_synthetic_dataset(
         classes=cfg["data.classes"],
         per_class=cfg["data.per_class"],
@@ -158,47 +161,46 @@ def embedding_metrics(state: frameworks.SiameseState,
     return collapse_metrics(l2_normalize_rows(out))
 
 
-def probe_checkpoint(ckpt_path, dataset=None, probe: ProbeConfig = ProbeConfig()):
+def probe_checkpoint(ckpt_path):
     state, cfg, _ = checkpoint.load_state(ckpt_path)
-    if dataset is None:
-        dataset = dataset_from_config(cfg)
-    acc, _ = linear_probe(state.student, dataset, probe)
+    acc, _ = linear_probe(state.student, dataset_from_config(cfg))
     return acc
 
 
+DATA_KEYS = tuple(key for key in KEY_SPEC if key.startswith("data."))
+
+
 def parse_data_spec(spec: str) -> dict:
-    """Parse 'classes=8,per_class=64,side=16,noise=0.05,tint=0.35,seed=1'."""
-    fields = {
-        "classes": 8, "per_class": 64, "val_per_class": 16, "side": 16,
-        "noise": 0.05, "tint": 0.35, "seed": 1,
-    }
-    if spec:
-        for part in spec.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ConfigError(f"unknown data-spec field {key!r}")
-            fields[key] = (
-                float(value) if key in ("noise", "tint") else int(value)
-            )
-    return fields
+    """Parse 'classes=8,per_class=64,side=16,noise=0.05,tint=0.35,seed=1'.
+
+    Each field is the config key `data.<field>`, parsed and range-checked
+    like it; fields left out take that key's default. Returns every
+    `data.*` key.
+    """
+    fields: dict[str, object] = {}
+    for part in spec.split(",") if spec else ():
+        field, _, raw = part.partition("=")
+        field = field.strip()
+        key = f"data.{field}"
+        if key not in DATA_KEYS:
+            raise ConfigError(f"unknown data-spec field {field!r}")
+        if key in fields:
+            raise ConfigError(f"duplicate data-spec field {field!r}")
+        fields[key] = parse_value(key, raw.strip(), "data spec")
+    return {key: fields.get(key, KEY_SPEC[key][1]) for key in DATA_KEYS}
 
 
-def dataset_from_spec(spec: str) -> evaluation.Dataset:
-    f = parse_data_spec(spec)
-    return make_synthetic_dataset(
-        classes=f["classes"], per_class=f["per_class"], side=f["side"],
-        rng=Rng(f["seed"], 0).child("data"), noise=f["noise"], tint=f["tint"],
-        val_per_class=f["val_per_class"],
-    )
+def eval_dataset(cfg: ExperimentConfig, data_spec: str) -> evaluation.Dataset:
+    """The dataset a data spec names, or the config's when the spec is
+    empty."""
+    return dataset_from_config(parse_data_spec(data_spec) if data_spec
+                               else cfg)
 
 
 def cmd_eval_linear(ckpt_path, data_spec: str, out_path, probe_seed: int = 0):
     state, cfg, _ = checkpoint.load_state(ckpt_path)
-    dataset = (dataset_from_spec(data_spec) if data_spec
-               else dataset_from_config(cfg))
-    acc, _ = linear_probe(state.student, dataset,
-                          ProbeConfig(seed=probe_seed))
+    acc, _ = linear_probe(state.student, eval_dataset(cfg, data_spec),
+                          probe_seed)
     with checkpoint.open_atomic(out_path, "w", newline="",
                                 encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -269,8 +271,9 @@ def cmd_analyze_cka(a_path, b_path, data_spec: str = "", out_path=None):
     """Stagewise CKA between two checkpoints on a shared eval batch."""
     state_a, cfg_a, _ = checkpoint.load_state(a_path)
     state_b, _, _ = checkpoint.load_state(b_path)
-    dataset = (dataset_from_spec(data_spec) if data_spec
-               else dataset_from_config(cfg_a))
+    dataset = eval_dataset(cfg_a, data_spec)
+    if len(dataset.val_images) == 0:
+        raise ConfigError("cannot compute CKA: the val split is empty")
     probe_batch = evaluation.images_to_inputs(dataset.val_images,
                                               state_a.student)
     rows = surgery.stagewise_cka(state_a.student, state_b.student, probe_batch)
@@ -340,12 +343,10 @@ def _study_cfg(kind: str, seed: int = 0, epochs: int = MAIN_EPOCHS,
     return config_from_overrides(**base)
 
 
-def _run_and_probe(cfg: ExperimentConfig, run_dir, dataset=None,
-                   probe: ProbeConfig = ProbeConfig()) -> tuple[PretrainResult, float]:
+def _run_and_probe(cfg: ExperimentConfig,
+                   run_dir) -> tuple[PretrainResult, float]:
     result = pretrain(cfg, run_dir)
-    if dataset is None:
-        dataset = dataset_from_config(cfg)
-    acc, _ = linear_probe(result.state.student, dataset, probe)
+    acc, _ = linear_probe(result.state.student, dataset_from_config(cfg))
     return result, acc
 
 

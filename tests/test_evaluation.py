@@ -3,16 +3,16 @@ import pytest
 
 from airl import augment
 from airl.encoder import build_branch
-from airl.errors import DimensionError, FeatureCollapseError
+from airl.errors import ConfigError, DimensionError, FeatureCollapseError
 from airl.evaluation import (
     Dataset,
-    ProbeConfig,
     collapse_metrics,
     fit_linear_classifier,
     images_to_inputs,
     isotropic_std_reference,
     linear_probe,
     make_synthetic_dataset,
+    probe_lr,
 )
 from airl.frameworks import FrameworkConfig
 from airl.numerics import Rng
@@ -69,7 +69,6 @@ class TestSyntheticDataset:
         val = data.val_images.reshape(len(data.val_labels), -1)
         acc, _ = fit_linear_classifier(
             train, data.train_labels, val, data.val_labels,
-            ProbeConfig(epochs=20, lr=0.5),
         )
         assert acc == 1.0
 
@@ -88,8 +87,7 @@ class TestLinearProbe:
     def test_one_hot_features_reach_full_accuracy(self):
         labels = np.repeat(np.arange(4), 8)
         feats = np.eye(4)[labels]
-        acc, _ = fit_linear_classifier(feats, labels, feats, labels,
-                                       ProbeConfig(epochs=5))
+        acc, _ = fit_linear_classifier(feats, labels, feats, labels)
         assert acc == 1.0
 
     def test_probe_never_mutates_encoder(self):
@@ -97,7 +95,7 @@ class TestLinearProbe:
         data = small_dataset()
         tensors_before = {k: v.copy() for k, v in params.tensors.items()}
         running_before = {k: v.copy() for k, v in params.running.items()}
-        linear_probe(params, data, ProbeConfig(epochs=3))
+        linear_probe(params, data)
         for k, v in params.tensors.items():
             assert np.array_equal(v, tensors_before[k])
         for k, v in params.running.items():
@@ -106,8 +104,8 @@ class TestLinearProbe:
     def test_probe_deterministic(self):
         params = small_encoder()
         data = small_dataset()
-        acc1, _ = linear_probe(params, data, ProbeConfig(epochs=5, seed=3))
-        acc2, _ = linear_probe(params, data, ProbeConfig(epochs=5, seed=3))
+        acc1, _ = linear_probe(params, data, seed=3)
+        acc2, _ = linear_probe(params, data, seed=3)
         assert acc1 == acc2
 
     def test_collapsed_features_raise_diagnostic(self):
@@ -118,7 +116,17 @@ class TestLinearProbe:
                 tensor[...] = 0.0
         data = small_dataset()
         with pytest.raises(FeatureCollapseError):
-            linear_probe(params, data, ProbeConfig(epochs=2))
+            linear_probe(params, data)
+
+    def test_lr_steps_down_at_sixty_and_eighty_percent(self):
+        # 50 epochs at lr 0.3, cut by 10x at epochs 30 and 40
+        assert [probe_lr(e) for e in range(50)] == (
+            [0.3] * 30 + [0.3 * 0.1**1] * 10 + [0.3 * 0.1**2] * 10)
+
+    def test_empty_val_split_is_config_error(self):
+        data = small_dataset(val_per_class=0)
+        with pytest.raises(ConfigError, match="val split is empty"):
+            linear_probe(small_encoder(), data)
 
 
 class TestCollapseMetrics:

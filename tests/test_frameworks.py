@@ -220,8 +220,8 @@ class TestTrainingStep:
                 rng.child("x2").random((n, d)))
 
     def opt(self, epochs=10):
-        return Optimizer(SgdConfig(lr=0.05), LrSchedule("cosine", 0.05,
-                                                        total_epochs=epochs))
+        return Optimizer(SgdConfig(lr=0.05),
+                         LrSchedule(0.05, total_epochs=epochs))
 
     @pytest.mark.parametrize("kind", ["moco_v2", "moco_v2_plus",
                                       "s_moco_v2_plus", "byol"])

@@ -142,39 +142,29 @@ class TestLars:
 
 class TestLrSchedule:
     def test_warmup_boundary_reaches_base(self):
-        sched = LrSchedule("cosine", base_lr=0.6, warmup_epochs=2,
+        sched = LrSchedule(base_lr=0.6, warmup_epochs=2,
                            total_epochs=10)
         assert lr_at(0.2, sched) == 0.6
 
     def test_warmup_is_linear_from_zero(self):
-        sched = LrSchedule("cosine", base_lr=0.6, warmup_epochs=2,
+        sched = LrSchedule(base_lr=0.6, warmup_epochs=2,
                            total_epochs=10)
         assert lr_at(0.0, sched) == 0.0
         assert abs(lr_at(0.1, sched) - 0.3) < 1e-15
 
     def test_cosine_endpoint_is_zero(self):
-        sched = LrSchedule("cosine", base_lr=0.6, total_epochs=10)
+        sched = LrSchedule(base_lr=0.6, total_epochs=10)
         assert abs(lr_at(1.0, sched)) < 1e-16
 
-    def test_step_decay_published_recipe(self):
-        # base 30, decay x0.1 at 60% and 80%: value 3 at p = 0.7
-        sched = LrSchedule("step_decay", base_lr=30.0, total_epochs=100,
-                           milestones=(0.6, 0.8))
-        assert abs(lr_at(0.7, sched) - 3.0) < 1e-12
-        assert abs(lr_at(0.9, sched) - 0.3) < 1e-12
-        assert lr_at(0.5, sched) == 30.0
-
     def test_continuous_at_warmup_and_monotone_after(self):
-        for kind in ("cosine", "step_decay"):
-            sched = LrSchedule(kind, base_lr=1.0, warmup_epochs=1,
-                               total_epochs=10)
-            wf = 0.1
-            assert abs(lr_at(wf - 1e-9, sched) - lr_at(wf, sched)) < 1e-6
-            values = [lr_at(p, sched) for p in np.linspace(wf, 1.0, 50)]
-            assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+        sched = LrSchedule(base_lr=1.0, warmup_epochs=1, total_epochs=10)
+        wf = 0.1
+        assert abs(lr_at(wf - 1e-9, sched) - lr_at(wf, sched)) < 1e-6
+        values = [lr_at(p, sched) for p in np.linspace(wf, 1.0, 50)]
+        assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_out_of_range_progress(self):
-        sched = LrSchedule("cosine", base_lr=1.0)
+        sched = LrSchedule(base_lr=1.0)
         with pytest.raises(ConfigError):
             lr_at(1.5, sched)
 
@@ -200,7 +190,7 @@ class TestNormReports:
 
     def test_optimizer_wrapper_reports_lr(self):
         opt = Optimizer(SgdConfig(lr=0.5),
-                        LrSchedule("cosine", 0.5, total_epochs=10))
+                        LrSchedule(0.5, total_epochs=10))
         params = {"w": np.ones(2)}
         lr_used = opt.step(params, {"w": np.zeros(2)}, {"w": "weight"}, 0.0)
         assert lr_used == 0.5

@@ -595,6 +595,53 @@ class TestCommands:
                                       result.checkpoint_path)
         assert all(abs(v - 1.0) < 1e-9 for _, v in rows)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("classes=x", "data spec: cannot parse data.classes value 'x'"),
+        ("side=0", "data spec: data.side must be >= 1"),
+        ("per_class=0", "data spec: data.per_class must be >= 1"),
+        ("val_per_class=-1", "data spec: data.val_per_class must be >= 0"),
+        ("classes=4,classes=5", "duplicate data-spec field 'classes'"),
+        ("classes=4,colour=red", "unknown data-spec field 'colour'"),
+    ])
+    def test_bad_data_spec_is_config_error(self, run, tmp_path, capsys,
+                                           spec, message):
+        _, result = run
+        with pytest.raises(ConfigError, match=message):
+            runner.parse_data_spec(spec)
+        rc = cli_main(["eval", "linear", "--ckpt",
+                       str(result.checkpoint_path), "--data", spec,
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_data_spec_builds_the_named_dataset(self, run):
+        _, result = run
+        got = runner.eval_dataset(result.cfg, "classes=3, per_class=5,side=6,"
+                                              "noise=0.1,seed=4")
+        want = evaluation.make_synthetic_dataset(
+            classes=3, per_class=5, side=6, rng=Rng(4, 0).child("data"),
+            noise=0.1, tint=0.35, val_per_class=16)
+        for name in ("train_images", "train_labels", "val_images",
+                     "val_labels"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes())
+        assert got.classes == 3
+
+    @pytest.mark.parametrize("command", ["eval", "cka"])
+    def test_empty_val_split_exits_with_error(self, run, tmp_path, capsys,
+                                              command):
+        _, result = run
+        ckpt = str(result.checkpoint_path)
+        spec = "classes=4,per_class=8,val_per_class=0,side=8"
+        argv = (["eval", "linear", "--ckpt", ckpt, "--data", spec,
+                 "--out", str(tmp_path / "m.csv")] if command == "eval"
+                else ["analyze", "cka", "--a", ckpt, "--b", ckpt,
+                      "--probe", spec])
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "val split is empty" in err
+
     def test_unknown_study_lists_available(self):
         with pytest.raises(ConfigError, match="ladder"):
             runner.run_study("nonexistent")
