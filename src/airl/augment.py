@@ -30,9 +30,9 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
    (`numerics.philox_words`), and converts them the way numpy's generator
    does. The gate takes word 0, jitter words 1-4 and blur word 1; a crop
    takes two words per attempt and one for its box corner, so eight words
-   hold a crop that fits within three attempts. A stream that needs more,
-   because its crop fits only later or a corner draw is rejected, is drawn
-   by `draw_plan` instead and written into its row.
+   hold a crop that fits within three attempts. Only a crop can need more,
+   because it fits only later or a corner draw is rejected; such a row's
+   crop stream is redrawn on its own, its gate and then its box, in place.
 2. `apply_plans` makes one pass over the 2n rows: each stage runs once, in
    pipeline order, on its fired rows of both views. The crop-resize
    gathers straight from the n source images with per-row boxes. A row is
@@ -79,7 +79,6 @@ from .errors import ConfigError
 from .numerics import (
     PHILOX_WORDS,
     Rng,
-    StreamLoader,
     child_keys,
     integer_pair,
     philox_doubles,
@@ -423,20 +422,19 @@ def random_resized_crop(
     return resize_bilinear(img, out_side, out_side, box)
 
 
-def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape,
-              streams: StreamLoader) -> list[tuple]:
+def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape) -> list[tuple]:
     """Draw gate decisions and parameters for one pipeline application.
 
     `in_shape` is the (h, w) of the source image, which the crop box depends
-    on. Each stage consumes only its own child stream of `rng`, loaded
-    through `streams`. Returns (stage_name, fired, drawn) tuples; `drawn`
-    holds the stage's concrete parameters: a crop box (top, left, height,
-    width), jitter factors, a blur sigma or a solarize threshold.
+    on. Each stage consumes only its own child stream, `rng.child(name)`.
+    Returns (stage_name, fired, drawn) tuples; `drawn` holds the stage's
+    concrete parameters: a crop box (top, left, height, width), jitter
+    factors, a blur sigma or a solarize threshold.
     """
     h, w = in_shape
     plan = []
     for stage in pipeline.stages:
-        stream = streams.load(rng.child(stage.name))
+        stream = rng.child(stage.name)
         fired = bool(stream.random() < stage.probability)
         params = dict(stage.params)
         drawn: dict = {}
@@ -460,10 +458,6 @@ def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape,
 # The gate takes word 0 and each crop attempt two words; the box corner of
 # the attempt that fits takes one more.
 CROP_ATTEMPTS_IN_WORDS = (PHILOX_WORDS - 2) // 2
-# The plan value that each stage draws, by stage name; the other stages
-# draw none.
-PLAN_VALUES = {"random_crop": "box", "color_jitter": "factors",
-               "gaussian_blur": "sigma", "solarization": "threshold"}
 
 
 class StageColumn(NamedTuple):
@@ -486,13 +480,6 @@ class Plans:
 
     rows: int
     stages: tuple[StageColumn, ...]
-
-    def write(self, row: int, plan: list[tuple]) -> None:
-        """Set row `row` to a plan in `draw_plan`'s form."""
-        for column, (_, fired, drawn) in zip(self.stages, plan):
-            column.fired[row] = fired
-            if fired and column.values is not None:
-                column.values[row] = drawn[PLAN_VALUES[column.name]]
 
 
 def _crop_boxes(words, doubles, h, w, scale, aspect):
@@ -550,11 +537,11 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
 
     Row v * n + i of the result, for n = len(rngs), is the plan of view v
     of image i: it equals `draw_plan(pipeline, rngs[i].child("view", v),
-    in_shape, StreamLoader())`. Each stage stream's draws come from its
-    first `PHILOX_WORDS` words, computed for all streams together. A stream
-    whose stage needs more, a crop that fits only at its fourth attempt or
-    later, or a rejected crop corner, is drawn by `draw_plan` through one
-    shared `StreamLoader` and written into its row.
+    in_shape)`. Each stage stream's draws come from its first
+    `PHILOX_WORDS` words, computed for all streams together. Only a crop
+    stream can need more, when its crop fits only at its fourth attempt or
+    later or its corner draw is rejected; that crop is redrawn from its own
+    `Rng` stream, gate first, into its row.
 
     The result is memoized by `memo_plans`, keyed by (pipeline, the (seed,
     stream_id) of every `rngs[i]`, in_shape). A plan is a pure function of
@@ -572,14 +559,13 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
 def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     # `draw_plans` without the memo.
     stages = pipeline.stages
-    view_ids, keys = child_keys(rngs, [("view", 0), ("view", 1)],
-                                [(stage.name,) for stage in stages])
+    keys = child_keys(rngs, [("view", 0), ("view", 1)],
+                      [(stage.name,) for stage in stages])
     rows = 2 * len(rngs)
     words = philox_words(keys.swapaxes(0, 1).reshape(rows, len(stages), 2))
     doubles = philox_doubles(words)
     h = np.full(rows, in_shape[0], dtype=np.int64)
     w = np.full(rows, in_shape[1], dtype=np.int64)
-    redraw = np.zeros(rows, dtype=bool)
     columns = []
     for k, stage in enumerate(stages):
         fired = doubles[:, k, 0] < stage.probability
@@ -592,7 +578,13 @@ def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
                                   pipeline.out_side)
                 values, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
                                            params["scale"], params["aspect"])
-                redraw |= fired & more
+                for r in np.flatnonzero(fired & more).tolist():
+                    view, image = divmod(r, len(rngs))
+                    stream = rngs[image].child("view", view).child(stage.name)
+                    stream.random()  # the gate, already decided
+                    values[r] = _draw_crop_box(stream, int(h[r]), int(w[r]),
+                                               params["scale"],
+                                               params["aspect"])
                 h = np.where(fired, pipeline.out_side, h)
                 w = np.where(fired, pipeline.out_side, w)
         elif stage.name == "color_jitter":
@@ -604,13 +596,7 @@ def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
         elif stage.name == "solarization":
             values = np.full(rows, params["threshold"], dtype=np.float64)
         columns.append(StageColumn(stage.name, fired, values))
-    plans = Plans(rows, tuple(columns))
-    streams = StreamLoader()
-    for r in np.flatnonzero(redraw).tolist():
-        view, image = divmod(r, len(rngs))
-        stream = Rng(rngs[image].seed, view_ids[image][view])
-        plans.write(r, draw_plan(pipeline, stream, in_shape, streams))
-    return plans
+    return Plans(rows, tuple(columns))
 
 
 # Stage kernels run on blocks of rows of at most this many values per image

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import augment
 from .errors import ConfigError
 from .frameworks import _PRESETS, KINDS, FrameworkConfig
@@ -79,14 +81,14 @@ RETIRED_KEYS: dict[str, tuple[str, object]] = {
 }
 
 # Smallest accepted value of each bounded int key: sizes must be positive,
-# counts may be zero.
+# counts may be zero, and a probe needs two classes to tell apart.
 MIN_VALUE: dict[str, int] = {
     "augment.out_side": 1,
     "encoder.backbone_hidden": 1,
     "encoder.backbone_out": 1,
     "encoder.projector_hidden": 1,
     "encoder.projector_out": 1,
-    "data.classes": 1,
+    "data.classes": 2,
     "data.per_class": 1,
     "data.side": 1,
     "run.batch": 1,
@@ -124,6 +126,8 @@ def parse_value(key: str, raw: str, where: str):
     errors start with `where` (such as "line 3") and name the key."""
     tag = (KEY_SPEC.get(key) or RETIRED_KEYS[key])[0]
     value = _parse_value(key, tag, raw, where)
+    if tag in ("float", "floats") and not np.isfinite(value).all():
+        raise ConfigError(f"{where}: {key} must be finite, got {raw!r}")
     if key in RETIRED_KEYS and value != RETIRED_KEYS[key][1]:
         raise ConfigError(
             f"{where}: {key} is retired and accepted only as "

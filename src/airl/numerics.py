@@ -12,7 +12,7 @@ einsum's order and rounding, with the per-k loop as its fallback.
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
 hashed from (seed, stream id); `child` hashes a new stream id from the
 parent's id and its labels. For many streams at once, `child_keys` derives
-the ids and keys in one loop of hashes, and `philox_words` emulates the
+their keys in one loop of hashes, and `philox_words` emulates the
 generator in numpy uint64 arithmetic: the first two blocks (eight 64-bit
 words) of every freshly keyed stream, with the 64 x 64-bit high product
 built from 32-bit halves. numpy's conversions of those words are reproduced
@@ -116,71 +116,30 @@ class Rng:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
 
 
-class StreamLoader:
-    """One reusable Philox generator that can be re-keyed to any `Rng` stream.
-
-    `load(rng)` returns a generator whose draws equal those of a fresh `rng`,
-    draw for draw, without building a bit generator per stream:
-    `np.random.Philox(key=...)` spends most of its construction time
-    collecting OS entropy for a seed sequence that the key then overrides.
-    The generator is shared, so it is valid only until the next `load`; the
-    `Rng`'s own stream is not advanced.
-    """
-
-    def __init__(self):
-        self._bits = np.random.Philox(0)
-        self._gen = np.random.Generator(self._bits)
-        self._key = np.zeros(2, dtype=np.uint64)
-        # The state of a freshly keyed Philox: counter 0, output buffer
-        # exhausted, no buffered 32-bit half-word.
-        self._fresh = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def load(self, rng: Rng) -> np.random.Generator:
-        key = _stream_key(rng.seed, rng.stream_id)
-        # Philox takes its 128-bit key as two little-endian 64-bit words.
-        self._key[0] = key & 0xFFFF_FFFF_FFFF_FFFF
-        self._key[1] = key >> 64
-        self._bits.state = self._fresh
-        return self._gen
-
-
-def child_keys(rngs, branches, leaves) -> tuple[list[list[int]], np.ndarray]:
-    """Stream ids and Philox keys of a two-level tree of child streams.
+def child_keys(rngs, branches, leaves) -> np.ndarray:
+    """Philox keys of a two-level tree of child streams.
 
     For every `rngs[i]`, label tuple `branches[j]` and label tuple
-    `leaves[k]`, without building an `Rng`: `ids[i][j]` is the stream id of
-    `rngs[i].child(*branches[j])`, and `keys[i, j, k]` is the Philox key of
-    `rngs[i].child(*branches[j]).child(*leaves[k])` as two uint64 words, low
-    word first, the way `np.random.Philox(key=...)` and `StreamLoader` take
-    it. Returns (ids, keys) with keys shaped (len(rngs), len(branches),
-    len(leaves), 2).
+    `leaves[k]`, without building an `Rng`: `keys[i, j, k]` is the Philox
+    key of `rngs[i].child(*branches[j]).child(*leaves[k])` as two uint64
+    words, low word first, the way `np.random.Philox(key=...)` takes it.
+    The result is shaped (len(rngs), len(branches), len(leaves), 2).
     """
     branch_tags = [_label_tag(b) for b in branches]
     leaf_tags = [_label_tag(leaf) for leaf in leaves]
-    ids = []
     digests = []
     for rng in rngs:
         parent = _child_hasher(rng.stream_id)
-        row = [int.from_bytes(_finish(parent, tag), "little")
-               for tag in branch_tags]
-        ids.append(row)
         key = _key_hasher(rng.seed)
-        for branch_id in row:
-            branch = _child_hasher(branch_id)
+        for tag in branch_tags:
+            branch = _child_hasher(
+                int.from_bytes(_finish(parent, tag), "little"))
             digests.extend(
-                _finish(key, str(int.from_bytes(_finish(branch, tag),
+                _finish(key, str(int.from_bytes(_finish(branch, leaf),
                                                 "little")))
-                for tag in leaf_tags)
+                for leaf in leaf_tags)
     keys = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
-    return ids, keys.reshape(len(rngs), len(branches), len(leaves), 2)
+    return keys.reshape(len(rngs), len(branches), len(leaves), 2)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,

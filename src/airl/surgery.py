@@ -40,8 +40,9 @@ class Anchor:
 
     @staticmethod
     def constant(factor: float) -> "Anchor":
-        if factor <= 0:
-            raise ConfigError(f"constant anchor factor must be > 0, got {factor}")
+        if not (np.isfinite(factor) and factor > 0):
+            raise ConfigError(
+                f"constant anchor factor must be finite and > 0, got {factor}")
         return Anchor(kind="constant", factor=factor)
 
 

@@ -21,7 +21,7 @@ from airl.augment import (
     two_views,
 )
 from airl.errors import ConfigError
-from airl.numerics import Rng, StreamLoader
+from airl.numerics import Rng
 
 STAGE_NAMES = tuple(s.name for s in AugPipeline.default().stages)
 
@@ -206,21 +206,22 @@ class TestPipeline:
                 assert np.array_equal(a, b)
             for view in (rng.child("view", 0), rng.child("view", 1)):
                 kept = [stage for stage in draw_plan(never_fires, view,
-                                                     (16, 16), StreamLoader())
+                                                     (16, 16))
                         if stage[0] != "gaussian_blur"]
-                assert kept == draw_plan(removed, view, (16, 16),
-                                         StreamLoader())
+                assert kept == draw_plan(removed, view, (16, 16))
 
     def test_empirical_gate_probabilities(self):
+        # 50,000 images, both views: 100,000 plans, drawn in batches.
         pipe = AugPipeline.default()
         counts = {s.name: 0 for s in pipe.stages}
-        draws = 100_000
+        images, batch = 50_000, 5_000
+        draws = 2 * images
         root = Rng(123)
-        streams = StreamLoader()
-        for i in range(draws):
-            plan = draw_plan(pipe, root.child("sample", i), (16, 16), streams)
-            for name, fired, _ in plan:
-                counts[name] += fired
+        for start in range(0, images, batch):
+            rngs = [root.child("sample", i)
+                    for i in range(start, start + batch)]
+            for name, fired, _ in draw_plans(pipe, rngs, (16, 16)).stages:
+                counts[name] += int(fired.sum())
         for stage in pipe.stages:
             observed = counts[stage.name] / draws
             assert abs(observed - stage.probability) <= 0.01, (
@@ -366,8 +367,14 @@ def _pipelines(draw):
 def per_stream_plans(pipe, rngs, in_shape):
     """Both views' plans from `draw_plan`, one stream at a time, in the
     rows of `draw_plans`: view 0 of every image, then view 1."""
-    return [draw_plan(pipe, rng.child("view", v), in_shape, StreamLoader())
+    return [draw_plan(pipe, rng.child("view", v), in_shape)
             for v in (0, 1) for rng in rngs]
+
+
+# The key of the value that each stage draws in `draw_plan`'s form, by
+# stage name; the other stages draw none.
+PLAN_VALUES = {"random_crop": "box", "color_jitter": "factors",
+               "gaussian_blur": "sigma", "solarization": "threshold"}
 
 
 def plan_rows(plans):
@@ -379,7 +386,7 @@ def plan_rows(plans):
             drawn = {}
             if fired[r] and values is not None:
                 value = values[r].tolist()
-                drawn = {augment.PLAN_VALUES[name]:
+                drawn = {PLAN_VALUES[name]:
                          tuple(value) if isinstance(value, list) else value}
             row.append((name, bool(fired[r]), drawn))
         rows.append(row)
@@ -398,11 +405,15 @@ def _draw_plans_or_error(pipe, rngs, in_shape, draw):
 
 
 def test_batched_plans_equal_draw_plan(monkeypatch):
-    # The per-stream oracle is the unpatched draw_plan; the batched draw's
-    # own calls to augment.draw_plan are its fallback streams.
-    fallback = []
-    monkeypatch.setattr(augment, "draw_plan",
-                        lambda *args: fallback.append(1) or draw_plan(*args))
+    # The per-stream oracle is draw_plan; the batched draw's own calls to
+    # augment._draw_crop_box are the crops it redraws in place.
+    redrawn = []
+    draw_crop_box = augment._draw_crop_box
+
+    def counted_crop_box(*args):
+        redrawn.append(1)
+        return draw_crop_box(*args)
+
     streams = {"plans": 0}
 
     @settings(max_examples=150, deadline=None)
@@ -419,13 +430,15 @@ def test_batched_plans_equal_draw_plan(monkeypatch):
         rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
         expected = _draw_plans_or_error(pipe, rngs, in_shape,
                                         per_stream_plans)
-        got = _draw_plans_or_error(pipe, rngs, in_shape, batched_plans)
+        with monkeypatch.context() as patch:
+            patch.setattr(augment, "_draw_crop_box", counted_crop_box)
+            got = _draw_plans_or_error(pipe, rngs, in_shape, batched_plans)
         assert got == expected
         if isinstance(got, list):
             streams["plans"] += 2 * batch
 
     check()
-    assert 0 < len(fallback) < streams["plans"]
+    assert 0 < len(redrawn) < streams["plans"]
 
 
 def test_crop_on_too_small_image_raises_only_when_fired():
@@ -492,9 +505,6 @@ def test_memoized_plans_are_read_only():
         if values is not None:
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        plans.write(0, draw_plan(AugPipeline.default(), rngs[0].child(
-            "view", 0), (16, 16), StreamLoader()))
     assert plan_bytes(draw_plans(AugPipeline.default(), rngs, (16, 16))) \
         == plan_bytes(augment._draw_plans(AugPipeline.default(), rngs,
                                           (16, 16)))

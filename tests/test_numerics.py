@@ -11,7 +11,6 @@ from airl.errors import DegenerateFeatureError, DimensionError, OracleError
 from airl.numerics import (
     PAIRWISE_DIFFERS,
     Rng,
-    StreamLoader,
     child_keys,
     finite_diff_grad,
     integer_pair,
@@ -387,36 +386,6 @@ def test_matmul_single_output_element_sums_in_order():
     assert got[0, 0] == 2.000000000000001e16
 
 
-def _draw_sequence(stream):
-    return [
-        stream.random(), stream.uniform(0.1, 2.0), stream.integers(0, 7),
-        stream.integers(0, 2**40), stream.random(3), stream.uniform(-1, 1, 4),
-        stream.normal(), stream.integers(0, 5, 6), stream.permutation(9),
-        stream.random(),
-    ]
-
-
-def _assert_same_draws(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**63),
-       labels=st.lists(st.one_of(st.integers(), st.text(max_size=6)),
-                       max_size=3))
-def test_stream_loader_matches_rng_draw_for_draw(seed, labels):
-    loader = StreamLoader()
-    # Leave a used stream behind: nothing of it may carry into the next.
-    _draw_sequence(loader.load(Rng(seed ^ 1, 5)))
-    stream = Rng(seed).child(*labels)
-    expected = _draw_sequence(Rng(seed).child(*labels))
-    _assert_same_draws(_draw_sequence(loader.load(stream)), expected)
-    # Loading reads the key only; the Rng's own stream is not advanced.
-    _assert_same_draws(_draw_sequence(stream), expected)
-
-
 KEYS = st.integers(0, 2**128 - 1)
 
 
@@ -514,12 +483,11 @@ def test_integer_pair_flags_rejections():
        leaves=st.lists(st.text(max_size=5).map(lambda t: (t,)), max_size=4))
 def test_child_keys_match_rng_children(seed, parents, branches, leaves):
     rngs = [Rng(seed).child(*labels) for labels in parents]
-    ids, keys = child_keys(rngs, branches, leaves)
+    keys = child_keys(rngs, branches, leaves)
     assert keys.shape == (len(rngs), len(branches), len(leaves), 2)
     for i, rng in enumerate(rngs):
         for j, branch in enumerate(branches):
             child = rng.child(*branch)
-            assert ids[i][j] == child.stream_id
             for k, leaf in enumerate(leaves):
                 stream = child.child(*leaf)
                 expected = numerics._stream_key(stream.seed, stream.stream_id)

@@ -92,7 +92,7 @@ class TestConfig:
         ("encoder.backbone_out = 0", 1),
         ("encoder.projector_hidden = -1", 1),
         ("encoder.projector_out = 0", 1),
-        ("data.classes = 0", 1),
+        ("data.classes = 1", 2),  # a probe needs two classes
         ("data.per_class = 0", 1),
         ("data.side = 0", 1),
         ("run.batch = 0", 1),
@@ -105,6 +105,22 @@ class TestConfig:
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError,
                            match=f"line 2: {key} must be >= {minimum},"):
+            parse_config(f"framework.kind = byol\n{line}\n")
+
+    @pytest.mark.parametrize("line", [
+        "optimizer.lr = nan",
+        "optimizer.lr = inf",
+        "optimizer.lr = -inf",
+        "framework.temperature = nan",
+        "optimizer.weight_decay = nan",
+        "data.noise = nan",
+        "data.tint = inf",
+        "augment.crop_scale = 0.5,nan",
+    ])
+    def test_non_finite_floats_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError,
+                           match=f"line 2: {key} must be finite, got"):
             parse_config(f"framework.kind = byol\n{line}\n")
 
     @pytest.mark.parametrize("line", RETIRED_LINES)
@@ -583,6 +599,18 @@ class TestCommands:
         for name in before:
             assert after[name] == pytest.approx(0.1 * before[name], rel=1e-9)
 
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_surgery_rejects_non_finite_factor(self, run, tmp_path, capsys,
+                                               factor):
+        _, result = run
+        out_path = tmp_path / "scaled.airl"
+        rc = cli_main(["surgery", "rescale", "--input",
+                       str(result.checkpoint_path), "--factor", factor,
+                       "--output", str(out_path)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_surgery_needs_exactly_one_anchor(self, run, tmp_path):
         _, result = run
         with pytest.raises(ConfigError):
@@ -598,6 +626,9 @@ class TestCommands:
     @pytest.mark.parametrize("spec, message", [
         ("classes=x", "data spec: cannot parse data.classes value 'x'"),
         ("side=0", "data spec: data.side must be >= 1"),
+        ("classes=1", "data spec: data.classes must be >= 2"),
+        ("noise=nan", "data spec: data.noise must be finite"),
+        ("tint=inf", "data spec: data.tint must be finite"),
         ("per_class=0", "data spec: data.per_class must be >= 1"),
         ("val_per_class=-1", "data spec: data.val_per_class must be >= 0"),
         ("classes=4,classes=5", "duplicate data-spec field 'classes'"),

@@ -140,22 +140,14 @@ def refresh_digest(result: runner.PretrainResult) -> str:
     return digest.hexdigest()
 
 
-def probe(student, dataset, seed: int):
-    if hasattr(evaluation, "ProbeConfig"):
-        # sources from before the probe recipe was fixed, for comparison
-        return evaluation.linear_probe(student, dataset,
-                                       evaluation.ProbeConfig(seed=seed))
-    return evaluation.linear_probe(student, dataset, seed)
-
-
 def probe_digest(results: dict) -> str:
     digest = hashlib.sha256()
     probes = [(label, 0) for label in results]
     probes.append((PROBE_SEED_KIND, PROBE_SEED))
     for label, seed in probes:
         result = results[label]
-        top1, (w, b) = probe(result.state.student,
-                             runner.dataset_from_config(result.cfg), seed)
+        top1, (w, b) = evaluation.linear_probe(
+            result.state.student, runner.dataset_from_config(result.cfg), seed)
         digest.update(f"{label}|{seed}|{top1!r}".encode())
         digest.update(w.astype("<f8").tobytes())
         digest.update(b.astype("<f8").tobytes())
