@@ -515,7 +515,7 @@ def _crop_boxes(words, doubles, h, w, scale, aspect):
 # Measured with tracemalloc, key and Python objects included, an entry holds
 # about 18 KB at 48 images and 5.3 KB at 12, so a full memo holds at most
 # about 36 MB of `MAIN_DATA` plans and the norm-divergence study keeps
-# 10.3 MB. `runner.study_aug_ablation` empties it after each group of arms.
+# 10.3 MB. `runner.run_study` empties it after each group of arms.
 PLAN_MEMO_SIZE = 2048
 
 

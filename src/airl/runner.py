@@ -13,12 +13,14 @@ import csv
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import checkpoint, encoder, evaluation, frameworks, surgery
-from .augment import two_views
+from .augment import REMOVAL_ORDER, memo_plans, two_views
 from .config import (
     KEY_SPEC,
     ExperimentConfig,
@@ -36,8 +38,6 @@ OUT_ROOT_ENV = "AIRL_OUT"
 METRIC_COLUMNS = (
     "step", "loss", "lr", "momentum_m", "queue_fill", "feat_std", "eff_rank"
 )
-
-STUDIES = ("ladder", "crossover", "aug-ablation", "collapse", "norm-divergence")
 
 
 def out_root(explicit=None) -> Path:
@@ -145,20 +145,6 @@ def cmd_pretrain(config_path, out=None) -> PretrainResult:
     cfg = load_config(config_path)
     name = cfg["run.name"] or Path(config_path).stem
     return pretrain(cfg, out_root(out) / name)
-
-
-def embedding_metrics(state: frameworks.SiameseState,
-                      dataset: evaluation.Dataset,
-                      stop_gradient: bool) -> tuple[float, float]:
-    """Collapse metrics of the loss-space embeddings on the val images.
-
-    Uses the branch the training signal targets: teacher features under
-    stop-gradient, student features for the direct-distance ablation.
-    """
-    branch = state.teacher if stop_gradient else state.student
-    x = evaluation.images_to_inputs(dataset.val_images, branch)
-    out, _ = encoder.forward(branch, x, training=False)
-    return collapse_metrics(l2_normalize_rows(out))
 
 
 def probe_checkpoint(ckpt_path):
@@ -329,25 +315,61 @@ NORMDIV_LARS_LR = 16.0
 CROSSOVER_LARS_LR = 1.0  # gentle regime: good features, inflated norms
 
 
-def _study_cfg(kind: str, seed: int = 0, epochs: int = MAIN_EPOCHS,
+class Arm(NamedTuple):
+    """One table row: its leading columns, its run directory (or file)
+    under the study root, the config pretrained there (None for an arm that
+    reads earlier arms' runs) and `measure(result, root / run)`, which
+    returns the row's other columns."""
+    labels: dict
+    run: str
+    cfg: ExperimentConfig | None
+    measure: Callable[[PretrainResult | None, Path], dict]
+
+
+def _study_cfg(kind: str, data: dict, epochs: int, batch: int, seed: int,
                **overrides) -> ExperimentConfig:
-    base = dict(
-        framework__kind=kind,
-        framework__queue_size=256,
-        run__epochs=epochs,
-        run__batch=48,
-        run__seed=seed,
-        **MAIN_DATA,
-    )
-    base.update(overrides)
-    return config_from_overrides(**base)
+    return config_from_overrides(
+        framework__kind=kind, framework__queue_size=256, run__epochs=epochs,
+        run__batch=batch, run__seed=seed, **data, **overrides)
 
 
-def _run_and_probe(cfg: ExperimentConfig,
-                   run_dir) -> tuple[PretrainResult, float]:
-    result = pretrain(cfg, run_dir)
-    acc, _ = linear_probe(result.state.student, dataset_from_config(cfg))
-    return result, acc
+def _probe(result: PretrainResult, path: Path) -> dict:
+    acc, _ = linear_probe(result.state.student, dataset_from_config(result.cfg))
+    return {"top1": acc}
+
+
+def _embedding(result: PretrainResult, path: Path) -> dict:
+    """Collapse metrics of the loss-space embeddings on the val images, and
+    the spread over the isotropic reference. The branch is the one the
+    training signal targets: the teacher under stop-gradient, else the
+    student (the direct-distance ablation)."""
+    cfg, state = result.cfg, result.state
+    branch = state.teacher if cfg["framework.stop_gradient"] else state.student
+    x = evaluation.images_to_inputs(dataset_from_config(cfg).val_images, branch)
+    out, _ = encoder.forward(branch, x, training=False)
+    feat_std, eff_rank = collapse_metrics(l2_normalize_rows(out))
+    ref = evaluation.isotropic_std_reference(cfg["encoder.projector_out"])
+    return {"feat_std": feat_std, "eff_rank": eff_rank,
+            "std_over_reference": feat_std / ref}
+
+
+def _norms(result: PretrainResult, path: Path) -> dict:
+    student = result.state.student
+    report = weight_norm_report(student)
+    return {"norm_gain_sum": norm_sum_by_role(student, "norm_gain"),
+            "weight_norm_sum": sum(report.values()),
+            **{f"norm[{k}]": v for k, v in report.items()}}
+
+
+def _rescue(kind: str, result: None, path: Path) -> dict:
+    """Rescale the final checkpoint of run `<kind>_lars` onto run
+    `<kind>_sgd`'s norms, re-estimate BN statistics, write it to `path` and
+    probe it with the same fixed recipe as everything else."""
+    runs = path.parent
+    cmd_surgery_rescale(runs / f"{kind}_lars" / "ckpt_final.airl", path,
+                        anchor_path=runs / f"{kind}_sgd" / "ckpt_final.airl",
+                        refresh_stats=True)
+    return {"top1": probe_checkpoint(path)}
 
 
 # One config diff per rung, each applied on top of every earlier rung's; the
@@ -364,166 +386,140 @@ LADDER_RUNGS = (
 )
 
 
-def study_ladder(root: Path) -> list[dict]:
+def ladder_arms() -> list[Arm]:
     """Configuration ladder from the MoCo v2 baseline to MoCo v2+ plus
     richer augmentations; one config diff per rung."""
-    rows = []
-    overrides: dict = {}
+    arms, overrides = [], {}
     for i, (label, diff) in enumerate(LADDER_RUNGS):
         overrides.update(diff)
-        cfg = _study_cfg("moco_v2", **overrides)
-        _, acc = _run_and_probe(cfg, root / f"rung{i}")
-        rows.append({"rung": i, "config": label, "top1": acc})
-    return rows
+        cfg = _study_cfg("moco_v2", MAIN_DATA, MAIN_EPOCHS, 48, 0, **overrides)
+        arms.append(Arm({"rung": i, "config": label}, f"rung{i}", cfg, _probe))
+    return arms
 
 
-def study_crossover(root: Path) -> list[dict]:
-    """2x2 framework x optimizer grid plus norm-rescued LARS checkpoints.
-
-    The LARS checkpoints are rescued by rescaling onto the matching SGD
-    checkpoint's norms and re-estimating BN statistics, then evaluated with
-    the same fixed probe recipe as everything else.
-    """
-    rows = []
-    ckpts: dict[tuple[str, str], Path] = {}
-    for kind in ("moco_v2_plus", "byol"):
-        for opt_kind in ("sgd", "lars"):
-            overrides = dict(optimizer__kind=opt_kind)
-            if opt_kind == "lars":
-                overrides["optimizer__lr"] = CROSSOVER_LARS_LR
-            cfg = _study_cfg(kind, **overrides)
-            result, acc = _run_and_probe(cfg, root / f"{kind}_{opt_kind}")
-            ckpts[(kind, opt_kind)] = result.checkpoint_path
-            rows.append({"framework": kind, "optimizer": opt_kind,
-                         "rescued": False, "top1": acc})
-    for kind in ("moco_v2_plus", "byol"):
-        rescued = root / f"{kind}_lars_rescaled.airl"
-        cmd_surgery_rescale(ckpts[(kind, "lars")], rescued,
-                            anchor_path=ckpts[(kind, "sgd")],
-                            refresh_stats=True)
-        acc = probe_checkpoint(rescued)
-        rows.append({"framework": kind, "optimizer": "lars",
-                     "rescued": True, "top1": acc})
-    return rows
+def crossover_arms() -> list[Arm]:
+    """2x2 framework x optimizer grid plus norm-rescued LARS checkpoints
+    (`_rescue`)."""
+    kinds = ("moco_v2_plus", "byol")
+    lr = {"sgd": {}, "lars": {"optimizer__lr": CROSSOVER_LARS_LR}}
+    return [
+        Arm({"framework": kind, "optimizer": opt, "rescued": False},
+            f"{kind}_{opt}",
+            _study_cfg(kind, MAIN_DATA, MAIN_EPOCHS, 48, 0,
+                       optimizer__kind=opt, **lr[opt]),
+            _probe)
+        for kind in kinds for opt in lr
+    ] + [
+        Arm({"framework": kind, "optimizer": "lars", "rescued": True},
+            f"{kind}_lars_rescaled.airl", None, partial(_rescue, kind))
+        for kind in kinds
+    ]
 
 
-def study_aug_ablation(root: Path, seeds=(0, 1, 2)) -> list[dict]:
+def aug_ablation_arms() -> list[Arm]:
     """Remove color augmentations in the fixed ladder order for all three
     aligned frameworks; probe accuracy per (framework, rung, seed)."""
-    from .augment import REMOVAL_ORDER, memo_plans
-
-    kinds = ("moco_v2_plus", "s_moco_v2_plus", "byol")
-    rungs = range(len(REMOVAL_ORDER) + 1)
-    rows = {}
-    # The frameworks of one (rung, seed) draw the same augmentation streams,
-    # so they run back to back, where the second and third take their plans
-    # from `augment.draw_plans`' memo. No later group asks for those plans,
-    # so the memo is emptied after each. The table stays framework-major.
-    for rung in rungs:
-        removed = ",".join(REMOVAL_ORDER[:rung])
-        for seed in seeds:
-            for kind in kinds:
-                cfg = _study_cfg(kind, seed=seed, augment__removed=removed)
-                _, acc = _run_and_probe(
-                    cfg, root / f"{kind}_r{rung}_s{seed}"
-                )
-                rows[kind, rung, seed] = {
-                    "framework": kind, "rung": rung,
-                    "removed": removed or "(none)", "seed": seed, "top1": acc,
-                }
-            memo_plans.cache_clear()
-    return [rows[kind, rung, seed]
-            for kind in kinds for rung in rungs for seed in seeds]
+    return [
+        Arm({"framework": kind, "rung": rung, "removed": removed or "(none)",
+             "seed": seed},
+            f"{kind}_r{rung}_s{seed}",
+            _study_cfg(kind, MAIN_DATA, MAIN_EPOCHS, 48, seed,
+                       augment__removed=removed),
+            _probe)
+        for kind in ("moco_v2_plus", "s_moco_v2_plus", "byol")
+        for rung in range(len(REMOVAL_ORDER) + 1)
+        for removed in [",".join(REMOVAL_ORDER[:rung])]
+        for seed in (0, 1, 2)
+    ]
 
 
-def study_collapse(root: Path) -> list[dict]:
+def collapse_arms() -> list[Arm]:
     """Healthy BYOL vs the no-predictor/no-stop-gradient ablation, plus
     MoCo v2+ as a reference with negatives; reports embedding spread vs the
     isotropic reference."""
-    arms = (
-        ("byol", dict()),
-        ("byol_no_pred_no_stopgrad", dict(
-            framework__predictor_placement="none",
-            framework__stop_gradient=False)),
-        ("moco_v2_plus", dict()),
-    )
-    rows = []
-    for label, overrides in arms:
-        kind = "byol" if label.startswith("byol") else "moco_v2_plus"
-        cfg = config_from_overrides(
-            framework__kind=kind, framework__queue_size=256,
-            run__epochs=COLLAPSE_EPOCHS, run__batch=48, run__seed=0,
-            **COLLAPSE_DATA, **overrides,
-        )
-        result = pretrain(cfg, root / label)
-        dataset = dataset_from_config(cfg)
-        feat_std, eff_rank = embedding_metrics(
-            result.state, dataset, cfg["framework.stop_gradient"]
-        )
-        ref = evaluation.isotropic_std_reference(
-            cfg["encoder.projector_out"]
-        )
-        rows.append({
-            "arm": label, "feat_std": feat_std, "eff_rank": eff_rank,
-            "std_over_reference": feat_std / ref,
-        })
-    return rows
+    ablation = dict(framework__predictor_placement="none",
+                    framework__stop_gradient=False)
+    arms = (("byol", "byol", {}), ("byol_no_pred_no_stopgrad", "byol", ablation),
+            ("moco_v2_plus", "moco_v2_plus", {}))
+    return [
+        Arm({"arm": label}, label, _study_cfg(
+            kind, COLLAPSE_DATA, COLLAPSE_EPOCHS, 48, 0, **diff), _embedding)
+        for label, kind, diff in arms
+    ]
 
 
-def study_norm_divergence(root: Path) -> list[dict]:
+def norm_divergence_arms() -> list[Arm]:
     """LARS (decay exclusions on norm/bias) vs SGD (decay everywhere) from
     identical init and data order; compares accumulated norm-gain mass."""
-    rows = []
-    for opt_kind in ("sgd", "lars"):
-        overrides = dict(optimizer__kind=opt_kind)
-        if opt_kind == "lars":
-            overrides["optimizer__lr"] = NORMDIV_LARS_LR
-        cfg = config_from_overrides(
-            framework__kind="byol",
-            run__epochs=NORMDIV_EPOCHS, run__batch=NORMDIV_BATCH,
-            run__seed=0, **NORMDIV_DATA, **overrides,
-        )
-        result = pretrain(cfg, root / f"byol_{opt_kind}")
-        report = weight_norm_report(result.state.student)
-        rows.append({
-            "optimizer": opt_kind,
-            "norm_gain_sum": norm_sum_by_role(result.state.student, "norm_gain"),
-            "weight_norm_sum": sum(report.values()),
-            **{f"norm[{k}]": v for k, v in report.items()},
-        })
-    return rows
+    lr = {"sgd": {}, "lars": {"optimizer__lr": NORMDIV_LARS_LR}}
+    return [
+        Arm({"optimizer": opt}, f"byol_{opt}",
+            _study_cfg("byol", NORMDIV_DATA, NORMDIV_EPOCHS, NORMDIV_BATCH, 0,
+                       optimizer__kind=opt, **lr[opt]),
+            _norms)
+        for opt in lr
+    ]
+
+
+STUDY_ARMS = {
+    "ladder": ladder_arms,
+    "crossover": crossover_arms,
+    "aug-ablation": aug_ablation_arms,
+    "collapse": collapse_arms,
+    "norm-divergence": norm_divergence_arms,
+}
+STUDIES = tuple(STUDY_ARMS)
+
+
+def _run_order(arms: list[Arm]) -> list[list[Arm]]:
+    """The arms in groups that share plan inputs (`cfg.pipeline()`,
+    `run.seed`, `run.batch` and the `data.*` keys), each group in list
+    order, the groups in the order they first appear; arms without a
+    config form one group. The arms of a group draw the same augmentation
+    plans, so all but the first take them from `augment.draw_plans`' memo.
+    """
+    groups: dict = {}
+    for arm in arms:
+        cfg = arm.cfg
+        key = None if cfg is None else (cfg.pipeline(), *(
+            cfg[k] for k in ("run.seed", "run.batch", *DATA_KEYS)))
+        groups.setdefault(key, []).append(arm)
+    return list(groups.values())
 
 
 def run_study(name: str, out=None) -> tuple[list[dict], Path]:
-    """Run one named study; returns its rows and the table path."""
-    if name not in STUDIES:
-        raise ConfigError(
-            f"unknown study {name!r}; available: {', '.join(STUDIES)}"
-        )
+    """Run one named study; returns its rows and the table path.
+
+    The arms run in `_run_order`, one progress line each, and the plan memo
+    is emptied after each group: no later group asks for its plans. The
+    rows keep the order the study lists its arms in.
+    """
+    if name not in STUDY_ARMS:
+        raise ConfigError(f"unknown study {name!r}; "
+                          f"available: {', '.join(STUDIES)}")
     root = out_root(out) / f"study_{name.replace('-', '_')}"
     root.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    fn = {
-        "ladder": study_ladder,
-        "crossover": study_crossover,
-        "aug-ablation": study_aug_ablation,
-        "collapse": study_collapse,
-        "norm-divergence": study_norm_divergence,
-    }[name]
-    rows = fn(root)
+    arms = STUDY_ARMS[name]()
+    measured = {}
+    for group in _run_order(arms):
+        for arm in group:
+            arm_started = time.time()
+            path = root / arm.run
+            result = None if arm.cfg is None else pretrain(arm.cfg, path)
+            measured[arm.run] = {**arm.labels, **arm.measure(result, path)}
+            print(f"study {name}: {len(measured)}/{len(arms)} {arm.run} "
+                  f"({time.time() - arm_started:.1f}s)", flush=True)
+        memo_plans.cache_clear()
+    rows = [measured[arm.run] for arm in arms]
     table_path = root / "table.csv"
     if rows:
-        with checkpoint.open_atomic(table_path, "w", newline="",
-                                    encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({
-                    k: repr(v) if isinstance(v, float) else v
-                    for k, v in row.items()
-                })
-    elapsed = time.time() - started
-    print(f"study {name}: {len(rows)} rows in {elapsed:.1f}s -> {table_path}")
+        _write_rows(table_path, list(rows[0]), [
+            [repr(v) if isinstance(v, float) else v for v in row.values()]
+            for row in rows
+        ])
+    print(f"study {name}: {len(rows)} rows in {time.time() - started:.1f}s "
+          f"-> {table_path}")
     return rows, table_path
 
 

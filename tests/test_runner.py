@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -473,7 +474,8 @@ class TestCollapseStudy:
 
         monkeypatch.setattr(runner, "pretrain", record)
         self.shrink(monkeypatch)
-        rows = {row["arm"]: row for row in runner.study_collapse(tmp_path)}
+        rows = {row["arm"]: row
+                for row in runner.run_study("collapse", tmp_path)[0]}
         label = "byol_no_pred_no_stopgrad"
         student = results[label].state.student
         dataset = runner.dataset_from_config(results[label].cfg)
@@ -496,6 +498,18 @@ class TestCollapseStudy:
             for key, value in row.items():
                 if key != "arm":
                     assert float(text[key]) == value
+
+    def test_progress_line_per_arm(self, tmp_path, monkeypatch, capsys):
+        self.shrink(monkeypatch)
+        _, table = runner.run_study("collapse", tmp_path)
+        *progress, summary = capsys.readouterr().out.splitlines()
+        runs = ["byol", "byol_no_pred_no_stopgrad", "moco_v2_plus"]
+        assert len(progress) == len(runs)
+        for i, (line, run) in enumerate(zip(progress, runs), 1):
+            assert re.fullmatch(
+                rf"study collapse: {i}/3 {run} \(\d+\.\ds\)", line), line
+        assert re.fullmatch(rf"study collapse: 3 rows in \d+\.\ds -> "
+                            rf"{re.escape(str(table))}", summary), summary
 
 
 @pytest.fixture(scope="module")
@@ -679,7 +693,9 @@ class TestCommands:
 
     def test_cli_reports_errors_with_exit_code(self, tmp_path, capsys):
         rc = cli_main(["pretrain", "-c", str(tmp_path / "missing.txt")])
-        assert rc == 1 or rc != 0
+        assert rc == 1
+        assert any(line.startswith("error: ") and "missing.txt" in line
+                   for line in capsys.readouterr().err.splitlines())
 
     def test_cli_unknown_study_exit_code(self, capsys):
         rc = cli_main(["reproduce", "nonexistent"])
@@ -702,8 +718,9 @@ class TestSafeWrites:
                            [("a b", "0.5"), ("c,d", "1.0")])
         assert ((tmp_path / "rows.csv").read_bytes()
                 == b'stage,cka\r\na b,0.5\r\n"c,d",1.0\r\n')
-        monkeypatch.setattr(runner, "study_collapse", lambda root: [
-            {"arm": "x", "v": 0.1}, {"arm": "y", "v": 2.0}])
+        monkeypatch.setitem(runner.STUDY_ARMS, "collapse", lambda: [
+            runner.Arm({"arm": "x"}, "x", None, lambda r, p: {"v": 0.1}),
+            runner.Arm({"arm": "y"}, "y", None, lambda r, p: {"v": 2.0})])
         _, table = runner.run_study("collapse", tmp_path)
         assert table.read_bytes() == b"arm,v\r\nx,0.1\r\ny,2.0\r\n"
 
@@ -753,59 +770,134 @@ FULL_LADDER = (
 
 class TestLadder:
     @pytest.fixture
-    def ladder(self, tmp_path, monkeypatch):
-        """The ladder's rows and the config of each rung, without training."""
-        configs = []
+    def arms(self):
+        return runner.ladder_arms()
 
-        def record(cfg, run_dir):
-            configs.append(cfg)
-            return None, 0.0
+    def test_rungs_accumulate_to_full_configs(self, arms):
+        assert ([(arm.labels["rung"], arm.labels["config"]) for arm in arms]
+                == [(i, label) for i, (label, _) in enumerate(FULL_LADDER)])
+        for arm, (_, full) in zip(arms, FULL_LADDER, strict=True):
+            assert arm.cfg.values == config_from_overrides(
+                framework__kind="moco_v2", framework__queue_size=256,
+                run__epochs=runner.MAIN_EPOCHS, run__batch=48, run__seed=0,
+                **runner.MAIN_DATA, **full).values
 
-        monkeypatch.setattr(runner, "_run_and_probe", record)
-        return runner.study_ladder(tmp_path), configs
-
-    def test_rungs_accumulate_to_full_configs(self, ladder):
-        rows, configs = ladder
-        assert [row["config"] for row in rows] == [l for l, _ in FULL_LADDER]
-        for cfg, (_, full) in zip(configs, FULL_LADDER, strict=True):
-            assert cfg.values == runner._study_cfg("moco_v2", **full).values
-
-    def test_symmetric_loss_rung_is_moco_v2_plus(self, ladder):
-        _, configs = ladder
-        rung = configs[4].framework_config()
+    def test_symmetric_loss_rung_is_moco_v2_plus(self, arms):
+        rung = arms[4].cfg.framework_config()
         assert rung.kind == "moco_v2"
         assert (replace(rung, kind="moco_v2_plus")
                 == FrameworkConfig.preset("moco_v2_plus"))
 
 
-def test_aug_ablation_runs_each_rung_and_seed_together(tmp_path, monkeypatch):
+# What each study compares: the only config keys in which its arms differ.
+STUDY_FACTORS = {
+    "ladder": {
+        "augment.removed", "framework.projector_hidden_bn",
+        "framework.predictor_placement", "framework.momentum_base",
+        "framework.momentum_schedule", "framework.symmetric_loss"},
+    "crossover": {"framework.kind", "optimizer.kind", "optimizer.lr"},
+    "aug-ablation": {
+        "framework.kind", "framework.predictor_placement", "augment.removed",
+        "run.seed"},
+    "collapse": {
+        "framework.kind", "framework.predictor_placement",
+        "framework.stop_gradient"},
+    "norm-divergence": {"optimizer.kind", "optimizer.lr"},
+}
+
+
+@pytest.mark.parametrize("name", runner.STUDIES)
+def test_arms_differ_only_in_what_the_study_compares(name):
+    configs = [arm.cfg.values for arm in runner.STUDY_ARMS[name]()
+               if arm.cfg is not None]
+    differ = {key for values in configs for key, value in values.items()
+              if value != configs[0][key]}
+    assert differ == STUDY_FACTORS[name]
+
+
+def dry_run(name, tmp_path, monkeypatch, capsys):
+    """Run study `name` training nothing. Each pretrain records its run and
+    the memo's size, then draws one batch of plans through the memo as the
+    arm's run would; each measure returns its position in the run order.
+    Returns the rows, the measured runs, the pretrained runs with the memo
+    sizes they saw, and the runs the progress lines name."""
+    measured, pretrained = [], []
+
+    def pretrain(cfg, run_dir):
+        pretrained.append((run_dir.name,
+                           augment.memo_plans.cache_info().currsize))
+        augment.draw_plans(cfg.pipeline(), [Rng(cfg["run.seed"])], (16, 16))
+
+    def measure(result, path):
+        measured.append(path.name)
+        return {"top1": float(len(measured))}
+
+    arms = runner.STUDY_ARMS[name]
+    monkeypatch.setitem(runner.STUDY_ARMS, name, lambda: [
+        arm._replace(measure=measure) for arm in arms()])
+    monkeypatch.setattr(runner, "pretrain", pretrain)
+    rows, _ = runner.run_study(name, tmp_path)
+    assert augment.memo_plans.cache_info().currsize == 0
+    progress = [line.split()[3]
+                for line in capsys.readouterr().out.splitlines()[:-1]]
+    return rows, measured, pretrained, progress
+
+
+# Each study's arms in the order they run, with the memo size each pretrain
+# finds: 0 opens a group of arms that share plan inputs.
+RUN_ORDER = {
+    "ladder": [("rung0", 0), ("rung1", 1), ("rung2", 1), ("rung3", 1),
+               ("rung4", 1), ("rung5", 0)],
+    "crossover": [("moco_v2_plus_sgd", 0), ("moco_v2_plus_lars", 1),
+                  ("byol_sgd", 1), ("byol_lars", 1),
+                  ("moco_v2_plus_lars_rescaled.airl", None),
+                  ("byol_lars_rescaled.airl", None)],
+    "collapse": [("byol", 0), ("byol_no_pred_no_stopgrad", 1),
+                 ("moco_v2_plus", 1)],
+    "norm-divergence": [("byol_sgd", 0), ("byol_lars", 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_ORDER))
+def test_study_run_order_and_memo_clears(name, tmp_path, monkeypatch,
+                                         capsys):
+    rows, measured, pretrained, progress = dry_run(name, tmp_path,
+                                                   monkeypatch, capsys)
+    expected = RUN_ORDER[name]
+    assert measured == progress == [run for run, _ in expected]
+    assert pretrained == [(run, size) for run, size in expected
+                          if size is not None]
+    assert [row["top1"] for row in rows] == [
+        float(i + 1) for i in range(len(rows))]
+
+
+def test_aug_ablation_runs_each_rung_and_seed_together(tmp_path, monkeypatch,
+                                                       capsys):
     # The frameworks of one (rung, seed) share augmentation streams and run
     # back to back, and the memo is emptied after each such group; the table
     # keeps its framework-major row order.
-    runs, memo_sizes = [], []
-
-    def record(cfg, run_dir):
-        runs.append((cfg["framework.kind"], cfg["augment.removed"],
-                     cfg["run.seed"], Path(run_dir).name))
-        memo_sizes.append(augment.memo_plans.cache_info().currsize)
-        augment.draw_plans(cfg.pipeline(), [Rng(cfg["run.seed"])], (16, 16))
-        return None, float(len(runs))
-
-    monkeypatch.setattr(runner, "_run_and_probe", record)
-    rows = runner.study_aug_ablation(tmp_path, seeds=(0, 1))
     kinds = ("moco_v2_plus", "s_moco_v2_plus", "byol")
     rungs = range(len(REMOVAL_ORDER) + 1)
-    assert runs == [
-        (kind, ",".join(REMOVAL_ORDER[:rung]), seed, f"{kind}_r{rung}_s{seed}")
-        for rung in rungs for seed in (0, 1) for kind in kinds]
-    assert memo_sizes == [0, 1, 1] * (len(rungs) * 2)
+    seeds = (0, 1, 2)
+    for arm in runner.aug_ablation_arms():
+        kind, rung, seed = (arm.labels[k] for k in ("framework", "rung",
+                                                    "seed"))
+        assert arm.run == f"{kind}_r{rung}_s{seed}"
+        assert (arm.cfg["framework.kind"], arm.cfg["augment.removed"],
+                arm.cfg["run.seed"]) == (
+            kind, ",".join(REMOVAL_ORDER[:rung]), seed)
+    rows, measured, pretrained, progress = dry_run(
+        "aug-ablation", tmp_path, monkeypatch, capsys)
+    order = [f"{kind}_r{rung}_s{seed}"
+             for rung in rungs for seed in seeds for kind in kinds]
+    assert measured == progress == order
+    assert pretrained == [(run, 0 if i % 3 == 0 else 1)
+                          for i, run in enumerate(order)]
     assert [(r["framework"], r["rung"], r["seed"]) for r in rows] == [
         (kind, rung, seed) for kind in kinds for rung in rungs
-        for seed in (0, 1)]
+        for seed in seeds]
     for row in rows:
-        run = runs.index((row["framework"], ",".join(
-            REMOVAL_ORDER[:row["rung"]]), row["seed"],
-            f"{row['framework']}_r{row['rung']}_s{row['seed']}"))
-        assert row["top1"] == float(run + 1)
+        run = f"{row['framework']}_r{row['rung']}_s{row['seed']}"
+        assert row["top1"] == float(order.index(run) + 1)
         assert row["removed"] == (",".join(REMOVAL_ORDER[:row["rung"]])
                                   or "(none)")
