@@ -33,7 +33,7 @@ PROBE_MILESTONES = (0.6, 0.8)  # fractions of training
 PROBE_DECAY = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     train_images: np.ndarray  # (n_train, side, side, 3) in [0, 1]
     train_labels: np.ndarray  # (n_train,) ints in [0, classes)

@@ -7,7 +7,9 @@ match a naive reference exactly: `matmul` sums each output element from +0.0
 over k = 0, 1, ... in order. It is one numpy einsum contraction, whose C loop
 runs in that order; `matmul`'s docstring says why, names the two shapes the
 contraction cannot take, and describes the probe at import that checks
-einsum's order and rounding, with the per-k loop as its fallback.
+einsum's order and rounding, with the per-k loop as its fallback. Norms
+(`norm`) are numpy's own sums rather than BLAS's, so they do not depend on
+the BLAS thread count.
 
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
 hashed from (seed, stream id); `child` hashes a new stream id from the
@@ -336,6 +338,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if min(a.strides) < 0:
         a = np.ascontiguousarray(a)
     return np.einsum("ik,kj->ij", a, np.ascontiguousarray(b), optimize=False)
+
+
+def norm(x: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm of a whole array, without BLAS.
+
+    numpy's own pairwise sum of the squares, so the bits do not depend on
+    the BLAS thread count, as `np.linalg.norm`'s `ddot` does. Every norm
+    that feeds a trajectory, checkpoint or table uses it.
+    """
+    x = as_tensor(x)
+    return float(np.sqrt(np.sum(x * x)))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .encoder import EncoderParams
 from .errors import ConfigError, NumericOverflowError
+from .numerics import norm
 
 # Roles that LARS leaves without weight decay and trust-ratio adaptation.
 LARS_EXCLUDED_ROLES = frozenset({"norm_gain", "norm_bias", "bias"})
@@ -131,8 +132,8 @@ def lars_step(
             local = 1.0
         else:
             g = grad + cfg.weight_decay * w
-            w_norm = float(np.linalg.norm(w))
-            g_norm = float(np.linalg.norm(g))
+            w_norm = norm(w)
+            g_norm = norm(g)
             if w_norm > 0.0 and g_norm > 0.0:
                 local = cfg.trust_coefficient * w_norm / (g_norm + cfg.eps)
             else:
@@ -173,7 +174,7 @@ def weight_norm_report(params: EncoderParams) -> dict[str, float]:
     report: dict[str, float] = {}
     for block in params.specs:
         name = f"{block.name}.weight"
-        report[name] = float(np.linalg.norm(params.tensors[name]))
+        report[name] = norm(params.tensors[name])
     return report
 
 
@@ -181,7 +182,7 @@ def norm_sum_by_role(params: EncoderParams, role: str) -> float:
     """Sum of 2-norms over all tensors with the given role tag."""
     return float(
         sum(
-            np.linalg.norm(t)
+            norm(t)
             for name, t in params.tensors.items()
             if params.roles[name] == role
         )

@@ -13,11 +13,9 @@ import csv
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import checkpoint, encoder, evaluation, frameworks, surgery
 from .augment import REMOVAL_ORDER, memo_plans, two_views
@@ -30,7 +28,7 @@ from .config import (
 )
 from .errors import ConfigError, NumericOverflowError
 from .evaluation import collapse_metrics, linear_probe, make_synthetic_dataset
-from .numerics import Rng, l2_normalize_rows
+from .numerics import Rng, l2_normalize_rows, norm
 from .optim import norm_sum_by_role, weight_norm_report
 
 OUT_ROOT_ENV = "AIRL_OUT"
@@ -46,18 +44,44 @@ def out_root(explicit=None) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "airl_runs"))
 
 
+DATA_KEYS = tuple(key for key in KEY_SPEC if key.startswith("data."))
+
+# The studies use three data specs (`MAIN_DATA`, `COLLAPSE_DATA` and
+# `NORMDIV_DATA`), so three entries keep every study's dataset; a
+# `MAIN_DATA` dataset holds 3.75 MB.
+DATASET_MEMO_SIZE = 3
+
+
+@lru_cache(maxsize=DATASET_MEMO_SIZE)
+def memo_dataset(values: tuple) -> evaluation.Dataset:
+    """The dataset of the `data.*` values `values`, in `DATA_KEYS` order,
+    with every array read-only; `dataset_from_config`'s memo."""
+    spec = dict(zip(DATA_KEYS, values))
+    data = make_synthetic_dataset(
+        classes=spec["data.classes"],
+        per_class=spec["data.per_class"],
+        side=spec["data.side"],
+        rng=Rng(spec["data.seed"], 0).child("data"),
+        noise=spec["data.noise"],
+        tint=spec["data.tint"],
+        val_per_class=spec["data.val_per_class"],
+    )
+    for array in (data.train_images, data.train_labels, data.val_images,
+                  data.val_labels):
+        array.flags.writeable = False
+    return data
+
+
 def dataset_from_config(cfg) -> evaluation.Dataset:
     """The dataset of the `data.*` keys of a config (or of a mapping that
-    holds them, such as `parse_data_spec`'s)."""
-    return make_synthetic_dataset(
-        classes=cfg["data.classes"],
-        per_class=cfg["data.per_class"],
-        side=cfg["data.side"],
-        rng=Rng(cfg["data.seed"], 0).child("data"),
-        noise=cfg["data.noise"],
-        tint=cfg["data.tint"],
-        val_per_class=cfg["data.val_per_class"],
-    )
+    holds them, such as `parse_data_spec`'s).
+
+    A dataset depends on nothing else, so each process synthesizes each
+    spec once (`memo_dataset`) and every caller shares that one dataset.
+    It is frozen and its arrays are read-only, so no caller can change
+    what a later one receives.
+    """
+    return memo_dataset(tuple(cfg[key] for key in DATA_KEYS))
 
 
 @dataclass
@@ -153,9 +177,6 @@ def probe_checkpoint(ckpt_path):
     return acc
 
 
-DATA_KEYS = tuple(key for key in KEY_SPEC if key.startswith("data."))
-
-
 def parse_data_spec(spec: str) -> dict:
     """Parse 'classes=8,per_class=64,side=16,noise=0.05,tint=0.35,seed=1'.
 
@@ -244,7 +265,7 @@ def cmd_analyze_norms(input_path, out_path=None):
     """List the 2-norm of every weight-role tensor in the checkpoint."""
     records, _ = checkpoint.load_checkpoint(input_path)
     rows = [
-        (name, float(np.linalg.norm(array)))
+        (name, norm(array))
         for name, (role, array) in sorted(records.items())
         if role == "weight"
     ]

@@ -20,7 +20,7 @@ from .errors import (
     DegenerateFeatureError,
     DimensionError,
 )
-from .numerics import matmul
+from .numerics import matmul, norm
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Anchor:
     def from_tensors(tensors: dict[str, np.ndarray]) -> "Anchor":
         return Anchor(
             kind="checkpoint",
-            norms={k: float(np.linalg.norm(v)) for k, v in tensors.items()},
+            norms={k: norm(v) for k, v in tensors.items()},
         )
 
     @staticmethod
@@ -78,7 +78,7 @@ def norm_rescale(
     out: dict[str, np.ndarray] = {}
     report = RescaleReport()
     for name, w in tensors.items():
-        old_norm = float(np.linalg.norm(w))
+        old_norm = norm(w)
         if anchor.kind == "constant":
             target = anchor.factor * old_norm
         else:
@@ -113,13 +113,13 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionError("CKA needs at least 2 samples")
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
-    xx = float(np.linalg.norm(matmul(xc.T, xc)))
-    yy = float(np.linalg.norm(matmul(yc.T, yc)))
+    xx = norm(matmul(xc.T, xc))
+    yy = norm(matmul(yc.T, yc))
     if xx < 1e-300 or yy < 1e-300:
         raise DegenerateFeatureError(
             "zero-variance representation after centering"
         )
-    xy = float(np.linalg.norm(matmul(yc.T, xc)))
+    xy = norm(matmul(yc.T, xc))
     return xy * xy / (xx * yy)
 
 

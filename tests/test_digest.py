@@ -3,11 +3,11 @@ the lines committed in `tests/expected_digest.txt`.
 
 The file's header records the numpy version and the `matmul` path that
 produced its lines; elsewhere the test skips and says why. The tool runs
-with BLAS pinned to one thread, as the benchmark runs: `np.linalg.norm` in
-the LARS trust ratio sums through BLAS, whose partial sums depend on the
-thread count, so the LARS run's line and the probe line differ between one
-thread and two. A change that breaks bit-equality on purpose regenerates
-the file, from the repository root:
+with BLAS pinned to one thread, as the benchmark runs, and again at two
+threads, which skips on a machine with one CPU: every norm that feeds a
+trajectory is `numerics.norm`, a numpy sum that BLAS does not split by
+thread count, so both give the same lines. A change that breaks
+bit-equality on purpose regenerates the file, from the repository root:
 
     export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
     (echo "# $(PYTHONPATH=src python3 tools/trajectory_digest.py \
@@ -24,21 +24,37 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 EXPECTED = Path(__file__).with_name("expected_digest.txt")
-ONE_BLAS_THREAD = dict.fromkeys(
-    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
-def test_trajectory_digest_matches_committed_lines():
+def digest_lines(threads: int) -> tuple[list[str], list[str]]:
+    """The tool's lines at `threads` BLAS threads and the committed ones;
+    skips when those were recorded with another numpy version or `matmul`
+    path."""
     header, *expected = EXPECTED.read_text(encoding="utf-8").splitlines()
     pythonpath = os.pathsep.join(
         p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(REPO / "tools" / "trajectory_digest.py")],
         cwd=REPO, capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath, **ONE_BLAS_THREAD),
+        env=dict(os.environ, PYTHONPATH=pythonpath,
+                 **dict.fromkeys(BLAS_THREAD_VARS, str(threads))),
     )
     produced_by = proc.stderr.splitlines()[0]
     if header != f"# {produced_by}":
         pytest.skip(f"expected lines were recorded with {header[2:]}; "
                     f"this is {produced_by}")
-    assert proc.stdout.splitlines() == expected
+    return proc.stdout.splitlines(), expected
+
+
+def test_trajectory_digest_matches_committed_lines():
+    produced, expected = digest_lines(1)
+    assert produced == expected
+
+
+def test_trajectory_digest_is_the_same_at_two_blas_threads():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("two BLAS threads need two usable CPUs")
+    produced, expected = digest_lines(2)
+    assert produced == expected

@@ -1,6 +1,6 @@
 import csv
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +376,77 @@ class TestCheckpoint:
         assert state.queue.fill == result.state.queue.fill
         assert np.array_equal(state.queue.data, result.state.queue.data)
         assert state.queue.cursor == result.state.queue.cursor
+
+
+class TestDatasetMemo:
+    SPEC = "classes=3,per_class=5,val_per_class=2,side=6,noise=0.1,seed=4"
+
+    @pytest.fixture
+    def syntheses(self, monkeypatch):
+        """One entry per `make_synthetic_dataset` call (its rng), in order;
+        the autouse fixture has emptied the memo."""
+        calls = []
+        make = runner.make_synthetic_dataset
+
+        def counted(**kwargs):
+            calls.append(kwargs["rng"])
+            return make(**kwargs)
+
+        monkeypatch.setattr(runner, "make_synthetic_dataset", counted)
+        return calls
+
+    def test_equals_a_fresh_synthesis_bit_for_bit(self):
+        got = runner.dataset_from_config(runner.parse_data_spec(self.SPEC))
+        want = evaluation.make_synthetic_dataset(
+            classes=3, per_class=5, side=6, rng=Rng(4, 0).child("data"),
+            noise=0.1, tint=0.35, val_per_class=2)
+        for name in ("train_images", "train_labels", "val_images",
+                     "val_labels"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes())
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert got.classes == want.classes
+
+    def test_repeated_spec_is_the_same_object(self, syntheses):
+        spec = runner.parse_data_spec(self.SPEC)
+        cfg = fast_cfg(**{key.replace(".", "__"): value
+                          for key, value in spec.items()})
+        first = runner.dataset_from_config(spec)
+        assert runner.dataset_from_config(cfg) is first
+        assert runner.eval_dataset(cfg, "") is first
+        assert len(syntheses) == 1
+
+    @pytest.mark.parametrize("key", runner.DATA_KEYS)
+    def test_any_data_key_change_gives_another_dataset(self, key, syntheses):
+        spec = runner.parse_data_spec(self.SPEC)
+        changed = dict(spec, **{key: spec[key] + 1})
+        first = runner.dataset_from_config(spec)
+        other = runner.dataset_from_config(changed)
+        assert other is not first
+        assert len(syntheses) == 2
+        assert runner.dataset_from_config(changed) is other
+        assert len(syntheses) == 2
+
+    def test_dataset_is_read_only(self):
+        data = runner.dataset_from_config(runner.parse_data_spec(self.SPEC))
+        for name in ("train_images", "train_labels", "val_images",
+                     "val_labels"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            data.classes = 4
+        with pytest.raises(FrozenInstanceError):
+            data.train_images = np.zeros(1)
+
+    def test_memo_holds_every_study_spec(self, syntheses):
+        specs = [config_from_overrides(framework__kind="byol", **data)
+                 for data in (runner.MAIN_DATA, runner.COLLAPSE_DATA,
+                              runner.NORMDIV_DATA)]
+        assert runner.DATASET_MEMO_SIZE == len(specs)
+        for _ in range(2):
+            for cfg in specs:
+                runner.dataset_from_config(cfg)
+        assert len(syntheses) == len(specs)
 
 
 class TestPretrain:

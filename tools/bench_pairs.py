@@ -7,8 +7,10 @@ workload uses seed FIRST + i - 1. Both checkouts should hold identical
 `benchmarks/`. For each bounded metric the summary gives each side's median
 and quartiles (numpy's linear interpolation), the number of pairs in which
 the change read lower (ties count for neither side), and the change of the
-rounded median, absolute and relative to the parent's. The file is rewritten after
-every pair, so an interrupted series keeps the pairs already run.
+rounded median, absolute and relative to the parent's. Each metric then gets
+a verdict (`verdicts`): `gain`, `regression` or `unresolved`. The file is
+rewritten after every pair, so an interrupted series keeps the pairs already
+run.
 
 Run from the repository root, with the parent checked out elsewhere:
 
@@ -27,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("step_ms.p90", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 COMMAND = ("python3 benchmarks/run.py --workload <workload> --seed <seed> "
@@ -88,6 +91,35 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
+def load_bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """Each end-to-end metric's bound: the largest rise of its median,
+    relative to the parent's, that is not a regression."""
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
+def verdicts(summary: dict, bounds: dict) -> dict:
+    """Per metric of `summarize`'s summary (each lower is better):
+
+    - `gain` when the change read lower in at least 9 of 10 pairs and its
+      median is below the parent's by more than the parent's IQR;
+    - `regression` when its median is above the parent's by more than the
+      metric's bound, relative to the parent's median;
+    - `unresolved` otherwise.
+    """
+    out = {}
+    for name, entry in summary.items():
+        lower, pairs = map(int, entry["change_lower_in_pairs"].split("/"))
+        if (10 * lower >= 9 * pairs
+                and -entry["median_change"] > entry["parent"]["iqr"]):
+            out[name] = "gain"
+        elif entry["median_change_rel"] > bounds[name]:
+            out[name] = "regression"
+        else:
+            out[name] = "unresolved"
+    return out
+
+
 def cpu_name() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -138,6 +170,7 @@ def main(argv=None) -> int:
     parser.add_argument("--title", required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    bounds = load_bounds()
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     report = {
@@ -155,7 +188,8 @@ def main(argv=None) -> int:
     for workload, first_seed in args.workload:
         seeds = list(range(first_seed, first_seed + args.pairs))
         pairs: list[dict] = []
-        entry = {"seeds": seeds, "summary": None, "pairs": pairs}
+        entry = {"seeds": seeds, "summary": None, "verdicts": None,
+                 "pairs": pairs}
         report["workloads"][workload] = entry
         for number, seed in enumerate(seeds, start=1):
             order = SIDES if number % 2 else SIDES[::-1]
@@ -165,12 +199,16 @@ def main(argv=None) -> int:
                 runs["change"]["manifest"])
             pairs.append(pair_record(number, seed, order[0], runs))
             entry["summary"] = summarize(pairs)
+            entry["verdicts"] = verdicts(entry["summary"], bounds)
             args.out.write_text(json.dumps(report, indent=1) + "\n",
                                 encoding="utf-8")
             print(f"{workload} pair {number}/{args.pairs} seed {seed}: "
                   + ", ".join(f"{side} {runs[side]['metrics']['step_ms.p90']:.1f}"
                               for side in SIDES)
                   + " ms step p90", file=sys.stderr, flush=True)
+        print(f"{workload}: " + ", ".join(
+            f"{name} {verdict}" for name, verdict in entry["verdicts"].items()),
+            file=sys.stderr, flush=True)
     return 0
 
 
