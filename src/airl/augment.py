@@ -74,9 +74,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import numerics
 from .errors import ConfigError
 from .numerics import (
     PHILOX_WORDS,
@@ -242,17 +240,8 @@ def _blur_kernels(sigmas: np.ndarray, radius: int) -> np.ndarray:
 
 def _blur_pass(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # Sum over taps t of weights[t] * padded[t:t + size], tap by tap from
-    # +0.0, where size is the length of the blurred axis, axis 0. That is
-    # one einsum over a sliding window of the taps: the tap axis is never
-    # its inner loop (its strides are the largest), so each pixel gets its
-    # taps in order, one unfused product each, as `matmul` relies on too;
-    # where the import probe says einsum does not do that, tap by tap.
-    taps = len(weights)
-    if numerics.EINSUM_IS_NAIVE:
-        return np.einsum("i...t,t...->i...",
-                         sliding_window_view(padded, taps, axis=0), weights,
-                         optimize=False)
-    size = len(padded) - taps + 1
+    # +0.0, where size is the length of the blurred axis, axis 0.
+    size = len(padded) - len(weights) + 1
     acc = np.zeros((size, *padded.shape[1:]))
     product = np.empty(acc.shape)
     for tap, weight in enumerate(weights):
@@ -279,9 +268,8 @@ def gaussian_blur(img: np.ndarray, sigma) -> np.ndarray:
 
     All images are blurred together, first down the columns and then along
     the rows, each pass with the blurred axis outermost and the image axis
-    innermost: (h, w, 3 * n), then (w, h, 3 * n). A pass is one einsum
-    over a sliding window of the padded buffer (`_blur_pass`), whose inner
-    loop multiplies and adds along that contiguous image axis. Each
+    innermost: (h, w, 3 * n), then (w, h, 3 * n). A tap is then one
+    multiply and one add over a contiguous slab of the padded buffer. Each
     image's kernel is centred in the taps of the largest radius, with
     weight 0 beyond its own; a zero product leaves a sum begun at +0.0
     unchanged, so the extra taps change no bit.

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import augment_reference as reference
-from airl import augment, numerics, runner
+from airl import augment, runner
 from airl.augment import (
     REMOVAL_ORDER,
     AugPipeline,
@@ -297,24 +297,6 @@ def test_batch_holding_every_blur_radius_equals_reference():
     sigmas = next(c.values for c in plans.stages if c.name == "gaussian_blur")
     assert set(np.ceil(2.0 * sigmas).astype(int).tolist()) == {1, 2, 3, 4}
     assert_views_match_reference(images, pipe, rngs)
-
-
-@pytest.mark.parametrize("n", [1, 2, 7])
-def test_blur_einsum_equals_tap_loop(monkeypatch, n):
-    # The einsum pass against the tap-by-tap loop, the path every blur takes
-    # when the import probe rejects einsum: directly on values whose sum
-    # depends on its order, then through whole non-square blurs.
-    rng = Rng(34).child("blur", n)
-    padded = rng.child("padded").normal(size=(15, 4, 3, n)) * np.exp(
-        rng.child("scale").uniform(-30.0, 30.0, (15, 4, 3, n)))
-    weights = rng.child("weights").random((9, 4, 3, n))
-    images = rng.child("img").random((n, 11, 13, 3))
-    sigmas = rng.child("sigma").uniform(0.1, 2.0, n)
-    got = augment._blur_pass(padded, weights), gaussian_blur(images, sigmas)
-    monkeypatch.setattr(numerics, "EINSUM_IS_NAIVE", False)
-    want = augment._blur_pass(padded, weights), gaussian_blur(images, sigmas)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("block_images", [1, 2, 5])

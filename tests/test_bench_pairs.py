@@ -85,22 +85,27 @@ def test_summary_reproduces_bench_6():
 
 
 def test_verdicts_need_nine_wins_beyond_the_iqr_or_a_rise_beyond_the_bound():
-    def pair(parent, change):
-        return {side: dict(zip(bench_pairs.METRICS, values))
-                for side, values in (("parent", parent), ("change", change))}
+    def pairs_of(parent, change, failed=()):
+        # Pair records as `pair_record` makes them; the change fails one of
+        # 72 operations in each pair whose index is in `failed`.
+        return [{"parent": dict(zip(bench_pairs.METRICS, p)),
+                 "change": dict(zip(bench_pairs.METRICS, c)),
+                 "ops_failed": {"parent": 0, "change": int(i in failed)},
+                 "ops_attempted": {"parent": 72, "change": 72}}
+                for i, (p, c) in enumerate(zip(parent, change))]
 
     # (step_ms.p90, setup_s, peak_rss_mb) per pair and side. The parent's
     # medians are 52 ms, 1.0 s and 55.25 MB, its IQRs 2 ms, 0 s and 0.5 MB.
     parent = [(50.0 + i % 5, 1.0, 55.0 + i % 2 / 2) for i in range(10)]
     change = [(step - 4.0, 1.2, rss - 3.0) for step, _, rss in parent]
     change[9] = (60.0, 1.2, 52.5)  # the change loses one step pair
-    pairs = [pair(p, c) for p, c in zip(parent, change)]
     bounds = bench_pairs.load_bounds()
     assert bounds == {"setup_s": 0.25, "step_ms.p90": 0.25,
                       "peak_rss_mb": 0.1}
-    summary = bench_pairs.summarize(pairs)
-    assert summary["step_ms.p90"]["change_lower_in_pairs"] == "9/10"
-    assert bench_pairs.verdicts(summary, bounds) == {
+    pairs = pairs_of(parent, change)
+    assert bench_pairs.summarize(pairs)["step_ms.p90"][
+        "change_lower_in_pairs"] == "9/10"
+    assert bench_pairs.verdicts(pairs, bounds) == {
         # 9/10 pairs, median down 4 ms against an IQR of 2 ms.
         "step_ms.p90": "gain",
         # Median up 20%: within the bound of 0.25.
@@ -108,13 +113,19 @@ def test_verdicts_need_nine_wins_beyond_the_iqr_or_a_rise_beyond_the_bound():
         # 10/10 pairs, median down 3 MB against an IQR of 0.5 MB.
         "peak_rss_mb": "gain",
     }
-    # Eight wins are not enough, however far the median moves.
-    summary["step_ms.p90"]["change_lower_in_pairs"] = "8/10"
-    # A rise of the setup median beyond its bound.
-    summary["setup_s"]["median_change_rel"] = 0.26
-    # Ten wins, but a median move inside the parent's IQR.
-    summary["peak_rss_mb"]["median_change"] = -0.4
-    assert bench_pairs.verdicts(summary, bounds) == {
+    # The same pairs with one more failed operation on the change's side,
+    # or before the tenth pair has run.
+    unresolved = dict.fromkeys(bench_pairs.METRICS, "unresolved")
+    assert bench_pairs.verdicts(pairs_of(parent, change, failed={3}),
+                                bounds) == unresolved
+    assert bench_pairs.verdicts(pairs[:9], bounds) == unresolved
+    assert bench_pairs.verdicts(pairs[:1], bounds) == unresolved
+    # Eight wins are not enough, however far the median moves; a rise of
+    # the setup median beyond its bound; ten wins, but a median move
+    # inside the parent's IQR.
+    change = [(step, 1.26, rss + 2.6) for step, _, rss in change]
+    change[8] = change[9]
+    assert bench_pairs.verdicts(pairs_of(parent, change), bounds) == {
         "step_ms.p90": "unresolved", "setup_s": "regression",
         "peak_rss_mb": "unresolved"}
 

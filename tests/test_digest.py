@@ -6,7 +6,10 @@ produced its lines; elsewhere the test skips and says why. The tool runs
 with BLAS pinned to one thread, as the benchmark runs, and again at two
 threads, which skips on a machine with one CPU: every norm that feeds a
 trajectory is `numerics.norm`, a numpy sum that BLAS does not split by
-thread count, so both give the same lines. A change that breaks
+thread count, so both give the same lines. The SVD in
+`evaluation.collapse_metrics` still runs on LAPACK, on the kernel OpenBLAS
+picks for the CPU; the header cannot name that kernel, so on another CPU
+the test may fail rather than skip. A change that breaks
 bit-equality on purpose regenerates the file, from the repository root:
 
     export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1

@@ -10,7 +10,7 @@ the change read lower (ties count for neither side), and the change of the
 rounded median, absolute and relative to the parent's. Each metric then gets
 a verdict (`verdicts`): `gain`, `regression` or `unresolved`. The file is
 rewritten after every pair, so an interrupted series keeps the pairs already
-run.
+run; its verdicts read `unresolved` until ten pairs have run.
 
 Run from the repository root, with the parent checked out elsewhere:
 
@@ -32,6 +32,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("step_ms.p90", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+# The fewest pairs from which `verdicts` reads a gain or a regression.
+MIN_PAIRS = 10
 COMMAND = ("python3 benchmarks/run.py --workload <workload> --seed <seed> "
            "--seconds {seconds} --trace 0")
 
@@ -91,26 +93,36 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
-def load_bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
+def load_bounds() -> dict:
     """Each end-to-end metric's bound: the largest rise of its median,
     relative to the parent's, that is not a regression."""
-    spec = json.loads(path.read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
 
 
-def verdicts(summary: dict, bounds: dict) -> dict:
-    """Per metric of `summarize`'s summary (each lower is better):
+def verdicts(pairs: list[dict], bounds: dict) -> dict:
+    """Per metric of `summarize(pairs)` (each lower is better):
 
-    - `gain` when the change read lower in at least 9 of 10 pairs and its
-      median is below the parent's by more than the parent's IQR;
+    - `gain` when the change read lower in at least 9 of 10 pairs, its
+      median is below the parent's by more than the parent's IQR, and no
+      larger share of its operations failed than of the parent's;
     - `regression` when its median is above the parent's by more than the
       metric's bound, relative to the parent's median;
-    - `unresolved` otherwise.
+    - `unresolved` otherwise, and for every metric while fewer than
+      `MIN_PAIRS` pairs have run.
     """
+    summary = summarize(pairs)
+    if len(pairs) < MIN_PAIRS:
+        return dict.fromkeys(summary, "unresolved")
+    failed, attempted = ({side: sum(pair[key][side] for pair in pairs)
+                          for side in SIDES}
+                         for key in ("ops_failed", "ops_attempted"))
+    fails_more = (failed["change"] * attempted["parent"]
+                  > failed["parent"] * attempted["change"])
     out = {}
     for name, entry in summary.items():
-        lower, pairs = map(int, entry["change_lower_in_pairs"].split("/"))
-        if (10 * lower >= 9 * pairs
+        lower = int(entry["change_lower_in_pairs"].split("/")[0])
+        if (10 * lower >= 9 * len(pairs) and not fails_more
                 and -entry["median_change"] > entry["parent"]["iqr"]):
             out[name] = "gain"
         elif entry["median_change_rel"] > bounds[name]:
@@ -199,7 +211,7 @@ def main(argv=None) -> int:
                 runs["change"]["manifest"])
             pairs.append(pair_record(number, seed, order[0], runs))
             entry["summary"] = summarize(pairs)
-            entry["verdicts"] = verdicts(entry["summary"], bounds)
+            entry["verdicts"] = verdicts(pairs, bounds)
             args.out.write_text(json.dumps(report, indent=1) + "\n",
                                 encoding="utf-8")
             print(f"{workload} pair {number}/{args.pairs} seed {seed}: "
