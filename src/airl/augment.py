@@ -33,18 +33,17 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
    hold a crop that fits within three attempts. Only a crop can need more,
    because it fits only later or a corner draw is rejected; such a row's
    crop stream is redrawn on its own, its gate and then its box, in place.
-2. `apply_plans` makes one pass over the 2n rows: each stage runs once, in
-   pipeline order, on its fired rows of both views. The crop-resize
-   gathers straight from the n source images with per-row boxes. A row is
-   at the source size until its first crop and at the output size after
-   it, so when the two differ, the rows of one stage are taken in two size
-   groups, whichever view they belong to. Every kernel runs on blocks of
-   at most `BLOCK_VALUES` values per array, which bounds its temporaries.
-   Per-image coefficients (blur kernels, hue rotations) are computed as
-   arrays, with the same operations as for one image. The blur and the
-   jitter lay their work out so that each numpy operation is one long
-   contiguous loop: the blur with the blurred axis outermost and the image
-   axis innermost, the jitter as channel planes.
+2. `apply_plans` makes one pass over the 2n rows. The first stage is the
+   crop-resize, which always fires (`AugPipeline` holds no other kind of
+   pipeline): it gathers every row straight from the n source images with
+   per-row boxes, into one array of output-size images. Each later stage
+   then runs once, in pipeline order, on its fired rows of both views.
+   Every kernel runs on blocks of at most `BLOCK_VALUES` values per array,
+   which bounds its temporaries. Per-image coefficients (blur kernels, hue
+   rotations) are computed as arrays, with the same operations as for one
+   image. The blur and the jitter lay their work out so that each numpy
+   operation is one long contiguous loop: the blur with the blurred axis
+   outermost and the image axis innermost, the jitter as channel planes.
 
 The result equals augmenting each image on its own, bit for bit.
 
@@ -60,9 +59,9 @@ read-only, and a draw that raises is not stored.
 Layout rule. The contrast step of the jitter takes each image's mean luma,
 and a floating-point sum depends on its order. The per-image pipeline that
 the batched one replaced summed in memory order, and its crop-resize returned
-a width-major array. So an image's mean is summed column by column when its
-last crop-resize came after its last flip and grayscale, and row by row
-otherwise (a source image counts as row-major); jitter, blur and
+a width-major array. So an image's mean is summed column by column until a
+flip or grayscale has fired on it, and row by row after that; the
+crop-resize starts every image width-major, and jitter, blur and
 solarization keep the order they find. Keeping this rule keeps every
 checkpoint trained with the per-image pipeline reproducible.
 """
@@ -101,10 +100,23 @@ class AugStage:
 
 @dataclass(frozen=True)
 class AugPipeline:
-    """Ordered augmentation stages plus the output side length."""
+    """Ordered augmentation stages plus the output side length.
 
-    out_side: int = 16
-    stages: tuple[AugStage, ...] = ()
+    The first stage, and no other, is the `random_crop`, with probability
+    1.0: every view is crop-resized from its source image to the output
+    size before any other stage runs.
+    """
+
+    out_side: int
+    stages: tuple[AugStage, ...]
+
+    def __post_init__(self):
+        crops = [k for k, stage in enumerate(self.stages)
+                 if stage.name == "random_crop"]
+        if crops != [0] or self.stages[0].probability != 1.0:
+            raise ConfigError(
+                "a pipeline's first stage, and no other, must be random_crop "
+                "with probability 1.0")
 
     @staticmethod
     def default(
@@ -443,7 +455,6 @@ def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape) -> list[tuple]:
                 _check_crop_sizes(h, w, pipeline.out_side)
                 drawn = {"box": _draw_crop_box(stream, h, w, params["scale"],
                                                params["aspect"])}
-                h = w = pipeline.out_side
             elif stage.name == "color_jitter":
                 drawn = {"factors": _draw_jitter(stream, params["strengths"])}
             elif stage.name == "gaussian_blur":
@@ -483,16 +494,16 @@ class Plans:
 
 
 def _crop_boxes(words, doubles, h, w, scale, aspect):
-    # Per stream: the box of a crop that fits within the attempts its words
-    # hold. Attempt a draws from words 1 + 2a and 2 + 2a, and its box
-    # corner from word 3 + 2a; streams whose crop needs a further attempt
-    # or a rejected integer are flagged.
-    boxes = np.zeros((len(h), 4), dtype=np.int64)
-    done = np.zeros(len(h), dtype=bool)
-    redraw = np.zeros(len(h), dtype=bool)
-    image_area = (h * w).astype(np.float64)
+    # Per stream: the box of a crop of an h x w image that fits within the
+    # attempts its words hold. Attempt a draws from words 1 + 2a and
+    # 2 + 2a, and its box corner from word 3 + 2a; streams whose crop needs
+    # a further attempt or a rejected integer are flagged.
+    rows = len(words)
+    boxes = np.zeros((rows, 4), dtype=np.int64)
+    done = np.zeros(rows, dtype=bool)
+    redraw = np.zeros(rows, dtype=bool)
     for a in range(CROP_ATTEMPTS_IN_WORDS):
-        area = image_area * uniform_of(doubles[:, 1 + 2 * a], *scale)
+        area = float(h * w) * uniform_of(doubles[:, 1 + 2 * a], *scale)
         ratio = uniform_of(doubles[:, 2 + 2 * a], *aspect)
         cw = np.rint(np.sqrt(area * ratio)).astype(np.int64)
         ch = np.rint(np.sqrt(area / ratio)).astype(np.int64)
@@ -558,35 +569,28 @@ def draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
 
 def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     # `draw_plans` without the memo.
+    h, w = in_shape
+    _check_crop_sizes(h, w, pipeline.out_side)
     stages = pipeline.stages
     keys = child_keys(rngs, [("view", 0), ("view", 1)],
                       [(stage.name,) for stage in stages])
     rows = 2 * len(rngs)
     words = philox_words(keys.swapaxes(0, 1).reshape(rows, len(stages), 2))
     doubles = philox_doubles(words)
-    h = np.full(rows, in_shape[0], dtype=np.int64)
-    w = np.full(rows, in_shape[1], dtype=np.int64)
     columns = []
     for k, stage in enumerate(stages):
         fired = doubles[:, k, 0] < stage.probability
         params = dict(stage.params)
         values = None
         if stage.name == "random_crop":
-            values = np.zeros((rows, 4), dtype=np.int64)
-            if fired.any():
-                _check_crop_sizes(int(h[fired].min()), int(w[fired].min()),
-                                  pipeline.out_side)
-                values, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
-                                           params["scale"], params["aspect"])
-                for r in np.flatnonzero(fired & more).tolist():
-                    view, image = divmod(r, len(rngs))
-                    stream = rngs[image].child("view", view).child(stage.name)
-                    stream.random()  # the gate, already decided
-                    values[r] = _draw_crop_box(stream, int(h[r]), int(w[r]),
-                                               params["scale"],
-                                               params["aspect"])
-                h = np.where(fired, pipeline.out_side, h)
-                w = np.where(fired, pipeline.out_side, w)
+            values, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
+                                       params["scale"], params["aspect"])
+            for r in np.flatnonzero(more).tolist():
+                view, image = divmod(r, len(rngs))
+                stream = rngs[image].child("view", view).child(stage.name)
+                stream.random()  # the gate, already decided
+                values[r] = _draw_crop_box(stream, h, w, params["scale"],
+                                           params["aspect"])
         elif stage.name == "color_jitter":
             values = np.stack(
                 [uniform_of(doubles[:, k, 1 + j], lo, hi) for j, (lo, hi)
@@ -622,66 +626,30 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
 
     Returns (plans.rows, out_side, out_side, 3); for the rows of
     `draw_plans`, both views of the batch, view-major. All rows come from
-    one pipeline: same stages, same fixed parameters. Each stage runs once,
-    on its fired rows, in blocks of rows of one image size (see the module
-    docstring).
+    one pipeline: same stages, same fixed parameters. The first stage, the
+    crop-resize, takes every row from its source image into the output;
+    each later stage then runs once, on its fired rows, in blocks (see the
+    module docstring).
     """
-    n, in_h, in_w = images.shape[:3]
     rows = plans.rows
-    source = np.arange(rows) % n
-    col_major = np.zeros(rows, dtype=bool)
-    # A row's pixels are its source image until a stage changes them; then
-    # they are kept in `out` once the row is at the output size, and in
-    # `large` before that.
-    fresh = np.ones(rows, dtype=bool)
-    same_size = (in_h, in_w) == (out_side, out_side)
-    at_out = np.full(rows, same_size)
+    (_, _, boxes), *later = plans.stages
     out = np.empty((rows, out_side, out_side, 3))
-    large = None
-
-    every = np.arange(rows)
-
-    def kept(picked):
-        # (pixels, index, group): the rows of `picked` split by where they
-        # are kept; row r of a group is pixels[index[r]].
-        yield images, source, picked[fresh[picked]]
-        changed = picked[~fresh[picked]]
-        yield out, every, changed[at_out[changed]]
-        yield large, every, changed[~at_out[changed]]
+    source = np.arange(rows) % len(images)
+    for block in _blocks(np.arange(rows), out[0].size):
+        out[block] = resize_bilinear(images, out_side, out_side, boxes[block],
+                                     index=source[block])
+    col_major = np.ones(rows, dtype=bool)
 
     def run(kernel, picked, *per_row):
-        # kernel(pixels, *per_row values) on the changed rows `picked`,
+        # kernel(pixels, *per_row values) on the rows `picked` of `out`,
         # block by block, in place.
-        for pixels, _, group in kept(picked):
-            if not len(group):
-                continue
-            for block in _blocks(group, pixels[0].size):
-                pixels[block] = kernel(pixels[block],
-                                       *(v[block] for v in per_row))
+        for block in _blocks(picked, out[0].size):
+            out[block] = kernel(out[block], *(v[block] for v in per_row))
 
-    for name, fired, values in plans.stages:
+    for name, fired, values in later:
         picked = np.flatnonzero(fired)
         if not len(picked):
             continue
-        if name == "random_crop":
-            for pixels, index, group in kept(picked):
-                for block in _blocks(group, out[0].size):
-                    out[block] = resize_bilinear(
-                        pixels, out_side, out_side, values[block],
-                        index=index[block])
-            fresh[picked] = False
-            at_out[picked] = True
-            col_major[picked] = True
-            continue
-        new = picked[fresh[picked]]
-        if len(new):
-            if same_size:
-                out[new] = images[source[new]]
-            else:
-                if large is None:
-                    large = np.empty((rows, in_h, in_w, 3))
-                large[new] = images[source[new]]
-            fresh[new] = False
         if name == "horizontal_flip":
             run(hflip, picked)
             col_major[picked] = False
@@ -696,10 +664,6 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
             run(lambda x: solarize(x, float(values[picked[0]])), picked)
         else:
             raise ConfigError(f"unknown augmentation stage {name!r}")
-    for pixels, index, group in kept(np.flatnonzero(~at_out | fresh)):
-        for block in _blocks(group, out[0].size):
-            out[block] = resize_bilinear(pixels, out_side, out_side,
-                                         index=index[block])
     return out
 
 

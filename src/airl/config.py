@@ -81,22 +81,34 @@ RETIRED_KEYS: dict[str, tuple[str, object]] = {
 }
 
 # Smallest accepted value of each bounded int key: sizes must be positive,
-# counts may be zero, and a probe needs two classes to tell apart.
+# counts may be zero, a probe needs two classes to tell apart, and the
+# crop-resize needs source images and outputs of at least 2x2.
 MIN_VALUE: dict[str, int] = {
-    "augment.out_side": 1,
+    "augment.out_side": 2,
     "encoder.backbone_hidden": 1,
     "encoder.backbone_out": 1,
     "encoder.projector_hidden": 1,
     "encoder.projector_out": 1,
     "data.classes": 2,
     "data.per_class": 1,
-    "data.side": 1,
+    "data.side": 2,
     "run.batch": 1,
     "run.epochs": 0,
     "run.checkpoint_every": 0,
     "framework.queue_size": 0,
     "data.val_per_class": 0,
 }
+
+
+# The stages `augment.removed` may name: all but the crop, which every
+# pipeline starts with.
+REMOVABLE_STAGES = tuple(
+    stage.name for stage in augment.AugPipeline.default().stages[1:])
+
+
+def _stage_names(text: str) -> tuple[str, ...]:
+    # The comma-separated stage names of an `augment.removed` value.
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 def _parse_value(key: str, kind: str, raw: str, where: str):
@@ -136,6 +148,12 @@ def parse_value(key: str, raw: str, where: str):
     if key in MIN_VALUE and value < MIN_VALUE[key]:
         raise ConfigError(
             f"{where}: {key} must be >= {MIN_VALUE[key]}, got {value}"
+        )
+    if key == "augment.removed" and not set(_stage_names(value)) <= set(
+            REMOVABLE_STAGES):
+        raise ConfigError(
+            f"{where}: {key} may name only {','.join(REMOVABLE_STAGES)}, "
+            f"got {raw!r}"
         )
     if key == "augment.crop_scale" and not (
             len(value) == 2 and 0.0 < value[0] <= value[1] <= 1.0):
@@ -197,14 +215,9 @@ class ExperimentConfig:
         )
 
     def pipeline(self) -> augment.AugPipeline:
-        removed = tuple(
-            name.strip()
-            for name in self.values["augment.removed"].split(",")
-            if name.strip()
-        )
         return augment.AugPipeline.default(
             out_side=self.values["augment.out_side"],
-            removed=removed,
+            removed=_stage_names(self.values["augment.removed"]),
             crop_scale=tuple(self.values["augment.crop_scale"]),
         )
 

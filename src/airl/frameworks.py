@@ -232,10 +232,6 @@ class MemoryQueue:
         """The stored rows (oldest data included; order is immaterial)."""
         return self.data[: self.count].copy()
 
-    @property
-    def fill(self) -> int:
-        return self.count
-
 
 @dataclass
 class SiameseState:
@@ -421,7 +417,7 @@ def training_step(
         "loss": loss,
         "lr": lr_t,
         "momentum_m": m,
-        "queue_fill": state.queue.fill if state.queue is not None else 0,
+        "queue_fill": state.queue.count if state.queue is not None else 0,
         "embeddings": aux["embeddings"],
     }
     return state, metrics

@@ -24,6 +24,8 @@ from airl.errors import ConfigError
 from airl.numerics import Rng
 
 STAGE_NAMES = tuple(s.name for s in AugPipeline.default().stages)
+# Every stage after the crop, which a pipeline cannot remove or gate.
+LATER_STAGES = STAGE_NAMES[1:]
 
 
 def random_image(seed, side=16):
@@ -252,13 +254,12 @@ def assert_views_match_reference(images, pipe, rngs):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), epoch=st.integers(0, 100),
-       removed=st.sets(st.sampled_from(STAGE_NAMES)),
+       removed=st.sets(st.sampled_from(LATER_STAGES)),
        sides=st.sampled_from([(16, 16), (12, 8), (8, 8), (8, 12), (10, 16)]),
        crop_scale=st.sampled_from([(0.08, 1.0), (0.4, 1.0)]),
        batch=st.integers(1, 6))
 def test_batched_views_equal_per_image_reference(seed, epoch, removed, sides,
                                                  crop_scale, batch):
-    # Removing random_crop leaves the final resize to do the size change.
     side, out_side = sides
     pipe = AugPipeline.default(out_side, tuple(removed), crop_scale)
     images = Rng(seed).child("img").random((batch, side, side, 3))
@@ -270,23 +271,6 @@ def _with_gates(pipe, **gates):
     return AugPipeline(pipe.out_side, tuple(
         AugStage(s.name, gates.get(s.name, s.probability), s.params)
         for s in pipe.stages))
-
-
-def _fired(plans, name):
-    return next(c.fired for c in plans.stages if c.name == name)
-
-
-def test_views_whose_crops_fired_differently_equal_reference():
-    # 16x16 sources and 8x8 outputs: a row whose crop did not fire stays
-    # 16x16 until the final resize, so the one pass holds two image sizes.
-    pipe = _with_gates(AugPipeline.default(8), random_crop=0.5)
-    images = Rng(31).child("img").random((12, 16, 16, 3))
-    rngs = [Rng(31).child("aug", 2, i) for i in range(12)]
-    crop = _fired(draw_plans(pipe, rngs, (16, 16)), "random_crop")
-    first, second = crop[:12], crop[12:]
-    assert np.any(first & ~second) and np.any(~first & second)
-    assert np.any(first & second) and np.any(~first & ~second)
-    assert_views_match_reference(images, pipe, rngs)
 
 
 def test_batch_holding_every_blur_radius_equals_reference():
@@ -304,7 +288,8 @@ def test_kernels_in_small_blocks_equal_reference(monkeypatch, block_images):
     # Blocks of a few 8x8 images, and a single 16x16 image or a part of
     # one: every stage runs on many blocks, some of consecutive rows.
     monkeypatch.setattr(augment, "BLOCK_VALUES", block_images * 8 * 8 * 3)
-    for pipe in (_with_gates(AugPipeline.default(8), random_crop=0.5),
+    for pipe in (_with_gates(AugPipeline.default(8), color_jitter=0.5,
+                             grayscale=0.5, solarization=0.5),
                  _with_gates(AugPipeline.default(8), gaussian_blur=1.0,
                              color_jitter=1.0)):
         images = Rng(33).child("img").random((9, 16, 16, 3))
@@ -316,28 +301,29 @@ def test_kernels_in_small_blocks_equal_reference(monkeypatch, block_images):
 def test_batch_of_one_equals_reference(seed):
     images = Rng(seed).child("img").random((1, 16, 16, 3))
     for pipe in (AugPipeline.default(), AugPipeline.default(8),
-                 _with_gates(AugPipeline.default(8), random_crop=0.5)):
+                 _with_gates(AugPipeline.default(8), color_jitter=0.5,
+                             grayscale=0.5, solarization=0.5)):
         assert_views_match_reference(images, pipe, [Rng(seed).child("s", 0)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       order=st.permutations(range(len(STAGE_NAMES))),
+       order=st.permutations(range(1, len(STAGE_NAMES))),
        gates=st.lists(st.sampled_from([None, 0.0, 0.5, 1.0]),
-                      min_size=len(STAGE_NAMES), max_size=len(STAGE_NAMES)),
+                      min_size=len(LATER_STAGES), max_size=len(LATER_STAGES)),
        sides=st.sampled_from([(16, 16), (12, 8), (6, 9)]))
-# Crop, then grayscale before jitter: the contrast mean reads a gray image.
-@example(seed=0, order=[0, 1, 3, 2, 4, 5],
-         gates=[1.0, 0.0, 1.0, 1.0, None, None], sides=(16, 16))
+# Grayscale before jitter: the contrast mean reads a gray image.
+@example(seed=0, order=[1, 3, 2, 4, 5], gates=[0.0, 1.0, 1.0, None, None],
+         sides=(16, 16))
 def test_any_stage_order_and_gates_equal_reference(seed, order, gates, sides):
-    # Gates below 1 on the crop mix cropped and uncropped images in a batch;
-    # reordering moves the layout-dependent contrast mean around the crop,
-    # flip and grayscale stages.
+    # The crop stays first at gate 1; reordering the later stages moves the
+    # layout-dependent contrast mean around the flip and grayscale stages.
+    # gates[k - 1] overrides the gate of default stage k.
     side, out_side = sides
     default = AugPipeline.default(out_side).stages
-    stages = tuple(
-        default[k] if gates[k] is None
-        else AugStage(default[k].name, gates[k], default[k].params)
+    stages = default[:1] + tuple(
+        default[k] if gates[k - 1] is None
+        else AugStage(default[k].name, gates[k - 1], default[k].params)
         for k in order
     )
     pipe = AugPipeline(out_side=out_side, stages=stages)
@@ -348,19 +334,20 @@ def test_any_stage_order_and_gates_equal_reference(seed, order, gates, sides):
 
 @st.composite
 def _pipelines(draw):
-    """Default stages with a removed subset, gates overridden to 0, 1 or
-    0.5, a crop scale that may rarely fit in three attempts, and any
-    output side, including the too small side 1."""
-    removed = draw(st.sets(st.sampled_from(STAGE_NAMES)))
+    """Default stages with a removed subset of the later ones, their gates
+    overridden to 0, 1 or 0.5, a crop scale that may rarely fit in three
+    attempts, and any output side, including the too small side 1."""
+    removed = draw(st.sets(st.sampled_from(LATER_STAGES)))
     crop_scale = draw(st.sampled_from([(0.08, 1.0), (0.4, 1.0), (0.9, 1.0),
                                        (1.0, 1.0)]))
     out_side = draw(st.sampled_from([1, 2, 5, 8, 16]))
-    stages = tuple(
+    crop, *later = AugPipeline.default(out_side, tuple(removed),
+                                       crop_scale).stages
+    stages = (crop, *(
         stage if gate is None else AugStage(stage.name, gate, stage.params)
         for stage, gate in (
             (stage, draw(st.sampled_from([None, 0.0, 1.0, 0.5])))
-            for stage in AugPipeline.default(out_side, tuple(removed),
-                                             crop_scale).stages))
+            for stage in later)))
     return AugPipeline(out_side=out_side, stages=stages)
 
 
@@ -422,10 +409,6 @@ def test_batched_plans_equal_draw_plan(monkeypatch):
            batch=st.integers(1, 6))
     @example(pipe=AugPipeline.default(8, crop_scale=(0.9, 1.0)), seed=3,
              in_shape=(2, 16), batch=6)
-    # A second crop sees the first one's output size.
-    @example(pipe=AugPipeline(5, (*AugPipeline.default(5).stages[:2],
-                                  AugPipeline.default(5).stages[0])),
-             seed=4, in_shape=(16, 9), batch=6)
     def check(pipe, seed, in_shape, batch):
         rngs = [Rng(seed).child("aug", 1, i) for i in range(batch)]
         expected = _draw_plans_or_error(pipe, rngs, in_shape,
@@ -441,17 +424,26 @@ def test_batched_plans_equal_draw_plan(monkeypatch):
     assert 0 < len(redrawn) < streams["plans"]
 
 
-def test_crop_on_too_small_image_raises_only_when_fired():
+def test_crop_on_too_small_image_raises():
     rngs = [Rng(0).child("aug", 0, i) for i in range(4)]
     for pipe, in_shape in ((AugPipeline.default(8), (1, 9)),
                            (AugPipeline.default(1), (9, 9))):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="at least 2x2"):
             draw_plans(pipe, rngs, in_shape)
-    never = AugPipeline(8, tuple(
-        AugStage(s.name, 0.0, s.params) if s.name == "random_crop" else s
-        for s in AugPipeline.default(8).stages))
-    assert batched_plans(never, rngs, (1, 9)) == per_stream_plans(never, rngs,
-                                                                  (1, 9))
+
+
+CROP, FLIP, *COLOUR_STAGES = AugPipeline.default(8).stages
+
+
+@pytest.mark.parametrize("stages", [
+    (FLIP, *COLOUR_STAGES),
+    (AugStage(CROP.name, 0.5, CROP.params), FLIP, *COLOUR_STAGES),
+    (FLIP, CROP, *COLOUR_STAGES),
+    (CROP, FLIP, CROP, *COLOUR_STAGES),
+], ids=["no_crop", "gated_crop", "crop_not_first", "two_crops"])
+def test_pipeline_starts_with_its_one_crop_at_gate_one(stages):
+    with pytest.raises(ConfigError, match="random_crop"):
+        AugPipeline(8, stages)
 
 
 # The plan memo of `draw_plans` (tests/conftest.py empties it before every

@@ -187,7 +187,7 @@ class TestMemoryQueue:
         queue = MemoryQueue(6, 2)
         for step in range(5):
             queue.enqueue(unit_rows(Rng(step), 2, 2))
-            assert queue.fill == min(2 * (step + 1), 6)
+            assert queue.count == min(2 * (step + 1), 6)
 
 
 class TestEmaUpdate:
@@ -250,13 +250,13 @@ class TestTrainingStep:
         cfg, state = tiny_state("moco_v2_plus", queue_rows=0)
         x1, x2 = self.make_batch(3)
         training_step(state, x1, x2, cfg, self.opt())
-        assert state.queue.fill == 2 * x1.shape[0]
+        assert state.queue.count == 2 * x1.shape[0]
 
     def test_asymmetric_enqueues_one_direction(self):
         cfg, state = tiny_state("moco_v2", queue_rows=0)
         x1, x2 = self.make_batch(3)
         training_step(state, x1, x2, cfg, self.opt())
-        assert state.queue.fill == x1.shape[0]
+        assert state.queue.count == x1.shape[0]
 
     def test_byol_has_no_queue(self):
         _, state = tiny_state("byol")

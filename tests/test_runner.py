@@ -12,7 +12,8 @@ import augment_reference
 from airl import augment, checkpoint, encoder, evaluation, runner
 from airl.augment import REMOVAL_ORDER
 from airl.cli import main as cli_main
-from airl.config import config_from_overrides, parse_config
+from airl.config import (REMOVABLE_STAGES, config_from_overrides,
+                         parse_config)
 from airl.errors import AirlError, CheckpointError, ConfigError
 from airl.evaluation import collapse_metrics
 from airl.frameworks import FrameworkConfig
@@ -88,14 +89,14 @@ class TestConfig:
             parse_config("framework.kind = byol\nrun.epochs = soon\n")
 
     @pytest.mark.parametrize("line, minimum", [
-        ("augment.out_side = 0", 1),  # parsed, then overflowed in numpy
+        ("augment.out_side = 1", 2),  # parsed, then failed at the first draw
         ("encoder.backbone_hidden = 0", 1),
         ("encoder.backbone_out = 0", 1),
         ("encoder.projector_hidden = -1", 1),
         ("encoder.projector_out = 0", 1),
         ("data.classes = 1", 2),  # a probe needs two classes
         ("data.per_class = 0", 1),
-        ("data.side = 0", 1),
+        ("data.side = 1", 2),  # likewise
         ("run.batch = 0", 1),
         ("run.epochs = -1", 0),
         ("run.checkpoint_every = -2", 0),
@@ -167,6 +168,22 @@ class TestConfig:
                            match="line 2: augment.crop_scale must be"):
             parse_config(f"framework.kind = byol\naugment.crop_scale = "
                          f"{value}\n")
+
+    @pytest.mark.parametrize("value", [
+        "random_crop",
+        "solarization, random_crop",
+        "blur",  # an unknown stage: failed later, naming no key
+    ])
+    def test_removing_the_crop_or_an_unknown_stage_rejected(self, value):
+        with pytest.raises(ConfigError,
+                           match="line 2: augment.removed may name only "
+                                 "horizontal_flip,color_jitter,"):
+            parse_config(f"framework.kind = byol\naugment.removed = {value}\n")
+
+    def test_every_removable_stage_can_be_removed(self):
+        cfg = parse_config("framework.kind = byol\naugment.removed = "
+                           f"{','.join(REMOVABLE_STAGES)}\n")
+        assert [s.name for s in cfg.pipeline().stages] == ["random_crop"]
 
     def test_crop_scale_key_reaches_pipeline(self):
         cfg = parse_config(
@@ -373,7 +390,7 @@ class TestCheckpoint:
         result = runner.pretrain(cfg, tmp_path / "run")
         state, _, _ = checkpoint.load_state(result.checkpoint_path)
         assert state.queue is not None
-        assert state.queue.fill == result.state.queue.fill
+        assert state.queue.count == result.state.queue.count
         assert np.array_equal(state.queue.data, result.state.queue.data)
         assert state.queue.cursor == result.state.queue.cursor
 
@@ -710,7 +727,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("spec, message", [
         ("classes=x", "data spec: cannot parse data.classes value 'x'"),
-        ("side=0", "data spec: data.side must be >= 1"),
+        ("side=0", "data spec: data.side must be >= 2"),
+        ("side=1", "data spec: data.side must be >= 2"),
         ("classes=1", "data spec: data.classes must be >= 2"),
         ("noise=nan", "data spec: data.noise must be finite"),
         ("tint=inf", "data spec: data.tint must be finite"),

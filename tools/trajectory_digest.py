@@ -33,10 +33,7 @@ Then one line per augmentation pipeline that the studies run covers the
 views `augment.two_views` makes of the `MAIN_DATA` training images, in
 batches of 48, for `AUG_SEEDS` seeds and `AUG_EPOCHS` epochs: every rung
 of the aug-ablation ladder (0 to 4 stages removed, at the studies' crop
-scale), and two pipelines with 8x8 outputs, one with the crop removed (the
-final resize does the size change) and one whose crop fires with
-probability 0.5 (rows of a batch, and the two views of an image, then
-differ in size between stages).
+scale).
 
 A last line covers the linear probe: for each run above in order, the
 run's label, `repr` of the top-1 and the bytes of the classifier weights
@@ -70,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from airl import augment, checkpoint, encoder, evaluation, numerics, runner
-from airl.augment import REMOVAL_ORDER, AugPipeline, AugStage
+from airl.augment import REMOVAL_ORDER, AugPipeline
 from airl.config import config_from_overrides
 from airl.frameworks import KINDS
 
@@ -162,17 +159,9 @@ AUG_BATCH = 48
 def aug_pipelines() -> tuple:
     """(label, pipeline) of every digested augmentation pipeline."""
     crop_scale = runner.MAIN_DATA["augment__crop_scale"]
-    half_crop = tuple(
-        AugStage(s.name, 0.5, s.params) if s.name == "random_crop" else s
-        for s in AugPipeline.default(8, crop_scale=crop_scale).stages)
-    return (
-        *((f"aug_ladder_{r}", AugPipeline.default(
-            16, REMOVAL_ORDER[:r], crop_scale))
-          for r in range(len(REMOVAL_ORDER) + 1)),
-        ("aug_no_crop_8", AugPipeline.default(8, ("random_crop",),
-                                              crop_scale)),
-        ("aug_crop_p0.5_8", AugPipeline(8, half_crop)),
-    )
+    return tuple((f"aug_ladder_{r}", AugPipeline.default(
+        16, REMOVAL_ORDER[:r], crop_scale))
+        for r in range(len(REMOVAL_ORDER) + 1))
 
 
 def views_digest(images, pipeline) -> str:
