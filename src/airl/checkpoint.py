@@ -167,7 +167,8 @@ def state_records(state: frameworks.SiameseState,
     """Checkpoint records and metadata for a full siamese training state."""
     records: dict[str, tuple[str, np.ndarray]] = {}
     _branch_records("student", state.student, records)
-    _branch_records("teacher", state.teacher, records)
+    if state.teacher is not None:
+        _branch_records("teacher", state.teacher, records)
     metadata = {
         "framework": cfg["framework.kind"],
         "step": state.step,
@@ -239,12 +240,12 @@ def state_from_records(records: dict, metadata: dict):
     cfg = parse_config(metadata["config"])
     fw = cfg.framework_config()
     state = frameworks.init_siamese_state(
-        fw, Rng(0, 0), total_steps=max(int(metadata["total_steps"]), 1)
+        fw, Rng(0, 0), total_steps=int(metadata["total_steps"])
     )
-    state.total_steps = int(metadata["total_steps"])
     state.step = int(metadata["step"])
     _fill_branch("student", state.student, records)
-    _fill_branch("teacher", state.teacher, records)
+    if state.teacher is not None:
+        _fill_branch("teacher", state.teacher, records)
     if metadata.get("queue_capacity", 0) > 0:
         _require_metadata(metadata, ("queue_cursor", "queue_count"))
         capacity = int(metadata["queue_capacity"])

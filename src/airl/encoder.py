@@ -164,27 +164,6 @@ def build_branch(cfg, rng: Rng, with_predictor: bool = True) -> EncoderParams:
     return init_params(branch_specs(cfg, with_predictor), rng)
 
 
-def make_teacher(student: EncoderParams, include_predictor: bool) -> EncoderParams:
-    """Teacher branch: a copy of the student's shared sub-network.
-
-    The predictor stage is kept only when the network structure is symmetric.
-    """
-    specs = tuple(
-        b for b in student.specs
-        if include_predictor or b.stage != "predictor"
-    )
-    kept = {b.name for b in specs} | {b.norm_name for b in specs if b.norm}
-    return EncoderParams(
-        specs=specs,
-        tensors={k: v.copy() for k, v in student.tensors.items()
-                 if k.split(".")[0] in kept},
-        roles={k: v for k, v in student.roles.items()
-               if k.split(".")[0] in kept},
-        running={k: v.copy() for k, v in student.running.items()
-                 if k.split(".")[0] in kept},
-    )
-
-
 def _check_finite(out: np.ndarray, layer: str) -> None:
     if not np.all(np.isfinite(out)):
         raise NumericOverflowError(

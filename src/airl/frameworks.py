@@ -3,11 +3,12 @@
 Student and teacher branches share a sub-network; the teacher is updated only
 by an exponential moving average of the student (never by gradients), and the
 contrastive variants keep a FIFO memory queue of past teacher features as
-negatives. Each step makes one pass per branch: a symmetrized loss stacks
-both views, and BN takes its statistics per view, so every view is
-normalized with the statistics of its own whole batch. The framework presets
-differ in predictor placement, loss symmetry, projector hidden BN, and
-momentum schedule:
+negatives. The teacher exists only under stop-gradient; the collapse
+ablation without it trains the student on both views. Each step makes one
+pass per branch: a symmetrized loss stacks both views, and BN takes its
+statistics per view, so every view is normalized with the statistics of its
+own whole batch. The framework presets differ in predictor placement, loss
+symmetry, projector hidden BN, and momentum schedule:
 
   moco_v2         no predictor, asymmetric loss, no projector hidden BN,
                   constant m=0.999
@@ -19,7 +20,7 @@ momentum schedule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,6 +106,11 @@ class FrameworkConfig:
             raise ConfigError(
                 "disabling stop-gradient is a collapse ablation of the "
                 "distance loss; only the byol kind supports it"
+            )
+        if self.contrastive and self.queue_size <= 0:
+            raise ConfigError(
+                f"framework.queue_size must be > 0 for the contrastive "
+                f"kind {self.kind!r}"
             )
 
     @property
@@ -236,7 +242,7 @@ class MemoryQueue:
 @dataclass
 class SiameseState:
     student: encoder.EncoderParams
-    teacher: encoder.EncoderParams
+    teacher: encoder.EncoderParams | None  # only under stop-gradient
     queue: MemoryQueue | None
     step: int
     total_steps: int
@@ -245,16 +251,20 @@ class SiameseState:
 def init_siamese_state(
     cfg: FrameworkConfig, rng: Rng, total_steps: int
 ) -> SiameseState:
-    """Build student + teacher (an exact initial copy of the shared part)."""
+    """Build the student and, under stop-gradient, the teacher."""
+    branch_rng = rng.child("branch")
     student = encoder.build_branch(
-        cfg, rng.child("branch"),
-        with_predictor=cfg.predictor_placement != "none",
+        cfg, branch_rng, with_predictor=cfg.predictor_placement != "none"
     )
-    teacher = encoder.make_teacher(
-        student, include_predictor=cfg.predictor_placement == "both"
-    )
+    teacher = None
+    if cfg.stop_gradient:
+        # `init_params` draws each tensor from a stream named by its block,
+        # so the teacher starts bit-equal to the student's shared blocks.
+        teacher = encoder.build_branch(
+            cfg, branch_rng, with_predictor=cfg.predictor_placement == "both"
+        )
     queue = None
-    if cfg.contrastive and cfg.queue_size > 0:
+    if cfg.contrastive:
         queue = MemoryQueue(cfg.queue_size, cfg.projector_out)
     return SiameseState(student=student, teacher=teacher, queue=queue,
                         step=0, total_steps=total_steps)
@@ -399,8 +409,9 @@ def training_step(
     """One full optimization step; mutates and returns the state.
 
     Order: encode and compute the loss, update the student through the
-    optimizer, EMA-update the teacher, then enqueue this step's teacher
-    features (both directions' keys when the loss is symmetrized).
+    optimizer, EMA-update the teacher if there is one, then enqueue this
+    step's teacher features (both directions' keys when the loss is
+    symmetrized).
     """
     loss, grads, aux = compute_loss_and_grads(state, x1, x2, cfg)
     if not np.isfinite(loss):
@@ -409,7 +420,8 @@ def training_step(
     lr_t = opt.step(state.student.tensors, grads, state.student.roles, progress)
     m = momentum_at(state.step, state.total_steps, cfg.momentum_base,
                     cfg.momentum_schedule)
-    ema_update(state.teacher, state.student, m)
+    if state.teacher is not None:
+        ema_update(state.teacher, state.student, m)
     if state.queue is not None and aux["teacher_feats"] is not None:
         state.queue.enqueue(aux["teacher_feats"])
     state.step += 1

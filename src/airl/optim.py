@@ -155,10 +155,6 @@ class Optimizer:
         self.schedule = schedule
         self.velocities: dict[str, np.ndarray] = {}
 
-    @property
-    def kind(self) -> str:
-        return "lars" if isinstance(self.cfg, LarsConfig) else "sgd"
-
     def step(self, params, grads, roles, progress: float) -> float:
         """Apply one update at the given progress; returns the lr used."""
         lr_t = lr_at(progress, self.schedule)

@@ -253,9 +253,9 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
         state, cfg, _ = checkpoint.state_from_records(new_records, metadata)
         data = dataset_from_config(cfg)
         for branch in (state.student, state.teacher):
-            encoder.refresh_running_stats(
-                branch, evaluation.images_to_inputs(data.train_images, branch)
-            )
+            if branch is not None:
+                x = evaluation.images_to_inputs(data.train_images, branch)
+                encoder.refresh_running_stats(branch, x)
         new_records, _ = checkpoint.state_records(state, cfg)
     checkpoint.save_checkpoint(output_path, new_records, metadata)
     return report

@@ -12,7 +12,6 @@ from airl.encoder import (
     build_branch,
     forward,
     init_params,
-    make_teacher,
 )
 from airl.errors import (
     BatchTooSmallError,
@@ -20,7 +19,7 @@ from airl.errors import (
     DimensionError,
     NumericOverflowError,
 )
-from airl.frameworks import FrameworkConfig
+from airl.frameworks import PLACEMENTS, FrameworkConfig, init_siamese_state
 from airl.numerics import Rng, finite_diff_grad, matmul, relative_error
 
 
@@ -267,20 +266,28 @@ class TestBuildBranch:
         params = build_branch(tiny_cfg(), Rng(0), with_predictor=False)
         assert not any(name.startswith("predictor") for name in params.tensors)
 
-    def test_teacher_predictor_mirrors_student(self):
-        student = build_branch(tiny_cfg(), Rng(0), with_predictor=True)
-        teacher = make_teacher(student, include_predictor=True)
-        pred_names = [n for n in student.tensors if n.startswith("predictor")]
-        assert pred_names
-        for name in pred_names:
-            assert teacher.tensors[name].shape == student.tensors[name].shape
-            assert np.array_equal(teacher.tensors[name], student.tensors[name])
-
-    def test_teacher_without_predictor(self):
-        student = build_branch(tiny_cfg(), Rng(0), with_predictor=True)
-        teacher = make_teacher(student, include_predictor=False)
-        assert not any(n.startswith("predictor") for n in teacher.tensors)
-        assert "projector" in teacher.stage_names()
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_teacher_starts_bit_equal_to_student_shared_blocks(self,
+                                                              placement):
+        # Student and teacher come from one constructor and one rng; each
+        # tensor's draw is named by its block, so the shared blocks agree.
+        cfg = tiny_cfg(predictor_placement=placement)
+        state = init_siamese_state(cfg, Rng(3).child("init"), total_steps=1)
+        student, teacher = state.student, state.teacher
+        assert ("predictor" in student.stage_names()) == (placement != "none")
+        assert ("predictor" in teacher.stage_names()) == (placement == "both")
+        assert teacher.specs == tuple(
+            b for b in student.specs
+            if placement == "both" or b.stage != "predictor")
+        assert teacher.roles == {name: student.roles[name]
+                                 for name in teacher.roles}
+        assert teacher.tensors.keys() == teacher.roles.keys()
+        for ours, theirs in ((teacher.tensors, student.tensors),
+                             (teacher.running, student.running)):
+            assert ours
+            for name, value in ours.items():
+                assert np.array_equal(value, theirs[name]), name
+                assert not np.shares_memory(value, theirs[name]), name
 
     def test_hidden_bn_flag_off_removes_projector_gains(self):
         params = build_branch(tiny_cfg(projector_hidden_bn=False), Rng(0))

@@ -295,6 +295,13 @@ class TestTrainingStep:
             state.student.tensors[name][...] = orig
         assert relative_error(analytic, np.concatenate(fd_parts)) < 1e-4
 
+    def test_contrastive_state_without_queue_rejected(self):
+        # The config cannot ask for this; a state assembled by hand can.
+        cfg, state = tiny_state("moco_v2_plus")
+        state.queue = None
+        with pytest.raises(ConfigError, match="needs a memory queue"):
+            compute_loss_and_grads(state, *self.make_batch(0), cfg)
+
     def test_stop_gradient_disabled_restricted_to_byol(self):
         with pytest.raises(ConfigError):
             FrameworkConfig.preset("moco_v2", stop_gradient=False)
@@ -365,8 +372,12 @@ class TestStackedStep:
                 assert aux[key] is None
             else:
                 assert np.array_equal(aux[key], ref_aux[key]), key
-        for branch, ref_branch in ((state.student, ref_state.student),
-                                   (state.teacher, ref_state.teacher)):
+        branches = [(state.student, ref_state.student)]
+        if cfg.stop_gradient:
+            branches.append((state.teacher, ref_state.teacher))
+        else:
+            assert state.teacher is None and ref_state.teacher is None
+        for branch, ref_branch in branches:
             assert branch.running.keys() == ref_branch.running.keys()
             for name, stat in branch.running.items():
                 assert np.array_equal(stat, ref_branch.running[name]), name

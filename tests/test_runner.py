@@ -109,6 +109,17 @@ class TestConfig:
                            match=f"line 2: {key} must be >= {minimum},"):
             parse_config(f"framework.kind = byol\n{line}\n")
 
+    @pytest.mark.parametrize("kind", ["moco_v2", "moco_v2_plus",
+                                      "s_moco_v2_plus"])
+    def test_contrastive_kind_without_queue_rejected(self, kind):
+        with pytest.raises(ConfigError,
+                           match="framework.queue_size must be > 0"):
+            parse_config(f"framework.kind = {kind}\nframework.queue_size = 0\n")
+
+    def test_byol_without_queue_parses(self):
+        cfg = parse_config("framework.kind = byol\nframework.queue_size = 0\n")
+        assert cfg["framework.queue_size"] == 0
+
     @pytest.mark.parametrize("line", [
         "optimizer.lr = nan",
         "optimizer.lr = inf",
@@ -376,6 +387,53 @@ class TestCheckpoint:
         for name, (role, array) in records.items():
             assert old_records[name][0] == role
             assert np.array_equal(old_records[name][1], array), name
+
+    @pytest.fixture(scope="class")
+    def ablation_checkpoint(self, tmp_path_factory):
+        """A checkpoint of the collapse ablation: no stop-gradient."""
+        cfg = fast_cfg(framework__kind="byol",
+                       framework__predictor_placement="none",
+                       framework__stop_gradient=False)
+        result = runner.pretrain(cfg, tmp_path_factory.mktemp("ablation")
+                                 / "run")
+        assert result.state.teacher is None
+        return result
+
+    def test_ablation_checkpoint_holds_no_teacher(self, ablation_checkpoint,
+                                                  tmp_path):
+        path = ablation_checkpoint.checkpoint_path
+        records, _ = checkpoint.load_checkpoint(path)
+        assert not any(name.startswith("teacher.") for name in records)
+        assert any(name.startswith("student.") for name in records)
+        state, cfg, _ = checkpoint.load_state(path)
+        assert state.teacher is None
+        resaved = tmp_path / "resaved.airl"
+        checkpoint.save_state(resaved, state, cfg)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_checkpoint_with_old_teacher_records_loads(self,
+                                                       ablation_checkpoint,
+                                                       tmp_path):
+        # Older ablation runs also saved a teacher copy of the student.
+        path = ablation_checkpoint.checkpoint_path
+        records, meta = checkpoint.load_checkpoint(path)
+        old = dict(records)
+        for name, (role, array) in records.items():
+            if name.startswith("student."):
+                old["teacher." + name.removeprefix("student.")] = (
+                    role, array + 1.0)
+        old_path = tmp_path / "old.airl"
+        checkpoint.save_checkpoint(old_path, old, meta)
+        state, cfg, _ = checkpoint.load_state(old_path)
+        assert state.teacher is None
+        resaved = tmp_path / "resaved.airl"
+        checkpoint.save_state(resaved, state, cfg)
+        assert resaved.read_bytes() == path.read_bytes()
+        out_path = tmp_path / "rescaled.airl"
+        runner.cmd_surgery_rescale(old_path, out_path, factor=2.0,
+                                   refresh_stats=True)
+        rescaled, _ = checkpoint.load_checkpoint(out_path)
+        assert not any(name.startswith("teacher.") for name in rescaled)
 
     def test_metadata_carries_config_hash_and_step(self, tmp_path):
         cfg = fast_cfg()

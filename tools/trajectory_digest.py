@@ -20,7 +20,8 @@ Each run's first digest covers, in order:
 A second digest per run covers the eval-mode stage outputs
 (`encoder.eval_stage_outputs`) of the final student and then the final
 teacher on the val images, stage by stage in depth order: the eval-mode
-forward that the linear probe and CKA read.
+forward that the linear probe and CKA read. The ablation arm keeps no
+teacher, so its second digest covers the student only.
 
 Another line covers the products with tall outputs, (384x768)@(768x64) and
 the like, which the runs above never make: a copy of the final
@@ -118,8 +119,9 @@ def eval_digest(result: runner.PretrainResult) -> str:
     images = runner.dataset_from_config(result.cfg).val_images
     for role, branch in (("student", result.state.student),
                          ("teacher", result.state.teacher)):
-        digest_stages(digest, role, branch,
-                      evaluation.images_to_inputs(images, branch))
+        if branch is not None:
+            digest_stages(digest, role, branch,
+                          evaluation.images_to_inputs(images, branch))
     return digest.hexdigest()
 
 
