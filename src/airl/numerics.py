@@ -4,12 +4,13 @@ All tensors are plain numpy float64 arrays in row-major order. The few
 reductions whose result depends on summation order (matrix products) use an
 explicit fixed order so that repeated runs are bit-identical and small cases
 match a naive reference exactly: `matmul` sums each output element from +0.0
-over k = 0, 1, ... in order. It is one numpy einsum contraction, whose C loop
-runs in that order; `matmul`'s docstring says why, names the two shapes the
-contraction cannot take, and describes the probe at import that checks
-einsum's order and rounding, with the per-k loop as its fallback. Norms
-(`norm`) are numpy's own sums rather than BLAS's, so they do not depend on
-the BLAS thread count.
+over k = 0, 1, ... in order. It runs a small C kernel (`_matmul.c`) that
+`numerics` compiles with the system `cc` when it is imported, or, where
+there is no compiler or the build fails, one numpy einsum contraction, whose
+C loop runs in that order; where neither passes the import probe, a per-k
+loop. `matmul`'s docstring says why each path keeps the order and how the
+probe checks it. Norms (`norm`) are numpy's own sums rather than BLAS's, so
+they do not depend on the BLAS thread count.
 
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
 hashed from (seed, stream id); `child` hashes a new stream id from the
@@ -26,7 +27,13 @@ first, with the high half kept for the next 32-bit draw (`integer_pair`).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -239,35 +246,106 @@ def as_tensor(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _einsum_is_naive(einsum=np.einsum) -> bool:
-    """Whether `einsum("ik,kj->ij", ...)` gives the naive loop's bits here.
+Product = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    Two contractions on 67 output columns, so that the unrolled vector body,
-    the one-vector loop and the scalar tail of einsum's multiply-add all see
-    them:
+
+def _product_is_naive(product: Product) -> bool:
+    """Whether `product(a, b)` gives the naive loop's bits here.
+
+    `product` takes a C-contiguous (m, K) and (K, n) operand. Two products
+    on 5 x 67 outputs, so that every loop of a product sees them: the
+    kernel's four-row blocks and its single rows, and the unrolled vector
+    body, one-vector loop and scalar tail of a vectorized j loop:
 
     - `PAIRWISE_DIFFERS` times ones must give its k-order sum in every
-      column; a reordered (pairwise or multi-accumulator) sum differs;
+      element; a reordered (pairwise or multi-accumulator) sum differs;
     - `[-1, 1+2**-27] . [1, 1-2**-27]` must give +0.0: the second product
       rounds to 1.0, while a fused multiply-add keeps it exact and gives
       -2**-54.
     """
-    columns = 67
+    rows, columns = 5, 67
     ones = np.ones((PAIRWISE_DIFFERS.size, columns))
     in_order = 0.0
     for term in PAIRWISE_DIFFERS:
         in_order += term
-    summed = einsum("ik,kj->ij", np.tile(PAIRWISE_DIFFERS, (2, 1)), ones,
-                    optimize=False)
-    left = np.array([[-1.0, 1.0 + 2.0**-27]] * 2)
+    summed = product(np.tile(PAIRWISE_DIFFERS, (rows, 1)), ones)
+    left = np.array([[-1.0, 1.0 + 2.0**-27]] * rows)
     right = np.repeat([[1.0], [1.0 - 2.0**-27]], columns, axis=1)
-    zero = einsum("ik,kj->ij", left, right, optimize=False)
+    zero = product(left, right)
     return bool(np.all(summed == in_order)
                 and np.all(zero.view(np.uint64) == 0))
 
 
-# The probe's verdict: True when `matmul` may use the einsum contraction.
-EINSUM_IS_NAIVE = _einsum_is_naive()
+def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ik,kj->ij", a, b, optimize=False)
+
+
+KERNEL_SOURCE = Path(__file__).with_name("_matmul.c")
+# No -ffast-math or -Ofast: they let the compiler reassociate sums, and the
+# crtfastmath.o they link sets flush-to-zero for the whole process.
+KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
+                "-fPIC")
+KERNEL_BUILD_TIMEOUT_S = 60.0
+
+
+def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The kernel reads `a` through its element strides, so an unaligned `a`
+    # is copied first; `b` must be C-contiguous and aligned.
+    if not a.flags.aligned:
+        a = np.array(a)
+    b = np.require(b, np.float64, ("C", "A"))
+    m, inner = a.shape
+    n = b.shape[1]
+    out = np.zeros((m, n))
+    kernel(a.ctypes.data, a.strides[0] // a.itemsize,
+           a.strides[1] // a.itemsize, b.ctypes.data, out.ctypes.data,
+           m, inner, n)
+    return out
+
+
+def _build_kernel(source: Path = KERNEL_SOURCE,
+                  timeout: float = KERNEL_BUILD_TIMEOUT_S) -> Product | None:
+    """Compile `source` with the system `cc` and load it: the kernel's
+    product function, or None when there is no `cc`, or the build fails or
+    takes longer than `timeout` seconds.
+
+    The library is built and loaded in a private temporary directory, which
+    is deleted once it is loaded.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory(prefix="airl-matmul-",
+                                     ignore_cleanup_errors=True) as tmp:
+        library = str(Path(tmp) / "_matmul.so")
+        try:
+            subprocess.run([cc, *KERNEL_FLAGS, "-o", library, str(source)],
+                           stdin=subprocess.DEVNULL, capture_output=True,
+                           timeout=timeout, check=True)
+            kernel = ctypes.CDLL(library).airl_matmul
+        except (OSError, subprocess.SubprocessError):
+            return None
+    # airl_matmul(a, stride_i, stride_k, b, out, m, inner, n)
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
+                       ctypes.c_ssize_t, ctypes.c_ssize_t)
+    kernel.restype = None
+    return functools.partial(_kernel_product, kernel)
+
+
+def _matmul_path(kernel: Product | None) -> str:
+    """The first of "kernel", "einsum" and "per-k loop" that is available
+    and passes `_product_is_naive`; the per-k loop is not probed."""
+    if kernel is not None and _product_is_naive(kernel):
+        return "kernel"
+    if _product_is_naive(_einsum_product):
+        return "einsum"
+    return "per-k loop"
+
+
+_KERNEL = _build_kernel()
+# The path every `matmul` takes in this process.
+MATMUL_PATH = _matmul_path(_KERNEL)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,42 +355,40 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...`, every product rounded
     once and summed in k order from +0.0. That is the naive triple loop bit
     for bit, unlike BLAS kernels, which are free to reorder partial sums.
+    Where an operand holds a NaN, the NaNs fall where the naive loop's do;
+    which NaN's payload and sign propagate is not part of the contract.
 
-    It is one `np.einsum("ik,kj->ij", a, b, optimize=False)` on a
-    C-contiguous copy of `b`, and on `a` as it is laid out unless one of its
-    strides is negative. Why that is the naive loop:
+    `MATMUL_PATH` names the path, chosen once at import:
 
-    - With `optimize=False` numpy runs its own C loops, never BLAS.
-    - For C-contiguous `b` (K x n) with n >= 2, numpy's iterator makes j the
-      inner axis: j has the smallest stride in `b` and in the output, and
-      `a` does not vary along j. The inner loop is then
-      `out[i, :] += a[i, k] * b[k, :]`, which reduces nothing.
-    - i and k are ordered by `a`'s strides alone, since the output does not
-      vary along k nor `b` along i. For C-contiguous `a` i is the outer
-      axis and k the middle one; for a transposed or Fortran-order `a` k is
-      outer and i middle. Either way each element gets its K terms in
-      ascending k order, starting from the zero-filled output (+0.0):
-      numpy's iterator reverses an axis only when no operand has a
-      positive stride along it, and `a` is copied when a stride is
-      negative, so k is never walked backwards. Round-to-nearest addition
-      gives -0.0 only from two -0.0 operands, so a sum begun at +0.0 never
-      becomes -0.0.
-    - Each product is rounded before the add only when einsum's multiply-add
-      is not fused. It is not on x86-64 builds whose baseline (X86_V2) has
-      no FMA, as numpy 2.4's; it would be where numpy's `npyv_muladd` is an
-      FMA, for example on aarch64 builds.
+    - "kernel": the C kernel in `_matmul.c`, compiled at import with the
+      system `cc` (`_build_kernel`). It runs `out[i, :] += a[i, k] * b[k, :]`
+      for k = 0, 1, ... on a zero-filled output, four rows of `a` per pass
+      over `b`, and vectorizes only the j loop, whose lanes are separate
+      output elements. It is built with -ffp-contract=off, so no product is
+      fused into its add, and without -ffast-math, so no sum is reordered.
+      It takes `a`'s strides as they are, negative ones too, and a
+      C-contiguous aligned copy of `b`, for every shape.
+    - "einsum": without a compiler, one `np.einsum("ik,kj->ij", a, b,
+      optimize=False)` on a C-contiguous copy of `b`, and on `a` as it is
+      laid out unless one of its strides is negative. numpy then runs its
+      own C loops, never BLAS. For C-contiguous `b` (K x n) with n >= 2,
+      numpy's iterator makes j the inner axis, so the inner loop is
+      `out[i, :] += a[i, k] * b[k, :]`, which reduces nothing; k is never
+      walked backwards, since numpy reverses an axis only when no operand
+      has a positive stride along it. The multiply-add is not fused on
+      x86-64 builds whose baseline (X86_V2) has no FMA, as numpy 2.4's; it
+      would be where numpy's `npyv_muladd` is an FMA, for example on
+      aarch64 builds. With n = 1 there is no j axis and numpy would sum k
+      with several accumulators, so such a product is computed as
+      `matmul(b.T, a.T).T`; a 1 x 1 output takes the per-k loop.
+    - "per-k loop": one broadcast product and one add per k, where neither
+      the kernel nor einsum passes the probe.
 
-    The last two points rest on numpy's internals, so `EINSUM_IS_NAIVE`
-    checks them once at import (`_einsum_is_naive`). If it is False, every
-    product takes the per-k loop, one broadcast product and one add per k.
-
-    Shapes the contraction cannot take:
-
-    - With n = 1 there is no j axis, so k becomes the inner loop, which
-      numpy sums with several accumulators. Such a product is computed as
-      `matmul(b.T, a.T).T`: products commute, so the bits are the same.
-    - A 1 x 1 output takes the per-k loop.
-    - Empty outputs, and an inner size of 0, give zeros.
+    Both compiled paths rest on how they were compiled, so `_matmul_path`
+    checks them once at import with `_product_is_naive`. Every path starts
+    each element at +0.0: round-to-nearest addition gives -0.0 only from
+    two -0.0 operands, so such a sum never becomes -0.0. Empty outputs, and
+    an inner size of 0, give zeros.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -324,11 +400,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"matmul inner dimensions differ: {a.shape} vs {b.shape}"
         )
+    if MATMUL_PATH == "kernel":
+        return _KERNEL(a, b)
     m, inner = a.shape
     n = b.shape[1]
     if m * n == 0 or inner == 0:
         return np.zeros((m, n))
-    if not EINSUM_IS_NAIVE or m * n == 1:
+    if MATMUL_PATH == "per-k loop" or m * n == 1:
         out = np.zeros((m, n))
         for k in range(inner):
             out += a[:, k, None] * b[k]
@@ -337,7 +415,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return matmul(b.T, a.T).T
     if min(a.strides) < 0:
         a = np.ascontiguousarray(a)
-    return np.einsum("ik,kj->ij", a, np.ascontiguousarray(b), optimize=False)
+    return _einsum_product(a, np.ascontiguousarray(b))
 
 
 def norm(x: np.ndarray) -> float:

@@ -221,6 +221,10 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
                         refresh_stats: bool = False) -> surgery.RescaleReport:
     """Rescale every trainable tensor's norm to the anchor's (direction
     preserved); BN running statistics and the queue are never rescaled.
+    Only the tensors of the state that the checkpoint's config builds are
+    rescaled and written, so the teacher records that an older
+    collapse-ablation checkpoint still holds, which no loader reads, are
+    dropped.
 
     With refresh_stats=True the BN running statistics are re-estimated from
     the checkpoint's own training images afterwards: surgery changes
@@ -230,6 +234,8 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
     if (anchor_path is None) == (factor is None):
         raise ConfigError("need exactly one of an anchor checkpoint or a factor")
     records, metadata = checkpoint.load_checkpoint(input_path)
+    state, cfg, _ = checkpoint.state_from_records(records, metadata)
+    records, _ = checkpoint.state_records(state, cfg)
     trainable = checkpoint.trainable_records(records)
     if anchor_path is not None:
         anchor_records, _ = checkpoint.load_checkpoint(anchor_path)
@@ -241,23 +247,22 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
         anchor = surgery.Anchor.constant(float(factor))
     tensors = {name: array for name, (_, array) in trainable.items()}
     rescaled, report = surgery.norm_rescale(tensors, anchor)
-    new_records = dict(records)
     for name, array in rescaled.items():
-        new_records[name] = (trainable[name][0], array)
+        records[name] = (trainable[name][0], array)
     metadata = dict(metadata)
     metadata["rescaled"] = {
         "anchor": str(anchor_path) if anchor_path is not None else None,
         "factor": factor,
     }
     if refresh_stats:
-        state, cfg, _ = checkpoint.state_from_records(new_records, metadata)
+        state, cfg, _ = checkpoint.state_from_records(records, metadata)
         data = dataset_from_config(cfg)
         for branch in (state.student, state.teacher):
             if branch is not None:
                 x = evaluation.images_to_inputs(data.train_images, branch)
                 encoder.refresh_running_stats(branch, x)
-        new_records, _ = checkpoint.state_records(state, cfg)
-    checkpoint.save_checkpoint(output_path, new_records, metadata)
+        records, _ = checkpoint.state_records(state, cfg)
+    checkpoint.save_checkpoint(output_path, records, metadata)
     return report
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,13 +202,14 @@ def _operand(draw, rows, cols):
 
 
 @st.composite
-def _matmul_case(draw):
-    # n up to 72 reaches einsum's unrolled vector body, its one-vector loop
-    # and its scalar tail; n = 1 is computed transposed.
+def _matmul_case(draw, operand=_operand):
+    # m up to 9 reaches the kernel's four-row blocks and its single rows;
+    # n up to 72 reaches the unrolled vector body, one-vector loop and scalar
+    # tail of a vectorized j loop; einsum computes n = 1 transposed.
     m = draw(st.integers(0, 9))
     n = draw(st.one_of(st.integers(0, 2), st.integers(0, 72)))
     inner = draw(st.one_of(st.integers(0, 2), st.integers(1, 30)))
-    return draw(_operand(m, inner)), draw(_operand(inner, n))
+    return draw(operand(m, inner)), draw(operand(inner, n))
 
 
 def _matmul_examples(test):
@@ -234,14 +239,35 @@ def test_matmul_matches_naive_on_random_shapes(case):
     assert same_bits(matmul(a, b), naive_matmul(a, b))
 
 
+def _on_path(path, a, b):
+    """`matmul(a, b)` as it runs when the import chose `path`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "MATMUL_PATH", path)
+        return matmul(a, b)
+
+
 @_matmul_examples
 def test_matmul_per_k_fallback_matches_naive(case):
-    # The path every product takes when the import probe rejects einsum.
+    # The path every product takes when the import probe rejects both the
+    # kernel and einsum.
     a, b = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numerics, "EINSUM_IS_NAIVE", False)
-        got = matmul(a, b)
-    assert same_bits(got, naive_matmul(a, b))
+    assert same_bits(_on_path("per-k loop", a, b), naive_matmul(a, b))
+
+
+EINSUM_IS_NAIVE = numerics._product_is_naive(numerics._einsum_product)
+needs_naive_einsum = pytest.mark.skipif(
+    not EINSUM_IS_NAIVE, reason="this numpy's einsum fails the import probe")
+needs_kernel = pytest.mark.skipif(
+    numerics.MATMUL_PATH != "kernel",
+    reason="the kernel was not built here or failed the import probe")
+
+
+@needs_naive_einsum
+@_matmul_examples
+def test_matmul_einsum_fallback_matches_naive(case):
+    # The path every product takes where there is no C compiler.
+    a, b = case
+    assert same_bits(_on_path("einsum", a, b), naive_matmul(a, b))
 
 
 def _in_order_sum(terms):
@@ -266,20 +292,21 @@ def test_probe_operands_discriminate():
     assert _in_order_sum([-1.0 * 1.0, (1 + 2**-27) * (1 - 2**-27)]) == 0.0
 
 
+def _pairwise_product(a, b):
+    products = np.ascontiguousarray(np.moveaxis(a[:, :, None] * b, 1, -1))
+    return np.sum(products, axis=-1)
+
+
+def _fused_product(a, b):
+    exact = [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
+                  Fraction(0)) for col in b.T] for row in a]
+    return np.array(exact, dtype=np.float64)
+
+
 def test_probe_rejects_reordered_or_fused_contractions():
-    def pairwise(spec, a, b, optimize):
-        products = np.ascontiguousarray(np.moveaxis(a[:, :, None] * b, 1, -1))
-        return np.sum(products, axis=-1)
-
-    def fused(spec, a, b, optimize):
-        exact = [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
-                      Fraction(0)) for col in b.T] for row in a]
-        return np.array(exact, dtype=np.float64)
-
-    assert not numerics._einsum_is_naive(pairwise)
-    assert not numerics._einsum_is_naive(fused)
-    assert numerics._einsum_is_naive(
-        lambda spec, a, b, optimize: matmul_per_k(a, b))
+    assert not numerics._product_is_naive(_pairwise_product)
+    assert not numerics._product_is_naive(_fused_product)
+    assert numerics._product_is_naive(matmul_per_k)
 
 
 def test_matmul_column_output_sums_in_order():
@@ -293,10 +320,10 @@ def test_matmul_column_output_sums_in_order():
 @pytest.mark.parametrize("m", [32, 33])
 def test_matmul_tiles_at_the_default_rule(m):
     # The shapes that once sat at the row-tile boundary: 32 x 64 was one
-    # full tile and 33 x 64 added a one-row tile. The contraction has no
-    # tiles now, and both must still equal the naive loop. Row 0 of `a` is
+    # full tile and 33 x 64 added a one-row tile. `matmul` has no row tiles
+    # now, and both must still equal the naive loop. Row 0 of `a` is
     # positive and column 0 of `b` is -0.0, so out[0, 0] sums only -0.0
-    # products, at n = 64 inside einsum's vector body, and must be +0.0.
+    # products, at n = 64 inside a vector loop, and must be +0.0.
     rng = Rng(5)
     a = rng.child("a").normal(size=(m, 40))
     b = rng.child("b").normal(size=(40, 64))
@@ -347,9 +374,17 @@ def test_matmul_equals_frozen_per_k_loop_on_study_shapes(shape, layouts):
     assert same_bits(matmul(a, b), matmul_per_k(a, b))
 
 
-# Layouts of `a` that `matmul` hands to einsum as they are ("T" transposed,
-# "F" Fortran order, "R" every other row) and one it copies first ("N"
-# negative strides).
+@needs_naive_einsum
+@pytest.mark.parametrize("shape, layouts", STUDY_SHAPES)
+def test_einsum_fallback_equals_frozen_per_k_loop_on_study_shapes(
+        shape, layouts, monkeypatch):
+    monkeypatch.setattr(numerics, "MATMUL_PATH", "einsum")
+    test_matmul_equals_frozen_per_k_loop_on_study_shapes(shape, layouts)
+
+
+# Layouts of `a` that `matmul` hands to the kernel as they are ("T"
+# transposed, "F" Fortran order, "R" every other row, "N" negative strides);
+# einsum takes the first three as they are and copies the last.
 LEFT_LAYOUTS = {
     "T": lambda x: np.ascontiguousarray(x.T).T,
     "F": np.asfortranarray,
@@ -358,13 +393,17 @@ LEFT_LAYOUTS = {
 }
 
 
+LEFT_SHAPES = [(768, 48, 64), (64, 48, 32), (5, 3, 7), (1, 9, 4), (7, 1, 3),
+               (9, 40, 2)]
+
+
 @pytest.mark.parametrize("layout", sorted(LEFT_LAYOUTS))
-@pytest.mark.parametrize("shape", [(768, 48, 64), (64, 48, 32), (5, 3, 7),
-                                   (1, 9, 4), (7, 1, 3), (9, 40, 2)])
+@pytest.mark.parametrize("shape", LEFT_SHAPES)
 def test_matmul_left_operand_layouts_equal_per_k_loop(shape, layout):
     # k is the outer axis of einsum's loop for a transposed or Fortran-order
-    # `a` and the middle one for a row-major one; each element must still
-    # sum its products in ascending k order from +0.0.
+    # `a` and the middle one for a row-major one, and the kernel walks `a`
+    # through its strides; each element must still sum its products in
+    # ascending k order from +0.0.
     m, inner, n = shape
     rng = Rng(23)
     a = rng.child("a").normal(size=(m, inner))
@@ -377,6 +416,15 @@ def test_matmul_left_operand_layouts_equal_per_k_loop(shape, layout):
     assert same_bits(matmul(laid, b), matmul_per_k(a, b))
 
 
+@needs_naive_einsum
+@pytest.mark.parametrize("layout", sorted(LEFT_LAYOUTS))
+@pytest.mark.parametrize("shape", LEFT_SHAPES)
+def test_einsum_fallback_left_operand_layouts_equal_per_k_loop(
+        shape, layout, monkeypatch):
+    monkeypatch.setattr(numerics, "MATMUL_PATH", "einsum")
+    test_matmul_left_operand_layouts_equal_per_k_loop(shape, layout)
+
+
 def test_matmul_single_output_element_sums_in_order():
     # numpy sums a 1-d reduction pairwise, which gives 2.0000000000000004e16
     # here; k order gives the next double up.
@@ -384,6 +432,177 @@ def test_matmul_single_output_element_sums_in_order():
     got = matmul(a, np.ones((8, 1)))
     assert same_bits(got, naive_matmul(a, np.ones((8, 1))))
     assert got[0, 0] == 2.000000000000001e16
+
+
+def same_bits_or_nan(x, y):
+    """Equal shapes, NaN in the same places and equal bits elsewhere: IEEE
+    754 leaves open which NaN's payload and sign an operation propagates."""
+    nan = np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64),
+                               y[~nan].view(np.uint64)))
+
+
+def _unaligned(x):
+    """A copy of `x` whose data starts one byte past an 8-byte boundary and
+    whose rows lie 8 * columns + 1 bytes apart."""
+    rows, cols = x.shape
+    row_bytes = 8 * cols + 1
+    buf = bytearray(rows * row_bytes + 1)
+    out = np.ndarray(x.shape, np.float64, buffer=buf, offset=1,
+                     strides=(row_bytes, 8))
+    out[...] = x
+    assert not out.flags.aligned
+    return out
+
+
+NONFINITE_VALUES = (np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _kernel_operand(draw, rows, cols):
+    """An `_operand`, sometimes with infinities and NaNs, and sometimes
+    copied to an unaligned buffer, row-major or as a transposed view."""
+    x = draw(_operand(rows, cols))
+    if x.size and draw(st.booleans()):
+        for i, value in draw(st.lists(
+                st.tuples(st.integers(0, x.size - 1),
+                          st.sampled_from(NONFINITE_VALUES)), max_size=3)):
+            x[divmod(i, cols)] = value
+    if x.size and draw(st.booleans()):
+        x = (_unaligned(np.ascontiguousarray(x.T)).T if draw(st.booleans())
+             else _unaligned(x))
+    return x
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(_matmul_case(_kernel_operand))
+@example((np.ones((1, 5)), np.ones((5, 1))))
+@example((np.ones((1, 0)), np.ones((0, 1))))
+@example((np.full((1, 3), -0.0), np.ones((3, 4))))
+@example((np.ones((4, 3)), np.full((3, 1), -0.0)))
+@example((np.ones((0, 3)), np.ones((3, 0))))
+@example((np.ones((5, 0)), np.ones((0, 7))))
+@example((np.array([[np.inf, 1.0]]), np.array([[0.0], [2.0]])))
+@example((np.array([[np.nan, 1.0]] * 5), np.ones((2, 9))))
+def test_kernel_matches_per_k_reference(case):
+    a, b = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = matmul_per_k(a, b)
+        got = numerics._KERNEL(a, b)
+    assert same_bits_or_nan(got, expected)
+
+
+@needs_kernel
+def test_kernel_keeps_subnormals():
+    # Built without -ffast-math, loading the kernel sets no flush-to-zero or
+    # denormals-are-zero: subnormal products and sums stay exact.
+    tiny = 2.0**-1030
+    assert tiny * 0.5 == 2.0**-1031
+    got = numerics._KERNEL(np.full((5, 3), tiny), np.full((3, 67), 0.5))
+    assert np.all(got == 3 * 2.0**-1031)
+
+
+def test_matmul_path_skips_a_rejected_kernel():
+    # A kernel that reorders its sums or fuses its products is never used.
+    fallback = numerics._matmul_path(None)
+    assert fallback == ("einsum" if EINSUM_IS_NAIVE else "per-k loop")
+    for fake in (_pairwise_product, _fused_product):
+        assert numerics._matmul_path(fake) == fallback
+    assert numerics._matmul_path(matmul_per_k) == "kernel"
+
+
+@pytest.fixture
+def private_tmpdir(tmp_path, monkeypatch):
+    """A fresh directory as `tempfile`'s default, to see what a build
+    leaves behind."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(numerics.tempfile, "tempdir", str(tmp))
+    return tmp
+
+
+@pytest.mark.parametrize("shape", [(96, 768, 64), (7, 5, 1), (1, 1, 1)])
+def test_build_without_cc_falls_back_to_einsum(shape, monkeypatch,
+                                               private_tmpdir):
+    monkeypatch.setenv("PATH", "")
+    assert numerics._build_kernel() is None
+    assert numerics._matmul_path(None) == (
+        "einsum" if EINSUM_IS_NAIVE else "per-k loop")
+    assert list(private_tmpdir.iterdir()) == []
+    m, inner, n = shape
+    a = Rng(29).child("a").normal(size=(m, inner))
+    b = Rng(29).child("b").normal(size=(inner, n))
+    fallback = _on_path(numerics._matmul_path(None), a, b)
+    assert same_bits(fallback, matmul(a, b))
+    assert same_bits(fallback, matmul_per_k(a, b))
+
+
+needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
+                              reason="no cc on PATH")
+
+
+@needs_cc
+def test_build_with_failing_compiler_gives_no_kernel(tmp_path, private_tmpdir):
+    broken = tmp_path / "broken.c"
+    broken.write_text("this is not C\n")
+    assert numerics._build_kernel(broken) is None
+    assert list(private_tmpdir.iterdir()) == []
+
+
+def test_build_has_a_timeout(monkeypatch, private_tmpdir):
+    monkeypatch.setattr(numerics.shutil, "which", lambda name: "/usr/bin/cc")
+    timeouts = []
+
+    def slow_compiler(args, timeout=None, **kwargs):
+        timeouts.append(timeout)
+        raise subprocess.TimeoutExpired(args, timeout)
+
+    monkeypatch.setattr(numerics.subprocess, "run", slow_compiler)
+    assert numerics._build_kernel() is None
+    assert timeouts == [numerics.KERNEL_BUILD_TIMEOUT_S]
+    assert 0 < numerics.KERNEL_BUILD_TIMEOUT_S < float("inf")
+    assert list(private_tmpdir.iterdir()) == []
+
+
+def test_kernel_source_ships_with_the_package():
+    # An installed `airl` must carry `_matmul.c` beside `numerics`, or every
+    # process silently takes the slower einsum path.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    package_data = pyproject["tool"]["setuptools"]["package-data"]["airl"]
+    assert any(numerics.KERNEL_SOURCE.match(p) for p in package_data)
+    assert numerics.KERNEL_SOURCE.is_file()
+
+
+@needs_cc
+def test_kernel_builds_from_the_resolved_source():
+    kernel = numerics._build_kernel(numerics.KERNEL_SOURCE)
+    assert kernel is not None
+    assert numerics._product_is_naive(kernel)
+    assert numerics.MATMUL_PATH == "kernel"
+
+
+@pytest.mark.parametrize("path_env, expected", [
+    ("", "einsum"),
+    pytest.param(os.environ.get("PATH", ""), "kernel", marks=needs_cc),
+])
+def test_import_in_a_fresh_process(path_env, expected, tmp_path):
+    # With PATH emptied there is no `cc`: the import must still succeed and
+    # choose einsum. Either way the build leaves no temporary files behind.
+    if expected == "einsum" and not EINSUM_IS_NAIVE:
+        expected = "per-k loop"
+    src = Path(numerics.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import airl.numerics as n; print(n.MATMUL_PATH)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PATH=path_env, PYTHONPATH=str(src),
+                 TMPDIR=str(tmp_path)))
+    assert proc.stdout.strip() == expected
+    assert list(tmp_path.iterdir()) == []
 
 
 KEYS = st.integers(0, 2**128 - 1)

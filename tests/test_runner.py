@@ -435,6 +435,34 @@ class TestCheckpoint:
         rescaled, _ = checkpoint.load_checkpoint(out_path)
         assert not any(name.startswith("teacher.") for name in rescaled)
 
+    @pytest.mark.parametrize("refresh_stats", [False, True])
+    def test_rescale_of_old_teacher_records_keeps_only_the_state(
+            self, ablation_checkpoint, tmp_path, refresh_stats):
+        # An older ablation checkpoint, built by hand: the current one plus a
+        # teacher copy of every student record. Rescaling it must touch and
+        # write the student alone, with or without the BN refresh, exactly
+        # as rescaling the current checkpoint does.
+        path = ablation_checkpoint.checkpoint_path
+        records, meta = checkpoint.load_checkpoint(path)
+        old = dict(records)
+        for name, (role, array) in records.items():
+            if name.startswith("student."):
+                old["teacher." + name.removeprefix("student.")] = (
+                    role, array + 1.0)
+        old_path = tmp_path / "old.airl"
+        checkpoint.save_checkpoint(old_path, old, meta)
+        outputs = {}
+        for label, source in (("old", old_path), ("current", path)):
+            outputs[label] = tmp_path / f"{label}_rescaled.airl"
+            report = runner.cmd_surgery_rescale(
+                source, outputs[label], factor=2.0,
+                refresh_stats=refresh_stats)
+            touched = [name for name, _, _ in report.touched]
+            assert touched and all(n.startswith("student.") for n in touched)
+        rescaled, _ = checkpoint.load_checkpoint(outputs["old"])
+        assert sorted(rescaled) == sorted(records)
+        assert outputs["old"].read_bytes() == outputs["current"].read_bytes()
+
     def test_metadata_carries_config_hash_and_step(self, tmp_path):
         cfg = fast_cfg()
         result = runner.pretrain(cfg, tmp_path / "run")

@@ -42,10 +42,11 @@ and bias that `evaluation.linear_probe` fits on the final student at probe
 seed 0, and then the same for the final `moco_v2_plus` student at probe
 seed 3 (`PROBE_SEED_KIND`, `PROBE_SEED`).
 
-The numpy version and the `matmul` path that `numerics`' import probe
-chose (the einsum contraction or the per-k loop) go to stderr, so digests
-compared across machines say what produced them; stdout holds only the
-digest lines. The runs share one process, so the presets after the first
+The numpy version and the `matmul` path that `numerics` chose at import
+(`kernel`, `einsum` or `per-k loop`) go to stderr, so digests compared
+across machines say what produced them; every path keeps `matmul`'s order
+contract, so the path is information only. stdout holds only the digest
+lines. The runs share one process, so the presets after the first
 take their augmentation plans from `augment.draw_plans`' memo; its hit and
 miss counts go to stderr at the end.
 
@@ -192,8 +193,8 @@ def parse_overrides(args: list[str]) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     extra = parse_overrides(argv)
-    path = "einsum" if numerics.EINSUM_IS_NAIVE else "per-k loop"
-    print(f"numpy {np.__version__}, matmul path: {path}", file=sys.stderr)
+    print(f"numpy {np.__version__}, matmul path: {numerics.MATMUL_PATH}",
+          file=sys.stderr)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, overrides in RUNS:
