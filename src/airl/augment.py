@@ -38,12 +38,11 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
    pipeline): it gathers every row straight from the n source images with
    per-row boxes, into one array of output-size images. Each later stage
    then runs once, in pipeline order, on its fired rows of both views.
-   Every kernel runs on blocks of at most `BLOCK_VALUES` values per array,
-   which bounds its temporaries. Per-image coefficients (blur kernels, hue
-   rotations) are computed as arrays, with the same operations as for one
-   image. The blur and the jitter lay their work out so that each numpy
-   operation is one long contiguous loop: the blur with the blurred axis
-   outermost and the image axis innermost, the jitter as channel planes.
+   Per-image coefficients (blur kernels, hue rotations) are computed as
+   arrays, with the same operations as for one image. The blur and the
+   jitter lay their work out so that each numpy operation is one long
+   contiguous loop: the blur with the blurred axis outermost and the image
+   axis innermost, the jitter as channel planes.
 
 The result equals augmenting each image on its own, bit for bit.
 
@@ -603,24 +602,6 @@ def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     return Plans(rows, tuple(columns))
 
 
-# Stage kernels run on blocks of rows of at most this many values per image
-# array (288 KiB). Inside a training loop, larger temporaries come as fresh
-# pages from the OS on every call, and faulting those in cost more than the
-# longer loops saved (measured in a `MAIN_DATA` pretrain).
-BLOCK_VALUES = 36_864
-
-
-def _blocks(rows: np.ndarray, image_values: int):
-    # `rows` in blocks of at most BLOCK_VALUES values, each as a slice when
-    # its rows are consecutive.
-    step = max(1, BLOCK_VALUES // image_values)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        if block[-1] - block[0] == len(block) - 1:
-            block = slice(block[0], block[-1] + 1)
-        yield block
-
-
 def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
     """Apply row r of `plans` to images[r % n], n = len(images).
 
@@ -628,23 +609,18 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
     `draw_plans`, both views of the batch, view-major. All rows come from
     one pipeline: same stages, same fixed parameters. The first stage, the
     crop-resize, takes every row from its source image into the output;
-    each later stage then runs once, on its fired rows, in blocks (see the
-    module docstring).
+    each later stage then runs once, on its fired rows.
     """
     rows = plans.rows
     (_, _, boxes), *later = plans.stages
-    out = np.empty((rows, out_side, out_side, 3))
-    source = np.arange(rows) % len(images)
-    for block in _blocks(np.arange(rows), out[0].size):
-        out[block] = resize_bilinear(images, out_side, out_side, boxes[block],
-                                     index=source[block])
+    out = resize_bilinear(images, out_side, out_side, boxes,
+                          index=np.arange(rows) % len(images))
     col_major = np.ones(rows, dtype=bool)
 
     def run(kernel, picked, *per_row):
-        # kernel(pixels, *per_row values) on the rows `picked` of `out`,
-        # block by block, in place.
-        for block in _blocks(picked, out[0].size):
-            out[block] = kernel(out[block], *(v[block] for v in per_row))
+        # kernel(pixels, *per_row values) on the rows `picked` of `out`, in
+        # place.
+        out[picked] = kernel(out[picked], *(v[picked] for v in per_row))
 
     for name, fired, values in later:
         picked = np.flatnonzero(fired)

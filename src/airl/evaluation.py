@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import augment, encoder
+from . import augment, encoder, optim
 from .errors import ConfigError, DimensionError, FeatureCollapseError
-from .numerics import Rng, matmul
+from .numerics import Rng, matmul, row_norms
 
 # The linear probe's recipe.
 PROBE_EPOCHS = 50
@@ -150,14 +150,17 @@ def fit_linear_classifier(
     (val top-1 accuracy, (weights, bias)).
 
     Weights start at zero, so the outcome depends only on the features and
-    the probe seed (which drives the batch order).
+    the probe seed (which drives the batch order). Each batch steps the
+    weights and bias through `optim.sgd_step`, the update pretraining uses,
+    at `probe_lr(epoch)`.
     """
     n, dim = train_features.shape
     classes = int(train_labels.max()) + 1
     w = np.zeros((dim, classes))
     b = np.zeros(classes)
-    vel_w = np.zeros_like(w)
-    vel_b = np.zeros_like(b)
+    params = {"w": w, "b": b}
+    sgd = optim.SgdConfig(lr=PROBE_LR, momentum=PROBE_MOMENTUM)
+    velocities: dict[str, np.ndarray] = {}
     onehot = np.eye(classes)[train_labels]
     rng = Rng(seed, 0)
     for epoch in range(PROBE_EPOCHS):
@@ -169,12 +172,8 @@ def fit_linear_classifier(
             logits = matmul(f, w) + b
             probs = _softmax_rows(logits)
             dlogits = (probs - onehot[idx]) / idx.size
-            grad_w = matmul(f.T, dlogits)
-            grad_b = dlogits.sum(axis=0)
-            vel_w = PROBE_MOMENTUM * vel_w + grad_w
-            vel_b = PROBE_MOMENTUM * vel_b + grad_b
-            w -= lr_t * vel_w
-            b -= lr_t * vel_b
+            grads = {"w": matmul(f.T, dlogits), "b": dlogits.sum(axis=0)}
+            optim.sgd_step(params, grads, velocities, sgd, lr_t)
     val_logits = matmul(val_features, w) + b
     accuracy = float(np.mean(np.argmax(val_logits, axis=1) == val_labels))
     return accuracy, (w, b)
@@ -210,7 +209,7 @@ def linear_probe(params: encoder.EncoderParams, dataset: Dataset,
 
 
 def _safe_normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    norms = row_norms(x)
     norms[norms < 1e-12] = 1.0
     return x / norms
 

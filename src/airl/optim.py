@@ -1,7 +1,8 @@
 """SGD-with-momentum and LARS optimizers plus the pretraining lr schedule.
 
-Pretraining uses linear warmup then cosine decay. The linear probe keeps its
-own fixed step-decay recipe in `evaluation`.
+Pretraining uses linear warmup then cosine decay. The linear probe steps
+through the same `sgd_step`, at the step-decay lr of its fixed recipe
+(`evaluation.probe_lr`).
 
 LARS scales each tensor's step by the layer-wise trust ratio
 eta * ||w|| / (||grad + wd*w|| + eps) and, per its standard large-batch

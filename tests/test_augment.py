@@ -283,11 +283,9 @@ def test_batch_holding_every_blur_radius_equals_reference():
     assert_views_match_reference(images, pipe, rngs)
 
 
-@pytest.mark.parametrize("block_images", [1, 2, 5])
-def test_kernels_in_small_blocks_equal_reference(monkeypatch, block_images):
-    # Blocks of a few 8x8 images, and a single 16x16 image or a part of
-    # one: every stage runs on many blocks, some of consecutive rows.
-    monkeypatch.setattr(augment, "BLOCK_VALUES", block_images * 8 * 8 * 3)
+def test_gated_stages_on_scattered_rows_equal_reference():
+    # Gates at 0.5 and 1.0 over nine images: each stage runs on its fired
+    # rows of both views, scattered or all of them.
     for pipe in (_with_gates(AugPipeline.default(8), color_jitter=0.5,
                              grayscale=0.5, solarization=0.5),
                  _with_gates(AugPipeline.default(8), gaussian_blur=1.0,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import evaluation_reference as reference
 from airl import augment
 from airl.encoder import build_branch
 from airl.errors import ConfigError, DimensionError, FeatureCollapseError
 from airl.evaluation import (
+    PROBE_BATCH,
     Dataset,
     collapse_metrics,
     fit_linear_classifier,
@@ -117,6 +119,23 @@ class TestLinearProbe:
         data = small_dataset()
         with pytest.raises(FeatureCollapseError):
             linear_probe(params, data)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fit_equals_frozen_momentum_loop(self, seed):
+        # 100 rows: the last batch of every epoch is partial. ReLU-like
+        # features with one dead column, as a backbone gives.
+        n = 100
+        assert n % PROBE_BATCH
+        rng = Rng(seed).child("probe")
+        feats = np.maximum(rng.child("f").normal(size=(n + 40, 24)), 0.0)
+        feats[:, 3] = 0.0
+        labels = rng.child("y").integers(0, 5, size=n + 40)
+        args = (feats[:n], labels[:n], feats[n:], labels[n:], seed)
+        acc, (w, b) = fit_linear_classifier(*args)
+        ref_acc, (ref_w, ref_b) = reference.fit_linear_classifier(*args)
+        assert acc == ref_acc
+        assert w.tobytes() == ref_w.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
 
     def test_lr_steps_down_at_sixty_and_eighty_percent(self):
         # 50 epochs at lr 0.3, cut by 10x at epochs 30 and 40

@@ -42,13 +42,17 @@ and bias that `evaluation.linear_probe` fits on the final student at probe
 seed 0, and then the same for the final `moco_v2_plus` student at probe
 seed 3 (`PROBE_SEED_KIND`, `PROBE_SEED`).
 
-The numpy version and the `matmul` path that `numerics` chose at import
-(`kernel`, `einsum` or `per-k loop`) go to stderr, so digests compared
-across machines say what produced them; every path keeps `matmul`'s order
-contract, so the path is information only. stdout holds only the digest
-lines. The runs share one process, so the presets after the first
-take their augmentation plans from `augment.draw_plans`' memo; its hit and
-miss counts go to stderr at the end.
+The numpy version, the `matmul` path that `numerics` chose at import
+(`kernel`, `einsum` or `per-k loop`) and the SIMD level numpy dispatches
+float64 `exp` and `log` to (`exp_log_dispatch`) go to stderr, so digests
+compared across machines say what produced them. Every `matmul` path keeps
+its order contract, so the path is information only; the dispatch level is
+not: `exp` and `log` give other last bits at other levels, and the blur
+weights, the InfoNCE loss, the probe softmax and the effective rank all call
+them. stdout holds only the digest lines. The runs share one process, so
+the presets after the first take their augmentation plans from
+`augment.draw_plans`' memo; its hit and miss counts go to stderr at the
+end.
 
 Extra `section.key=value` arguments are added to every preset's config, for
 example to pin on the old side a setting that the change hard-codes.
@@ -181,6 +185,20 @@ def views_digest(images, pipeline) -> str:
     return digest.hexdigest()
 
 
+def exp_log_dispatch() -> str:
+    """The level numpy dispatches float64 `exp` and `log` to on this host,
+    such as "X86_V4"; both levels, "/"-joined, when they differ, and
+    "unknown" on an older numpy without `np.lib.introspect.opt_func_info`."""
+    try:
+        opt_func_info = np.lib.introspect.opt_func_info
+    except AttributeError:
+        return "unknown"
+    info = opt_func_info(func_name="^(exp|log)$", signature="^d")
+    return "/".join(dict.fromkeys(
+        loop["current"] for name in ("exp", "log")
+        for loop in info[name].values()))
+
+
 def parse_overrides(args: list[str]) -> dict[str, str]:
     overrides = {}
     for arg in args:
@@ -193,8 +211,8 @@ def parse_overrides(args: list[str]) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     extra = parse_overrides(argv)
-    print(f"numpy {np.__version__}, matmul path: {numerics.MATMUL_PATH}",
-          file=sys.stderr)
+    print(f"numpy {np.__version__}, matmul path: {numerics.MATMUL_PATH}, "
+          f"exp/log dispatch: {exp_log_dispatch()}", file=sys.stderr)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, overrides in RUNS:
