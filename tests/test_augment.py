@@ -295,6 +295,19 @@ def test_gated_stages_on_scattered_rows_equal_reference():
         assert_views_match_reference(images, pipe, rngs)
 
 
+@pytest.mark.parametrize("block_images", [1, 2, 5])
+def test_kernels_in_small_blocks_equal_reference(block_images):
+    # The same gated pipelines on batches of a few images: a stage may fire
+    # on no row, one row or every row of both views.
+    for pipe in (_with_gates(AugPipeline.default(8), color_jitter=0.5,
+                             grayscale=0.5, solarization=0.5),
+                 _with_gates(AugPipeline.default(8), gaussian_blur=1.0,
+                             color_jitter=1.0)):
+        images = Rng(34).child("img").random((block_images, 16, 16, 3))
+        rngs = [Rng(34).child("aug", 1, i) for i in range(block_images)]
+        assert_views_match_reference(images, pipe, rngs)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_batch_of_one_equals_reference(seed):
     images = Rng(seed).child("img").random((1, 16, 16, 3))
