@@ -12,7 +12,7 @@ from airl.evaluation import make_synthetic_dataset
 from airl.numerics import Rng
 
 data = make_synthetic_dataset(4, 4, 16, Rng(7).child("data"), noise=0.05,
-                              tint=0.5)
+                              tint=0.5, val_per_class=1)
 img = data.train_images[0]
 pipe = AugPipeline.default()
 

@@ -234,13 +234,11 @@ class ExperimentConfig:
         v = self.values
         if v["optimizer.kind"] == "sgd":
             cfg = SgdConfig(
-                lr=v["optimizer.lr"],
                 momentum=v["optimizer.momentum"],
                 weight_decay=v["optimizer.weight_decay"],
             )
         elif v["optimizer.kind"] == "lars":
             cfg = LarsConfig(
-                lr=v["optimizer.lr"],
                 momentum=v["optimizer.momentum"],
                 weight_decay=v["optimizer.weight_decay"],
                 trust_coefficient=v["optimizer.trust_coefficient"],
@@ -292,7 +290,7 @@ def parse_config(text: str) -> ExperimentConfig:
     # Fail fast on invalid combinations.
     cfg.framework_config()
     cfg.pipeline()
-    cfg.schedule()
+    cfg.optimizer()
     return cfg
 
 

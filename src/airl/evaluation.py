@@ -72,9 +72,9 @@ def make_synthetic_dataset(
     per_class: int,
     side: int,
     rng: Rng,
-    noise: float = 0.05,
-    tint: float = 0.35,
-    val_per_class: int | None = None,
+    noise: float,
+    tint: float,
+    val_per_class: int,
 ) -> Dataset:
     """Procedural dataset: one texture prototype per class, plus a per-sample
     brightness gain (uniform in 1 +- tint) and Gaussian pixel noise.
@@ -84,8 +84,6 @@ def make_synthetic_dataset(
     """
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
-    if val_per_class is None:
-        val_per_class = max(per_class // 4, 1)
     # one orientation per class, spread over (0, pi/2)
     thetas = (np.arange(classes) + 0.5) * (np.pi / 2.0) / classes
     protos = [
@@ -159,7 +157,7 @@ def fit_linear_classifier(
     w = np.zeros((dim, classes))
     b = np.zeros(classes)
     params = {"w": w, "b": b}
-    sgd = optim.SgdConfig(lr=PROBE_LR, momentum=PROBE_MOMENTUM)
+    sgd = optim.SgdConfig(momentum=PROBE_MOMENTUM, weight_decay=0.0)
     velocities: dict[str, np.ndarray] = {}
     onehot = np.eye(classes)[train_labels]
     rng = Rng(seed, 0)

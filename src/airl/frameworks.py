@@ -72,20 +72,23 @@ _PRESETS = {
 
 @dataclass
 class FrameworkConfig:
+    """A framework's settings; `config.ExperimentConfig.framework_config`
+    fills every field from the config keys and the kind's preset."""
+
     kind: str
-    temperature: float = 0.2
-    queue_size: int = 256
-    symmetric_loss: bool = True
-    predictor_placement: str = "student_only"
-    momentum_base: float = 0.99
-    momentum_schedule: str = "cosine_ascend"
-    projector_hidden_bn: bool = True
-    stop_gradient: bool = True
-    input_dim: int = 768
-    backbone_hidden: int = 64
-    backbone_out: int = 64
-    projector_hidden: int = 64
-    projector_out: int = 32
+    temperature: float
+    queue_size: int
+    symmetric_loss: bool
+    predictor_placement: str
+    momentum_base: float
+    momentum_schedule: str
+    projector_hidden_bn: bool
+    stop_gradient: bool
+    input_dim: int
+    backbone_hidden: int
+    backbone_out: int
+    projector_hidden: int
+    projector_out: int
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -116,14 +119,6 @@ class FrameworkConfig:
     @property
     def contrastive(self) -> bool:
         return self.kind != "byol"
-
-    @staticmethod
-    def preset(kind: str, **overrides) -> "FrameworkConfig":
-        if kind not in _PRESETS:
-            raise ConfigError(f"unknown framework kind {kind!r}")
-        base = dict(_PRESETS[kind])
-        base.update(overrides)
-        return FrameworkConfig(kind=kind, **base)
 
 
 def momentum_at(t: int, total: int, base: float, schedule: str) -> float:

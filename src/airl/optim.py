@@ -1,14 +1,16 @@
 """SGD-with-momentum and LARS optimizers plus the pretraining lr schedule.
 
-Pretraining uses linear warmup then cosine decay. The linear probe steps
-through the same `sgd_step`, at the step-decay lr of its fixed recipe
-(`evaluation.probe_lr`).
+The configs hold no lr: the base lr lives only in `LrSchedule`, and every
+step takes its lr as an argument. Pretraining uses linear warmup then
+cosine decay. The linear probe steps through the same `sgd_step`, at the
+step-decay lr of its fixed recipe (`evaluation.probe_lr`).
 
 LARS scales each tensor's step by the layer-wise trust ratio
 eta * ||w|| / (||grad + wd*w|| + eps) and, per its standard large-batch
 configuration, excludes normalization and bias parameters from both weight
 decay and the trust-ratio adaptation (they receive plain momentum-SGD steps).
 Every parameter carries a role tag, so the exclusions are driven by role.
+`LarsConfig` extends `SgdConfig` with the trust-ratio constants.
 """
 
 from __future__ import annotations
@@ -27,30 +29,29 @@ LARS_EXCLUDED_ROLES = frozenset({"norm_gain", "norm_bias", "bias"})
 
 @dataclass(frozen=True)
 class SgdConfig:
-    lr: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    momentum: float
+    weight_decay: float
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
-class LarsConfig:
-    lr: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    trust_coefficient: float = 1e-3
-    eps: float = 1e-9
+class LarsConfig(SgdConfig):
+    trust_coefficient: float
+    eps: float
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        super().__post_init__()
+        if self.trust_coefficient <= 0:
+            raise ConfigError(
+                f"trust_coefficient must be > 0, got {self.trust_coefficient}")
+        if self.eps < 0:
+            raise ConfigError(f"eps must be >= 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,12 @@ class LrSchedule:
     """Linear warmup from 0 to base_lr, then cosine decay to 0."""
 
     base_lr: float
-    warmup_epochs: int = 0
-    total_epochs: int = 1
+    warmup_epochs: int
+    total_epochs: int
 
     def __post_init__(self):
+        if self.base_lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.base_lr}")
         if self.total_epochs < 1:
             raise ConfigError("total_epochs must be >= 1")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
@@ -159,6 +162,7 @@ class Optimizer:
     def step(self, params, grads, roles, progress: float) -> float:
         """Apply one update at the given progress; returns the lr used."""
         lr_t = lr_at(progress, self.schedule)
+        # A LarsConfig is also an SgdConfig, so LARS is tested first.
         if isinstance(self.cfg, LarsConfig):
             lars_step(params, grads, self.velocities, roles, self.cfg, lr_t)
         else:

@@ -19,8 +19,9 @@ from airl.errors import (
     DimensionError,
     NumericOverflowError,
 )
-from airl.frameworks import PLACEMENTS, FrameworkConfig, init_siamese_state
+from airl.frameworks import PLACEMENTS, init_siamese_state
 from airl.numerics import Rng, finite_diff_grad, matmul, relative_error
+from presets import preset
 
 
 def tiny_cfg(**overrides):
@@ -29,7 +30,7 @@ def tiny_cfg(**overrides):
         projector_hidden=8, projector_out=6,
     )
     defaults.update(overrides)
-    return FrameworkConfig.preset("s_moco_v2_plus", **defaults)
+    return preset("s_moco_v2_plus", **defaults)
 
 
 def flat_grads(grads, names):

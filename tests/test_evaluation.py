@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import evaluation_reference as reference
+from presets import preset
 from airl import augment
 from airl.encoder import build_branch
 from airl.errors import ConfigError, DimensionError, FeatureCollapseError
@@ -16,7 +17,6 @@ from airl.evaluation import (
     make_synthetic_dataset,
     probe_lr,
 )
-from airl.frameworks import FrameworkConfig
 from airl.numerics import Rng
 
 
@@ -28,7 +28,7 @@ def small_dataset(seed=1, **kwargs):
 
 
 def small_encoder(seed=0, side=8):
-    cfg = FrameworkConfig.preset(
+    cfg = preset(
         "byol", input_dim=3 * side * side, backbone_hidden=16,
         backbone_out=16, projector_hidden=8, projector_out=4,
     )
@@ -49,7 +49,8 @@ class TestSyntheticDataset:
                     & set(b.train_images.ravel().tolist()))
 
     def test_counts(self):
-        data = make_synthetic_dataset(8, 64, 8, Rng(0), val_per_class=16)
+        data = make_synthetic_dataset(8, 64, 8, Rng(0), noise=0.05, tint=0.35,
+                                      val_per_class=16)
         assert data.train_images.shape[0] == 512
         assert data.val_images.shape[0] == 128
         assert sorted(set(data.train_labels.tolist())) == list(range(8))

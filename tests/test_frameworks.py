@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameworks_reference as reference
+from presets import preset
 from airl import encoder
 from airl.errors import ConfigError, DimensionError
 from airl.frameworks import (
     KINDS,
-    FrameworkConfig,
     MemoryQueue,
     byol_loss,
     compute_loss_and_grads,
@@ -34,7 +34,7 @@ def tiny_state(kind, seed=0, total_steps=10, queue_rows=12, **overrides):
         projector_hidden=6, projector_out=5, queue_size=16,
     )
     defaults.update(overrides)
-    cfg = FrameworkConfig.preset(kind, **defaults)
+    cfg = preset(kind, **defaults)
     state = init_siamese_state(cfg, Rng(seed).child("init"), total_steps)
     if state.queue is not None and queue_rows:
         state.queue.enqueue(unit_rows(Rng(seed).child("warm"), queue_rows,
@@ -220,8 +220,9 @@ class TestTrainingStep:
                 rng.child("x2").random((n, d)))
 
     def opt(self, epochs=10):
-        return Optimizer(SgdConfig(lr=0.05),
-                         LrSchedule(0.05, total_epochs=epochs))
+        return Optimizer(SgdConfig(momentum=0.9, weight_decay=0.0),
+                         LrSchedule(0.05, warmup_epochs=0,
+                                    total_epochs=epochs))
 
     @pytest.mark.parametrize("kind", ["moco_v2", "moco_v2_plus",
                                       "s_moco_v2_plus", "byol"])
@@ -304,7 +305,7 @@ class TestTrainingStep:
 
     def test_stop_gradient_disabled_restricted_to_byol(self):
         with pytest.raises(ConfigError):
-            FrameworkConfig.preset("moco_v2", stop_gradient=False)
+            preset("moco_v2", stop_gradient=False)
 
     def test_stop_gradient_disabled_moves_both_sides(self):
         cfg, state = tiny_state("byol", stop_gradient=False,

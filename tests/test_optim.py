@@ -17,18 +17,25 @@ from airl.optim import (
 )
 
 
+def lars_config(momentum, weight_decay=0.0):
+    """LARS at the config registry's trust coefficient and eps."""
+    return LarsConfig(momentum=momentum, weight_decay=weight_decay,
+                      trust_coefficient=1e-3, eps=1e-9)
+
+
 class TestSgd:
     def test_plain_gradient_step(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
-        sgd_step(params, grads, {}, SgdConfig(lr=0.1, momentum=0.0), 0.1)
+        sgd_step(params, grads, {},
+                 SgdConfig(momentum=0.0, weight_decay=0.0), 0.1)
         assert params["w"][0] == 0.95
 
     def test_zero_grad_zero_velocity_is_fixed_point(self):
         params = {"w": np.array([2.0, -3.0])}
         vel = {}
         sgd_step(params, {"w": np.zeros(2)}, vel,
-                 SgdConfig(lr=0.1, momentum=0.9), 0.1)
+                 SgdConfig(momentum=0.9, weight_decay=0.0), 0.1)
         assert np.array_equal(params["w"], [2.0, -3.0])
 
     def test_two_momentum_steps_match_hand_unrolled_recurrence(self):
@@ -42,7 +49,7 @@ class TestSgd:
         w2 = w1 - lr * v2
         params = {"w": np.array([w])}
         vel = {}
-        cfg = SgdConfig(lr=lr, momentum=mu)
+        cfg = SgdConfig(momentum=mu, weight_decay=0.0)
         sgd_step(params, {"w": np.array([g1])}, vel, cfg, lr)
         sgd_step(params, {"w": np.array([g2])}, vel, cfg, lr)
         assert abs(params["w"][0] - w2) < 1e-15
@@ -50,7 +57,7 @@ class TestSgd:
     def test_weight_decay_adds_to_gradient(self):
         params = {"w": np.array([2.0])}
         sgd_step(params, {"w": np.zeros(1)}, {},
-                 SgdConfig(lr=0.5, momentum=0.0, weight_decay=0.1), 0.5)
+                 SgdConfig(momentum=0.0, weight_decay=0.1), 0.5)
         # g = 0 + 0.1*2 = 0.2; w = 2 - 0.5*0.2
         assert abs(params["w"][0] - 1.9) < 1e-15
 
@@ -58,7 +65,7 @@ class TestSgd:
         with pytest.raises(NumericOverflowError, match="lin.weight"):
             sgd_step({"lin.weight": np.ones(2)},
                      {"lin.weight": np.array([np.nan, 0.0])}, {},
-                     SgdConfig(lr=0.1), 0.1)
+                     SgdConfig(momentum=0.9, weight_decay=0.0), 0.1)
 
 
 class TestLars:
@@ -68,7 +75,7 @@ class TestLars:
     def test_zero_weight_norm_gives_plain_step(self):
         params = {"w": np.zeros(3)}
         grads = {"w": np.array([1.0, 0.0, 0.0])}
-        cfg = LarsConfig(lr=0.1, momentum=0.0)
+        cfg = lars_config(momentum=0.0)
         lars_step(params, grads, {}, self.roles("w"), cfg, 0.1)
         # local = 1 -> w -= lr * g
         assert np.allclose(params["w"], [-0.1, 0.0, 0.0], atol=1e-15)
@@ -77,7 +84,7 @@ class TestLars:
         # ||w|| = 2, ||g|| = 1, eta = 1e-3 -> local = 2e-3 (up to eps)
         params = {"w": np.array([2.0, 0.0])}
         grads = {"w": np.array([0.0, 1.0])}
-        cfg = LarsConfig(lr=1.0, momentum=0.0, weight_decay=0.0)
+        cfg = lars_config(momentum=0.0)
         lars_step(params, grads, {}, self.roles("w"), cfg, 1.0)
         step = np.array([2.0, 0.0]) - params["w"]
         local = step[1] / 1.0  # lr * local * g
@@ -87,7 +94,7 @@ class TestLars:
         for wd in (0.0, 0.1):
             params = {"bn.gain": np.array([2.0])}
             grads = {"bn.gain": np.array([0.3])}
-            cfg = LarsConfig(lr=0.1, momentum=0.0, weight_decay=wd)
+            cfg = lars_config(momentum=0.0, weight_decay=wd)
             lars_step(params, grads, {}, self.roles("bn.gain", role="norm_gain"),
                       cfg, 0.1)
             assert abs(params["bn.gain"][0] - (2.0 - 0.1 * 0.3)) < 1e-15
@@ -95,7 +102,7 @@ class TestLars:
     def test_missing_role_tag_rejected(self):
         with pytest.raises(ConfigError):
             lars_step({"w": np.ones(2)}, {"w": np.ones(2)}, {}, {},
-                      LarsConfig(lr=0.1), 0.1)
+                      lars_config(momentum=0.9), 0.1)
 
     def test_all_excluded_lars_is_bitwise_sgd_on_dyadic_values(self):
         # dyadic lr/momentum/values keep float ops exact, so the two
@@ -113,8 +120,8 @@ class TestLars:
         sgd_vel = {}
         lars_params = {k: v.copy() for k, v in w0.items()}
         lars_vel = {}
-        lars_cfg = LarsConfig(lr=lr, momentum=mu, weight_decay=0.0)
-        sgd_cfg = SgdConfig(lr=lr, momentum=mu, weight_decay=0.0)
+        lars_cfg = lars_config(momentum=mu)
+        sgd_cfg = SgdConfig(momentum=mu, weight_decay=0.0)
         for grads in grad_seq:
             sgd_step(sgd_params, grads, sgd_vel, sgd_cfg, lr)
             lars_step(lars_params, grads, lars_vel, roles, lars_cfg, lr)
@@ -129,8 +136,8 @@ class TestLars:
         lars_params = {"bn.gain": gain0.copy()}
         sgd_params = {"bn.gain": gain0.copy()}
         lars_vel, sgd_vel = {}, {}
-        lars_cfg = LarsConfig(lr=0.5, momentum=0.9, weight_decay=0.0)
-        sgd_cfg = SgdConfig(lr=0.5, momentum=0.9, weight_decay=1e-4)
+        lars_cfg = lars_config(momentum=0.9)
+        sgd_cfg = SgdConfig(momentum=0.9, weight_decay=1e-4)
         roles = {"bn.gain": "norm_gain"}
         for step in range(500):
             g = {"bn.gain": 0.01 * rng.normal(size=16)}
@@ -153,7 +160,7 @@ class TestLrSchedule:
         assert abs(lr_at(0.1, sched) - 0.3) < 1e-15
 
     def test_cosine_endpoint_is_zero(self):
-        sched = LrSchedule(base_lr=0.6, total_epochs=10)
+        sched = LrSchedule(base_lr=0.6, warmup_epochs=0, total_epochs=10)
         assert abs(lr_at(1.0, sched)) < 1e-16
 
     def test_continuous_at_warmup_and_monotone_after(self):
@@ -164,7 +171,7 @@ class TestLrSchedule:
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_out_of_range_progress(self):
-        sched = LrSchedule(base_lr=1.0)
+        sched = LrSchedule(base_lr=1.0, warmup_epochs=0, total_epochs=1)
         with pytest.raises(ConfigError):
             lr_at(1.5, sched)
 
@@ -189,8 +196,8 @@ class TestNormReports:
         assert norm_sum_by_role(params, "norm_gain") == pytest.approx(2.0)
 
     def test_optimizer_wrapper_reports_lr(self):
-        opt = Optimizer(SgdConfig(lr=0.5),
-                        LrSchedule(0.5, total_epochs=10))
+        opt = Optimizer(SgdConfig(momentum=0.9, weight_decay=0.0),
+                        LrSchedule(0.5, warmup_epochs=0, total_epochs=10))
         params = {"w": np.ones(2)}
         lr_used = opt.step(params, {"w": np.zeros(2)}, {"w": "weight"}, 0.0)
         assert lr_used == 0.5

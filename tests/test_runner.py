@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import augment_reference
+from presets import preset
 from airl import augment, checkpoint, encoder, evaluation, runner
 from airl.augment import REMOVAL_ORDER
 from airl.cli import main as cli_main
@@ -16,7 +17,6 @@ from airl.config import (REMOVABLE_STAGES, config_from_overrides,
                          parse_config)
 from airl.errors import AirlError, CheckpointError, ConfigError
 from airl.evaluation import collapse_metrics
-from airl.frameworks import FrameworkConfig
 from airl.numerics import Rng, l2_normalize_rows
 
 
@@ -135,6 +135,23 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=f"line 2: {key} must be finite, got"):
             parse_config(f"framework.kind = byol\n{line}\n")
+
+    @pytest.mark.parametrize("kind, line, message", [
+        ("adam", "", "unknown optimizer kind 'adam'"),
+        ("sgd", "optimizer.lr = 0", "lr must be > 0, got 0.0"),
+        ("sgd", "optimizer.momentum = 1.5", "momentum must be in [0, 1), got"),
+        ("sgd", "optimizer.weight_decay = -3", "weight_decay must be >= 0"),
+        ("lars", "optimizer.weight_decay = -3", "weight_decay must be >= 0"),
+        ("lars", "optimizer.eps = -1", "eps must be >= 0, got -1.0"),
+        ("lars", "optimizer.trust_coefficient = -1",
+         "trust_coefficient must be > 0, got -1.0"),
+    ])
+    def test_bad_optimizer_values_rejected(self, kind, line, message):
+        # In range for their type but not for the optimizer: parsing builds
+        # the optimizer and its lr schedule, so each value fails there.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(
+                f"framework.kind = byol\noptimizer.kind = {kind}\n{line}\n")
 
     @pytest.mark.parametrize("line", RETIRED_LINES)
     def test_retired_key_at_its_value_is_dropped(self, line):
@@ -629,6 +646,13 @@ class TestPretrain:
         with pytest.raises(ConfigError, match="batch"):
             runner.pretrain(cfg, tmp_path / "run")
 
+    def test_bad_optimizer_stops_before_the_run_starts(self, tmp_path):
+        cfg_path = tmp_path / "adam.txt"
+        cfg_path.write_text("framework.kind = byol\noptimizer.kind = adam\n")
+        with pytest.raises(ConfigError, match="unknown optimizer kind"):
+            runner.cmd_pretrain(cfg_path, out=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCollapseStudy:
     @staticmethod
@@ -961,7 +985,7 @@ class TestLadder:
         rung = arms[4].cfg.framework_config()
         assert rung.kind == "moco_v2"
         assert (replace(rung, kind="moco_v2_plus")
-                == FrameworkConfig.preset("moco_v2_plus"))
+                == preset("moco_v2_plus"))
 
 
 # What each study compares: the only config keys in which its arms differ.

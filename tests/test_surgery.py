@@ -8,9 +8,9 @@ from airl.errors import (
     DegenerateFeatureError,
     DimensionError,
 )
-from airl.frameworks import FrameworkConfig
 from airl.numerics import Rng
 from airl.surgery import Anchor, linear_cka, norm_rescale, stagewise_cka
+from presets import preset
 
 
 def cosine(a, b):
@@ -125,7 +125,7 @@ class TestStagewiseCka:
         defaults = dict(input_dim=12, backbone_hidden=6, backbone_out=6,
                         projector_hidden=6, projector_out=4)
         defaults.update(overrides)
-        return FrameworkConfig.preset("byol", **defaults)
+        return preset("byol", **defaults)
 
     def test_same_model_gives_all_ones(self):
         params = build_branch(self.cfg(), Rng(0))
