@@ -30,6 +30,14 @@ training images (`REFRESH_PASSES` training-mode passes, as the crossover
 rescue does with more), and the digest covers the refreshed running
 statistics and then the eval-mode stage outputs on those images.
 
+Another line covers checkpoint surgery: `runner.cmd_surgery_rescale`
+rescales the final `moco_v2_plus_lars` checkpoint (`RESCUE_KIND`) onto the
+final `moco_v2_plus` one (`RESCUE_ANCHOR_KIND`), and the same checkpoint
+again by the constant factor `RESCUE_FACTOR`, both without the BN refresh,
+which the line above covers. The digest covers each output's records and
+its metadata apart from `config`, `config_hash` and the anchor's path,
+which names a temporary directory.
+
 Then one line per augmentation pipeline that the studies run covers the
 views `augment.two_views` makes of the `MAIN_DATA` training images, in
 batches of 48, for `AUG_SEEDS` seeds and `AUG_EPOCHS` epochs: every rung
@@ -82,6 +90,9 @@ EPOCHS = 2
 UNHASHED_METADATA = ("config", "config_hash")
 REFRESH_KIND = "moco_v2_plus"
 REFRESH_PASSES = 3
+RESCUE_KIND = "moco_v2_plus_lars"
+RESCUE_ANCHOR_KIND = "moco_v2_plus"
+RESCUE_FACTOR = 0.5
 PROBE_SEED_KIND = "moco_v2_plus"
 PROBE_SEED = 3
 # (label, config overrides) of every digested run.
@@ -96,17 +107,20 @@ RUNS = (
 )
 
 
+def digest_checkpoint(digest, records: dict, metadata: dict) -> None:
+    for name in sorted(records):
+        role, array = records[name]
+        digest.update(f"{name}|{role}|{array.shape}".encode())
+        digest.update(array.astype("<f8").tobytes())
+    kept = {k: v for k, v in metadata.items() if k not in UNHASHED_METADATA}
+    digest.update(json.dumps(kept, sort_keys=True).encode())
+
+
 def run_digest(run_dir: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(run_dir.glob("*.airl")):
-        records, metadata = checkpoint.load_checkpoint(path)
         digest.update(path.name.encode())
-        for name in sorted(records):
-            role, array = records[name]
-            digest.update(f"{name}|{role}|{array.shape}".encode())
-            digest.update(array.astype("<f8").tobytes())
-        kept = {k: v for k, v in metadata.items() if k not in UNHASHED_METADATA}
-        digest.update(json.dumps(kept, sort_keys=True).encode())
+        digest_checkpoint(digest, *checkpoint.load_checkpoint(path))
     digest.update((run_dir / "metrics.csv").read_bytes())
     return digest.hexdigest()
 
@@ -141,6 +155,21 @@ def refresh_digest(result: runner.PretrainResult) -> str:
         digest.update(f"{name}|{stat.shape}".encode())
         digest.update(stat.astype("<f8").tobytes())
     digest_stages(digest, "student", branch, x)
+    return digest.hexdigest()
+
+
+def rescue_digest(results: dict, out_dir: Path) -> str:
+    digest = hashlib.sha256()
+    source = results[RESCUE_KIND].checkpoint_path
+    anchor = results[RESCUE_ANCHOR_KIND].checkpoint_path
+    for label, target in (("anchor", {"anchor_path": anchor}),
+                          ("factor", {"factor": RESCUE_FACTOR})):
+        path = out_dir / f"rescued_{label}.airl"
+        runner.cmd_surgery_rescale(source, path, **target)
+        records, metadata = checkpoint.load_checkpoint(path)
+        del metadata["rescaled"]["anchor"]
+        digest.update(label.encode())
+        digest_checkpoint(digest, records, metadata)
     return digest.hexdigest()
 
 
@@ -232,6 +261,8 @@ def main(argv: list[str]) -> int:
             results[label] = result
         refreshed = results[REFRESH_KIND]
         print(f"{REFRESH_KIND}_bn_refresh {refresh_digest(refreshed)}",
+              flush=True)
+        print(f"{RESCUE_KIND}_rescue {rescue_digest(results, Path(tmp))}",
               flush=True)
     images = runner.dataset_from_config(refreshed.cfg).train_images
     for label, pipeline in aug_pipelines():
