@@ -10,6 +10,9 @@ the only run whose loss trains the student on both views without a teacher.
 The other is the crossover study's LARS arm: `moco_v2_plus` with
 `optimizer.kind = lars` at `runner.CROSSOVER_LARS_LR`, the only run that
 takes `optim.lars_step` and its exemption of norm and bias parameters.
+A last run, `COSINE_RUN`, is `moco_v2_plus` with one warmup epoch: the
+schedule clamps the default three warmup epochs to the runs' two, so it is
+the only run whose lr leaves the warmup for the cosine decay.
 Each run's first digest covers, in order:
 
   - every checkpoint's tensor records (name, role, shape, float64 bytes);
@@ -44,7 +47,7 @@ batches of 48, for `AUG_SEEDS` seeds and `AUG_EPOCHS` epochs: every rung
 of the aug-ablation ladder (0 to 4 stages removed, at the studies' crop
 scale).
 
-A last line covers the linear probe: for each run above in order, the
+A last line covers the linear probe: for each run of `RUNS` in order, the
 run's label, `repr` of the top-1 and the bytes of the classifier weights
 and bias that `evaluation.linear_probe` fits on the final student at probe
 seed 0, and then the same for the final `moco_v2_plus` student at probe
@@ -105,6 +108,8 @@ RUNS = (
                            "optimizer__kind": "lars",
                            "optimizer__lr": runner.CROSSOVER_LARS_LR}),
 )
+COSINE_RUN = ("moco_v2_plus_warmup_1", {"framework__kind": "moco_v2_plus",
+                                        "schedule__warmup_epochs": 1})
 
 
 def digest_checkpoint(digest, records: dict, metadata: dict) -> None:
@@ -175,7 +180,7 @@ def rescue_digest(results: dict, out_dir: Path) -> str:
 
 def probe_digest(results: dict) -> str:
     digest = hashlib.sha256()
-    probes = [(label, 0) for label in results]
+    probes = [(label, 0) for label, _ in RUNS]
     probes.append((PROBE_SEED_KIND, PROBE_SEED))
     for label, seed in probes:
         result = results[label]
@@ -244,7 +249,7 @@ def main(argv: list[str]) -> int:
           f"exp/log dispatch: {exp_log_dispatch()}", file=sys.stderr)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, overrides in RUNS:
+        for label, overrides in (*RUNS, COSINE_RUN):
             cfg = config_from_overrides(**{
                 **overrides,
                 "framework__queue_size": 256,
