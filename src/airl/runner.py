@@ -10,6 +10,7 @@ divergence) as a matrix of config diffs at desk scale.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -219,12 +220,12 @@ def cmd_eval_linear(ckpt_path, data_spec: str, out_path, probe_seed: int = 0):
 def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
                         factor=None,
                         refresh_stats: bool = False) -> surgery.RescaleReport:
-    """Rescale every trainable tensor's norm to the anchor's (direction
-    preserved); BN running statistics and the queue are never rescaled.
-    Only the tensors of the state that the checkpoint's config builds are
-    rescaled and written, so the teacher records that an older
-    collapse-ablation checkpoint still holds, which no loader reads, are
-    dropped.
+    """Rescale every trainable tensor's norm to the anchor's, or by a
+    constant factor (direction preserved); BN running statistics and the
+    queue are never rescaled. Only the tensors of the state that the
+    checkpoint's config builds are rescaled and written, so the teacher
+    records that an older collapse-ablation checkpoint still holds, which no
+    loader reads, are dropped.
 
     With refresh_stats=True the BN running statistics are re-estimated from
     the checkpoint's own training images afterwards: surgery changes
@@ -233,36 +234,38 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
     """
     if (anchor_path is None) == (factor is None):
         raise ConfigError("need exactly one of an anchor checkpoint or a factor")
-    records, metadata = checkpoint.load_checkpoint(input_path)
-    state, cfg, _ = checkpoint.state_from_records(records, metadata)
+    if factor is not None and not (math.isfinite(factor) and factor > 0):
+        raise ConfigError(
+            f"constant anchor factor must be finite and > 0, got {factor}")
+    state, cfg, metadata = checkpoint.load_state(input_path)
+    # The records' arrays are the state's own, so rescaling them in place
+    # rescales the state.
     records, _ = checkpoint.state_records(state, cfg)
-    trainable = checkpoint.trainable_records(records)
+    tensors = {name: array for name, (_, array) in
+               checkpoint.trainable_records(records).items()}
     if anchor_path is not None:
         anchor_records, _ = checkpoint.load_checkpoint(anchor_path)
-        anchor = surgery.Anchor.from_tensors(
-            {n: a for n, (_, a) in
-             checkpoint.trainable_records(anchor_records).items()}
-        )
+        targets = {name: norm(array) for name, (_, array) in
+                   checkpoint.trainable_records(anchor_records).items()}
     else:
-        anchor = surgery.Anchor.constant(float(factor))
-    tensors = {name: array for name, (_, array) in trainable.items()}
-    rescaled, report = surgery.norm_rescale(tensors, anchor)
+        targets = {name: factor * norm(w) for name, w in tensors.items()}
+    rescaled, report = surgery.norm_rescale(tensors, targets)
     for name, array in rescaled.items():
-        records[name] = (trainable[name][0], array)
-    metadata = dict(metadata)
-    metadata["rescaled"] = {
-        "anchor": str(anchor_path) if anchor_path is not None else None,
-        "factor": factor,
-    }
+        tensors[name][...] = array
     if refresh_stats:
-        state, cfg, _ = checkpoint.state_from_records(records, metadata)
         data = dataset_from_config(cfg)
         for branch in (state.student, state.teacher):
             if branch is not None:
                 x = evaluation.images_to_inputs(data.train_images, branch)
                 encoder.refresh_running_stats(branch, x)
-        records, _ = checkpoint.state_records(state, cfg)
-    checkpoint.save_checkpoint(output_path, records, metadata)
+    records, _ = checkpoint.state_records(state, cfg)
+    checkpoint.save_checkpoint(output_path, records, {
+        **metadata,
+        "rescaled": {
+            "anchor": str(anchor_path) if anchor_path is not None else None,
+            "factor": factor,
+        },
+    })
     return report
 
 

@@ -1,10 +1,12 @@
 """Checkpoint post-processing: weight-norm rescaling and representation CKA.
 
-`norm_rescale` replaces each tensor's norm with an anchor norm while keeping
-its direction: w* = ||w_anchor|| * w / ||w||, or w* = c * w for a constant
-anchor. It recovers a usable scale regime for models whose norms drifted
-under a decay-free optimizer, without touching what the representation
-encodes (direction preserved, per-stage CKA stays ~1).
+`norm_rescale` gives each tensor the target norm that a plain map from
+tensor name to norm holds for it, keeping its direction:
+w* = target * w / ||w||. The targets are an anchor model's norms
+(target = ||w_anchor||) or a constant multiple of the tensor's own
+(target = c * ||w||). It recovers a usable scale regime for models whose
+norms drifted under a decay-free optimizer, without touching what the
+representation encodes (direction preserved, per-stage CKA stays ~1).
 """
 
 from __future__ import annotations
@@ -16,34 +18,10 @@ import numpy as np
 from . import encoder
 from .errors import (
     ArchitectureMismatchError,
-    ConfigError,
     DegenerateFeatureError,
     DimensionError,
 )
 from .numerics import matmul, norm
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """Per-name target norms from a reference model, or a constant factor."""
-
-    kind: str  # "checkpoint" | "constant"
-    norms: dict | None = None
-    factor: float | None = None
-
-    @staticmethod
-    def from_tensors(tensors: dict[str, np.ndarray]) -> "Anchor":
-        return Anchor(
-            kind="checkpoint",
-            norms={k: norm(v) for k, v in tensors.items()},
-        )
-
-    @staticmethod
-    def constant(factor: float) -> "Anchor":
-        if not (np.isfinite(factor) and factor > 0):
-            raise ConfigError(
-                f"constant anchor factor must be finite and > 0, got {factor}")
-        return Anchor(kind="constant", factor=factor)
 
 
 @dataclass
@@ -66,31 +44,27 @@ class RescaleReport:
 
 def norm_rescale(
     tensors: dict[str, np.ndarray],
-    anchor: Anchor,
+    target_norms: dict[str, float],
 ) -> tuple[dict[str, np.ndarray], RescaleReport]:
-    """Rescale every matched tensor's norm to the anchor's, keeping direction.
+    """Rescale every tensor to its target norm, keeping its direction.
 
-    Tensors with zero norm are skipped (their direction is undefined) and
-    tensors without an anchor counterpart are left unchanged; both show up in
-    the report. BN running statistics are not parameters and never pass
-    through here.
+    Tensors without a target are left unchanged and tensors with zero norm
+    are skipped (their direction is undefined); both show up in the report.
+    BN running statistics are not parameters and never pass through here.
     """
     out: dict[str, np.ndarray] = {}
     report = RescaleReport()
     for name, w in tensors.items():
+        if name not in target_norms:
+            out[name] = w.copy()
+            report.unmatched.append(name)
+            continue
         old_norm = norm(w)
-        if anchor.kind == "constant":
-            target = anchor.factor * old_norm
-        else:
-            if name not in anchor.norms:
-                out[name] = w.copy()
-                report.unmatched.append(name)
-                continue
-            target = anchor.norms[name]
         if old_norm == 0.0:
             out[name] = w.copy()
             report.skipped_zero.append(name)
             continue
+        target = target_norms[name]
         out[name] = w * (target / old_norm)
         report.touched.append((name, old_norm, target))
     return out, report

@@ -811,7 +811,7 @@ class TestCommands:
         for name in before:
             assert after[name] == pytest.approx(0.1 * before[name], rel=1e-9)
 
-    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
     def test_surgery_rejects_non_finite_factor(self, run, tmp_path, capsys,
                                                factor):
         _, result = run

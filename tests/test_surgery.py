@@ -4,12 +4,11 @@ import pytest
 from airl.encoder import build_branch
 from airl.errors import (
     ArchitectureMismatchError,
-    ConfigError,
     DegenerateFeatureError,
     DimensionError,
 )
-from airl.numerics import Rng
-from airl.surgery import Anchor, linear_cka, norm_rescale, stagewise_cka
+from airl.numerics import Rng, norm
+from airl.surgery import linear_cka, norm_rescale, stagewise_cka
 from presets import preset
 
 
@@ -20,8 +19,7 @@ def cosine(a, b):
 class TestNormRescale:
     def test_unit_rescale_of_three_four_five(self):
         tensors = {"w": np.array([3.0, 4.0])}
-        anchor = Anchor(kind="checkpoint", norms={"w": 1.0})
-        out, report = norm_rescale(tensors, anchor)
+        out, report = norm_rescale(tensors, {"w": 1.0})
         assert np.allclose(out["w"], [0.6, 0.8], atol=1e-15)
         assert [t[0] for t in report.touched] == ["w"]
 
@@ -29,15 +27,16 @@ class TestNormRescale:
         rng = Rng(0)
         tensors = {"a": rng.child("a").normal(size=(4, 3)),
                    "b": rng.child("b").normal(size=6)}
-        anchor = Anchor.from_tensors(tensors)
-        out, _ = norm_rescale(tensors, anchor)
+        targets = {name: norm(w) for name, w in tensors.items()}
+        out, _ = norm_rescale(tensors, targets)
         for name in tensors:
             assert np.max(np.abs(out[name] - tensors[name])) < 1e-12
 
     def test_constant_factor_scales_all_norms(self):
         rng = Rng(1)
         tensors = {f"t{i}": rng.child(i).normal(size=(3, 3)) for i in range(4)}
-        out, report = norm_rescale(tensors, Anchor.constant(0.1))
+        targets = {name: 0.1 * norm(w) for name, w in tensors.items()}
+        out, report = norm_rescale(tensors, targets)
         for name in tensors:
             ratio = np.linalg.norm(out[name]) / np.linalg.norm(tensors[name])
             assert abs(ratio - 0.1) < 1e-12
@@ -46,36 +45,29 @@ class TestNormRescale:
     def test_postconditions_norm_and_direction(self):
         rng = Rng(2)
         tensors = {"w": rng.child("w").normal(size=(8, 5))}
-        anchor = Anchor(kind="checkpoint", norms={"w": 2.5})
-        out, _ = norm_rescale(tensors, anchor)
+        out, _ = norm_rescale(tensors, {"w": 2.5})
         assert abs(np.linalg.norm(out["w"]) - 2.5) / 2.5 < 1e-9
         assert abs(cosine(out["w"], tensors["w"]) - 1.0) < 1e-12
 
     def test_idempotent_given_same_anchor(self):
         rng = Rng(3)
         tensors = {"w": rng.child("w").normal(size=(6, 4))}
-        anchor = Anchor(kind="checkpoint", norms={"w": 0.7})
-        once, _ = norm_rescale(tensors, anchor)
-        twice, _ = norm_rescale(once, anchor)
+        targets = {"w": 0.7}
+        once, _ = norm_rescale(tensors, targets)
+        twice, _ = norm_rescale(once, targets)
         assert np.max(np.abs(np.asarray(once["w"]) - twice["w"])) < 1e-15
 
     def test_zero_norm_tensor_skipped(self):
         tensors = {"w": np.zeros(4)}
-        anchor = Anchor(kind="checkpoint", norms={"w": 1.0})
-        out, report = norm_rescale(tensors, anchor)
+        out, report = norm_rescale(tensors, {"w": 1.0})
         assert np.array_equal(out["w"], np.zeros(4))
         assert report.skipped_zero == ["w"]
 
     def test_unmatched_names_reported_and_unchanged(self):
         tensors = {"w": np.ones(3), "extra": np.ones(2)}
-        anchor = Anchor(kind="checkpoint", norms={"w": 2.0})
-        out, report = norm_rescale(tensors, anchor)
+        out, report = norm_rescale(tensors, {"w": 2.0})
         assert report.unmatched == ["extra"]
         assert np.array_equal(out["extra"], np.ones(2))
-
-    def test_constant_anchor_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            Anchor.constant(0.0)
 
 
 class TestLinearCka:
