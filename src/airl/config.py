@@ -97,7 +97,13 @@ MIN_VALUE: dict[str, int] = {
     "run.checkpoint_every": 0,
     "framework.queue_size": 0,
     "data.val_per_class": 0,
+    "schedule.warmup_epochs": 0,
 }
+
+# Keys that only LARS reads. Under `optimizer.kind = sgd` each is accepted
+# only at its default, which every canonical text holds, so that no unread
+# value changes the config hash of a run.
+LARS_ONLY_KEYS = ("optimizer.trust_coefficient", "optimizer.eps")
 
 
 # The stages `augment.removed` may name: all but the crop, which every
@@ -246,7 +252,8 @@ class ExperimentConfig:
             )
         else:
             raise ConfigError(
-                f"unknown optimizer kind {v['optimizer.kind']!r}"
+                f"optimizer.kind must be one of sgd, lars, "
+                f"got {v['optimizer.kind']!r}"
             )
         return Optimizer(cfg, self.schedule())
 
@@ -272,7 +279,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key framework.kind")
     kind = provided["framework.kind"]
     if kind not in KINDS:
-        raise ConfigError(f"unknown framework kind {kind!r}")
+        raise ConfigError(
+            f"framework.kind must be one of {', '.join(KINDS)}, got {kind!r}")
 
     # Retired keys are not in KEY_SPEC, so their lines are dropped here.
     values: dict[str, object] = {}
@@ -286,8 +294,23 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key}")
         else:
             values[key] = default
-    cfg = ExperimentConfig(values)
     # Fail fast on invalid combinations.
+    if values["optimizer.kind"] == "sgd":
+        for key in LARS_ONLY_KEYS:
+            if values[key] != KEY_SPEC[key][1]:
+                raise ConfigError(
+                    f"{key} is read only by optimizer.kind = lars; under sgd "
+                    f"it is accepted only as "
+                    f"{_format_value('float', KEY_SPEC[key][1])}, "
+                    f"got {values[key]!r}"
+                )
+    n_train = values["data.classes"] * values["data.per_class"]
+    if values["run.epochs"] > 0 and values["run.batch"] > n_train:
+        raise ConfigError(
+            f"run.batch {values['run.batch']} exceeds the {n_train} training "
+            f"images (data.classes * data.per_class)"
+        )
+    cfg = ExperimentConfig(values)
     cfg.framework_config()
     cfg.pipeline()
     cfg.optimizer()

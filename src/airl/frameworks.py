@@ -91,24 +91,35 @@ class FrameworkConfig:
     projector_out: int
 
     def __post_init__(self):
+        # Each message names the config key that sets the field.
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown framework kind {self.kind!r}")
+            raise ConfigError(
+                f"framework.kind must be one of {', '.join(KINDS)}, "
+                f"got {self.kind!r}"
+            )
         if self.predictor_placement not in PLACEMENTS:
             raise ConfigError(
-                f"unknown predictor placement {self.predictor_placement!r}"
+                f"framework.predictor_placement must be one of "
+                f"{', '.join(PLACEMENTS)}, got {self.predictor_placement!r}"
             )
         if self.momentum_schedule not in SCHEDULES:
             raise ConfigError(
-                f"unknown momentum schedule {self.momentum_schedule!r}"
+                f"framework.momentum_schedule must be one of "
+                f"{', '.join(SCHEDULES)}, got {self.momentum_schedule!r}"
             )
         if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+            raise ConfigError(
+                f"framework.temperature must be > 0, got {self.temperature}")
         if not 0.0 <= self.momentum_base <= 1.0:
-            raise ConfigError("momentum_base must be in [0, 1]")
+            raise ConfigError(
+                f"framework.momentum_base must be in [0, 1], "
+                f"got {self.momentum_base}"
+            )
         if not self.stop_gradient and self.kind != "byol":
             raise ConfigError(
-                "disabling stop-gradient is a collapse ablation of the "
-                "distance loss; only the byol kind supports it"
+                f"framework.stop_gradient = false is a collapse ablation of "
+                f"the distance loss; only the byol kind supports it, got "
+                f"kind {self.kind!r}"
             )
         if self.contrastive and self.queue_size <= 0:
             raise ConfigError(

@@ -10,7 +10,8 @@ eta * ||w|| / (||grad + wd*w|| + eps) and, per its standard large-batch
 configuration, excludes normalization and bias parameters from both weight
 decay and the trust-ratio adaptation (they receive plain momentum-SGD steps).
 Every parameter carries a role tag, so the exclusions are driven by role.
-`LarsConfig` extends `SgdConfig` with the trust-ratio constants.
+`LarsConfig` extends `SgdConfig` with the trust-ratio constants. Range
+errors name the config key that sets each field, such as `optimizer.lr`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ class SgdConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(
+                f"optimizer.momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
+                f"optimizer.weight_decay must be >= 0, "
+                f"got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,10 @@ class LarsConfig(SgdConfig):
         super().__post_init__()
         if self.trust_coefficient <= 0:
             raise ConfigError(
-                f"trust_coefficient must be > 0, got {self.trust_coefficient}")
+                f"optimizer.trust_coefficient must be > 0, "
+                f"got {self.trust_coefficient}")
         if self.eps < 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
+            raise ConfigError(f"optimizer.eps must be >= 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,12 @@ class LrSchedule:
 
     def __post_init__(self):
         if self.base_lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.base_lr}")
+            raise ConfigError(f"optimizer.lr must be > 0, got {self.base_lr}")
         if self.total_epochs < 1:
             raise ConfigError("total_epochs must be >= 1")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
-            raise ConfigError("warmup_epochs must be in [0, total_epochs]")
+            raise ConfigError(
+                "schedule.warmup_epochs must be in [0, total_epochs]")
 
 
 def lr_at(epoch_frac: float, sched: LrSchedule) -> float:

@@ -115,10 +115,6 @@ def pretrain(cfg: ExperimentConfig, run_dir) -> PretrainResult:
     batch = cfg["run.batch"]
     epochs = cfg["run.epochs"]
     steps_per_epoch = n_train // batch
-    if epochs > 0 and steps_per_epoch == 0:
-        raise ConfigError(
-            f"batch size {batch} exceeds the {n_train} training images"
-        )
     total_steps = epochs * steps_per_epoch
 
     run_rng = Rng(cfg["run.seed"], 0)

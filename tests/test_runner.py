@@ -102,6 +102,7 @@ class TestConfig:
         ("run.checkpoint_every = -2", 0),
         ("framework.queue_size = -3", 0),
         ("data.val_per_class = -1", 0),
+        ("schedule.warmup_epochs = -1", 0),
     ])
     def test_out_of_range_sizes_rejected(self, line, minimum):
         key = line.split(" = ")[0]
@@ -137,7 +138,7 @@ class TestConfig:
             parse_config(f"framework.kind = byol\n{line}\n")
 
     @pytest.mark.parametrize("kind, line, message", [
-        ("adam", "", "unknown optimizer kind 'adam'"),
+        ("adam", "", "must be one of sgd, lars, got 'adam'"),
         ("sgd", "optimizer.lr = 0", "lr must be > 0, got 0.0"),
         ("sgd", "optimizer.momentum = 1.5", "momentum must be in [0, 1), got"),
         ("sgd", "optimizer.weight_decay = -3", "weight_decay must be >= 0"),
@@ -145,13 +146,59 @@ class TestConfig:
         ("lars", "optimizer.eps = -1", "eps must be >= 0, got -1.0"),
         ("lars", "optimizer.trust_coefficient = -1",
          "trust_coefficient must be > 0, got -1.0"),
+        ("sgd", "framework.temperature = 0", "must be > 0, got 0.0"),
+        ("sgd", "framework.momentum_base = 1.5",
+         "must be in [0, 1], got 1.5"),
+        ("sgd", "framework.predictor_placement = nope",
+         "must be one of none, student_only, both, got 'nope'"),
+        ("sgd", "framework.momentum_schedule = step",
+         "must be one of constant, cosine_ascend, got 'step'"),
+        ("sgd", "framework.stop_gradient = false",
+         "= false is a collapse ablation"),
     ])
     def test_bad_optimizer_values_rejected(self, kind, line, message):
-        # In range for their type but not for the optimizer: parsing builds
-        # the optimizer and its lr schedule, so each value fails there.
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        # In range for their type but not for the optimizer or the
+        # framework: parsing builds both, and the optimizer's lr schedule,
+        # so each value fails there, with a message that starts with its
+        # key. The kind is contrastive, which rules out stop_gradient off.
+        key = line.partition(" = ")[0] or "optimizer.kind"
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} ") as info:
             parse_config(
-                f"framework.kind = byol\noptimizer.kind = {kind}\n{line}\n")
+                f"framework.kind = moco_v2\noptimizer.kind = {kind}\n{line}\n")
+        assert message in str(info.value)
+
+    def test_unknown_framework_kind_names_its_key(self):
+        with pytest.raises(ConfigError,
+                           match="^framework.kind must be one of moco_v2, "):
+            parse_config("framework.kind = simclr\n")
+
+    @pytest.mark.parametrize("line", ["optimizer.eps = -1",
+                                      "optimizer.trust_coefficient = 5"])
+    def test_lars_only_keys_rejected_under_sgd(self, line):
+        # Nothing reads them under sgd, so another value would only change
+        # the config hash of a run that trains like the default one.
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(key)} is read only by "
+                                 f"optimizer.kind = lars"):
+            parse_config(f"framework.kind = byol\n{line}\n")
+
+    def test_lars_only_keys_at_their_defaults_parse_under_sgd(self):
+        cfg = parse_config("framework.kind = byol\noptimizer.eps = 1e-09\n"
+                           "optimizer.trust_coefficient = 0.001\n")
+        assert cfg.config_hash() == parse_config(
+            "framework.kind = byol\n").config_hash()
+        lars = parse_config("framework.kind = byol\noptimizer.kind = lars\n"
+                            "optimizer.trust_coefficient = 5\n")
+        assert lars["optimizer.trust_coefficient"] == 5.0
+
+    def test_batch_larger_than_training_set_rejected(self):
+        text = "framework.kind = byol\nrun.batch = 64\ndata.per_class = 4\n"
+        with pytest.raises(ConfigError,
+                           match="^run.batch 64 exceeds the 32 training"):
+            parse_config(text)
+        # A 0-epoch run takes no step, so its batch may exceed the set.
+        assert parse_config(text + "run.epochs = 0\n")["run.batch"] == 64
 
     @pytest.mark.parametrize("line", RETIRED_LINES)
     def test_retired_key_at_its_value_is_dropped(self, line):
@@ -529,8 +576,9 @@ class TestDatasetMemo:
 
     def test_repeated_spec_is_the_same_object(self, syntheses):
         spec = runner.parse_data_spec(self.SPEC)
-        cfg = fast_cfg(**{key.replace(".", "__"): value
-                          for key, value in spec.items()})
+        # A batch of 5 fits the spec's 15 training images.
+        cfg = fast_cfg(run__batch=5, **{key.replace(".", "__"): value
+                                        for key, value in spec.items()})
         first = runner.dataset_from_config(spec)
         assert runner.dataset_from_config(cfg) is first
         assert runner.eval_dataset(cfg, "") is first
@@ -642,14 +690,24 @@ class TestPretrain:
                          "ckpt_final.airl"]
 
     def test_batch_larger_than_dataset_rejected(self, tmp_path):
-        cfg = fast_cfg(run__batch=64)
-        with pytest.raises(ConfigError, match="batch"):
-            runner.pretrain(cfg, tmp_path / "run")
+        # Rejected when the config is parsed, before a run could start.
+        with pytest.raises(ConfigError, match="run.batch"):
+            runner.pretrain(fast_cfg(run__batch=64), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_bad_optimizer_stops_before_the_run_starts(self, tmp_path):
         cfg_path = tmp_path / "adam.txt"
         cfg_path.write_text("framework.kind = byol\noptimizer.kind = adam\n")
-        with pytest.raises(ConfigError, match="unknown optimizer kind"):
+        with pytest.raises(ConfigError, match="optimizer.kind must be one of"):
+            runner.cmd_pretrain(cfg_path, out=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_batch_larger_than_dataset_stops_before_the_run_starts(
+            self, tmp_path):
+        cfg_path = tmp_path / "big_batch.txt"
+        cfg_path.write_text("framework.kind = byol\nrun.batch = 64\n"
+                            "data.per_class = 4\n")
+        with pytest.raises(ConfigError, match="run.batch"):
             runner.cmd_pretrain(cfg_path, out=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
