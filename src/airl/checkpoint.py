@@ -230,12 +230,7 @@ def _require_metadata(metadata: dict, keys) -> None:
 
 def load_state(path):
     """Rebuild (state, experiment config, metadata) from a checkpoint."""
-    return state_from_records(*load_checkpoint(path))
-
-
-def state_from_records(records: dict, metadata: dict):
-    """Rebuild (state, experiment config, metadata) from a checkpoint's
-    records and metadata, as `parse_checkpoint_bytes` returns them."""
+    records, metadata = load_checkpoint(path)
     _require_metadata(metadata, REQUIRED_METADATA)
     cfg = parse_config(metadata["config"])
     fw = cfg.framework_config()

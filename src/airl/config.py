@@ -300,8 +300,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if values[key] != KEY_SPEC[key][1]:
                 raise ConfigError(
                     f"{key} is read only by optimizer.kind = lars; under sgd "
-                    f"it is accepted only as "
-                    f"{_format_value('float', KEY_SPEC[key][1])}, "
+                    f"it is accepted only as {KEY_SPEC[key][1]!r}, "
                     f"got {values[key]!r}"
                 )
     n_train = values["data.classes"] * values["data.per_class"]

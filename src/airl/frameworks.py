@@ -91,7 +91,6 @@ class FrameworkConfig:
     projector_out: int
 
     def __post_init__(self):
-        # Each message names the config key that sets the field.
         if self.kind not in KINDS:
             raise ConfigError(
                 f"framework.kind must be one of {', '.join(KINDS)}, "
@@ -117,9 +116,8 @@ class FrameworkConfig:
             )
         if not self.stop_gradient and self.kind != "byol":
             raise ConfigError(
-                f"framework.stop_gradient = false is a collapse ablation of "
-                f"the distance loss; only the byol kind supports it, got "
-                f"kind {self.kind!r}"
+                "framework.stop_gradient = false is a collapse ablation of "
+                "the distance loss; only the byol kind supports it"
             )
         if self.contrastive and self.queue_size <= 0:
             raise ConfigError(
