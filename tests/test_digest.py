@@ -16,7 +16,7 @@ Two host dependences remain, and on a host that differs in either the test
 fails rather than skips; its message names the committed and the host's
 dispatch level. The measured one is the `exp`/`log` dispatch: numpy's
 AVX-512 loops give other last bits than its X86_V3 and baseline loops, and
-with `NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"` 10 of the 13
+with `NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"` 12 of the 15
 lines change (all but the three aug-ablation rungs that run no blur). The
 other is the SVD in `evaluation.collapse_metrics`, which runs on LAPACK, on
 the kernel OpenBLAS picks for the CPU, which the header cannot name. A
