@@ -31,6 +31,7 @@ MAGIC = b"AIRL"
 FORMAT_VERSION = 1
 HEADER_LEN = 12  # magic, version, metadata length
 REQUIRED_METADATA = ("config", "step", "total_steps")
+QUEUE_METADATA = ("queue_capacity", "queue_cursor", "queue_count")
 
 ROLE_CODES = {
     "weight": 0,
@@ -118,6 +119,8 @@ def parse_checkpoint_bytes(blob: bytes):
             raise CheckpointError(f"truncated checkpoint record: {exc}") from exc
         if role_code not in CODE_ROLES:
             raise CheckpointError(f"unknown role code {role_code}")
+        if name in records:
+            raise CheckpointError(f"duplicate checkpoint record {name!r}")
         records[name] = (CODE_ROLES[role_code], array)
     return records, metadata
 
@@ -228,38 +231,55 @@ def _require_metadata(metadata: dict, keys) -> None:
         )
 
 
+def _metadata_int(metadata: dict, key: str, low: int, high: float) -> int:
+    # A JSON int (not a bool) in [low, high].
+    value = metadata[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CheckpointError(
+            f"checkpoint metadata {key} must be an int, got {value!r}")
+    if not low <= value <= high:
+        raise CheckpointError(f"{key} {value} outside [{low}, {high}]")
+    return value
+
+
 def load_state(path):
-    """Rebuild (state, experiment config, metadata) from a checkpoint."""
+    """Rebuild (state, experiment config, metadata) from a checkpoint.
+
+    The config text decides the state's shapes and its queue's capacity;
+    the records and metadata must match them.
+    """
     records, metadata = load_checkpoint(path)
     _require_metadata(metadata, REQUIRED_METADATA)
+    if not isinstance(metadata["config"], str):
+        raise CheckpointError(
+            f"checkpoint metadata config must be a string, "
+            f"got {metadata['config']!r}")
+    total_steps = _metadata_int(metadata, "total_steps", 0, math.inf)
+    step = _metadata_int(metadata, "step", 0, total_steps)
     cfg = parse_config(metadata["config"])
-    fw = cfg.framework_config()
     state = frameworks.init_siamese_state(
-        fw, Rng(0, 0), total_steps=int(metadata["total_steps"])
+        cfg.framework_config(), Rng(0, 0), total_steps=total_steps
     )
-    state.step = int(metadata["step"])
+    state.step = step
     _fill_branch("student", state.student, records)
     if state.teacher is not None:
         _fill_branch("teacher", state.teacher, records)
-    if metadata.get("queue_capacity", 0) > 0:
-        _require_metadata(metadata, ("queue_cursor", "queue_count"))
-        capacity = int(metadata["queue_capacity"])
-        queue = frameworks.MemoryQueue(capacity, fw.projector_out)
+    queue = state.queue
+    capacity = 0 if queue is None else queue.capacity
+    if queue is not None:
+        _require_metadata(metadata, QUEUE_METADATA)
+    if "queue_capacity" in metadata and _metadata_int(
+            metadata, "queue_capacity", 0, math.inf) != capacity:
+        raise CheckpointError(
+            f"queue_capacity {metadata['queue_capacity']} differs from the "
+            f"config's queue capacity {capacity}"
+        )
+    if queue is not None:
         queue.data = _record_array(records, "queue.data", "buffer",
                                    queue.data.shape, "queue buffer")
-        queue.cursor = int(metadata["queue_cursor"])
-        queue.count = int(metadata["queue_count"])
-        if not 0 <= queue.cursor < capacity:
-            raise CheckpointError(
-                f"queue_cursor {queue.cursor} outside [0, {capacity})"
-            )
-        if not 0 <= queue.count <= capacity:
-            raise CheckpointError(
-                f"queue_count {queue.count} outside [0, {capacity}]"
-            )
-        state.queue = queue
-    else:
-        state.queue = None
+        queue.cursor = _metadata_int(metadata, "queue_cursor", 0,
+                                     capacity - 1)
+        queue.count = _metadata_int(metadata, "queue_count", 0, capacity)
     return state, cfg, metadata
 
 

@@ -7,10 +7,11 @@ to its default. Framework keys left unset inherit the preset of
 
 Pretraining always uses a cosine schedule after `schedule.warmup_epochs`
 of linear warmup, a symmetrized loss always averages its two directions, and
-LARS always exempts norm gains, norm biases and biases. The keys that once
-chose otherwise are retired (`RETIRED_KEYS`): configs written before their
-removal, such as the text embedded in older checkpoints, still parse as long
-as each such line holds the one value every run used.
+LARS always exempts norm gains, norm biases and biases and takes its trust
+coefficient and eps from `optim`. The keys that once chose or set these are
+retired (`RETIRED_KEYS`): configs written before their removal, such as the
+text embedded in older checkpoints, still parse as long as each such line
+holds the one value every run used.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import augment
 from .errors import ConfigError
-from .frameworks import _PRESETS, KINDS, FrameworkConfig
+from .frameworks import FrameworkConfig, preset_values
 from .optim import LarsConfig, LrSchedule, Optimizer, SgdConfig
 
 _REQUIRED = object()
@@ -57,8 +58,6 @@ KEY_SPEC: dict[str, tuple[str, object]] = {
     "optimizer.lr": ("float", 0.06),
     "optimizer.momentum": ("float", 0.9),
     "optimizer.weight_decay": ("float", 1e-4),
-    "optimizer.trust_coefficient": ("float", 1e-3),
-    "optimizer.eps": ("float", 1e-9),
     "schedule.warmup_epochs": ("int", 3),
     "run.name": ("str", ""),
     "run.epochs": ("int", 30),
@@ -75,6 +74,8 @@ RETIRED_KEYS: dict[str, tuple[str, object]] = {
     "optimizer.nesterov": ("bool", False),
     "optimizer.exclude_norm": ("bool", True),
     "optimizer.exclude_bias": ("bool", True),
+    "optimizer.trust_coefficient": ("float", 1e-3),
+    "optimizer.eps": ("float", 1e-9),
     "schedule.kind": ("str", "cosine"),
     "schedule.milestones": ("floats", (0.6, 0.8)),
     "schedule.decay_factor": ("float", 0.1),
@@ -99,12 +100,6 @@ MIN_VALUE: dict[str, int] = {
     "data.val_per_class": 0,
     "schedule.warmup_epochs": 0,
 }
-
-# Keys that only LARS reads. Under `optimizer.kind = sgd` each is accepted
-# only at its default, which every canonical text holds, so that no unread
-# value changes the config hash of a run.
-LARS_ONLY_KEYS = ("optimizer.trust_coefficient", "optimizer.eps")
-
 
 # The stages `augment.removed` may name: all but the crop, which every
 # pipeline starts with.
@@ -238,23 +233,14 @@ class ExperimentConfig:
 
     def optimizer(self) -> Optimizer:
         v = self.values
-        if v["optimizer.kind"] == "sgd":
-            cfg = SgdConfig(
-                momentum=v["optimizer.momentum"],
-                weight_decay=v["optimizer.weight_decay"],
-            )
-        elif v["optimizer.kind"] == "lars":
-            cfg = LarsConfig(
-                momentum=v["optimizer.momentum"],
-                weight_decay=v["optimizer.weight_decay"],
-                trust_coefficient=v["optimizer.trust_coefficient"],
-                eps=v["optimizer.eps"],
-            )
-        else:
+        configs = {"sgd": SgdConfig, "lars": LarsConfig}
+        kind = v["optimizer.kind"]
+        if kind not in configs:
             raise ConfigError(
-                f"optimizer.kind must be one of sgd, lars, "
-                f"got {v['optimizer.kind']!r}"
-            )
+                f"optimizer.kind must be one of {', '.join(configs)}, "
+                f"got {kind!r}")
+        cfg = configs[kind](momentum=v["optimizer.momentum"],
+                            weight_decay=v["optimizer.weight_decay"])
         return Optimizer(cfg, self.schedule())
 
 
@@ -277,14 +263,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "framework.kind" not in provided:
         raise ConfigError("missing required key framework.kind")
-    kind = provided["framework.kind"]
-    if kind not in KINDS:
-        raise ConfigError(
-            f"framework.kind must be one of {', '.join(KINDS)}, got {kind!r}")
+    preset = preset_values(provided["framework.kind"])
 
     # Retired keys are not in KEY_SPEC, so their lines are dropped here.
     values: dict[str, object] = {}
-    preset = _PRESETS[kind]
     for key, (_, default) in KEY_SPEC.items():
         if key in provided:
             values[key] = provided[key]
@@ -295,14 +277,6 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             values[key] = default
     # Fail fast on invalid combinations.
-    if values["optimizer.kind"] == "sgd":
-        for key in LARS_ONLY_KEYS:
-            if values[key] != KEY_SPEC[key][1]:
-                raise ConfigError(
-                    f"{key} is read only by optimizer.kind = lars; under sgd "
-                    f"it is accepted only as {KEY_SPEC[key][1]!r}, "
-                    f"got {values[key]!r}"
-                )
     n_train = values["data.classes"] * values["data.per_class"]
     if values["run.epochs"] > 0 and values["run.batch"] > n_train:
         raise ConfigError(

@@ -70,6 +70,15 @@ _PRESETS = {
 }
 
 
+def preset_values(kind: str) -> dict:
+    """The preset field values of framework `kind`, or a `ConfigError`
+    naming `framework.kind` if there is no such kind."""
+    if kind not in KINDS:
+        raise ConfigError(
+            f"framework.kind must be one of {', '.join(KINDS)}, got {kind!r}")
+    return _PRESETS[kind]
+
+
 @dataclass
 class FrameworkConfig:
     """A framework's settings; `config.ExperimentConfig.framework_config`
@@ -91,11 +100,7 @@ class FrameworkConfig:
     projector_out: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(
-                f"framework.kind must be one of {', '.join(KINDS)}, "
-                f"got {self.kind!r}"
-            )
+        preset_values(self.kind)
         if self.predictor_placement not in PLACEMENTS:
             raise ConfigError(
                 f"framework.predictor_placement must be one of "

@@ -10,8 +10,10 @@ eta * ||w|| / (||grad + wd*w|| + eps) and, per its standard large-batch
 configuration, excludes normalization and bias parameters from both weight
 decay and the trust-ratio adaptation (they receive plain momentum-SGD steps).
 Every parameter carries a role tag, so the exclusions are driven by role.
-`LarsConfig` extends `SgdConfig` with the trust-ratio constants. Range
-errors name the config key that sets each field, such as `optimizer.lr`.
+eta and eps are the module constants `LARS_TRUST_COEFFICIENT` (1e-3, as in
+BYOL) and `LARS_EPS` (1e-9), not config keys. `LarsConfig` holds only
+`SgdConfig`'s fields; its type selects `lars_step`. Range errors name the
+config key that sets each field, such as `optimizer.lr`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .numerics import norm
 
 # Roles that LARS leaves without weight decay and trust-ratio adaptation.
 LARS_EXCLUDED_ROLES = frozenset({"norm_gain", "norm_bias", "bias"})
+# The trust ratio's eta and eps: BYOL's LARS values, which every run uses.
+LARS_TRUST_COEFFICIENT = 1e-3
+LARS_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,17 +50,7 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class LarsConfig(SgdConfig):
-    trust_coefficient: float
-    eps: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.trust_coefficient <= 0:
-            raise ConfigError(
-                f"optimizer.trust_coefficient must be > 0, "
-                f"got {self.trust_coefficient}")
-        if self.eps < 0:
-            raise ConfigError(f"optimizer.eps must be >= 0, got {self.eps}")
+    """`SgdConfig`'s fields; `Optimizer.step` takes `lars_step` for it."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ def lars_step(
             w_norm = norm(w)
             g_norm = norm(g)
             if w_norm > 0.0 and g_norm > 0.0:
-                local = cfg.trust_coefficient * w_norm / (g_norm + cfg.eps)
+                local = LARS_TRUST_COEFFICIENT * w_norm / (g_norm + LARS_EPS)
             else:
                 local = 1.0
         v = velocities.get(name)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,11 @@ class TestTrainingStep:
         state.queue = None
         with pytest.raises(ConfigError, match="needs a memory queue"):
             compute_loss_and_grads(state, *self.make_batch(0), cfg)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^framework.kind must be one of moco_v2, "):
+            dataclasses.replace(preset("byol"), kind="simclr")
 
     def test_stop_gradient_disabled_restricted_to_byol(self):
         with pytest.raises(ConfigError):

@@ -18,9 +18,8 @@ from airl.optim import (
 
 
 def lars_config(momentum, weight_decay=0.0):
-    """LARS at the config registry's trust coefficient and eps."""
-    return LarsConfig(momentum=momentum, weight_decay=weight_decay,
-                      trust_coefficient=1e-3, eps=1e-9)
+    """LARS; its trust coefficient and eps are `optim` constants."""
+    return LarsConfig(momentum=momentum, weight_decay=weight_decay)
 
 
 class TestSgd:

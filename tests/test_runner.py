@@ -35,13 +35,15 @@ def fast_cfg(**overrides):
     return config_from_overrides(**base)
 
 
-# The seven lines of the retired keys, as every config text and checkpoint
+# The nine lines of the retired keys, as every config text and checkpoint
 # written before their removal holds them.
 RETIRED_LINES = (
     "framework.symmetric_sum = false",
+    "optimizer.eps = 1e-09",
     "optimizer.exclude_bias = true",
     "optimizer.exclude_norm = true",
     "optimizer.nesterov = false",
+    "optimizer.trust_coefficient = 0.001",
     "schedule.decay_factor = 0.1",
     "schedule.kind = cosine",
     "schedule.milestones = 0.6,0.8",
@@ -143,9 +145,6 @@ class TestConfig:
         ("sgd", "optimizer.momentum = 1.5", "momentum must be in [0, 1), got"),
         ("sgd", "optimizer.weight_decay = -3", "weight_decay must be >= 0"),
         ("lars", "optimizer.weight_decay = -3", "weight_decay must be >= 0"),
-        ("lars", "optimizer.eps = -1", "eps must be >= 0, got -1.0"),
-        ("lars", "optimizer.trust_coefficient = -1",
-         "trust_coefficient must be > 0, got -1.0"),
         ("sgd", "framework.temperature = 0", "must be > 0, got 0.0"),
         ("sgd", "framework.momentum_base = 1.5",
          "must be in [0, 1], got 1.5"),
@@ -172,26 +171,6 @@ class TestConfig:
                            match="^framework.kind must be one of moco_v2, "):
             parse_config("framework.kind = simclr\n")
 
-    @pytest.mark.parametrize("line", ["optimizer.eps = -1",
-                                      "optimizer.trust_coefficient = 5"])
-    def test_lars_only_keys_rejected_under_sgd(self, line):
-        # Nothing reads them under sgd, so another value would only change
-        # the config hash of a run that trains like the default one.
-        key = line.split(" = ")[0]
-        with pytest.raises(ConfigError,
-                           match=f"^{re.escape(key)} is read only by "
-                                 f"optimizer.kind = lars"):
-            parse_config(f"framework.kind = byol\n{line}\n")
-
-    def test_lars_only_keys_at_their_defaults_parse_under_sgd(self):
-        cfg = parse_config("framework.kind = byol\noptimizer.eps = 1e-09\n"
-                           "optimizer.trust_coefficient = 0.001\n")
-        assert cfg.config_hash() == parse_config(
-            "framework.kind = byol\n").config_hash()
-        lars = parse_config("framework.kind = byol\noptimizer.kind = lars\n"
-                            "optimizer.trust_coefficient = 5\n")
-        assert lars["optimizer.trust_coefficient"] == 5.0
-
     @pytest.mark.parametrize("line", RETIRED_LINES)
     def test_retired_key_at_its_value_is_dropped(self, line):
         cfg = parse_config(f"framework.kind = byol\n{line}\n")
@@ -207,6 +186,9 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "framework.symmetric_sum = true",
         "optimizer.nesterov = true",
+        "optimizer.eps = -1",
+        "optimizer.trust_coefficient = -1",
+        "optimizer.trust_coefficient = 5",
         "optimizer.exclude_norm = false",
         "optimizer.exclude_bias = false",
         "schedule.kind = step_decay",
@@ -334,7 +316,7 @@ class TestCheckpoint:
             pass
 
     @pytest.mark.parametrize("key", (*checkpoint.REQUIRED_METADATA,
-                                     "queue_cursor", "queue_count"))
+                                     *checkpoint.QUEUE_METADATA))
     def test_metadata_without_required_key_rejected(self, tiny_checkpoint,
                                                     tmp_path, key):
         records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
@@ -344,9 +326,47 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=key):
             checkpoint.load_state(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("config", 5, "config must be a string, got 5"),
+        ("step", "x", "step must be an int, got 'x'"),
+        ("step", [1], "step must be an int, got [1]"),
+        ("step", 2.7, "step must be an int, got 2.7"),
+        ("step", True, "step must be an int, got True"),
+        ("step", -3, "step -3 outside [0, 0]"),
+        ("step", 1, "step 1 outside [0, 0]"),
+        ("total_steps", None, "total_steps must be an int, got None"),
+        ("queue_capacity", "16", "queue_capacity must be an int, got '16'"),
+        ("queue_cursor", "a", "queue_cursor must be an int, got 'a'"),
+        ("queue_count", 1.0, "queue_count must be an int, got 1.0"),
+    ])
+    def test_malformed_metadata_rejected(self, tiny_checkpoint, tmp_path,
+                                         key, value, message):
+        # The tiny checkpoint is an untrained run: step 0 of 0.
+        records, meta = checkpoint.load_checkpoint(tiny_checkpoint)
+        meta[key] = value
+        path = tmp_path / "malformed.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            checkpoint.load_state(path)
+
+    def test_duplicate_record_rejected(self):
+        # Two records named x, as `checkpoint_bytes` never writes them.
+        first = checkpoint.checkpoint_bytes({"x": ("weight", np.zeros(2))}, {})
+        second = checkpoint.checkpoint_bytes({"x": ("weight", np.ones(2))}, {})
+        blob = first + second[checkpoint.HEADER_LEN + len(b"{}"):]
+        with pytest.raises(CheckpointError,
+                           match="duplicate checkpoint record 'x'"):
+            checkpoint.parse_checkpoint_bytes(blob)
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda records, meta: records.update(
             {"queue.data": ("buffer", np.zeros((3, 7)))}), "queue buffer"),
+        # The config decides the queue's capacity, not the metadata.
+        (lambda records, meta: meta.update(config=meta["config"].replace(
+            "framework.queue_size = 4", "framework.queue_size = 16")),
+         "queue_capacity 4 differs from the config's queue capacity 16"),
+        (lambda records, meta: meta.update(queue_capacity=0),
+         "queue_capacity 0 differs from the config's queue capacity 4"),
         (lambda records, meta: meta.update(queue_cursor=99), "queue_cursor"),
         (lambda records, meta: meta.update(queue_cursor=-1), "queue_cursor"),
         (lambda records, meta: meta.update(queue_count=5), "queue_count"),
@@ -466,6 +486,20 @@ class TestCheckpoint:
         resaved = tmp_path / "resaved.airl"
         checkpoint.save_state(resaved, state, cfg)
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_queue_capacity_without_a_queue_rejected(self,
+                                                     ablation_checkpoint,
+                                                     tmp_path):
+        # byol keeps no queue, so its checkpoints hold queue_capacity 0.
+        records, meta = checkpoint.load_checkpoint(
+            ablation_checkpoint.checkpoint_path)
+        meta["queue_capacity"] = 4
+        path = tmp_path / "queued.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        with pytest.raises(CheckpointError,
+                           match="queue_capacity 4 differs from the config's "
+                                 "queue capacity 0"):
+            checkpoint.load_state(path)
 
     def test_checkpoint_with_old_teacher_records_loads(self,
                                                        ablation_checkpoint,
