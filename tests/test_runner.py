@@ -171,6 +171,16 @@ class TestConfig:
                            match="^framework.kind must be one of moco_v2, "):
             parse_config("framework.kind = simclr\n")
 
+    @pytest.mark.parametrize("line", ["optimizer.eps = -1",
+                                      "optimizer.trust_coefficient = 5"])
+    def test_lars_only_keys_rejected_under_sgd(self, line):
+        # Both keys are retired, so a value other than their one is an
+        # error under sgd as under lars.
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"line 3: {key} is retired"):
+            parse_config(
+                f"framework.kind = byol\noptimizer.kind = sgd\n{line}\n")
+
     @pytest.mark.parametrize("line", RETIRED_LINES)
     def test_retired_key_at_its_value_is_dropped(self, line):
         cfg = parse_config(f"framework.kind = byol\n{line}\n")
@@ -186,9 +196,7 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "framework.symmetric_sum = true",
         "optimizer.nesterov = true",
-        "optimizer.eps = -1",
         "optimizer.trust_coefficient = -1",
-        "optimizer.trust_coefficient = 5",
         "optimizer.exclude_norm = false",
         "optimizer.exclude_bias = false",
         "schedule.kind = step_decay",
