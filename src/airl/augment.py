@@ -33,18 +33,32 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
    hold a crop that fits within three attempts. Only a crop can need more,
    because it fits only later or a corner draw is rejected; such a row's
    crop stream is redrawn on its own, its gate and then its box, in place.
-2. `apply_plans` makes one pass over the 2n rows. The first stage is the
+2. `apply_plans` applies the 2n rows' plans. The first stage is the
    crop-resize, which always fires (`AugPipeline` holds no other kind of
-   pipeline): it gathers every row straight from the n source images with
-   per-row boxes, into one array of output-size images. Each later stage
-   then runs once, in pipeline order, on its fired rows of both views.
-   Per-image coefficients (blur kernels, hue rotations) are computed as
-   arrays, with the same operations as for one image. The blur and the
-   jitter lay their work out so that each numpy operation is one long
-   contiguous loop: the blur with the blurred axis outermost and the image
-   axis innermost, the jitter as channel planes.
+   pipeline), from the n source images with per-row boxes; then each later
+   stage runs on the rows where it fired, in pipeline order. Per-image
+   coefficients (blur kernels, hue rotations) are computed in numpy as
+   arrays, with the same operations as for one image. `AUGMENT_PATH` names
+   the pass, chosen once at import:
 
-The result equals augmenting each image on its own, bit for bit.
+   - "kernel": `_augment.c`, compiled with `_matmul.c` into the one library
+     that `numerics` builds at import. One call runs the whole batch, row
+     by row: each row is crop-resized straight into its output slot, and
+     every later stage that fired on it runs while it is still in cache.
+     Its order contract is `matmul`'s: each pixel gets the numpy pass's
+     operations in the same order, vectors run only across independent
+     elements, and it is built with -ffp-contract=off and never fast-math.
+     The contrast mean reproduces numpy's pairwise sum. It is used only
+     if it gives the numpy pass's bits on a fixed batch that covers every
+     stage, both mean orders and blur radii 0 to 4 (`_kernel_is_exact`).
+   - "numpy": without a compiler, or where the kernel fails that probe.
+     The crop-resize gathers every row into one array of output-size
+     images, and each later stage runs once on its fired rows of both
+     views. The blur and the jitter lay their work out so that each numpy
+     operation is one long contiguous loop: the blur with the blurred axis
+     outermost and the image axis innermost, the jitter as channel planes.
+
+Both results equal augmenting each image on its own, bit for bit.
 
 Memo. The studies give their framework arms the same seed, data and
 pipeline, so those arms draw the same augmentation streams. `draw_plans`
@@ -61,20 +75,25 @@ the batched one replaced summed in memory order, and its crop-resize returned
 a width-major array. So an image's mean is summed column by column until a
 flip or grayscale has fired on it, and row by row after that; the
 crop-resize starts every image width-major, and jitter, blur and
-solarization keep the order they find. Keeping this rule keeps every
+solarization keep the order they find. The one exception is a blur of
+radius 0 (sigma 0, which no config can set): the per-image blur returned
+a row-major copy unchanged, so the image turns row-major there too.
+Keeping this rule keeps every
 checkpoint trained with the per-image pipeline reproducible.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .numerics import (
+    LIBRARY,
     PHILOX_WORDS,
     Rng,
     child_keys,
@@ -166,10 +185,15 @@ def grayscale(img: np.ndarray) -> np.ndarray:
     return np.repeat(y[..., None], 3, axis=-1)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(
+            f"solarize threshold must be in [0, 1], got {threshold}")
+
+
 def solarize(img: np.ndarray, threshold: float) -> np.ndarray:
     """Invert every pixel at or above the threshold (both on the 0-1 scale)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"solarize threshold must be in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     return np.where(img >= threshold, 1.0 - img, img)
 
 
@@ -607,10 +631,19 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
 
     Returns (plans.rows, out_side, out_side, 3); for the rows of
     `draw_plans`, both views of the batch, view-major. All rows come from
-    one pipeline: same stages, same fixed parameters. The first stage, the
-    crop-resize, takes every row from its source image into the output;
-    each later stage then runs once, on its fired rows.
+    one pipeline: same stages, same fixed parameters. `AUGMENT_PATH` names
+    the pass, chosen once at import: "kernel", `_augment.c` through
+    `_kernel_pass`, or "numpy", `_numpy_pass`. Both give the same bits.
     """
+    if AUGMENT_PATH == "kernel":
+        return _kernel_pass(LIBRARY.apply_plans, images, plans, out_side)
+    return _numpy_pass(images, plans, out_side)
+
+
+def _numpy_pass(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
+    # `apply_plans` in numpy. The first stage, the crop-resize, takes every
+    # row from its source image into the output; each later stage then runs
+    # once, on its fired rows.
     rows = plans.rows
     (_, _, boxes), *later = plans.stages
     out = resize_bilinear(images, out_side, out_side, boxes,
@@ -636,11 +669,157 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
             col_major[picked] = False
         elif name == "gaussian_blur":
             run(gaussian_blur, picked, values)
+            col_major[picked[np.ceil(2.0 * values[picked]) < 1]] = False
         elif name == "solarization":
             run(lambda x: solarize(x, float(values[picked[0]])), picked)
         else:
             raise ConfigError(f"unknown augmentation stage {name!r}")
     return out
+
+
+# The stage numbers of `_augment.c`, and its step that only turns a row
+# row-major: the blur's on rows whose radius is 0.
+STAGE_KINDS = {"horizontal_flip": 1, "color_jitter": 2, "grayscale": 3,
+               "gaussian_blur": 4, "solarization": 5}
+ROW_MAJOR = 6
+
+
+def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
+                 out_side: int) -> np.ndarray:
+    # `apply_plans` in one call of `_augment.c`'s `airl_apply_plans`. Each
+    # stage's per-row coefficients come from the numpy functions that
+    # `_numpy_pass` calls, on the same arrays: the jitter factors with
+    # their hue rotation, the blur kernels of the rows whose radius is at
+    # least 1 (the others only turn row-major), the first fired row's
+    # solarize threshold. A stage that fires on no row is left out, and the
+    # errors that `_numpy_pass` raises are raised here too. The kernel reads
+    # only inside its buffers: images must be (n, h, w, 3) with n >= 1, the
+    # out side at least 1, and a crop box outside its image raises.
+    images = np.ascontiguousarray(images, dtype=np.float64)
+    rows = plans.rows
+    (_, _, boxes), *later = plans.stages
+    boxes = np.ascontiguousarray(boxes, dtype=np.int64)
+    if (images.ndim != 4 or images.shape[3] != 3 or not len(images)
+            or out_side < 1):
+        raise DimensionError(
+            f"expected (n, h, w, 3) images, n >= 1, and an out side >= 1, "
+            f"got {images.shape} and {out_side}")
+    top, left, height, width = boxes.reshape(rows, 4).T
+    if not np.all((top >= 0) & (left >= 0) & (height >= 1) & (width >= 1)
+                  & (top + height <= images.shape[1])
+                  & (left + width <= images.shape[2])):
+        raise IndexError("a crop box lies outside its source image")
+    kinds, gates, coefs, radius = [], [], [], 0
+    for name, fired, values in later:
+        picked = np.flatnonzero(fired)
+        if not len(picked):
+            continue
+        if name not in STAGE_KINDS:
+            raise ConfigError(f"unknown augmentation stage {name!r}")
+        gate = np.zeros(rows, dtype=np.int64)
+        gate[picked] = 1
+        coef = None
+        if name == "color_jitter":
+            factors = values[picked]
+            coef = np.zeros((rows, 6))
+            coef[picked] = np.column_stack(
+                [factors[:, :3], *_hue_coefficients(factors[:, 3])])
+        elif name == "gaussian_blur":
+            sigmas = values[picked]
+            radii = np.ceil(2.0 * sigmas).astype(int)
+            members = radii >= 1
+            gate[picked] = np.where(members, radii, 0)
+            if members.any():
+                largest = int(radii.max())
+                radius = max(radius, largest)
+                coef = np.zeros((rows, 2 * largest + 1))
+                coef[picked[members]] = _blur_kernels(sigmas[members], largest)
+            if not members.all():
+                turned = np.zeros(rows, dtype=np.int64)
+                turned[picked[~members]] = 1
+                kinds.append(ROW_MAJOR)
+                gates.append(turned)
+                coefs.append(None)
+        elif name == "solarization":
+            threshold = float(values[picked[0]])
+            _check_threshold(threshold)
+            coef = np.full((rows, 1), threshold)
+        kinds.append(STAGE_KINDS[name])
+        gates.append(gate)
+        coefs.append(coef)
+    gates = np.array(gates, dtype=np.int64).reshape(len(kinds), rows)
+    pointers = (ctypes.c_void_p * max(len(kinds), 1))(
+        *(None if c is None else c.ctypes.data for c in coefs))
+    widths = np.array([0 if c is None else c.shape[1] for c in coefs],
+                      dtype=np.int64)
+    kinds = np.array(kinds, dtype=np.int64)
+    work = np.empty(3 * out_side * (out_side + 2) + 6 * radius)
+    out = np.empty((rows, out_side, out_side, 3))
+    n, in_h, in_w = images.shape[:3]
+    kernel(images.ctypes.data, n, in_h, in_w, boxes.ctypes.data, rows,
+           out_side, len(kinds), kinds.ctypes.data, gates.ctypes.data,
+           pointers, widths.ctypes.data, work.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _probe_batch() -> tuple:
+    """A fixed batch for `_kernel_is_exact`: (images, plans, out_side).
+
+    Five 20 x 17 images and twelve rows at side 16, so the mean luma sums
+    256 values, past the eight-accumulator block of numpy's pairwise sum.
+    Crop boxes shrink and enlarge. The flip fires on rows 0-3 and grayscale
+    on rows 4-5 before the jitter, which fires on rows 0-9, so it sums
+    means in both orders. The blur fires on rows 2-11 with radii 0 to 4. A
+    second jitter follows it on rows 2, 10 and 11: row 10's blur has radius
+    0, which turns it row-major, and row 11 is still column-major. The
+    solarization fires on rows 1, 6, 9 and 11.
+    """
+    source = Rng(2024, 25)
+    images = source.random((5, 20, 17, 3))
+    rows = 12
+    boxes = np.array([[0, 0, 20, 17], [3, 2, 5, 4], [1, 0, 19, 9],
+                      [6, 7, 2, 3], [0, 4, 16, 13], [10, 1, 10, 16],
+                      [2, 2, 17, 2], [5, 3, 11, 11], [0, 0, 2, 17],
+                      [12, 9, 8, 8], [4, 5, 13, 7], [7, 0, 9, 17]])
+    factors = source.uniform(0.6, 1.4, size=(rows, 4))
+    factors[:, 3] = source.uniform(-0.1, 0.1, size=rows)
+    sigmas = np.array([0.0, 0.0, 2.0, 0.3, 0.8, 1.2, 1.9, 0.45, 1.6, 1.01,
+                       0.0, 0.7])
+
+    def fired(*picked):
+        mask = np.zeros(rows, dtype=bool)
+        mask[list(picked)] = True
+        return mask
+
+    stages = (
+        StageColumn("random_crop", np.ones(rows, dtype=bool), boxes),
+        StageColumn("horizontal_flip", fired(0, 1, 2, 3), None),
+        StageColumn("grayscale", fired(4, 5), None),
+        StageColumn("color_jitter", fired(*range(10)), factors),
+        StageColumn("gaussian_blur", fired(*range(2, 12)), sigmas),
+        StageColumn("color_jitter", fired(10, 11, 2), factors[::-1].copy()),
+        StageColumn("solarization", fired(1, 6, 9, 11),
+                    np.full(rows, 128.0 / 255.0)),
+    )
+    return images, Plans(rows, stages), 16
+
+
+def _kernel_is_exact(kernel) -> bool:
+    """Whether `kernel`, an `airl_apply_plans`, gives `_numpy_pass`'s bits
+    on `_probe_batch`. A kernel built with contracted multiply-adds, or one
+    that sums a mean in another order, fails."""
+    images, plans, out_side = _probe_batch()
+    expected = _numpy_pass(images, plans, out_side)
+    got = _kernel_pass(kernel, images, plans, out_side)
+    return got.tobytes() == expected.tobytes()
+
+
+def _augment_path(library) -> str:
+    """"kernel" where the compiled library is there and its `apply_plans`
+    passes `_kernel_is_exact`, "numpy" otherwise."""
+    if library is not None and _kernel_is_exact(library.apply_plans):
+        return "kernel"
+    return "numpy"
 
 
 def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
@@ -655,3 +834,7 @@ def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
     views = apply_plans(images, plans, pipeline.out_side)
     first, second = views.reshape(2, len(rngs), -1)
     return first, second
+
+
+# The pass every `apply_plans` takes in this process.
+AUGMENT_PATH = _augment_path(LIBRARY)

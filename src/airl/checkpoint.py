@@ -245,8 +245,10 @@ def _metadata_int(metadata: dict, key: str, low: int, high: float) -> int:
 def load_state(path):
     """Rebuild (state, experiment config, metadata) from a checkpoint.
 
-    The config text decides the state's shapes and its queue's capacity;
-    the records and metadata must match them.
+    The config text decides the framework, the state's shapes and its
+    queue's capacity; the records and metadata must match them. The
+    metadata's `config_hash` is not checked: checkpoints written before a
+    config key was retired carry the hash of their older text.
     """
     records, metadata = load_checkpoint(path)
     _require_metadata(metadata, REQUIRED_METADATA)
@@ -257,6 +259,11 @@ def load_state(path):
     total_steps = _metadata_int(metadata, "total_steps", 0, math.inf)
     step = _metadata_int(metadata, "step", 0, total_steps)
     cfg = parse_config(metadata["config"])
+    kind = cfg["framework.kind"]
+    if metadata.get("framework", kind) != kind:
+        raise CheckpointError(
+            f"framework {metadata['framework']!r} differs from the config's "
+            f"framework.kind {kind!r}")
     state = frameworks.init_siamese_state(
         cfg.framework_config(), Rng(0, 0), total_steps=total_steps
     )

@@ -4,13 +4,19 @@ All tensors are plain numpy float64 arrays in row-major order. The few
 reductions whose result depends on summation order (matrix products) use an
 explicit fixed order so that repeated runs are bit-identical and small cases
 match a naive reference exactly: `matmul` sums each output element from +0.0
-over k = 0, 1, ... in order. It runs a small C kernel (`_matmul.c`) that
-`numerics` compiles with the system `cc` when it is imported, or, where
-there is no compiler or the build fails, one numpy einsum contraction, whose
-C loop runs in that order; where neither passes the import probe, a per-k
-loop. `matmul`'s docstring says why each path keeps the order and how the
-probe checks it. Norms (`norm`) are numpy's own sums rather than BLAS's, so
-they do not depend on the BLAS thread count.
+over k = 0, 1, ... in order. It runs a small C kernel (`_matmul.c`) or,
+where there is no compiler or the build fails, one numpy einsum
+contraction, whose C loop runs in that order; where neither passes the
+import probe, a per-k loop. `matmul`'s docstring says why each path keeps
+the order and how the probe checks it. Norms (`norm`) are numpy's own sums
+rather than BLAS's, so they do not depend on the BLAS thread count.
+
+Compiled library. When it is imported, `numerics` compiles `_matmul.c` and
+`_augment.c`, the augmentation pass behind `augment.apply_plans`, into one
+shared library with one run of the system `cc` (`_build_library`) and binds
+both functions (`LIBRARY`). Each module probes its own function at import
+and falls back to numpy if it fails; without a compiler, or when the build
+fails or times out, neither kernel is there.
 
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
 hashed from (seed, stream id); `child` hashes a new stream id from the
@@ -34,7 +40,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -280,12 +286,38 @@ def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
-KERNEL_SOURCE = Path(__file__).with_name("_matmul.c")
+# The C sources of the compiled library: the `matmul` kernel and the
+# augmentation pass behind `augment.apply_plans`.
+KERNEL_SOURCES = (Path(__file__).with_name("_matmul.c"),
+                  Path(__file__).with_name("_augment.c"))
 # No -ffast-math or -Ofast: they let the compiler reassociate sums, and the
 # crtfastmath.o they link sets flush-to-zero for the whole process.
 KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
                 "-fPIC")
 KERNEL_BUILD_TIMEOUT_S = 60.0
+
+
+class Library(NamedTuple):
+    """The functions of the compiled library, with their ctypes signatures.
+
+    `matmul(a, stride_i, stride_k, b, out, m, inner, n)` is `_matmul.c`'s;
+    `apply_plans(images, n, in_h, in_w, boxes, rows, side, stages, kinds,
+    gates, coefs, widths, work, out)` is `_augment.c`'s, which
+    `augment._kernel_pass` calls.
+    """
+
+    matmul: Callable
+    apply_plans: Callable
+
+
+_SIZE, _POINTER = ctypes.c_ssize_t, ctypes.c_void_p
+SIGNATURES = {
+    "airl_matmul": (_POINTER, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE, _SIZE,
+                    _SIZE),
+    "airl_apply_plans": (_POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _SIZE,
+                         _SIZE, _SIZE, _POINTER, _POINTER, _POINTER, _POINTER,
+                         _POINTER, _POINTER),
+}
 
 
 def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,11 +335,12 @@ def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_kernel(source: Path = KERNEL_SOURCE,
-                  timeout: float = KERNEL_BUILD_TIMEOUT_S) -> Product | None:
-    """Compile `source` with the system `cc` and load it: the kernel's
-    product function, or None when there is no `cc`, or the build fails or
-    takes longer than `timeout` seconds.
+def _build_library(sources=KERNEL_SOURCES, flags=KERNEL_FLAGS,
+                   timeout: float = KERNEL_BUILD_TIMEOUT_S) -> Library | None:
+    """Compile `sources` into one shared library with one run of the system
+    `cc` and load it: its functions, or None when there is no `cc`, or the
+    build fails, takes longer than `timeout` seconds or lacks a function.
+    A failure in any source therefore gives neither kernel.
 
     The library is built and loaded in a private temporary directory, which
     is deleted once it is loaded.
@@ -315,22 +348,22 @@ def _build_kernel(source: Path = KERNEL_SOURCE,
     cc = shutil.which("cc")
     if cc is None:
         return None
-    with tempfile.TemporaryDirectory(prefix="airl-matmul-",
+    with tempfile.TemporaryDirectory(prefix="airl-kernels-",
                                      ignore_cleanup_errors=True) as tmp:
-        library = str(Path(tmp) / "_matmul.so")
+        library = str(Path(tmp) / "_airl.so")
         try:
-            subprocess.run([cc, *KERNEL_FLAGS, "-o", library, str(source)],
+            subprocess.run([cc, *flags, "-o", library,
+                            *(str(source) for source in sources)],
                            stdin=subprocess.DEVNULL, capture_output=True,
                            timeout=timeout, check=True)
-            kernel = ctypes.CDLL(library).airl_matmul
-        except (OSError, subprocess.SubprocessError):
+            loaded = ctypes.CDLL(library)
+            functions = [getattr(loaded, name) for name in SIGNATURES]
+        except (OSError, AttributeError, subprocess.SubprocessError):
             return None
-    # airl_matmul(a, stride_i, stride_k, b, out, m, inner, n)
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
-                       ctypes.c_ssize_t, ctypes.c_ssize_t)
-    kernel.restype = None
-    return functools.partial(_kernel_product, kernel)
+    for function, argtypes in zip(functions, SIGNATURES.values()):
+        function.argtypes = argtypes
+        function.restype = None
+    return Library(*functions)
 
 
 def _matmul_path(kernel: Product | None) -> str:
@@ -343,7 +376,11 @@ def _matmul_path(kernel: Product | None) -> str:
     return "per-k loop"
 
 
-_KERNEL = _build_kernel()
+# The compiled library of this process, or None; `augment` probes and uses
+# its `apply_plans`.
+LIBRARY = _build_library()
+_KERNEL = (None if LIBRARY is None
+           else functools.partial(_kernel_product, LIBRARY.matmul))
 # The path every `matmul` takes in this process.
 MATMUL_PATH = _matmul_path(_KERNEL)
 
@@ -361,7 +398,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `MATMUL_PATH` names the path, chosen once at import:
 
     - "kernel": the C kernel in `_matmul.c`, compiled at import with the
-      system `cc` (`_build_kernel`). It runs `out[i, :] += a[i, k] * b[k, :]`
+      system `cc` (`_build_library`). It runs `out[i, :] += a[i, k] * b[k, :]`
       for k = 0, 1, ... on a zero-filled output, four rows of `a` per pass
       over `b`, and vectorizes only the j loop, whose lanes are separate
       output elements. It is built with -ffp-contract=off, so no product is

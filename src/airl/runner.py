@@ -223,6 +223,10 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
     records that an older collapse-ablation checkpoint still holds, which no
     loader reads, are dropped.
 
+    The output keeps the input's metadata, its extra keys too, but takes
+    `framework` and `config_hash` from the loaded config, and records the
+    rescale under `rescaled`.
+
     With refresh_stats=True the BN running statistics are re-estimated from
     the checkpoint's own training images afterwards: surgery changes
     pre-activation scales, and frozen eval-mode consumers (the linear probe)
@@ -254,9 +258,11 @@ def cmd_surgery_rescale(input_path, output_path, anchor_path=None,
             if branch is not None:
                 x = evaluation.images_to_inputs(data.train_images, branch)
                 encoder.refresh_running_stats(branch, x)
-    records, _ = checkpoint.state_records(state, cfg)
+    records, own = checkpoint.state_records(state, cfg)
     checkpoint.save_checkpoint(output_path, records, {
         **metadata,
+        "framework": own["framework"],
+        "config_hash": own["config_hash"],
         "rescaled": {
             "anchor": str(anchor_path) if anchor_path is not None else None,
             "factor": factor,

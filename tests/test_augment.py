@@ -1,14 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import augment_reference as reference
-from airl import augment, runner
+from airl import augment, numerics, runner
 from airl.augment import (
     REMOVAL_ORDER,
     AugPipeline,
     AugStage,
+    Plans,
+    StageColumn,
     color_jitter,
     draw_plan,
     draw_plans,
@@ -20,12 +24,14 @@ from airl.augment import (
     solarize,
     two_views,
 )
-from airl.errors import ConfigError
+from airl.errors import ConfigError, DimensionError
 from airl.numerics import Rng
 
 STAGE_NAMES = tuple(s.name for s in AugPipeline.default().stages)
 # Every stage after the crop, which a pipeline cannot remove or gate.
 LATER_STAGES = STAGE_NAMES[1:]
+needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
+                              reason="no cc on PATH")
 
 
 def random_image(seed, side=16):
@@ -341,6 +347,196 @@ def test_any_stage_order_and_gates_equal_reference(seed, order, gates, sides):
     images = Rng(seed).child("img").random((6, side, side, 3))
     rngs = [Rng(seed).child("aug", 0, i) for i in range(6)]
     assert_views_match_reference(images, pipe, rngs)
+
+
+# The compiled pass, `_augment.c`, against the numpy pass and the
+# per-image reference.
+
+needs_augment_kernel = pytest.mark.skipif(
+    augment.AUGMENT_PATH != "kernel",
+    reason="the library was not built here or its apply_plans failed the "
+           "import probe")
+
+
+def both_passes(images, plans, out_side):
+    """`apply_plans` on the kernel and on the numpy pass."""
+    return (augment._kernel_pass(numerics.LIBRARY.apply_plans, images, plans,
+                                 out_side),
+            augment._numpy_pass(images, plans, out_side))
+
+
+@needs_augment_kernel
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       order=st.permutations(range(1, len(STAGE_NAMES))),
+       gates=st.lists(st.sampled_from([None, 0.0, 0.5, 1.0]),
+                      min_size=len(LATER_STAGES), max_size=len(LATER_STAGES)),
+       in_shape=st.tuples(st.integers(2, 21), st.integers(2, 21)),
+       out_side=st.sampled_from([2, 3, 5, 8, 11, 12, 13, 16]),
+       sigma=st.sampled_from([(0.1, 2.0), (0.0, 0.0), (1.5, 3.2)]),
+       batch=st.integers(1, 6))
+@example(seed=5, order=[1, 2, 3, 4, 5], gates=[0.0] * 5, in_shape=(16, 16),
+         out_side=16, sigma=(0.1, 2.0), batch=4)
+@example(seed=6, order=[1, 2, 3, 4, 5], gates=[1.0] * 5, in_shape=(9, 14),
+         out_side=13, sigma=(0.1, 2.0), batch=1)
+@example(seed=7, order=[4, 3, 2, 1, 5], gates=[0.5] * 5, in_shape=(3, 20),
+         out_side=2, sigma=(1.5, 3.2), batch=6)
+# A blur of radius 0 before the jitter: the per-image blur returned a
+# row-major copy, so the mean after it is summed row by row.
+@example(seed=9, order=[4, 2, 3, 1, 5], gates=[None] * 5, in_shape=(2, 2),
+         out_side=5, sigma=(0.0, 0.0), batch=1)
+def test_kernel_pass_equals_numpy_pass_and_reference(seed, order, gates,
+                                                      in_shape, out_side,
+                                                      sigma, batch):
+    # Any order and gates of the later stages, out sides whose pixel count
+    # is below 8, up to 128 and above (the three regimes of the pairwise
+    # mean), odd sides, blur radii 0 to 7, an all-gates-off batch and a
+    # one-image batch.
+    default = AugPipeline.default(out_side).stages
+    stages = [default[0]]
+    for k in order:
+        stage = default[k]
+        if stage.name == "gaussian_blur":
+            stage = AugStage(stage.name, stage.probability,
+                             (("sigma", sigma),))
+        if gates[k - 1] is not None:
+            stage = AugStage(stage.name, gates[k - 1], stage.params)
+        stages.append(stage)
+    pipe = AugPipeline(out_side=out_side, stages=tuple(stages))
+    images = Rng(seed).child("img").random((batch, *in_shape, 3))
+    rngs = [Rng(seed).child("aug", 2, i) for i in range(batch)]
+    plans = draw_plans(pipe, rngs, in_shape)
+    kernel, numpy_pass = both_passes(images, plans, out_side)
+    pairs = [reference.two_views(img, pipe, rng)
+             for img, rng in zip(images, rngs)]
+    expected = np.stack([pair[view] for view in (0, 1) for pair in pairs])
+    assert kernel.tobytes() == numpy_pass.tobytes() == expected.tobytes()
+
+
+def _plans_with(name, fired, values):
+    """The probe batch's plans with one more stage at the end."""
+    images, plans, out_side = augment._probe_batch()
+    return images, Plans(plans.rows, (*plans.stages, StageColumn(
+        name, np.asarray(fired), values))), out_side
+
+
+@needs_augment_kernel
+@pytest.mark.parametrize("fired, values, error", [
+    ([False] * 12, None, None),
+    ([False] * 11 + [True], None, "unknown augmentation stage 'sharpen'"),
+], ids=["idle", "fired"])
+def test_both_passes_skip_or_reject_an_unknown_stage(fired, values, error):
+    images, plans, out_side = _plans_with("sharpen", fired, values)
+    for apply in (lambda: augment._kernel_pass(
+            numerics.LIBRARY.apply_plans, images, plans, out_side),
+                  lambda: augment._numpy_pass(images, plans, out_side)):
+        if error is None:
+            apply()
+        else:
+            with pytest.raises(ConfigError, match=error):
+                apply()
+
+
+@needs_augment_kernel
+@pytest.mark.parametrize("box", [(-1, 0, 4, 4), (0, 0, 21, 4), (5, 14, 4, 4),
+                                 (0, 0, 0, 3)])
+def test_kernel_pass_rejects_a_box_outside_its_image(box):
+    images, plans, out_side = augment._probe_batch()
+    boxes = plans.stages[0].values.copy()
+    boxes[3] = box
+    plans = Plans(plans.rows, (plans.stages[0]._replace(values=boxes),
+                               *plans.stages[1:]))
+    with pytest.raises(IndexError, match="outside its source image"):
+        augment._kernel_pass(numerics.LIBRARY.apply_plans, images, plans,
+                             out_side)
+
+
+@needs_augment_kernel
+def test_kernel_pass_rejects_misshaped_images_or_out_side():
+    images, plans, out_side = augment._probe_batch()
+    for bad, side in ((images[..., :2], out_side), (images[:0], out_side),
+                      (images[0], out_side), (images, 0)):
+        with pytest.raises(DimensionError, match=r"\(n, h, w, 3\)"):
+            augment._kernel_pass(numerics.LIBRARY.apply_plans, bad, plans,
+                                 side)
+
+
+@needs_augment_kernel
+def test_both_passes_reject_a_solarize_threshold_out_of_range():
+    images, plans, out_side = _plans_with(
+        "solarization", [True] * 12, np.full(12, 1.5))
+    for apply in (augment._numpy_pass, functools.partial(
+            augment._kernel_pass, numerics.LIBRARY.apply_plans)):
+        with pytest.raises(ConfigError, match="threshold must be in"):
+            apply(images, plans, out_side)
+
+
+def test_probe_batch_covers_every_stage_radius_and_mean_order():
+    # Every later stage fires; the first jitter sees rows whose mean is
+    # summed column by column and rows after a flip or grayscale; the
+    # blur's fired rows hold radii 0 to 4; each mean sums 256 values.
+    _, plans, out_side = augment._probe_batch()
+    columns = {c.name: c for c in plans.stages[1:]}
+    assert set(columns) == set(LATER_STAGES)
+    assert all(c.fired.any() for c in plans.stages)
+    turned = columns["horizontal_flip"].fired | columns["grayscale"].fired
+    jittered = next(c for c in plans.stages if c.name == "color_jitter").fired
+    assert (jittered & turned).any() and (jittered & ~turned).any()
+    blur = columns["gaussian_blur"]
+    radii = np.ceil(2.0 * blur.values[blur.fired]).astype(int)
+    assert set(radii.tolist()) == {0, 1, 2, 3, 4}
+    assert out_side * out_side > 128
+
+
+# The mean's pairwise sum in `_augment.c`, and a plain loop to put in its
+# place after the includes.
+PAIRWISE_MEAN = "pairwise_sum(order, pixels)"
+INCLUDES = "#include <stdint.h>\n"
+IN_ORDER_SUM = """
+static double in_order_sum(const double *a, ptrdiff_t n)
+{
+    double res = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+"""
+
+
+@needs_cc
+@pytest.mark.parametrize("mutant", ["mean_in_order", "contracted"])
+def test_probe_rejects_a_mutant_kernel(mutant, tmp_path):
+    # A kernel that sums the contrast mean in order, or one built with
+    # -ffp-contract=fast, fails the import probe, and `apply_plans` then
+    # keeps to the numpy pass.
+    matmul_source, source = numerics.KERNEL_SOURCES
+    flags = numerics.KERNEL_FLAGS
+    if mutant == "mean_in_order":
+        text = source.read_text()
+        assert text.count(PAIRWISE_MEAN) == 1
+        source = tmp_path / "_augment.c"
+        head, _, body = text.partition(INCLUDES)
+        source.write_text(head + INCLUDES + IN_ORDER_SUM + body.replace(
+            PAIRWISE_MEAN, "in_order_sum(order, pixels)"))
+    else:
+        flags = tuple("-ffp-contract=fast" if flag == "-ffp-contract=off"
+                      else flag for flag in flags)
+    library = numerics._build_library((matmul_source, source), flags)
+    assert library is not None
+    if mutant == "contracted" and numerics._product_is_naive(
+            functools.partial(numerics._kernel_product, library.matmul)):
+        pytest.skip("this compiler fuses no multiply-add for this CPU")
+    assert not augment._kernel_is_exact(library.apply_plans)
+    assert augment._augment_path(library) == "numpy"
+
+
+@needs_cc
+def test_probe_accepts_the_shipped_kernel():
+    library = numerics._build_library()
+    assert augment._kernel_is_exact(library.apply_plans)
+    assert augment._augment_path(library) == "kernel"
+    assert augment._augment_path(None) == "numpy"
 
 
 @st.composite

@@ -3,10 +3,12 @@ the lines committed in `tests/expected_digest.txt`.
 
 The file's header records the numpy version, the `matmul` path and the
 SIMD level numpy dispatched float64 `exp` and `log` to when its lines were
-produced. Under another numpy version the test skips and says why. The path
-is information only: the kernel, einsum and the per-k loop all keep
-`matmul`'s order contract, so each must print the committed lines, and the
-test runs on whichever path this process chose. The tool runs with BLAS
+produced; the tool's header now also names the augmentation path, which
+the committed header predates. Under another numpy version the test skips
+and says why. The paths are information only: the kernel, einsum and the
+per-k loop all keep `matmul`'s order contract, and the compiled and the
+numpy augmentation pass give the same bits, so each must print the
+committed lines, and the test runs on whichever paths this process chose. The tool runs with BLAS
 pinned to one thread, as the benchmark runs, and again at two threads,
 which skips on a machine with one CPU: every norm that feeds a trajectory
 is `numerics.norm`, a numpy sum that BLAS does not split by thread count,
@@ -43,23 +45,23 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def numpy_version(produced_by: str) -> str:
-    """"numpy 2.4.6" of "numpy 2.4.6, matmul path: einsum, exp/log
-    dispatch: X86_V4"."""
+    """"numpy 2.4.6" of "numpy 2.4.6, matmul path: kernel, augment path:
+    kernel, exp/log dispatch: X86_V4"."""
     return produced_by.partition(",")[0]
 
 
 def dispatch_level(produced_by: str) -> str:
-    """"X86_V4" of "numpy 2.4.6, matmul path: einsum, exp/log dispatch:
-    X86_V4"."""
+    """"X86_V4" of "numpy 2.4.6, matmul path: kernel, augment path: kernel,
+    exp/log dispatch: X86_V4"."""
     return produced_by.rpartition("exp/log dispatch: ")[2]
 
 
 def digest_lines(threads: int, **env: str) -> tuple[list[str], list[str],
-                                                      str]:
+                                                      str, str]:
     """The tool's lines at `threads` BLAS threads, with `env` added to its
-    environment, the committed ones, and a message naming the `exp`/`log`
-    dispatch level of each; skips when the committed lines were recorded
-    with another numpy version."""
+    environment, the committed ones, a message naming the `exp`/`log`
+    dispatch level of each, and the tool's header; skips when the committed
+    lines were recorded with another numpy version."""
     header, *expected = EXPECTED.read_text(encoding="utf-8").splitlines()
     pythonpath = os.pathsep.join(
         p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
@@ -76,23 +78,36 @@ def digest_lines(threads: int, **env: str) -> tuple[list[str], list[str],
     levels = (f"the committed lines were produced at exp/log dispatch "
               f"{dispatch_level(header)}, this host dispatches to "
               f"{dispatch_level(produced_by)}")
-    return proc.stdout.splitlines(), expected, levels
+    return proc.stdout.splitlines(), expected, levels, produced_by
+
+
+def test_header_parsers_read_both_header_forms():
+    # The committed header predates the augmentation path; the tool's
+    # header names it between the matmul path and the dispatch level.
+    for header in ("numpy 2.4.6, matmul path: einsum, exp/log dispatch: "
+                   "X86_V4",
+                   "numpy 2.4.6, matmul path: kernel, augment path: kernel, "
+                   "exp/log dispatch: X86_V4"):
+        assert numpy_version(header) == "numpy 2.4.6"
+        assert dispatch_level(header) == "X86_V4"
 
 
 def test_trajectory_digest_matches_committed_lines():
-    produced, expected, levels = digest_lines(1)
+    produced, expected, levels, _ = digest_lines(1)
     assert produced == expected, levels
 
 
 def test_trajectory_digest_is_the_same_at_two_blas_threads():
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("two BLAS threads need two usable CPUs")
-    produced, expected, levels = digest_lines(2)
+    produced, expected, levels, _ = digest_lines(2)
     assert produced == expected, levels
 
 
 def test_trajectory_digest_is_the_same_without_a_compiler():
     # With PATH emptied there is no `cc`, so `matmul` takes its einsum
-    # fallback, which must print the same lines as the kernel.
-    produced, expected, levels = digest_lines(1, PATH="")
+    # fallback and `apply_plans` its numpy pass, which must print the same
+    # lines as the two kernels.
+    produced, expected, levels, produced_by = digest_lines(1, PATH="")
+    assert "augment path: numpy," in produced_by
     assert produced == expected, levels

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -527,7 +528,7 @@ def private_tmpdir(tmp_path, monkeypatch):
 def test_build_without_cc_falls_back_to_einsum(shape, monkeypatch,
                                                private_tmpdir):
     monkeypatch.setenv("PATH", "")
-    assert numerics._build_kernel() is None
+    assert numerics._build_library() is None
     assert numerics._matmul_path(None) == (
         "einsum" if EINSUM_IS_NAIVE else "per-k loop")
     assert list(private_tmpdir.iterdir()) == []
@@ -545,9 +546,13 @@ needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
 
 @needs_cc
 def test_build_with_failing_compiler_gives_no_kernel(tmp_path, private_tmpdir):
+    # Both kernels come from one library: a source that does not compile,
+    # in place of either, gives neither.
     broken = tmp_path / "broken.c"
     broken.write_text("this is not C\n")
-    assert numerics._build_kernel(broken) is None
+    matmul_source, augment_source = numerics.KERNEL_SOURCES
+    for sources in ((broken, augment_source), (matmul_source, broken)):
+        assert numerics._build_library(sources) is None
     assert list(private_tmpdir.iterdir()) == []
 
 
@@ -560,28 +565,33 @@ def test_build_has_a_timeout(monkeypatch, private_tmpdir):
         raise subprocess.TimeoutExpired(args, timeout)
 
     monkeypatch.setattr(numerics.subprocess, "run", slow_compiler)
-    assert numerics._build_kernel() is None
+    # One `cc` run builds both kernels, so one timeout gives neither.
+    assert numerics._build_library() is None
     assert timeouts == [numerics.KERNEL_BUILD_TIMEOUT_S]
     assert 0 < numerics.KERNEL_BUILD_TIMEOUT_S < float("inf")
     assert list(private_tmpdir.iterdir()) == []
 
 
 def test_kernel_source_ships_with_the_package():
-    # An installed `airl` must carry `_matmul.c` beside `numerics`, or every
-    # process silently takes the slower einsum path.
+    # An installed `airl` must carry `_matmul.c` and `_augment.c` beside
+    # `numerics`, or every process silently takes the slower numpy paths.
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads(
         (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     package_data = pyproject["tool"]["setuptools"]["package-data"]["airl"]
-    assert any(numerics.KERNEL_SOURCE.match(p) for p in package_data)
-    assert numerics.KERNEL_SOURCE.is_file()
+    assert [source.name for source in numerics.KERNEL_SOURCES] == [
+        "_matmul.c", "_augment.c"]
+    for source in numerics.KERNEL_SOURCES:
+        assert any(source.match(p) for p in package_data)
+        assert source.is_file()
 
 
 @needs_cc
 def test_kernel_builds_from_the_resolved_source():
-    kernel = numerics._build_kernel(numerics.KERNEL_SOURCE)
-    assert kernel is not None
-    assert numerics._product_is_naive(kernel)
+    library = numerics._build_library(numerics.KERNEL_SOURCES)
+    assert library is not None
+    assert numerics._product_is_naive(
+        functools.partial(numerics._kernel_product, library.matmul))
     assert numerics.MATMUL_PATH == "kernel"
 
 
@@ -591,17 +601,20 @@ def test_kernel_builds_from_the_resolved_source():
 ])
 def test_import_in_a_fresh_process(path_env, expected, tmp_path):
     # With PATH emptied there is no `cc`: the import must still succeed and
-    # choose einsum. Either way the build leaves no temporary files behind.
+    # choose einsum and the numpy augmentation pass. Either way the build
+    # leaves no temporary files behind.
+    augment_path = "kernel" if expected == "kernel" else "numpy"
     if expected == "einsum" and not EINSUM_IS_NAIVE:
         expected = "per-k loop"
     src = Path(numerics.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import airl.numerics as n; print(n.MATMUL_PATH)"],
+         "import airl.augment as a, airl.numerics as n; "
+         "print(n.MATMUL_PATH, a.AUGMENT_PATH)"],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PATH=path_env, PYTHONPATH=str(src),
                  TMPDIR=str(tmp_path)))
-    assert proc.stdout.strip() == expected
+    assert proc.stdout.split() == [expected, augment_path]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -561,6 +561,45 @@ class TestCheckpoint:
         assert sorted(rescaled) == sorted(records)
         assert outputs["old"].read_bytes() == outputs["current"].read_bytes()
 
+    def test_framework_that_contradicts_the_config_rejected(
+            self, ablation_checkpoint, tmp_path):
+        # A byol checkpoint re-saved as "moco_v2", with an all-zero hash.
+        records, meta = checkpoint.load_checkpoint(
+            ablation_checkpoint.checkpoint_path)
+        meta["framework"] = "moco_v2"
+        meta["config_hash"] = "0" * len(meta["config_hash"])
+        path = tmp_path / "renamed.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        error = ("framework 'moco_v2' differs from the config's "
+                 "framework.kind 'byol'")
+        with pytest.raises(CheckpointError, match=error):
+            checkpoint.load_state(path)
+        with pytest.raises(CheckpointError, match=error):
+            runner.cmd_surgery_rescale(path, tmp_path / "out.airl",
+                                       factor=2.0)
+
+    def test_stale_config_hash_loads_and_rescue_writes_its_own(
+            self, ablation_checkpoint, tmp_path):
+        # Checkpoints written before a key retirement carry an older hash.
+        # A rescue writes the config's framework and hash, and keeps the
+        # file's other keys.
+        records, meta = checkpoint.load_checkpoint(
+            ablation_checkpoint.checkpoint_path)
+        own_hash = meta["config_hash"]
+        meta["config_hash"] = "0" * len(own_hash)
+        meta["note"] = "anchor run"
+        del meta["framework"]
+        path = tmp_path / "stale.airl"
+        checkpoint.save_checkpoint(path, records, meta)
+        _, cfg, loaded = checkpoint.load_state(path)
+        assert loaded == meta and cfg.config_hash() == own_hash
+        out = tmp_path / "rescaled.airl"
+        runner.cmd_surgery_rescale(path, out, factor=2.0)
+        _, written = checkpoint.load_checkpoint(out)
+        assert written == {**meta, "framework": "byol",
+                           "config_hash": own_hash,
+                           "rescaled": {"anchor": None, "factor": 2.0}}
+
     def test_metadata_carries_config_hash_and_step(self, tmp_path):
         cfg = fast_cfg()
         result = runner.pretrain(cfg, tmp_path / "run")
