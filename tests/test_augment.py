@@ -358,13 +358,6 @@ needs_augment_kernel = pytest.mark.skipif(
            "import probe")
 
 
-def both_passes(images, plans, out_side):
-    """`apply_plans` on the kernel and on the numpy pass."""
-    return (augment._kernel_pass(numerics.LIBRARY.apply_plans, images, plans,
-                                 out_side),
-            augment._numpy_pass(images, plans, out_side))
-
-
 @needs_augment_kernel
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
@@ -406,7 +399,9 @@ def test_kernel_pass_equals_numpy_pass_and_reference(seed, order, gates,
     images = Rng(seed).child("img").random((batch, *in_shape, 3))
     rngs = [Rng(seed).child("aug", 2, i) for i in range(batch)]
     plans = draw_plans(pipe, rngs, in_shape)
-    kernel, numpy_pass = both_passes(images, plans, out_side)
+    kernel = augment._kernel_pass(numerics.LIBRARY.apply_plans, images,
+                                  plans, out_side)
+    numpy_pass = augment._numpy_pass(images, plans, out_side)
     pairs = [reference.two_views(img, pipe, rng)
              for img, rng in zip(images, rngs)]
     expected = np.stack([pair[view] for view in (0, 1) for pair in pairs])
@@ -529,14 +524,6 @@ def test_probe_rejects_a_mutant_kernel(mutant, tmp_path):
         pytest.skip("this compiler fuses no multiply-add for this CPU")
     assert not augment._kernel_is_exact(library.apply_plans)
     assert augment._augment_path(library) == "numpy"
-
-
-@needs_cc
-def test_probe_accepts_the_shipped_kernel():
-    library = numerics._build_library()
-    assert augment._kernel_is_exact(library.apply_plans)
-    assert augment._augment_path(library) == "kernel"
-    assert augment._augment_path(None) == "numpy"
 
 
 @st.composite
