@@ -259,9 +259,11 @@ def _product_is_naive(product: Product) -> bool:
     """Whether `product(a, b)` gives the naive loop's bits here.
 
     `product` takes a C-contiguous (m, K) and (K, n) operand. Two products
-    on 5 x 67 outputs, so that every loop of a product sees them: the
-    kernel's four-row blocks and its single rows, and the unrolled vector
-    body, one-vector loop and scalar tail of a vectorized j loop:
+    on 5 x 79 outputs, so that every loop of a product sees them: the
+    kernel's four-row blocks and its single rows, and at every tile width
+    (2, 4 or 8 doubles) its two-vector tiles, a one-vector tile and a
+    scalar column tail (79 = 4 * 16 + 8 + 7); einsum's inner j loop gets
+    its unrolled vector body, one-vector loop and scalar tail:
 
     - `PAIRWISE_DIFFERS` times ones must give its k-order sum in every
       element; a reordered (pairwise or multi-accumulator) sum differs;
@@ -269,7 +271,7 @@ def _product_is_naive(product: Product) -> bool:
       rounds to 1.0, while a fused multiply-add keeps it exact and gives
       -2**-54.
     """
-    rows, columns = 5, 67
+    rows, columns = 5, 79
     ones = np.ones((PAIRWISE_DIFFERS.size, columns))
     in_order = 0.0
     for term in PAIRWISE_DIFFERS:
@@ -398,13 +400,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `MATMUL_PATH` names the path, chosen once at import:
 
     - "kernel": the C kernel in `_matmul.c`, compiled at import with the
-      system `cc` (`_build_library`). It runs `out[i, :] += a[i, k] * b[k, :]`
-      for k = 0, 1, ... on a zero-filled output, four rows of `a` per pass
-      over `b`, and vectorizes only the j loop, whose lanes are separate
-      output elements. It is built with -ffp-contract=off, so no product is
-      fused into its add, and without -ffast-math, so no sum is reordered.
-      It takes `a`'s strides as they are, negative ones too, and a
-      C-contiguous aligned copy of `b`, for every shape.
+      system `cc` (`_build_library`). It keeps a tile of four output rows
+      by two vectors of columns in vector registers from +0.0 over the
+      whole k loop, adding `a[i, k] * b[k, j:j+2W]` for k = 0, 1, ..., and
+      stores it once; W is 8, 4 or 2 doubles as the target has AVX-512F,
+      AVX or neither. Every lane is a separate output element, so no sum
+      is split. Leftover columns take a one-vector tile, then a scalar
+      column at a time, and leftover rows the same one row at a time. It
+      is built with -ffp-contract=off, so no product is fused into its
+      add, and without -ffast-math, so no sum is reordered. It takes `a`'s
+      strides as they are, negative ones too, and a C-contiguous aligned
+      copy of `b`, for every shape.
     - "einsum": without a compiler, one `np.einsum("ik,kj->ij", a, b,
       optimize=False)` on a C-contiguous copy of `b`, and on `a` as it is
       laid out unless one of its strides is negative. numpy then runs its

@@ -204,9 +204,10 @@ def _operand(draw, rows, cols):
 
 @st.composite
 def _matmul_case(draw, operand=_operand):
-    # m up to 9 reaches the kernel's four-row blocks and its single rows;
-    # n up to 72 reaches the unrolled vector body, one-vector loop and scalar
-    # tail of a vectorized j loop; einsum computes n = 1 transposed.
+    # m up to 9 reaches the kernel's four-row blocks and its single leftover
+    # rows; n up to 72 reaches, at every tile width W (2, 4 or 8 doubles),
+    # its two-vector tiles, its one-vector tile and its scalar column tail,
+    # as it does einsum's unrolled j loop; einsum computes n = 1 transposed.
     m = draw(st.integers(0, 9))
     n = draw(st.one_of(st.integers(0, 2), st.integers(0, 72)))
     inner = draw(st.one_of(st.integers(0, 2), st.integers(1, 30)))
@@ -476,23 +477,116 @@ def _kernel_operand(draw, rows, cols):
     return x
 
 
-@needs_kernel
-@settings(max_examples=300, deadline=None)
-@given(_matmul_case(_kernel_operand))
-@example((np.ones((1, 5)), np.ones((5, 1))))
-@example((np.ones((1, 0)), np.ones((0, 1))))
-@example((np.full((1, 3), -0.0), np.ones((3, 4))))
-@example((np.ones((4, 3)), np.full((3, 1), -0.0)))
-@example((np.ones((0, 3)), np.ones((3, 0))))
-@example((np.ones((5, 0)), np.ones((0, 7))))
-@example((np.array([[np.inf, 1.0]]), np.array([[0.0], [2.0]])))
-@example((np.array([[np.nan, 1.0]] * 5), np.ones((2, 9))))
-def test_kernel_matches_per_k_reference(case):
+def _tile_edge_case(m, inner, n):
+    # Distinct values, with -0.0 in every other column of `b` so that a
+    # misplaced or unstored tile shows as a wrong value or sign.
+    a = np.arange(1.0, m * inner + 1).reshape(m, inner)
+    b = -np.arange(1.0, inner * n + 1).reshape(inner, n) / 3
+    b[:, ::2] = -0.0
+    return a, b
+
+
+# Shapes at the edges of the kernel's tiles: m around its four-row blocks,
+# n around one and two vectors at each tile width.
+TILE_EDGES = [_tile_edge_case(m, inner, n) for m in (3, 4, 5, 8, 9)
+              for n in (7, 8, 9, 15, 16, 17, 31, 32, 33) for inner in (0, 1)]
+
+
+def _kernel_cases(test):
+    """Run `test(case)` on random kernel operands, the tile-edge shapes and
+    the special-value examples."""
+    for case in TILE_EDGES + [
+        (np.ones((1, 5)), np.ones((5, 1))),
+        (np.ones((1, 0)), np.ones((0, 1))),
+        (np.full((1, 3), -0.0), np.ones((3, 4))),
+        (np.ones((4, 3)), np.full((3, 1), -0.0)),
+        (np.ones((0, 3)), np.ones((3, 0))),
+        (np.ones((5, 0)), np.ones((0, 7))),
+        (np.array([[np.inf, 1.0]]), np.array([[0.0], [2.0]])),
+        (np.array([[np.nan, 1.0]] * 5), np.ones((2, 9))),
+    ]:
+        test = example(case=case)(test)
+    return settings(max_examples=300, deadline=None)(
+        given(case=_matmul_case(_kernel_operand))(test))
+
+
+def _matches_per_k_reference(kernel, case):
     a, b = case
     with np.errstate(invalid="ignore", over="ignore"):
         expected = matmul_per_k(a, b)
-        got = numerics._KERNEL(a, b)
-    assert same_bits_or_nan(got, expected)
+        got = kernel(a, b)
+    return same_bits_or_nan(got, expected)
+
+
+@needs_kernel
+@_kernel_cases
+def test_kernel_matches_per_k_reference(case):
+    assert _matches_per_k_reference(numerics._KERNEL, case)
+
+
+needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
+                              reason="no cc on PATH")
+
+
+def _target_macros(flags):
+    """The names of the macros that `cc` predefines under `flags`, or None
+    where it rejects them."""
+    proc = subprocess.run(
+        ["cc", *flags, "-dM", "-E", "-x", "c", os.devnull],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    if proc.returncode:
+        return None
+    return {line.split()[1] for line in proc.stdout.splitlines()}
+
+
+def _tile_width(flags):
+    """The doubles per vector that `_matmul.c` picks under `flags`."""
+    macros = _target_macros(flags)
+    if macros is None:
+        return None
+    return 8 if "__AVX512F__" in macros else 4 if "__AVX__" in macros else 2
+
+
+def _built_kernel(extra_flags):
+    library = numerics._build_library(
+        flags=numerics.KERNEL_FLAGS + extra_flags)
+    assert library is not None
+    return functools.partial(numerics._kernel_product, library.matmul)
+
+
+@pytest.fixture(scope="module",
+                params=[("-mno-avx512f",), ("-mno-avx", "-mno-avx512f")],
+                ids=["W4", "W2"])
+def narrower_kernel(request):
+    """The kernel built for a narrower tile width than this host's."""
+    if numerics.shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    width = _tile_width(numerics.KERNEL_FLAGS + request.param)
+    if width is None:
+        pytest.skip(f"cc rejects {' '.join(request.param)}")
+    if width == _tile_width(numerics.KERNEL_FLAGS):
+        pytest.skip(f"the default build already has tile width {width}")
+    kernel = _built_kernel(request.param)
+    assert numerics._matmul_path(kernel) == "kernel"
+    return kernel
+
+
+@_kernel_cases
+def test_narrower_tile_widths_match_per_k_reference(narrower_kernel, case):
+    # An AVX2-only or SSE2-only host runs a tile width that the host's own
+    # build does not; each width's build must give the same bits.
+    assert _matches_per_k_reference(narrower_kernel, case)
+
+
+@needs_cc
+def test_probe_rejects_the_kernel_built_with_contraction():
+    # -ffp-contract=fast fuses each tile's multiply and add into an FMA,
+    # which rounds the product once less.
+    macros = _target_macros(numerics.KERNEL_FLAGS)
+    if macros is None or "__FMA__" not in macros:
+        pytest.skip("this target has no FMA")
+    fused = _built_kernel(("-ffp-contract=fast",))
+    assert numerics._matmul_path(fused) != "kernel"
 
 
 @needs_kernel
@@ -501,7 +595,7 @@ def test_kernel_keeps_subnormals():
     # denormals-are-zero: subnormal products and sums stay exact.
     tiny = 2.0**-1030
     assert tiny * 0.5 == 2.0**-1031
-    got = numerics._KERNEL(np.full((5, 3), tiny), np.full((3, 67), 0.5))
+    got = numerics._KERNEL(np.full((5, 3), tiny), np.full((3, 79), 0.5))
     assert np.all(got == 3 * 2.0**-1031)
 
 
@@ -538,10 +632,6 @@ def test_build_without_cc_falls_back_to_einsum(shape, monkeypatch,
     fallback = _on_path(numerics._matmul_path(None), a, b)
     assert same_bits(fallback, matmul(a, b))
     assert same_bits(fallback, matmul_per_k(a, b))
-
-
-needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
-                              reason="no cc on PATH")
 
 
 @needs_cc
