@@ -330,7 +330,7 @@ def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.require(b, np.float64, ("C", "A"))
     m, inner = a.shape
     n = b.shape[1]
-    out = np.zeros((m, n))
+    out = np.empty((m, n))
     kernel(a.ctypes.data, a.strides[0] // a.itemsize,
            a.strides[1] // a.itemsize, b.ctypes.data, out.ctypes.data,
            m, inner, n)

@@ -289,6 +289,38 @@ def test_batch_holding_every_blur_radius_equals_reference():
     assert_views_match_reference(images, pipe, rngs)
 
 
+@pytest.mark.parametrize("shape", [(11, 7), (5, 13)])
+def test_blur_and_jitter_of_a_non_square_batch_equal_reference(shape):
+    # Every pipeline test crops to square views, where a blur or a mean
+    # that swapped the image axes could go unseen. Here h != w, the blur
+    # radii run 0 to 4 (4 beyond the short side of (5, 13)), and each
+    # image's jitter runs in both mean orders: the reference sums its mean
+    # in its image's memory order, width-major for a column-major row.
+    images = Rng(35).child("img").random((5, *shape, 3))
+    sigmas = np.array([0.0, 0.3, 0.8, 1.2, 1.9])
+    assert np.ceil(2.0 * sigmas).astype(int).tolist() == [0, 1, 2, 3, 4]
+    for img, sigma, got in zip(images, sigmas,
+                               gaussian_blur(images, sigmas)):
+        assert got.tobytes() == reference.gaussian_blur(img, sigma).tobytes()
+    strengths = (0.4, 0.4, 0.2, 0.1)
+    factors = [augment._draw_jitter(Rng(35).child("jitter", i), strengths)
+               for i in range(len(images))]
+    alternate = np.arange(len(images)) % 2 == 0
+    jittered = []
+    for col_major in (alternate, ~alternate):
+        got = augment.adjust_colors(images, factors, col_major)
+        for i, (img, turned, row) in enumerate(zip(images, col_major, got)):
+            if turned:
+                img = np.ascontiguousarray(img.transpose(1, 0, 2)).transpose(
+                    1, 0, 2)
+            expected = reference.color_jitter(img, strengths,
+                                              Rng(35).child("jitter", i))
+            assert row.tobytes() == expected.tobytes()
+        jittered.append(got)
+    # The two orders give other bits on some image, so both were checked.
+    assert jittered[0].tobytes() != jittered[1].tobytes()
+
+
 def test_gated_stages_on_scattered_rows_equal_reference():
     # Gates at 0.5 and 1.0 over nine images: each stage runs on its fired
     # rows of both views, scattered or all of them.
@@ -408,6 +440,14 @@ def test_kernel_pass_equals_numpy_pass_and_reference(seed, order, gates,
     assert kernel.tobytes() == numpy_pass.tobytes() == expected.tobytes()
 
 
+def applied_passes():
+    """`_numpy_pass` and, where it passed the import probe, `_kernel_pass`."""
+    if augment.AUGMENT_PATH != "kernel":
+        return (augment._numpy_pass,)
+    return (augment._numpy_pass, functools.partial(
+        augment._kernel_pass, numerics.LIBRARY.apply_plans))
+
+
 def _plans_with(name, fired, values):
     """The probe batch's plans with one more stage at the end."""
     images, plans, out_side = augment._probe_batch()
@@ -415,53 +455,51 @@ def _plans_with(name, fired, values):
         name, np.asarray(fired), values))), out_side
 
 
-@needs_augment_kernel
 @pytest.mark.parametrize("fired, values, error", [
     ([False] * 12, None, None),
     ([False] * 11 + [True], None, "unknown augmentation stage 'sharpen'"),
 ], ids=["idle", "fired"])
 def test_both_passes_skip_or_reject_an_unknown_stage(fired, values, error):
     images, plans, out_side = _plans_with("sharpen", fired, values)
-    for apply in (lambda: augment._kernel_pass(
-            numerics.LIBRARY.apply_plans, images, plans, out_side),
-                  lambda: augment._numpy_pass(images, plans, out_side)):
+    for apply in applied_passes():
         if error is None:
-            apply()
+            apply(images, plans, out_side)
         else:
             with pytest.raises(ConfigError, match=error):
-                apply()
+                apply(images, plans, out_side)
 
 
-@needs_augment_kernel
+# (0, 10, 5, 10) overruns the right edge of the 17-wide images by 3 columns
+# but stays inside the images' buffer: a pass that trusted it would read the
+# next rows' pixels instead of raising.
 @pytest.mark.parametrize("box", [(-1, 0, 4, 4), (0, 0, 21, 4), (5, 14, 4, 4),
-                                 (0, 0, 0, 3)])
+                                 (0, 0, 0, 3), (0, 10, 5, 10)])
 def test_kernel_pass_rejects_a_box_outside_its_image(box):
+    # Both passes, through their one input check.
     images, plans, out_side = augment._probe_batch()
     boxes = plans.stages[0].values.copy()
     boxes[3] = box
     plans = Plans(plans.rows, (plans.stages[0]._replace(values=boxes),
                                *plans.stages[1:]))
-    with pytest.raises(IndexError, match="outside its source image"):
-        augment._kernel_pass(numerics.LIBRARY.apply_plans, images, plans,
-                             out_side)
+    for apply in applied_passes():
+        with pytest.raises(IndexError, match="outside its source image"):
+            apply(images, plans, out_side)
 
 
-@needs_augment_kernel
 def test_kernel_pass_rejects_misshaped_images_or_out_side():
+    # Both passes, through their one input check.
     images, plans, out_side = augment._probe_batch()
-    for bad, side in ((images[..., :2], out_side), (images[:0], out_side),
-                      (images[0], out_side), (images, 0)):
-        with pytest.raises(DimensionError, match=r"\(n, h, w, 3\)"):
-            augment._kernel_pass(numerics.LIBRARY.apply_plans, bad, plans,
-                                 side)
+    for apply in applied_passes():
+        for bad, side in ((images[..., :2], out_side), (images[:0], out_side),
+                          (images[0], out_side), (images, 0)):
+            with pytest.raises(DimensionError, match=r"\(n, h, w, 3\)"):
+                apply(bad, plans, side)
 
 
-@needs_augment_kernel
 def test_both_passes_reject_a_solarize_threshold_out_of_range():
     images, plans, out_side = _plans_with(
         "solarization", [True] * 12, np.full(12, 1.5))
-    for apply in (augment._numpy_pass, functools.partial(
-            augment._kernel_pass, numerics.LIBRARY.apply_plans)):
+    for apply in applied_passes():
         with pytest.raises(ConfigError, match="threshold must be in"):
             apply(images, plans, out_side)
 
