@@ -12,10 +12,9 @@
  *   (contrast), clips, blends with the pixel's luma (saturation), clips,
  *   rotates the hue as `(a * p0 + b * p1) + d * p2`, and clips;
  * - the mean luma is numpy's pairwise sum (`pairwise_sum`) of the image's
- *   luma, added to +0.0, column by column until a flip or grayscale has
- *   fired on the row, or a blur of radius 0, and row by row after that
- *   (the layout rule in the `augment` docstring), divided by the pixel
- *   count;
+ *   luma, added to +0.0, column by column until a flip has fired on the
+ *   row and row by row after that (the layout rule in the `augment`
+ *   docstring), divided by the pixel count;
  * - the blur sums its taps in kernel order from +0.0, down the columns and
  *   then along the rows, with edge padding, and clips;
  * - clipping keeps NaN and -0.0, as `np.clip` does.
@@ -30,12 +29,8 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* Stage kinds, as `augment.STAGE_KINDS` and `augment.ROW_MAJOR` number
- * them. ROW_MAJOR changes no pixel: it is the blur on rows whose radius is
- * 0, which turns the mean row by row. */
-enum {
-    FLIP = 1, JITTER = 2, GRAYSCALE = 3, BLUR = 4, SOLARIZE = 5, ROW_MAJOR = 6
-};
+/* Stage kinds, as `augment.STAGE_KINDS` numbers them. */
+enum { FLIP = 1, JITTER = 2, GRAYSCALE = 3, BLUR = 4, SOLARIZE = 5 };
 
 /* The stages stay out of line: inlined into `airl_apply_plans` they made
  * the vectorizer's work, and so the build at import, more than twice as
@@ -275,7 +270,7 @@ OUT_OF_LINE void solarize(double *img, ptrdiff_t values, double threshold)
 }
 
 /* images: n x in_h x in_w x 3, C-contiguous. boxes: rows x 4 crop boxes.
- * For each later stage s, in pipeline order: kinds[s] is its kind, and
+ * For each later stage s, in the published order: kinds[s] is its kind, and
  * gates[s * rows + r] is 0 where it does not run on row r; otherwise 1, or
  * for the blur the row's own kernel radius. Row r of the stage's
  * coefficients starts at coefs[s] + r * widths[s]: the jitter's six values,
@@ -310,7 +305,6 @@ void airl_apply_plans(const double *images, ptrdiff_t n, ptrdiff_t in_h,
                 break;
             case GRAYSCALE:
                 grayscale(img, side * side);
-                col_major = 0;
                 break;
             case BLUR:
                 blur(img, side, coef + (widths[s] - 1) / 2 - gate, gate,
@@ -318,9 +312,6 @@ void airl_apply_plans(const double *images, ptrdiff_t n, ptrdiff_t in_h,
                 break;
             case SOLARIZE:
                 solarize(img, values, coef[0]);
-                break;
-            case ROW_MAJOR:
-                col_major = 0;
                 break;
             }
         }

@@ -36,7 +36,7 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
 2. `apply_plans` applies the 2n rows' plans. The first stage is the
    crop-resize, which always fires (`AugPipeline` holds no other kind of
    pipeline), from the n source images with per-row boxes; then each later
-   stage runs on the rows where it fired, in pipeline order. Per-image
+   stage runs on the rows where it fired, in the published order. Per-image
    coefficients (blur kernels, hue rotations) are computed in numpy as
    arrays, with the same operations as for one image. `AUGMENT_PATH` names
    the pass, chosen once at import:
@@ -50,7 +50,7 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
      elements, and it is built with -ffp-contract=off and never fast-math.
      The contrast mean reproduces numpy's pairwise sum. It is used only
      if it gives the numpy pass's bits on a fixed batch that covers every
-     stage, both mean orders and blur radii 0 to 4 (`_kernel_is_exact`).
+     stage, both mean orders and blur radii 1 to 4 (`_kernel_is_exact`).
    - "numpy": without a compiler, or where the kernel fails that probe.
      The crop-resize gathers every row into one array of output-size
      images, and each later stage runs once on its fired rows of both
@@ -60,7 +60,8 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
      than fast: on 48 images at side 16 it takes about 4.9 ms per batch,
      the kernel 0.45 ms.
 
-   Both passes take their inputs through one check, `_checked_inputs`.
+   Both passes take their inputs through one check, `_checked_inputs`,
+   which also holds the plans to the published order.
 
 Both results equal augmenting each image on its own, bit for bit.
 
@@ -75,15 +76,12 @@ read-only, and a draw that raises is not stored.
 
 Layout rule. The contrast step of the jitter takes each image's mean luma,
 and a floating-point sum depends on its order. The per-image pipeline that
-the batched one replaced summed in memory order, and its crop-resize returned
-a width-major array. So an image's mean is summed column by column until a
-flip or grayscale has fired on it, and row by row after that; the
-crop-resize starts every image width-major, and jitter, blur and
-solarization keep the order they find. The one exception is a blur of
-radius 0 (sigma 0, which no config can set): the per-image blur returned
-a row-major copy unchanged, so the image turns row-major there too.
-Keeping this rule keeps every
-checkpoint trained with the per-image pipeline reproducible.
+the batched one replaced summed in memory order: its crop-resize returned a
+width-major array and its flip a row-major copy. In the published order
+(`STAGE_ORDER`) only the crop and the flip come before the jitter, so an
+image's mean is summed column by column until a flip has fired on it, and
+row by row after that. Keeping this rule keeps every checkpoint trained
+with the per-image pipeline reproducible.
 """
 
 from __future__ import annotations
@@ -109,8 +107,34 @@ from .numerics import (
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
+# The stages of the published MoCo v2 / BYOL recipe, in their order. Every
+# pipeline holds the crop and then some of the others, each at most once, in
+# this order.
+STAGE_ORDER = ("random_crop", "horizontal_flip", "color_jitter", "grayscale",
+               "gaussian_blur", "solarization")
+
 # Removal ladder for the ablation study; stages are dropped in this order.
 REMOVAL_ORDER = ("solarization", "gaussian_blur", "grayscale", "color_jitter")
+
+
+def _check_order(names: tuple) -> None:
+    later = iter(STAGE_ORDER[1:])
+    if names[:1] != STAGE_ORDER[:1] or not all(n in later for n in names[1:]):
+        raise ConfigError(
+            f"stages must be random_crop and then some of "
+            f"{', '.join(STAGE_ORDER[1:])}, each at most once and in that "
+            f"order, got {', '.join(names)}")
+
+
+def _check_threshold(threshold) -> None:
+    if not np.all((0.0 <= threshold) & (threshold <= 1.0)):
+        raise ConfigError(
+            f"solarize threshold must be in [0, 1], got {threshold}")
+
+
+def _check_sigma(sigma) -> None:
+    if not np.all(sigma > 0.0):
+        raise ConfigError(f"blur sigma must be > 0, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -122,23 +146,36 @@ class AugStage:
 
 @dataclass(frozen=True)
 class AugPipeline:
-    """Ordered augmentation stages plus the output side length.
+    """Augmentation stages in the published order plus the output side.
 
-    The first stage, and no other, is the `random_crop`, with probability
-    1.0: every view is crop-resized from its source image to the output
-    size before any other stage runs.
+    The first stage is the `random_crop`, with probability 1.0: every view
+    is crop-resized from its source image to the output size before any
+    other stage runs. Each later stage appears at most once, in
+    `STAGE_ORDER`; every probability and the solarize threshold lie in
+    [0, 1], and the blur's sigma range is 0 < low <= high.
     """
 
     out_side: int
     stages: tuple[AugStage, ...]
 
     def __post_init__(self):
-        crops = [k for k, stage in enumerate(self.stages)
-                 if stage.name == "random_crop"]
-        if crops != [0] or self.stages[0].probability != 1.0:
-            raise ConfigError(
-                "a pipeline's first stage, and no other, must be random_crop "
-                "with probability 1.0")
+        _check_order(tuple(stage.name for stage in self.stages))
+        if self.stages[0].probability != 1.0:
+            raise ConfigError("random_crop must have probability 1.0")
+        for stage in self.stages:
+            if not 0.0 <= stage.probability <= 1.0:
+                raise ConfigError(
+                    f"{stage.name} probability must be in [0, 1], got "
+                    f"{stage.probability}")
+            params = dict(stage.params)
+            if stage.name == "gaussian_blur":
+                low, high = params["sigma"]
+                if not 0.0 < low <= high:
+                    raise ConfigError(
+                        f"blur sigma range must have 0 < low <= high, got "
+                        f"{params['sigma']}")
+            elif stage.name == "solarization":
+                _check_threshold(params["threshold"])
 
     @staticmethod
     def default(
@@ -168,12 +205,6 @@ class AugPipeline:
             stages=tuple(s for s in self.stages if s.name not in names),
         )
 
-    def stage(self, name: str) -> AugStage:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise ConfigError(f"no stage named {name!r}")
-
 
 def luma(img: np.ndarray) -> np.ndarray:
     r, g, b = LUMA_WEIGHTS
@@ -187,12 +218,6 @@ def hflip(img: np.ndarray) -> np.ndarray:
 def grayscale(img: np.ndarray) -> np.ndarray:
     y = luma(img)
     return np.repeat(y[..., None], 3, axis=-1)
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(
-            f"solarize threshold must be in [0, 1], got {threshold}")
 
 
 def solarize(img: np.ndarray, threshold: float) -> np.ndarray:
@@ -281,10 +306,10 @@ def gaussian_blur(img: np.ndarray, sigma) -> np.ndarray:
     """Separable Gaussian with kernel radius ceil(2*sigma), edge padding.
 
     `img` is one (h, w, 3) image with one sigma, or an (n, h, w, 3) batch
-    with one sigma per image; pixel values must be finite. Each image is
-    edge-padded and blurred first down its columns and then along its rows,
-    each output pixel summing its taps in kernel order from +0.0, and then
-    clipped. All images are blurred together: each image's kernel is
+    with one sigma > 0 per image; pixel values must be finite. Each image
+    is edge-padded and blurred first down its columns and then along its
+    rows, each output pixel summing its taps in kernel order from +0.0, and
+    then clipped. All images are blurred together: each image's kernel is
     centred in the taps of the largest radius, with weight 0 beyond its
     own; a zero product leaves a sum begun at +0.0 unchanged, so the extra
     taps change no bit.
@@ -292,14 +317,8 @@ def gaussian_blur(img: np.ndarray, sigma) -> np.ndarray:
     single = img.ndim == 3
     x = img[None] if single else img
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
-    radii = np.ceil(2.0 * sigmas).astype(int)
-    members = np.flatnonzero(radii >= 1)
-    if members.size < len(x):
-        out = x.copy()
-        if members.size:
-            out[members] = gaussian_blur(x[members], sigmas[members])
-        return out[0] if single else out
-    radius = int(radii.max())
+    _check_sigma(sigmas)
+    radius = int(np.ceil(2.0 * sigmas).max())
     kernels = _blur_kernels(sigmas, radius).T[:, :, None, None, None]
     for axis in (1, 2):
         pad = [(0, 0)] * 4
@@ -591,9 +610,17 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
 
 
 def _checked_inputs(images: np.ndarray, plans: Plans, out_side: int):
-    # Both passes' input check: images must be (n, h, w, 3) with n >= 1,
-    # the out side at least 1, and every crop box inside its image. Returns
-    # the images as C-contiguous float64 and the boxes as C-contiguous int64.
+    # Both passes' input check: the stages in the published order, images
+    # (n, h, w, 3) with n >= 1, the out side at least 1, every crop box
+    # inside its image, and the fired rows' blur sigmas and solarize
+    # thresholds in range. Returns the images as C-contiguous float64 and
+    # the boxes as C-contiguous int64.
+    _check_order(tuple(column.name for column in plans.stages))
+    for name, fired, values in plans.stages[1:]:
+        if name == "gaussian_blur":
+            _check_sigma(values[fired])
+        elif name == "solarization":
+            _check_threshold(values[fired])
     images = np.ascontiguousarray(images, dtype=np.float64)
     boxes = np.ascontiguousarray(plans.stages[0].values, dtype=np.int64)
     if (images.ndim != 4 or images.shape[3] != 3 or not len(images)
@@ -635,22 +662,16 @@ def _numpy_pass(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
             run(adjust_colors, picked, values, col_major)
         elif name == "grayscale":
             run(grayscale, picked)
-            col_major[picked] = False
         elif name == "gaussian_blur":
             run(gaussian_blur, picked, values)
-            col_major[picked[np.ceil(2.0 * values[picked]) < 1]] = False
         elif name == "solarization":
             run(lambda x: solarize(x, float(values[picked[0]])), picked)
-        else:
-            raise ConfigError(f"unknown augmentation stage {name!r}")
     return out
 
 
-# The stage numbers of `_augment.c`, and its step that only turns a row
-# row-major: the blur's on rows whose radius is 0.
+# The stage numbers of `_augment.c`.
 STAGE_KINDS = {"horizontal_flip": 1, "color_jitter": 2, "grayscale": 3,
                "gaussian_blur": 4, "solarization": 5}
-ROW_MAJOR = 6
 
 
 def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
@@ -658,10 +679,8 @@ def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
     # `apply_plans` in one call of `_augment.c`'s `airl_apply_plans`. Each
     # stage's per-row coefficients come from the numpy functions that
     # `_numpy_pass` calls, on the same arrays: the jitter factors with
-    # their hue rotation, the blur kernels of the rows whose radius is at
-    # least 1 (the others only turn row-major), the first fired row's
-    # solarize threshold. A stage that fires on no row is left out, and the
-    # errors that `_numpy_pass` raises are raised here too; the kernel reads
+    # their hue rotation, the blur kernels, the first fired row's solarize
+    # threshold. A stage that fires on no row is left out. The kernel reads
     # only inside its buffers, since `_checked_inputs` holds for both.
     images, boxes = _checked_inputs(images, plans, out_side)
     rows = plans.rows
@@ -670,8 +689,6 @@ def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
         picked = np.flatnonzero(fired)
         if not len(picked):
             continue
-        if name not in STAGE_KINDS:
-            raise ConfigError(f"unknown augmentation stage {name!r}")
         gate = np.zeros(rows, dtype=np.int64)
         gate[picked] = 1
         coef = None
@@ -682,24 +699,12 @@ def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
                 [factors[:, :3], *_hue_coefficients(factors[:, 3])])
         elif name == "gaussian_blur":
             sigmas = values[picked]
-            radii = np.ceil(2.0 * sigmas).astype(int)
-            members = radii >= 1
-            gate[picked] = np.where(members, radii, 0)
-            if members.any():
-                largest = int(radii.max())
-                radius = max(radius, largest)
-                coef = np.zeros((rows, 2 * largest + 1))
-                coef[picked[members]] = _blur_kernels(sigmas[members], largest)
-            if not members.all():
-                turned = np.zeros(rows, dtype=np.int64)
-                turned[picked[~members]] = 1
-                kinds.append(ROW_MAJOR)
-                gates.append(turned)
-                coefs.append(None)
+            gate[picked] = np.ceil(2.0 * sigmas)
+            radius = int(gate.max())
+            coef = np.zeros((rows, 2 * radius + 1))
+            coef[picked] = _blur_kernels(sigmas, radius)
         elif name == "solarization":
-            threshold = float(values[picked[0]])
-            _check_threshold(threshold)
-            coef = np.full((rows, 1), threshold)
+            coef = np.full((rows, 1), float(values[picked[0]]))
         kinds.append(STAGE_KINDS[name])
         gates.append(gate)
         coefs.append(coef)
@@ -723,12 +728,11 @@ def _probe_batch() -> tuple:
 
     Five 20 x 17 images and twelve rows at side 16, so the mean luma sums
     256 values, past the eight-accumulator block of numpy's pairwise sum.
-    Crop boxes shrink and enlarge. The flip fires on rows 0-3 and grayscale
-    on rows 4-5 before the jitter, which fires on rows 0-9, so it sums
-    means in both orders. The blur fires on rows 2-11 with radii 0 to 4. A
-    second jitter follows it on rows 2, 10 and 11: row 10's blur has radius
-    0, which turns it row-major, and row 11 is still column-major. The
-    solarization fires on rows 1, 6, 9 and 11.
+    The stages come in the published order and each fires. Crop boxes
+    shrink and enlarge. The flip fires on rows 0-3 before the jitter, which
+    fires on rows 0-9, so it sums means in both orders. Grayscale fires on
+    rows 4, 5 and 8, the blur on rows 2-11 with radii 1 to 4, and the
+    solarization on rows 1, 6, 9 and 11.
     """
     source = Rng(2024, 25)
     images = source.random((5, 20, 17, 3))
@@ -740,7 +744,7 @@ def _probe_batch() -> tuple:
     factors = source.uniform(0.6, 1.4, size=(rows, 4))
     factors[:, 3] = source.uniform(-0.1, 0.1, size=rows)
     sigmas = np.array([0.0, 0.0, 2.0, 0.3, 0.8, 1.2, 1.9, 0.45, 1.6, 1.01,
-                       0.0, 0.7])
+                       0.6, 0.7])
 
     def fired(*picked):
         mask = np.zeros(rows, dtype=bool)
@@ -750,10 +754,9 @@ def _probe_batch() -> tuple:
     stages = (
         StageColumn("random_crop", np.ones(rows, dtype=bool), boxes),
         StageColumn("horizontal_flip", fired(0, 1, 2, 3), None),
-        StageColumn("grayscale", fired(4, 5), None),
         StageColumn("color_jitter", fired(*range(10)), factors),
+        StageColumn("grayscale", fired(4, 5, 8), None),
         StageColumn("gaussian_blur", fired(*range(2, 12)), sigmas),
-        StageColumn("color_jitter", fired(10, 11, 2), factors[::-1].copy()),
         StageColumn("solarization", fired(1, 6, 9, 11),
                     np.full(rows, 128.0 / 255.0)),
     )
@@ -782,10 +785,14 @@ def two_views(images: np.ndarray, pipeline: AugPipeline, rngs):
     """Two independent pipeline draws of every image of a batch.
 
     `images` is (n, h, w, 3) and `rngs[i]` is image i's stream, already
-    keyed per sample; the two views use its "view"/0 and "view"/1 child
-    streams. Returns two (n, d) matrices whose rows are the views flattened
-    in (row, column, channel) order.
+    keyed per sample, one stream per image; the two views use its "view"/0
+    and "view"/1 child streams. Returns two (n, d) matrices whose rows are
+    the views flattened in (row, column, channel) order.
     """
+    if len(rngs) != len(images):
+        raise DimensionError(
+            f"expected one stream per image, got {len(rngs)} streams for "
+            f"{len(images)} images")
     plans = draw_plans(pipeline, rngs, images.shape[1:3])
     views = apply_plans(images, plans, pipeline.out_side)
     first, second = views.reshape(2, len(rngs), -1)

@@ -103,8 +103,7 @@ MIN_VALUE: dict[str, int] = {
 
 # The stages `augment.removed` may name: all but the crop, which every
 # pipeline starts with.
-REMOVABLE_STAGES = tuple(
-    stage.name for stage in augment.AugPipeline.default().stages[1:])
+REMOVABLE_STAGES = augment.STAGE_ORDER[1:]
 
 
 def _stage_names(text: str) -> tuple[str, ...]:

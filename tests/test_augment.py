@@ -27,9 +27,8 @@ from airl.augment import (
 from airl.errors import ConfigError, DimensionError
 from airl.numerics import Rng
 
-STAGE_NAMES = tuple(s.name for s in AugPipeline.default().stages)
 # Every stage after the crop, which a pipeline cannot remove or gate.
-LATER_STAGES = STAGE_NAMES[1:]
+LATER_STAGES = augment.STAGE_ORDER[1:]
 needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
                               reason="no cc on PATH")
 
@@ -129,6 +128,12 @@ class TestPointwiseOps:
         out = gaussian_blur(img, 1.3)
         assert np.max(np.abs(out - 0.4)) < 1e-12
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.5, [1.0, 0.0]])
+    def test_blur_rejects_a_sigma_at_or_below_zero(self, sigma):
+        images = np.full((2, 8, 8, 3), 0.4)
+        with pytest.raises(ConfigError, match="sigma must be > 0"):
+            gaussian_blur(images if np.ndim(sigma) else images[0], sigma)
+
     def test_blur_smooths(self):
         img = np.zeros((9, 9, 3))
         img[4, 4] = 1.0
@@ -145,6 +150,7 @@ class TestPipeline:
             "random_crop", "horizontal_flip", "color_jitter", "grayscale",
             "gaussian_blur", "solarization",
         ]
+        assert augment.STAGE_ORDER == tuple(s.name for s in pipe.stages)
         assert by_name["random_crop"].probability == 1.0
         assert dict(by_name["random_crop"].params)["scale"] == (0.08, 1.0)
         assert by_name["horizontal_flip"].probability == 0.5
@@ -293,12 +299,12 @@ def test_batch_holding_every_blur_radius_equals_reference():
 def test_blur_and_jitter_of_a_non_square_batch_equal_reference(shape):
     # Every pipeline test crops to square views, where a blur or a mean
     # that swapped the image axes could go unseen. Here h != w, the blur
-    # radii run 0 to 4 (4 beyond the short side of (5, 13)), and each
+    # radii run 1 to 4 (4 beyond the short side of (5, 13)), and each
     # image's jitter runs in both mean orders: the reference sums its mean
     # in its image's memory order, width-major for a column-major row.
     images = Rng(35).child("img").random((5, *shape, 3))
-    sigmas = np.array([0.0, 0.3, 0.8, 1.2, 1.9])
-    assert np.ceil(2.0 * sigmas).astype(int).tolist() == [0, 1, 2, 3, 4]
+    sigmas = np.array([0.45, 0.3, 0.8, 1.2, 1.9])
+    assert np.ceil(2.0 * sigmas).astype(int).tolist() == [1, 1, 2, 3, 4]
     for img, sigma, got in zip(images, sigmas,
                                gaussian_blur(images, sigmas)):
         assert got.tobytes() == reference.gaussian_blur(img, sigma).tobytes()
@@ -355,27 +361,25 @@ def test_batch_of_one_equals_reference(seed):
         assert_views_match_reference(images, pipe, [Rng(seed).child("s", 0)])
 
 
+# The gates a test may give the later stages, by stage name.
+GATES = st.dictionaries(st.sampled_from(LATER_STAGES),
+                        st.sampled_from([0.0, 0.5, 1.0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       order=st.permutations(range(1, len(STAGE_NAMES))),
-       gates=st.lists(st.sampled_from([None, 0.0, 0.5, 1.0]),
-                      min_size=len(LATER_STAGES), max_size=len(LATER_STAGES)),
+       removed=st.sets(st.sampled_from(LATER_STAGES)), gates=GATES,
        sides=st.sampled_from([(16, 16), (12, 8), (6, 9)]))
-# Grayscale before jitter: the contrast mean reads a gray image.
-@example(seed=0, order=[1, 3, 2, 4, 5], gates=[0.0, 1.0, 1.0, None, None],
-         sides=(16, 16))
-def test_any_stage_order_and_gates_equal_reference(seed, order, gates, sides):
-    # The crop stays first at gate 1; reordering the later stages moves the
-    # layout-dependent contrast mean around the flip and grayscale stages.
-    # gates[k - 1] overrides the gate of default stage k.
+# The flip on some rows before the jitter on all: both mean orders.
+@example(seed=0, removed={"grayscale"},
+         gates={"horizontal_flip": 0.5, "color_jitter": 1.0}, sides=(16, 16))
+def test_removed_stages_and_gates_equal_reference(seed, removed, gates,
+                                                  sides):
+    # The crop stays first at gate 1; any later stages may be removed, and
+    # `gates` overrides the gates of the ones kept.
     side, out_side = sides
-    default = AugPipeline.default(out_side).stages
-    stages = default[:1] + tuple(
-        default[k] if gates[k - 1] is None
-        else AugStage(default[k].name, gates[k - 1], default[k].params)
-        for k in order
-    )
-    pipe = AugPipeline(out_side=out_side, stages=stages)
+    pipe = _with_gates(AugPipeline.default(out_side, tuple(removed)),
+                       **gates)
     images = Rng(seed).child("img").random((6, side, side, 3))
     rngs = [Rng(seed).child("aug", 0, i) for i in range(6)]
     assert_views_match_reference(images, pipe, rngs)
@@ -393,41 +397,30 @@ needs_augment_kernel = pytest.mark.skipif(
 @needs_augment_kernel
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       order=st.permutations(range(1, len(STAGE_NAMES))),
-       gates=st.lists(st.sampled_from([None, 0.0, 0.5, 1.0]),
-                      min_size=len(LATER_STAGES), max_size=len(LATER_STAGES)),
+       removed=st.sets(st.sampled_from(LATER_STAGES)), gates=GATES,
        in_shape=st.tuples(st.integers(2, 21), st.integers(2, 21)),
        out_side=st.sampled_from([2, 3, 5, 8, 11, 12, 13, 16]),
-       sigma=st.sampled_from([(0.1, 2.0), (0.0, 0.0), (1.5, 3.2)]),
+       sigma=st.sampled_from([(0.1, 2.0), (1.5, 3.2)]),
        batch=st.integers(1, 6))
-@example(seed=5, order=[1, 2, 3, 4, 5], gates=[0.0] * 5, in_shape=(16, 16),
-         out_side=16, sigma=(0.1, 2.0), batch=4)
-@example(seed=6, order=[1, 2, 3, 4, 5], gates=[1.0] * 5, in_shape=(9, 14),
-         out_side=13, sigma=(0.1, 2.0), batch=1)
-@example(seed=7, order=[4, 3, 2, 1, 5], gates=[0.5] * 5, in_shape=(3, 20),
+@example(seed=5, removed=set(), gates=dict.fromkeys(LATER_STAGES, 0.0),
+         in_shape=(16, 16), out_side=16, sigma=(0.1, 2.0), batch=4)
+@example(seed=6, removed=set(), gates=dict.fromkeys(LATER_STAGES, 1.0),
+         in_shape=(9, 14), out_side=13, sigma=(0.1, 2.0), batch=1)
+@example(seed=7, removed={"horizontal_flip"},
+         gates=dict.fromkeys(LATER_STAGES, 0.5), in_shape=(3, 20),
          out_side=2, sigma=(1.5, 3.2), batch=6)
-# A blur of radius 0 before the jitter: the per-image blur returned a
-# row-major copy, so the mean after it is summed row by row.
-@example(seed=9, order=[4, 2, 3, 1, 5], gates=[None] * 5, in_shape=(2, 2),
-         out_side=5, sigma=(0.0, 0.0), batch=1)
-def test_kernel_pass_equals_numpy_pass_and_reference(seed, order, gates,
+def test_kernel_pass_equals_numpy_pass_and_reference(seed, removed, gates,
                                                       in_shape, out_side,
                                                       sigma, batch):
-    # Any order and gates of the later stages, out sides whose pixel count
-    # is below 8, up to 128 and above (the three regimes of the pairwise
-    # mean), odd sides, blur radii 0 to 7, an all-gates-off batch and a
-    # one-image batch.
-    default = AugPipeline.default(out_side).stages
-    stages = [default[0]]
-    for k in order:
-        stage = default[k]
-        if stage.name == "gaussian_blur":
-            stage = AugStage(stage.name, stage.probability,
-                             (("sigma", sigma),))
-        if gates[k - 1] is not None:
-            stage = AugStage(stage.name, gates[k - 1], stage.params)
-        stages.append(stage)
-    pipe = AugPipeline(out_side=out_side, stages=tuple(stages))
+    # Any removed stages and gates, out sides whose pixel count is below 8,
+    # up to 128 and above (the three regimes of the pairwise mean), odd
+    # sides, blur radii 1 to 7, an all-gates-off batch and a one-image
+    # batch.
+    stages = tuple(
+        AugStage(s.name, s.probability, (("sigma", sigma),))
+        if s.name == "gaussian_blur" else s
+        for s in AugPipeline.default(out_side, tuple(removed)).stages)
+    pipe = _with_gates(AugPipeline(out_side, stages), **gates)
     images = Rng(seed).child("img").random((batch, *in_shape, 3))
     rngs = [Rng(seed).child("aug", 2, i) for i in range(batch)]
     plans = draw_plans(pipe, rngs, in_shape)
@@ -448,25 +441,30 @@ def applied_passes():
         augment._kernel_pass, numerics.LIBRARY.apply_plans))
 
 
-def _plans_with(name, fired, values):
-    """The probe batch's plans with one more stage at the end."""
+def _probe_with(stages_of):
+    """The probe batch with its plans' stages replaced by
+    `stages_of(stages)`."""
     images, plans, out_side = augment._probe_batch()
-    return images, Plans(plans.rows, (*plans.stages, StageColumn(
-        name, np.asarray(fired), values))), out_side
+    return images, Plans(plans.rows, tuple(stages_of(plans.stages))), out_side
 
 
-@pytest.mark.parametrize("fired, values, error", [
-    ([False] * 12, None, None),
-    ([False] * 11 + [True], None, "unknown augmentation stage 'sharpen'"),
-], ids=["idle", "fired"])
-def test_both_passes_skip_or_reject_an_unknown_stage(fired, values, error):
-    images, plans, out_side = _plans_with("sharpen", fired, values)
+def _unknown(*fired_rows):
+    return StageColumn("sharpen", np.isin(np.arange(12), fired_rows), None)
+
+
+@pytest.mark.parametrize("stages_of", [
+    lambda s: (*s, _unknown()),
+    lambda s: (*s, _unknown(11)),
+    lambda s: (s[0], s[1], s[3], s[2], *s[4:]),
+    lambda s: (*s[:3], s[2], *s[3:]),
+    lambda s: s[1:],
+], ids=["idle", "fired", "out_of_order", "repeated", "no_crop"])
+def test_both_passes_reject_plans_out_of_the_published_order(stages_of):
+    # An unknown stage is rejected whether it fires or not.
+    images, plans, out_side = _probe_with(stages_of)
     for apply in applied_passes():
-        if error is None:
+        with pytest.raises(ConfigError, match="in that order"):
             apply(images, plans, out_side)
-        else:
-            with pytest.raises(ConfigError, match=error):
-                apply(images, plans, out_side)
 
 
 # (0, 10, 5, 10) overruns the right edge of the 17-wide images by 3 columns
@@ -497,33 +495,52 @@ def test_kernel_pass_rejects_misshaped_images_or_out_side():
 
 
 def test_both_passes_reject_a_solarize_threshold_out_of_range():
-    images, plans, out_side = _plans_with(
-        "solarization", [True] * 12, np.full(12, 1.5))
+    images, plans, out_side = _probe_with(lambda s: (
+        *s[:-1], s[-1]._replace(values=np.full(12, 1.5))))
     for apply in applied_passes():
         with pytest.raises(ConfigError, match="threshold must be in"):
             apply(images, plans, out_side)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.5])
+def test_both_passes_reject_a_fired_blur_sigma_at_or_below_zero(sigma):
+    # Rows 0 and 1 of the probe hold sigma 0 where the blur does not fire.
+    def stages_of(stages):
+        blur = stages[4]
+        assert not blur.fired[:2].any() and not blur.values[:2].any()
+        return (*stages[:4], blur._replace(
+            values=np.where(np.arange(12) == 7, sigma, blur.values)),
+            stages[5])
+
+    images, plans, out_side = _probe_with(stages_of)
+    for apply in applied_passes():
+        with pytest.raises(ConfigError, match="sigma must be > 0"):
+            apply(images, plans, out_side)
+
+
 def test_probe_batch_covers_every_stage_radius_and_mean_order():
-    # Every later stage fires; the first jitter sees rows whose mean is
-    # summed column by column and rows after a flip or grayscale; the
-    # blur's fired rows hold radii 0 to 4; each mean sums 256 values.
+    # The stages come in the published order and every one fires; the
+    # jitter sees rows whose mean is summed column by column and rows after
+    # a flip; the blur's fired rows hold radii 1 to 4; each mean sums 256
+    # values.
     _, plans, out_side = augment._probe_batch()
-    columns = {c.name: c for c in plans.stages[1:]}
-    assert set(columns) == set(LATER_STAGES)
+    columns = {c.name: c for c in plans.stages}
+    assert tuple(c.name for c in plans.stages) == augment.STAGE_ORDER
     assert all(c.fired.any() for c in plans.stages)
-    turned = columns["horizontal_flip"].fired | columns["grayscale"].fired
-    jittered = next(c for c in plans.stages if c.name == "color_jitter").fired
+    turned = columns["horizontal_flip"].fired
+    jittered = columns["color_jitter"].fired
     assert (jittered & turned).any() and (jittered & ~turned).any()
     blur = columns["gaussian_blur"]
     radii = np.ceil(2.0 * blur.values[blur.fired]).astype(int)
-    assert set(radii.tolist()) == {0, 1, 2, 3, 4}
+    assert set(radii.tolist()) == {1, 2, 3, 4}
     assert out_side * out_side > 128
 
 
 # The mean's pairwise sum in `_augment.c`, and a plain loop to put in its
 # place after the includes.
 PAIRWISE_MEAN = "pairwise_sum(order, pixels)"
+# The flip's turn of the mean to row by row in `_augment.c`.
+FLIP_TURNS = "hflip(img, side);\n                col_major = 0;\n"
 INCLUDES = "#include <stdint.h>\n"
 IN_ORDER_SUM = """
 static double in_order_sum(const double *a, ptrdiff_t n)
@@ -538,20 +555,26 @@ static double in_order_sum(const double *a, ptrdiff_t n)
 
 
 @needs_cc
-@pytest.mark.parametrize("mutant", ["mean_in_order", "contracted"])
+@pytest.mark.parametrize("mutant", ["mean_in_order", "contracted",
+                                    "flip_keeps_col_major"])
 def test_probe_rejects_a_mutant_kernel(mutant, tmp_path):
-    # A kernel that sums the contrast mean in order, or one built with
-    # -ffp-contract=fast, fails the import probe, and `apply_plans` then
-    # keeps to the numpy pass.
+    # A kernel that sums the contrast mean in order, one built with
+    # -ffp-contract=fast, or one whose flip leaves the mean summed column
+    # by column, fails the import probe, and `apply_plans` then keeps to
+    # the numpy pass.
     matmul_source, source = numerics.KERNEL_SOURCES
     flags = numerics.KERNEL_FLAGS
+    text = source.read_text()
     if mutant == "mean_in_order":
-        text = source.read_text()
         assert text.count(PAIRWISE_MEAN) == 1
         source = tmp_path / "_augment.c"
         head, _, body = text.partition(INCLUDES)
         source.write_text(head + INCLUDES + IN_ORDER_SUM + body.replace(
             PAIRWISE_MEAN, "in_order_sum(order, pixels)"))
+    elif mutant == "flip_keeps_col_major":
+        assert text.count(FLIP_TURNS) == 1
+        source = tmp_path / "_augment.c"
+        source.write_text(text.replace(FLIP_TURNS, "hflip(img, side);\n"))
     else:
         flags = tuple("-ffp-contract=fast" if flag == "-ffp-contract=off"
                       else flag for flag in flags)
@@ -676,6 +699,42 @@ CROP, FLIP, *COLOUR_STAGES = AugPipeline.default(8).stages
 def test_pipeline_starts_with_its_one_crop_at_gate_one(stages):
     with pytest.raises(ConfigError, match="random_crop"):
         AugPipeline(8, stages)
+
+
+JITTER, GRAY, BLUR, SOLARIZE = COLOUR_STAGES
+
+
+@pytest.mark.parametrize("stages, error", [
+    ((CROP, JITTER, FLIP), "at most once and in that order"),
+    ((CROP, FLIP, FLIP, JITTER), "at most once and in that order"),
+    ((CROP, AugStage("sharpen", 0.5)), "at most once and in that order"),
+    ((CROP, AugStage(FLIP.name, 7.0)), "probability must be in"),
+    ((CROP, AugStage(GRAY.name, -0.1)), "probability must be in"),
+    ((CROP, AugStage(GRAY.name, float("nan"))), "probability must be in"),
+    ((CROP, AugStage(BLUR.name, 0.5, (("sigma", (0.0, 2.0)),))),
+     "0 < low <= high"),
+    ((CROP, AugStage(BLUR.name, 0.5, (("sigma", (-1.0, 0.5)),))),
+     "0 < low <= high"),
+    ((CROP, AugStage(BLUR.name, 0.5, (("sigma", (2.0, 0.1)),))),
+     "0 < low <= high"),
+    ((CROP, AugStage(SOLARIZE.name, 0.2, (("threshold", 1.5),))),
+     "threshold must be in"),
+    ((CROP, AugStage(SOLARIZE.name, 0.2, (("threshold", -0.5),))),
+     "threshold must be in"),
+], ids=["out_of_order", "repeated", "unknown", "probability_above_one",
+        "probability_below_zero", "probability_nan", "sigma_zero",
+        "sigma_negative", "sigma_reversed", "threshold_above_one",
+        "threshold_below_zero"])
+def test_pipeline_rejects_a_stage_out_of_order_or_range(stages, error):
+    with pytest.raises(ConfigError, match=error):
+        AugPipeline(8, stages)
+
+
+def test_two_views_needs_one_stream_per_image():
+    images = Rng(36).child("img").random((4, 16, 16, 3))
+    rngs = [Rng(36).child("aug", 0, i) for i in range(3)]
+    with pytest.raises(DimensionError, match="one stream per image"):
+        two_views(images, AugPipeline.default(), rngs)
 
 
 # The plan memo of `draw_plans` (tests/conftest.py empties it before every

@@ -246,7 +246,7 @@ class TestConfig:
         cfg = parse_config(
             "framework.kind = byol\naugment.crop_scale = 0.4,0.9\n"
         )
-        stage = cfg.pipeline().stage("random_crop")
+        stage = cfg.pipeline().stages[0]
         assert dict(stage.params)["scale"] == (0.4, 0.9)
 
 
