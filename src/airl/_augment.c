@@ -1,10 +1,11 @@
 /* The augmentation pass behind `airl.augment.apply_plans`.
  *
  * One call applies a whole batch of plans, row by row. Row r is crop-resized
- * from images[r % n] straight into its output slot, then every later stage
- * that fired on it runs, in pipeline order, on that side x side x 3 image
- * while it is still in cache. Each pixel gets the operations of the numpy
- * pass in `augment` in the same order, so the bits are the same:
+ * from images[r % n] straight into its output slot; then the flip, jitter,
+ * grayscale, blur and solarization each run on it, in that published order,
+ * if they fired on it, while the side x side x 3 image is still in cache.
+ * Each pixel gets the operations of the numpy pass in `augment` in the same
+ * order, so the bits are the same:
  *
  * - the crop-resize blends along each source row first, `p0 * (1 - wx) +
  *   p1 * wx`, then between the two blended rows, and clips;
@@ -29,8 +30,8 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* Stage kinds, as `augment.STAGE_KINDS` numbers them. */
-enum { FLIP = 1, JITTER = 2, GRAYSCALE = 3, BLUR = 4, SOLARIZE = 5 };
+/* The rows of `gates`: the stages after the crop, in the published order. */
+enum { FLIP, JITTER, GRAYSCALE, BLUR, SOLARIZE };
 
 /* The stages stay out of line: inlined into `airl_apply_plans` they made
  * the vectorizer's work, and so the build at import, more than twice as
@@ -270,50 +271,38 @@ OUT_OF_LINE void solarize(double *img, ptrdiff_t values, double threshold)
 }
 
 /* images: n x in_h x in_w x 3, C-contiguous. boxes: rows x 4 crop boxes.
- * For each later stage s, in the published order: kinds[s] is its kind, and
- * gates[s * rows + r] is 0 where it does not run on row r; otherwise 1, or
- * for the blur the row's own kernel radius. Row r of the stage's
- * coefficients starts at coefs[s] + r * widths[s]: the jitter's six values,
- * the blur's 2 * R + 1 weights (widths[s] = 2 * R + 1, each row's kernel
- * centred on tap R) or the solarize threshold. `work` holds
- * 3 * side * (side + 2) + 6 * R values, enough for every stage. out:
+ * gates: 5 x rows, row s for stage s of the enum; gates[s * rows + r] is 0
+ * where the stage does not run on row r, otherwise 1, or for the blur the
+ * row's own kernel radius. jitter_coefs: rows x 6, the jitter's six values
+ * of each row. blur_weights: rows x (2 * radius + 1), each row's kernel
+ * centred on tap `radius`, the largest kernel radius. threshold: the
+ * solarize threshold of every row. `work` holds
+ * 3 * side * (side + 2) + 6 * radius values, enough for every stage. out:
  * rows x side x side x 3; side >= 1. */
 void airl_apply_plans(const double *images, ptrdiff_t n, ptrdiff_t in_h,
                       ptrdiff_t in_w, const int64_t *boxes, ptrdiff_t rows,
-                      ptrdiff_t side, ptrdiff_t stages, const int64_t *kinds,
-                      const int64_t *gates, const double *const *coefs,
-                      const int64_t *widths, double *work, double *out)
+                      ptrdiff_t side, const int64_t *gates,
+                      const double *jitter_coefs, const double *blur_weights,
+                      ptrdiff_t radius, double threshold, double *work,
+                      double *out)
 {
-    const ptrdiff_t values = 3 * side * side;
+    const ptrdiff_t values = 3 * side * side, taps = 2 * radius + 1;
     for (ptrdiff_t r = 0; r < rows; r++) {
+        const int64_t *gate = gates + r; /* gate[s * rows]: stage s */
         double *img = out + r * values;
         crop_resize(images + (r % n) * in_h * in_w * 3, in_w, boxes + 4 * r,
                     side, work, img);
-        int col_major = 1;
-        for (ptrdiff_t s = 0; s < stages; s++) {
-            const int64_t gate = gates[s * rows + r];
-            if (!gate)
-                continue;
-            const double *coef = coefs[s] ? coefs[s] + r * widths[s] : NULL;
-            switch (kinds[s]) {
-            case FLIP:
-                hflip(img, side);
-                col_major = 0;
-                break;
-            case JITTER:
-                jitter(img, side, coef, col_major, work);
-                break;
-            case GRAYSCALE:
-                grayscale(img, side * side);
-                break;
-            case BLUR:
-                blur(img, side, coef + (widths[s] - 1) / 2 - gate, gate,
-                     work);
-                break;
-            case SOLARIZE:
-                solarize(img, values, coef[0]);
-                break;
-            }
-        }
+        if (gate[FLIP * rows])
+            hflip(img, side);
+        if (gate[JITTER * rows])
+            jitter(img, side, jitter_coefs + 6 * r, !gate[FLIP * rows], work);
+        if (gate[GRAYSCALE * rows])
+            grayscale(img, side * side);
+        if (gate[BLUR * rows])
+            blur(img, side,
+                 blur_weights + r * taps + radius - gate[BLUR * rows],
+                 gate[BLUR * rows], work);
+        if (gate[SOLARIZE * rows])
+            solarize(img, values, threshold);
     }
 }

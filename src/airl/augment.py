@@ -21,10 +21,11 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
    (`uniform` four times); blur draws its sigma (`uniform`). The other
    stages draw nothing. A plan holds only these concrete values.
 
-   `draw_plans` draws all 2n rows at once into one columnar plan
-   (`Plans`): per stage a fired mask over the rows and, as an array, the
-   value each row drew (crop boxes 2n x 4, jitter factors 2n x 4, blur
-   sigmas, solarize thresholds). Row for row it equals `draw_plan`. It
+   `draw_plans` draws all 2n rows at once into one record (`Plans`) with
+   a field per stage of `STAGE_ORDER`: the crop boxes (2n x 4), a fired
+   mask over the rows for each later stage, the values the rows drew
+   (jitter factors 2n x 4, blur sigmas) and the pipeline's one solarize
+   threshold. Row for row it equals `draw_plan`. It
    derives every stage stream's Philox key in one loop of hashes, computes
    the first eight 64-bit words of all the streams as one numpy array
    (`numerics.philox_words`), and converts them the way numpy's generator
@@ -60,8 +61,8 @@ rows, one per (image, view), view-major: row v * n + i is view v of image i.
      than fast: on 48 images at side 16 it takes about 4.9 ms per batch,
      the kernel 0.45 ms.
 
-   Both passes take their inputs through one check, `_checked_inputs`,
-   which also holds the plans to the published order.
+   Both passes run the stages in the order of the record's fields and take
+   their inputs through one check, `_checked_inputs`.
 
 Both results equal augmenting each image on its own, bit for bit.
 
@@ -86,10 +87,8 @@ with the per-image pipeline reproducible.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -463,26 +462,35 @@ def draw_plan(pipeline: AugPipeline, rng: Rng, in_shape) -> list[tuple]:
 CROP_ATTEMPTS_IN_WORDS = (PHILOX_WORDS - 2) // 2
 
 
-class StageColumn(NamedTuple):
-    """One stage of a columnar plan: per row, whether it fired and its value.
-
-    `values` is None for a stage that draws nothing; otherwise row r holds
-    the value `draw_plan` returns for that row: a crop box (top, left,
-    height, width), the four jitter factors, a blur sigma or a solarize
-    threshold. Rows where the stage did not fire hold no meaningful value.
-    """
-
-    name: str
-    fired: np.ndarray
-    values: np.ndarray | None
-
-
 @dataclass(frozen=True)
 class Plans:
-    """The plans of many (image, view) rows as one column per stage."""
+    """The plans of many (image, view) rows, one field per stage of
+    `STAGE_ORDER`, so their order is the published one.
 
-    rows: int
-    stages: tuple[StageColumn, ...]
+    `boxes` (rows x 4, int64) holds each row's crop box (top, left, height,
+    width); the crop fires on every row. `flip`, `jitter`, `grayscale`,
+    `blur` and `solarize` are boolean masks over the rows, the rows where
+    that stage fired; a stage that the pipeline lacks fires on no row.
+    Row r of `factors` (rows x 4) holds its jitter's brightness, contrast
+    and saturation factors and hue shift, and `sigmas[r]` its blur sigma;
+    a row where the stage did not fire holds no meaningful value there.
+    `threshold` is the pipeline's solarize threshold, 0.0 when it has no
+    solarization.
+    """
+
+    boxes: np.ndarray
+    flip: np.ndarray
+    jitter: np.ndarray
+    grayscale: np.ndarray
+    blur: np.ndarray
+    solarize: np.ndarray
+    factors: np.ndarray
+    sigmas: np.ndarray
+    threshold: float
+
+    @property
+    def rows(self) -> int:
+        return len(self.boxes)
 
 
 def _crop_boxes(words, doubles, h, w, scale, aspect):
@@ -516,9 +524,9 @@ def _crop_boxes(words, doubles, h, w, scale, aspect):
 # norm-divergence arm: 60 epochs of 32 batches of 12 (1,920), whose LARS
 # arm reuses the SGD arm's plans; a `MAIN_DATA` run has 240 batches of 48.
 # Measured with tracemalloc, key and Python objects included, an entry holds
-# about 18 KB at 48 images and 5.3 KB at 12, so a full memo holds at most
-# about 36 MB of `MAIN_DATA` plans and the norm-divergence study keeps
-# 10.3 MB. `runner.run_study` empties it after each group of arms.
+# about 14 KB at 48 images and 4.6 KB at 12, so a full memo holds at most
+# about 28 MB of `MAIN_DATA` plans and the norm-divergence study keeps
+# 8.9 MB. `runner.run_study` empties it after each group of arms.
 PLAN_MEMO_SIZE = 2048
 
 
@@ -528,10 +536,9 @@ def memo_plans(pipeline: AugPipeline, streams: tuple, in_shape: tuple) -> Plans:
     `streams`, with every array read-only; `draw_plans`' memo."""
     plans = _draw_plans(pipeline, [Rng(*stream) for stream in streams],
                         in_shape)
-    for column in plans.stages:
-        for array in (column.fired, column.values):
-            if array is not None:
-                array.flags.writeable = False
+    for value in vars(plans).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return plans
 
 
@@ -569,30 +576,32 @@ def _draw_plans(pipeline: AugPipeline, rngs, in_shape) -> Plans:
     rows = 2 * len(rngs)
     words = philox_words(keys.swapaxes(0, 1).reshape(rows, len(stages), 2))
     doubles = philox_doubles(words)
-    columns = []
+    # The later stages' masks, in `Plans`' field order; the absent ones
+    # share one mask that fires nowhere.
+    masks = dict.fromkeys(STAGE_ORDER[1:], np.zeros(rows, dtype=bool))
+    factors, sigmas, threshold = np.zeros((rows, 4)), np.zeros(rows), 0.0
     for k, stage in enumerate(stages):
-        fired = doubles[:, k, 0] < stage.probability
         params = dict(stage.params)
-        values = None
         if stage.name == "random_crop":
-            values, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
-                                       params["scale"], params["aspect"])
+            boxes, more = _crop_boxes(words[:, k], doubles[:, k], h, w,
+                                      params["scale"], params["aspect"])
             for r in np.flatnonzero(more).tolist():
                 view, image = divmod(r, len(rngs))
                 stream = rngs[image].child("view", view).child(stage.name)
                 stream.random()  # the gate, already decided
-                values[r] = _draw_crop_box(stream, h, w, params["scale"],
-                                           params["aspect"])
-        elif stage.name == "color_jitter":
-            values = np.stack(
+                boxes[r] = _draw_crop_box(stream, h, w, params["scale"],
+                                          params["aspect"])
+            continue
+        masks[stage.name] = doubles[:, k, 0] < stage.probability
+        if stage.name == "color_jitter":
+            factors = np.stack(
                 [uniform_of(doubles[:, k, 1 + j], lo, hi) for j, (lo, hi)
                  in enumerate(_jitter_bounds(params["strengths"]))], axis=1)
         elif stage.name == "gaussian_blur":
-            values = uniform_of(doubles[:, k, 1], *params["sigma"])
+            sigmas = uniform_of(doubles[:, k, 1], *params["sigma"])
         elif stage.name == "solarization":
-            values = np.full(rows, params["threshold"], dtype=np.float64)
-        columns.append(StageColumn(stage.name, fired, values))
-    return Plans(rows, tuple(columns))
+            threshold = float(params["threshold"])
+    return Plans(boxes, *masks.values(), factors, sigmas, threshold)
 
 
 def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
@@ -610,25 +619,30 @@ def apply_plans(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
 
 
 def _checked_inputs(images: np.ndarray, plans: Plans, out_side: int):
-    # Both passes' input check: the stages in the published order, images
-    # (n, h, w, 3) with n >= 1, the out side at least 1, every crop box
-    # inside its image, and the fired rows' blur sigmas and solarize
-    # thresholds in range. Returns the images as C-contiguous float64 and
-    # the boxes as C-contiguous int64.
-    _check_order(tuple(column.name for column in plans.stages))
-    for name, fired, values in plans.stages[1:]:
-        if name == "gaussian_blur":
-            _check_sigma(values[fired])
-        elif name == "solarization":
-            _check_threshold(values[fired])
+    # Both passes' input check: every field of the plans with one entry per
+    # row, images (n, h, w, 3) with n >= 1, the out side at least 1, every
+    # crop box inside its image, the fired rows' blur sigmas and, if some
+    # row solarizes, the threshold in range. Returns the images as
+    # C-contiguous float64 and the boxes as C-contiguous int64.
+    rows = plans.rows
+    shapes = [np.shape(field) for field in (
+        plans.boxes, plans.flip, plans.jitter, plans.grayscale, plans.blur,
+        plans.solarize, plans.factors, plans.sigmas)]
+    if shapes != [(rows, 4), *[(rows,)] * 5, (rows, 4), (rows,)]:
+        raise DimensionError(
+            f"expected plans of {rows} rows: boxes and factors ({rows}, 4), "
+            f"the masks and sigmas ({rows},); got {shapes}")
+    _check_sigma(plans.sigmas[plans.blur])
+    if plans.solarize.any():
+        _check_threshold(plans.threshold)
     images = np.ascontiguousarray(images, dtype=np.float64)
-    boxes = np.ascontiguousarray(plans.stages[0].values, dtype=np.int64)
+    boxes = np.ascontiguousarray(plans.boxes, dtype=np.int64)
     if (images.ndim != 4 or images.shape[3] != 3 or not len(images)
             or out_side < 1):
         raise DimensionError(
             f"expected (n, h, w, 3) images, n >= 1, and an out side >= 1, "
             f"got {images.shape} and {out_side}")
-    top, left, height, width = boxes.reshape(plans.rows, 4).T
+    top, left, height, width = boxes.T
     if not np.all((top >= 0) & (left >= 0) & (height >= 1) & (width >= 1)
                   & (top + height <= images.shape[1])
                   & (left + width <= images.shape[2])):
@@ -637,89 +651,60 @@ def _checked_inputs(images: np.ndarray, plans: Plans, out_side: int):
 
 
 def _numpy_pass(images: np.ndarray, plans: Plans, out_side: int) -> np.ndarray:
-    # `apply_plans` in numpy. The first stage, the crop-resize, takes every
-    # row from its source image into the output; each later stage then runs
-    # once, on its fired rows.
+    # `apply_plans` in numpy. The crop-resize takes every row from its
+    # source image into the output; each later stage then runs once, on its
+    # fired rows. A row's contrast mean is summed row by row once it has
+    # been flipped (the layout rule).
     images, boxes = _checked_inputs(images, plans, out_side)
-    rows = plans.rows
     out = resize_bilinear(images, out_side, out_side, boxes,
-                          index=np.arange(rows) % len(images))
-    col_major = np.ones(rows, dtype=bool)
+                          index=np.arange(plans.rows) % len(images))
 
-    def run(kernel, picked, *per_row):
-        # kernel(pixels, *per_row values) on the rows `picked` of `out`, in
+    def run(kernel, fired, *per_row):
+        # kernel(pixels, *per_row values) on the fired rows of `out`, in
         # place.
-        out[picked] = kernel(out[picked], *(v[picked] for v in per_row))
-
-    for name, fired, values in plans.stages[1:]:
         picked = np.flatnonzero(fired)
-        if not len(picked):
-            continue
-        if name == "horizontal_flip":
-            run(hflip, picked)
-            col_major[picked] = False
-        elif name == "color_jitter":
-            run(adjust_colors, picked, values, col_major)
-        elif name == "grayscale":
-            run(grayscale, picked)
-        elif name == "gaussian_blur":
-            run(gaussian_blur, picked, values)
-        elif name == "solarization":
-            run(lambda x: solarize(x, float(values[picked[0]])), picked)
+        if len(picked):
+            out[picked] = kernel(out[picked], *(v[picked] for v in per_row))
+
+    run(hflip, plans.flip)
+    run(adjust_colors, plans.jitter, plans.factors, ~plans.flip)
+    run(grayscale, plans.grayscale)
+    run(gaussian_blur, plans.blur, plans.sigmas)
+    run(lambda x: solarize(x, plans.threshold), plans.solarize)
     return out
-
-
-# The stage numbers of `_augment.c`.
-STAGE_KINDS = {"horizontal_flip": 1, "color_jitter": 2, "grayscale": 3,
-               "gaussian_blur": 4, "solarization": 5}
 
 
 def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
                  out_side: int) -> np.ndarray:
-    # `apply_plans` in one call of `_augment.c`'s `airl_apply_plans`. Each
-    # stage's per-row coefficients come from the numpy functions that
-    # `_numpy_pass` calls, on the same arrays: the jitter factors with
-    # their hue rotation, the blur kernels, the first fired row's solarize
-    # threshold. A stage that fires on no row is left out. The kernel reads
-    # only inside its buffers, since `_checked_inputs` holds for both.
+    # `apply_plans` in one call of `_augment.c`'s `airl_apply_plans`. Row s
+    # of the (5, rows) gates is the mask of later stage s in the published
+    # order, as 0 or 1, except that the blur's row holds each fired row's
+    # kernel radius. The fired rows' coefficients come from the numpy
+    # functions that `_numpy_pass` calls, on the same arrays: the jitter
+    # factors with their hue rotation, and the blur kernels, each centred in
+    # the 2 * R + 1 taps of the largest radius R. The kernel reads only
+    # inside its buffers, since `_checked_inputs` holds for both.
     images, boxes = _checked_inputs(images, plans, out_side)
     rows = plans.rows
-    kinds, gates, coefs, radius = [], [], [], 0
-    for name, fired, values in plans.stages[1:]:
-        picked = np.flatnonzero(fired)
-        if not len(picked):
-            continue
-        gate = np.zeros(rows, dtype=np.int64)
-        gate[picked] = 1
-        coef = None
-        if name == "color_jitter":
-            factors = values[picked]
-            coef = np.zeros((rows, 6))
-            coef[picked] = np.column_stack(
-                [factors[:, :3], *_hue_coefficients(factors[:, 3])])
-        elif name == "gaussian_blur":
-            sigmas = values[picked]
-            gate[picked] = np.ceil(2.0 * sigmas)
-            radius = int(gate.max())
-            coef = np.zeros((rows, 2 * radius + 1))
-            coef[picked] = _blur_kernels(sigmas, radius)
-        elif name == "solarization":
-            coef = np.full((rows, 1), float(values[picked[0]]))
-        kinds.append(STAGE_KINDS[name])
-        gates.append(gate)
-        coefs.append(coef)
-    gates = np.array(gates, dtype=np.int64).reshape(len(kinds), rows)
-    pointers = (ctypes.c_void_p * max(len(kinds), 1))(
-        *(None if c is None else c.ctypes.data for c in coefs))
-    widths = np.array([0 if c is None else c.shape[1] for c in coefs],
-                      dtype=np.int64)
-    kinds = np.array(kinds, dtype=np.int64)
+    radii = np.where(plans.blur, np.ceil(2.0 * plans.sigmas), 0)
+    gates = np.array([plans.flip, plans.jitter, plans.grayscale, radii,
+                      plans.solarize], dtype=np.int64)
+    jittered = np.flatnonzero(plans.jitter)
+    factors = plans.factors[jittered]
+    coefs = np.zeros((rows, 6))
+    coefs[jittered] = np.column_stack(
+        [factors[:, :3], *_hue_coefficients(factors[:, 3])])
+    blurred = np.flatnonzero(plans.blur)
+    radius = int(radii.max(initial=0))
+    weights = np.zeros((rows, 2 * radius + 1))
+    weights[blurred] = _blur_kernels(plans.sigmas[blurred], radius)
     work = np.empty(3 * out_side * (out_side + 2) + 6 * radius)
     out = np.empty((rows, out_side, out_side, 3))
     n, in_h, in_w = images.shape[:3]
     kernel(images.ctypes.data, n, in_h, in_w, boxes.ctypes.data, rows,
-           out_side, len(kinds), kinds.ctypes.data, gates.ctypes.data,
-           pointers, widths.ctypes.data, work.ctypes.data, out.ctypes.data)
+           out_side, gates.ctypes.data, coefs.ctypes.data,
+           weights.ctypes.data, radius, plans.threshold, work.ctypes.data,
+           out.ctypes.data)
     return out
 
 
@@ -728,11 +713,10 @@ def _probe_batch() -> tuple:
 
     Five 20 x 17 images and twelve rows at side 16, so the mean luma sums
     256 values, past the eight-accumulator block of numpy's pairwise sum.
-    The stages come in the published order and each fires. Crop boxes
-    shrink and enlarge. The flip fires on rows 0-3 before the jitter, which
-    fires on rows 0-9, so it sums means in both orders. Grayscale fires on
-    rows 4, 5 and 8, the blur on rows 2-11 with radii 1 to 4, and the
-    solarization on rows 1, 6, 9 and 11.
+    Every stage fires. Crop boxes shrink and enlarge. The flip fires on
+    rows 0-3 before the jitter, which fires on rows 0-9, so it sums means
+    in both orders. Grayscale fires on rows 4, 5 and 8, the blur on rows
+    2-11 with radii 1 to 4, and the solarization on rows 1, 6, 9 and 11.
     """
     source = Rng(2024, 25)
     images = source.random((5, 20, 17, 3))
@@ -747,20 +731,13 @@ def _probe_batch() -> tuple:
                        0.6, 0.7])
 
     def fired(*picked):
-        mask = np.zeros(rows, dtype=bool)
-        mask[list(picked)] = True
-        return mask
+        return np.isin(np.arange(rows), picked)
 
-    stages = (
-        StageColumn("random_crop", np.ones(rows, dtype=bool), boxes),
-        StageColumn("horizontal_flip", fired(0, 1, 2, 3), None),
-        StageColumn("color_jitter", fired(*range(10)), factors),
-        StageColumn("grayscale", fired(4, 5, 8), None),
-        StageColumn("gaussian_blur", fired(*range(2, 12)), sigmas),
-        StageColumn("solarization", fired(1, 6, 9, 11),
-                    np.full(rows, 128.0 / 255.0)),
-    )
-    return images, Plans(rows, stages), 16
+    plans = Plans(boxes=boxes, flip=fired(0, 1, 2, 3),
+                  jitter=fired(*range(10)), grayscale=fired(4, 5, 8),
+                  blur=fired(*range(2, 12)), solarize=fired(1, 6, 9, 11),
+                  factors=factors, sigmas=sigmas, threshold=128.0 / 255.0)
+    return images, plans, 16
 
 
 def _kernel_is_exact(kernel) -> bool:

@@ -303,9 +303,9 @@ class Library(NamedTuple):
     """The functions of the compiled library, with their ctypes signatures.
 
     `matmul(a, stride_i, stride_k, b, out, m, inner, n)` is `_matmul.c`'s;
-    `apply_plans(images, n, in_h, in_w, boxes, rows, side, stages, kinds,
-    gates, coefs, widths, work, out)` is `_augment.c`'s, which
-    `augment._kernel_pass` calls.
+    `apply_plans(images, n, in_h, in_w, boxes, rows, side, gates,
+    jitter_coefs, blur_weights, radius, threshold, work, out)` is
+    `_augment.c`'s, which `augment._kernel_pass` calls.
     """
 
     matmul: Callable
@@ -317,8 +317,8 @@ SIGNATURES = {
     "airl_matmul": (_POINTER, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE, _SIZE,
                     _SIZE),
     "airl_apply_plans": (_POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _SIZE,
-                         _SIZE, _SIZE, _POINTER, _POINTER, _POINTER, _POINTER,
-                         _POINTER, _POINTER),
+                         _SIZE, _POINTER, _POINTER, _POINTER, _SIZE,
+                         ctypes.c_double, _POINTER, _POINTER),
 }
 
 

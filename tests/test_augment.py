@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from airl.augment import (
     REMOVAL_ORDER,
     AugPipeline,
     AugStage,
-    Plans,
-    StageColumn,
     color_jitter,
     draw_plan,
     draw_plans,
@@ -29,6 +28,13 @@ from airl.numerics import Rng
 
 # Every stage after the crop, which a pipeline cannot remove or gate.
 LATER_STAGES = augment.STAGE_ORDER[1:]
+# The field of `Plans` that holds each later stage's fired mask.
+MASKS = dict(zip(LATER_STAGES, ("flip", "jitter", "grayscale", "blur",
+                                "solarize")))
+# The field of `Plans` that holds what a later stage draws, for those that
+# draw something.
+VALUES = {"color_jitter": "factors", "gaussian_blur": "sigmas",
+          "solarization": "threshold"}
 needs_cc = pytest.mark.skipif(numerics.shutil.which("cc") is None,
                               reason="no cc on PATH")
 
@@ -223,20 +229,39 @@ class TestPipeline:
                                                      (16, 16))
                         if stage[0] != "gaussian_blur"]
                 assert kept == draw_plan(removed, view, (16, 16))
+        # In the batched draw, each rung of the ablation ladder draws rung
+        # 0's plans, field for field, with its removed stages' masks
+        # cleared.
+        rngs = [Rng(3).child("sample", sample) for sample in range(24)]
+        full, *rungs = (
+            draw_plans(AugPipeline.default(removed=REMOVAL_ORDER[:k]), rngs,
+                       (16, 16)) for k in range(len(REMOVAL_ORDER) + 1))
+        assert all(getattr(full, field).any() for field in MASKS.values())
+        for k, plans in enumerate(rungs, start=1):
+            gone = REMOVAL_ORDER[:k]
+            assert np.array_equal(plans.boxes, full.boxes)
+            for name, field in MASKS.items():
+                cleared = getattr(full, field) & (name not in gone)
+                assert np.array_equal(getattr(plans, field), cleared)
+            for name, field in VALUES.items():
+                if name not in gone:
+                    assert np.array_equal(getattr(plans, field),
+                                          getattr(full, field))
 
     def test_empirical_gate_probabilities(self):
         # 50,000 images, both views: 100,000 plans, drawn in batches.
         pipe = AugPipeline.default()
-        counts = {s.name: 0 for s in pipe.stages}
+        counts = dict.fromkeys(MASKS, 0)
         images, batch = 50_000, 5_000
         draws = 2 * images
         root = Rng(123)
         for start in range(0, images, batch):
             rngs = [root.child("sample", i)
                     for i in range(start, start + batch)]
-            for name, fired, _ in draw_plans(pipe, rngs, (16, 16)).stages:
-                counts[name] += int(fired.sum())
-        for stage in pipe.stages:
+            plans = draw_plans(pipe, rngs, (16, 16))
+            for name, field in MASKS.items():
+                counts[name] += int(getattr(plans, field).sum())
+        for stage in pipe.stages[1:]:
             observed = counts[stage.name] / draws
             assert abs(observed - stage.probability) <= 0.01, (
                 stage.name, observed
@@ -290,8 +315,9 @@ def test_batch_holding_every_blur_radius_equals_reference():
     images = Rng(32).child("img").random((16, 16, 16, 3))
     rngs = [Rng(32).child("aug", 0, i) for i in range(16)]
     plans = draw_plans(pipe, rngs, (16, 16))
-    sigmas = next(c.values for c in plans.stages if c.name == "gaussian_blur")
-    assert set(np.ceil(2.0 * sigmas).astype(int).tolist()) == {1, 2, 3, 4}
+    assert plans.blur.all()
+    radii = np.ceil(2.0 * plans.sigmas).astype(int)
+    assert set(radii.tolist()) == {1, 2, 3, 4}
     assert_views_match_reference(images, pipe, rngs)
 
 
@@ -441,30 +467,10 @@ def applied_passes():
         augment._kernel_pass, numerics.LIBRARY.apply_plans))
 
 
-def _probe_with(stages_of):
-    """The probe batch with its plans' stages replaced by
-    `stages_of(stages)`."""
+def _probe_with(**fields):
+    """The probe batch with the given fields of its plans replaced."""
     images, plans, out_side = augment._probe_batch()
-    return images, Plans(plans.rows, tuple(stages_of(plans.stages))), out_side
-
-
-def _unknown(*fired_rows):
-    return StageColumn("sharpen", np.isin(np.arange(12), fired_rows), None)
-
-
-@pytest.mark.parametrize("stages_of", [
-    lambda s: (*s, _unknown()),
-    lambda s: (*s, _unknown(11)),
-    lambda s: (s[0], s[1], s[3], s[2], *s[4:]),
-    lambda s: (*s[:3], s[2], *s[3:]),
-    lambda s: s[1:],
-], ids=["idle", "fired", "out_of_order", "repeated", "no_crop"])
-def test_both_passes_reject_plans_out_of_the_published_order(stages_of):
-    # An unknown stage is rejected whether it fires or not.
-    images, plans, out_side = _probe_with(stages_of)
-    for apply in applied_passes():
-        with pytest.raises(ConfigError, match="in that order"):
-            apply(images, plans, out_side)
+    return images, replace(plans, **fields), out_side
 
 
 # (0, 10, 5, 10) overruns the right edge of the 17-wide images by 3 columns
@@ -475,28 +481,30 @@ def test_both_passes_reject_plans_out_of_the_published_order(stages_of):
 def test_kernel_pass_rejects_a_box_outside_its_image(box):
     # Both passes, through their one input check.
     images, plans, out_side = augment._probe_batch()
-    boxes = plans.stages[0].values.copy()
+    boxes = plans.boxes.copy()
     boxes[3] = box
-    plans = Plans(plans.rows, (plans.stages[0]._replace(values=boxes),
-                               *plans.stages[1:]))
+    plans = replace(plans, boxes=boxes)
     for apply in applied_passes():
         with pytest.raises(IndexError, match="outside its source image"):
             apply(images, plans, out_side)
 
 
 def test_kernel_pass_rejects_misshaped_images_or_out_side():
-    # Both passes, through their one input check.
+    # Both passes, through their one input check; also plans with a field
+    # one row short.
     images, plans, out_side = augment._probe_batch()
+    short = replace(plans, grayscale=plans.grayscale[:-1])
     for apply in applied_passes():
         for bad, side in ((images[..., :2], out_side), (images[:0], out_side),
                           (images[0], out_side), (images, 0)):
             with pytest.raises(DimensionError, match=r"\(n, h, w, 3\)"):
                 apply(bad, plans, side)
+        with pytest.raises(DimensionError, match="plans of 12 rows"):
+            apply(images, short, out_side)
 
 
 def test_both_passes_reject_a_solarize_threshold_out_of_range():
-    images, plans, out_side = _probe_with(lambda s: (
-        *s[:-1], s[-1]._replace(values=np.full(12, 1.5))))
+    images, plans, out_side = _probe_with(threshold=1.5)
     for apply in applied_passes():
         with pytest.raises(ConfigError, match="threshold must be in"):
             apply(images, plans, out_side)
@@ -505,33 +513,24 @@ def test_both_passes_reject_a_solarize_threshold_out_of_range():
 @pytest.mark.parametrize("sigma", [0.0, -0.5])
 def test_both_passes_reject_a_fired_blur_sigma_at_or_below_zero(sigma):
     # Rows 0 and 1 of the probe hold sigma 0 where the blur does not fire.
-    def stages_of(stages):
-        blur = stages[4]
-        assert not blur.fired[:2].any() and not blur.values[:2].any()
-        return (*stages[:4], blur._replace(
-            values=np.where(np.arange(12) == 7, sigma, blur.values)),
-            stages[5])
-
-    images, plans, out_side = _probe_with(stages_of)
+    _, plans, _ = augment._probe_batch()
+    assert not plans.blur[:2].any() and not plans.sigmas[:2].any()
+    images, plans, out_side = _probe_with(
+        sigmas=np.where(np.arange(12) == 7, sigma, plans.sigmas))
     for apply in applied_passes():
         with pytest.raises(ConfigError, match="sigma must be > 0"):
             apply(images, plans, out_side)
 
 
 def test_probe_batch_covers_every_stage_radius_and_mean_order():
-    # The stages come in the published order and every one fires; the
-    # jitter sees rows whose mean is summed column by column and rows after
-    # a flip; the blur's fired rows hold radii 1 to 4; each mean sums 256
-    # values.
+    # Every stage fires; the jitter sees rows whose mean is summed column by
+    # column and rows after a flip; the blur's fired rows hold radii 1 to 4;
+    # each mean sums 256 values.
     _, plans, out_side = augment._probe_batch()
-    columns = {c.name: c for c in plans.stages}
-    assert tuple(c.name for c in plans.stages) == augment.STAGE_ORDER
-    assert all(c.fired.any() for c in plans.stages)
-    turned = columns["horizontal_flip"].fired
-    jittered = columns["color_jitter"].fired
-    assert (jittered & turned).any() and (jittered & ~turned).any()
-    blur = columns["gaussian_blur"]
-    radii = np.ceil(2.0 * blur.values[blur.fired]).astype(int)
+    assert all(getattr(plans, field).any() for field in MASKS.values())
+    assert (plans.jitter & plans.flip).any()
+    assert (plans.jitter & ~plans.flip).any()
+    radii = np.ceil(2.0 * plans.sigmas[plans.blur]).astype(int)
     assert set(radii.tolist()) == {1, 2, 3, 4}
     assert out_side * out_side > 128
 
@@ -539,8 +538,9 @@ def test_probe_batch_covers_every_stage_radius_and_mean_order():
 # The mean's pairwise sum in `_augment.c`, and a plain loop to put in its
 # place after the includes.
 PAIRWISE_MEAN = "pairwise_sum(order, pixels)"
-# The flip's turn of the mean to row by row in `_augment.c`.
-FLIP_TURNS = "hflip(img, side);\n                col_major = 0;\n"
+# The jitter's `col_major` argument in `_augment.c`: set until the row is
+# flipped.
+FLIP_TURNS = "!gate[FLIP * rows]"
 INCLUDES = "#include <stdint.h>\n"
 IN_ORDER_SUM = """
 static double in_order_sum(const double *a, ptrdiff_t n)
@@ -574,7 +574,7 @@ def test_probe_rejects_a_mutant_kernel(mutant, tmp_path):
     elif mutant == "flip_keeps_col_major":
         assert text.count(FLIP_TURNS) == 1
         source = tmp_path / "_augment.c"
-        source.write_text(text.replace(FLIP_TURNS, "hflip(img, side);\n"))
+        source.write_text(text.replace(FLIP_TURNS, "1"))
     else:
         flags = tuple("-ffp-contract=fast" if flag == "-ffp-contract=off"
                       else flag for flag in flags)
@@ -613,30 +613,27 @@ def per_stream_plans(pipe, rngs, in_shape):
             for v in (0, 1) for rng in rngs]
 
 
-# The key of the value that each stage draws in `draw_plan`'s form, by
-# stage name; the other stages draw none.
-PLAN_VALUES = {"random_crop": "box", "color_jitter": "factors",
-               "gaussian_blur": "sigma", "solarization": "threshold"}
-
-
-def plan_rows(plans):
-    """Every row of a columnar plan in `draw_plan`'s form."""
+def plan_rows(plans, pipe):
+    """Every row of plans drawn for `pipe`, in `draw_plan`'s form."""
     rows = []
     for r in range(plans.rows):
-        row = []
-        for name, fired, values in plans.stages:
+        row = [("random_crop", True, {"box": tuple(plans.boxes[r].tolist())})]
+        for stage in pipe.stages[1:]:
+            fired = bool(getattr(plans, MASKS[stage.name])[r])
             drawn = {}
-            if fired[r] and values is not None:
-                value = values[r].tolist()
-                drawn = {PLAN_VALUES[name]:
-                         tuple(value) if isinstance(value, list) else value}
-            row.append((name, bool(fired[r]), drawn))
+            if fired and stage.name == "color_jitter":
+                drawn = {"factors": tuple(plans.factors[r].tolist())}
+            elif fired and stage.name == "gaussian_blur":
+                drawn = {"sigma": plans.sigmas[r].item()}
+            elif fired and stage.name == "solarization":
+                drawn = {"threshold": plans.threshold}
+            row.append((stage.name, fired, drawn))
         rows.append(row)
     return rows
 
 
 def batched_plans(pipe, rngs, in_shape):
-    return plan_rows(draw_plans(pipe, rngs, in_shape))
+    return plan_rows(draw_plans(pipe, rngs, in_shape), pipe)
 
 
 def _draw_plans_or_error(pipe, rngs, in_shape, draw):
@@ -742,11 +739,11 @@ def test_two_views_needs_one_stream_per_image():
 
 
 def plan_bytes(plans):
-    """Every column of a columnar plan: name, then each array's dtype, shape
-    and bytes."""
-    return [(name, *((a.dtype.str, a.shape, a.tobytes()) if a is not None
-                     else None for a in (fired, values)))
-            for name, fired, values in plans.stages]
+    """Every field of a plan: its name, then an array's dtype, shape and
+    bytes, or the threshold."""
+    return [(name, value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else (name, value)
+            for name, value in vars(plans).items()]
 
 
 def _copy_of(pipe):
@@ -782,12 +779,10 @@ def test_memo_hit_equals_cold_draw(pipe, seed, in_shape, batch):
 def test_memoized_plans_are_read_only():
     rngs = [Rng(4).child("aug", 0, i) for i in range(3)]
     plans = draw_plans(AugPipeline.default(), rngs, (16, 16))
-    for _, fired, values in plans.stages:
-        with pytest.raises(ValueError, match="read-only"):
-            fired[0] = not fired[0]
-        if values is not None:
+    for name, value in vars(plans).items():
+        if name != "threshold":
             with pytest.raises(ValueError, match="read-only"):
-                values[0] = 0
+                value[0] = 0
     assert plan_bytes(draw_plans(AugPipeline.default(), rngs, (16, 16))) \
         == plan_bytes(augment._draw_plans(AugPipeline.default(), rngs,
                                           (16, 16)))

@@ -1,12 +1,11 @@
 r"""The bit-equality contract as a test: `tools/trajectory_digest.py` prints
 the lines committed in `tests/expected_digest.txt`.
 
-The file's header records the numpy version, the `matmul` path and the
-SIMD level numpy dispatched float64 `exp` and `log` to when its lines were
-produced; the tool's header now also names the augmentation path, which
-the committed header predates. Under another numpy version the test skips
-and says why. The paths are information only: the kernel, einsum and the
-per-k loop all keep `matmul`'s order contract, and the compiled and the
+The file's header records the numpy version, the `matmul` path, the
+augmentation path and the SIMD level numpy dispatched float64 `exp` and
+`log` to when its lines were produced. Under another numpy version the
+test skips and says why. The paths are information only: the kernel,
+einsum and the per-k loop all keep `matmul`'s order contract, and the compiled and the
 numpy augmentation pass give the same bits, so each must print the
 committed lines, and the test runs on whichever paths this process chose. The tool runs with BLAS
 pinned to one thread, as the benchmark runs, and again at two threads,
@@ -82,14 +81,12 @@ def digest_lines(threads: int, **env: str) -> tuple[list[str], list[str],
 
 
 def test_header_parsers_read_both_header_forms():
-    # The committed header predates the augmentation path; the tool's
-    # header names it between the matmul path and the dispatch level.
-    for header in ("numpy 2.4.6, matmul path: einsum, exp/log dispatch: "
-                   "X86_V4",
-                   "numpy 2.4.6, matmul path: kernel, augment path: kernel, "
-                   "exp/log dispatch: X86_V4"):
-        assert numpy_version(header) == "numpy 2.4.6"
-        assert dispatch_level(header) == "X86_V4"
+    # The one header form: the numpy version, both paths, the dispatch
+    # level.
+    header = ("numpy 2.4.6, matmul path: kernel, augment path: kernel, "
+              "exp/log dispatch: X86_V4")
+    assert numpy_version(header) == "numpy 2.4.6"
+    assert dispatch_level(header) == "X86_V4"
 
 
 def test_trajectory_digest_matches_committed_lines():
