@@ -12,10 +12,38 @@ A training step encodes both views of a branch in one pass: `forward` takes
 the stacked rows as `groups` equal blocks and batch-norm takes its statistics
 per block (per view), and `backward` returns one gradient map per block. The
 result equals one pass per view bit for bit, with fewer, taller products.
+
+Block paths. Every block takes its product from `matmul`, C-contiguous. The
+rest of its work runs on one of two paths with the same bits, chosen once
+at import (`BLOCK_PATH`):
+
+- "kernel": one call of `_encoder.c` per block, forward and backward
+  (`numerics.LIBRARY`). Forward, it adds the linear bias or runs the
+  batch-norm (statistics, running averages, scale and shift), then the
+  relu, with a finite check before and after the batch-norm; backward, it
+  applies the relu mask and forms the batch-norm and bias gradients. It
+  reproduces the numpy path's operations in their order. A column sum
+  over a group's rows starts from +0.0 and adds the rows in order, as
+  numpy's reduction over the rows axis does at width 2 and more; at width
+  1 numpy takes its pairwise sum, and so does the kernel. A running
+  statistic becomes `stat * 0.9 + (1 - 0.9) * batch_stat`, each product
+  rounded, and the scale is `1.0 / sqrt(var + eps)`. The relu gives +0.0
+  for -0.0, as `np.maximum` does, and the backward multiplies by the mask
+  as 1.0 or 0.0, so a masked -3.0 becomes -0.0.
+- "numpy": the same block in numpy (`_numpy_block_forward` and
+  `_numpy_block_backward`): the kernel's reference, and the path without a
+  compiler or where the kernel fails `_block_is_exact` on `_probe_blocks`.
+
+On both paths a non-finite linear output raises before the running
+statistics change, and a non-finite batch-norm output after they are
+updated, with the same message. Eval mode normalizes in place, and its
+cache holds no `x_hat` or `inv_std`: only `backward` reads them, and it
+takes training-mode caches only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +55,7 @@ from .errors import (
     DimensionError,
     NumericOverflowError,
 )
-from .numerics import Rng, matmul
+from .numerics import LIBRARY, PAIRWISE_DIFFERS, Rng, matmul
 
 BN_EPS = 1e-5
 BN_STAT_MOMENTUM = 0.9
@@ -171,6 +199,179 @@ def _check_finite(out: np.ndarray, layer: str) -> None:
         )
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    if BLOCK_PATH == "kernel" and x.flags.c_contiguous:
+        return bool(LIBRARY.all_finite(x.ctypes.data, x.size))
+    return bool(np.all(np.isfinite(x)))
+
+
+def _numpy_block_forward(block: Block, out: np.ndarray, params: EncoderParams,
+                         training: bool, groups: int, entry: dict):
+    # A block's work after its product `out` (n, width), the reference of
+    # `_kernel_block_forward` and its fallback. `out` is updated in place
+    # where the operation allows: the same values as a fresh temporary,
+    # with fewer (n, width) allocations.
+    n, width = out.shape
+    if not block.norm:
+        out += params.tensors[f"{block.name}.bias"]
+    # Checked before the relu, which maps -inf to 0.
+    _check_finite(out, block.name)
+    if block.norm:
+        bn = block.norm_name
+        gain = params.tensors[f"{bn}.gain"]
+        if training:
+            out = out.reshape(groups, n // groups, width)
+            mean = np.mean(out, axis=1, keepdims=True)
+            x_hat = out - mean
+            var = np.mean(x_hat ** 2, axis=1, keepdims=True)
+            running_mean = params.running[f"{bn}.mean"]
+            running_var = params.running[f"{bn}.var"]
+            for g in range(groups):
+                running_mean *= BN_STAT_MOMENTUM
+                running_mean += (1 - BN_STAT_MOMENTUM) * mean[g, 0]
+                running_var *= BN_STAT_MOMENTUM
+                running_var += (1 - BN_STAT_MOMENTUM) * var[g, 0]
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            x_hat *= inv_std
+            out = gain * x_hat
+            entry.update(x_hat=x_hat, inv_std=inv_std, gain=gain)
+        else:
+            # x_hat = (out - mean) * inv_std and then gain * x_hat, in
+            # place in `out`.
+            out -= params.running[f"{bn}.mean"]
+            out *= 1.0 / np.sqrt(params.running[f"{bn}.var"] + BN_EPS)
+            out *= gain
+        out += params.tensors[f"{bn}.bias"]
+        out = out.reshape(n, width)
+        _check_finite(out, bn)
+    if block.relu:
+        entry["mask"] = out > 0.0
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _address(array: np.ndarray | None):
+    return None if array is None else array.ctypes.data
+
+
+def _vector(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.float64)
+
+
+def _kernel_block_forward(library, block: Block, out: np.ndarray,
+                          params: EncoderParams, training: bool, groups: int,
+                          entry: dict):
+    # `_numpy_block_forward` in one call of `_encoder.c`'s
+    # `airl_block_forward`, on C-contiguous float64 operands: `out` is one
+    # (`forward`), and a running statistic that is not one is updated in a
+    # copy and written back.
+    n, width = out.shape
+    rows = n // groups
+    bias = gain = beta = mean = var = x_hat = inv_std = mask = None
+    stats = {}
+    if block.norm:
+        bn = block.norm_name
+        gain = _vector(params.tensors[f"{bn}.gain"])
+        beta = _vector(params.tensors[f"{bn}.bias"])
+        stats = {name: np.require(params.running[name], np.float64, "CAW")
+                 for name in (f"{bn}.mean", f"{bn}.var")}
+        mean, var = stats.values()
+        vectors = (gain, beta, mean, var)
+        if training:
+            x_hat = np.empty((groups, rows, width))
+            inv_std = np.empty((groups, 1, width))
+        else:
+            inv_std = np.empty(width)
+    else:
+        bias = _vector(params.tensors[f"{block.name}.bias"])
+        vectors = (bias,)
+    # The kernel reads `width` values of each.
+    if any(vector.shape != (width,) for vector in vectors):
+        raise DimensionError(
+            f"block {block.name!r} has parameters of shapes "
+            f"{[vector.shape for vector in vectors]}, expected ({width},)")
+    if block.relu:
+        mask = np.empty((n, width), dtype=bool)
+    status = library.block_forward(
+        out.ctypes.data, groups, rows, width, _address(bias), _address(gain),
+        _address(beta), _address(mean), _address(var), training,
+        BN_STAT_MOMENTUM, BN_EPS, _address(x_hat), _address(inv_std),
+        _address(mask))
+    for name, stat in stats.items():
+        if stat is not params.running[name]:
+            params.running[name][...] = stat
+    if status:
+        layer = block.name if status == 1 else block.norm_name
+        raise NumericOverflowError(
+            f"non-finite activation after layer {layer!r}")
+    if block.norm and training:
+        entry.update(x_hat=x_hat, inv_std=inv_std, gain=gain)
+    if block.relu:
+        entry["mask"] = mask
+    return out
+
+
+def _numpy_block_backward(entry: dict, grad: np.ndarray, groups: int):
+    # A block's backward from the gradient of its output to that of its
+    # product: (that gradient, {tensor name: (groups, width) per-group
+    # sums}); the reference of `_kernel_block_backward` and its fallback.
+    block = entry["block"]
+    n, width = grad.shape
+    rows = n // groups
+    if block.relu:
+        grad = grad * entry["mask"]
+    grouped = grad.reshape(groups, rows, width)
+    if not block.norm:
+        return grad, {f"{block.name}.bias": np.sum(grouped, axis=1)}
+    bn = block.norm_name
+    x_hat = entry["x_hat"]
+    sums = {f"{bn}.gain": np.sum(grouped * x_hat, axis=1),
+            f"{bn}.bias": np.sum(grouped, axis=1)}
+    d_xhat = grouped * entry["gain"]
+    sum_d = np.sum(d_xhat, axis=1, keepdims=True)
+    sum_dx = np.sum(d_xhat * x_hat, axis=1, keepdims=True)
+    # (inv_std / rows) * (rows * d_xhat - sum_d - x_hat * sum_dx),
+    # evaluated in place in that order.
+    d_xhat *= rows
+    d_xhat -= sum_d
+    d_xhat -= x_hat * sum_dx
+    d_xhat *= entry["inv_std"] / rows
+    return d_xhat.reshape(n, width), sums
+
+
+def _kernel_block_backward(library, entry: dict, grad: np.ndarray,
+                           groups: int):
+    # `_numpy_block_backward` in one call of `_encoder.c`'s
+    # `airl_block_backward`, into a fresh gradient array; `grad` is
+    # C-contiguous (`backward`).
+    block = entry["block"]
+    n, width = grad.shape
+    gain = entry.get("gain")
+    if gain is not None:
+        gain = _vector(gain)
+    d = np.empty((n, width))
+    gain_sums, bias_sums = sums = np.empty((2, groups, width))
+    work = np.empty(3 * width)
+    library.block_backward(
+        grad.ctypes.data, d.ctypes.data, groups, n // groups, width,
+        _address(entry.get("mask")), _address(entry.get("x_hat")),
+        _address(gain), _address(entry.get("inv_std")), gain_sums.ctypes.data,
+        bias_sums.ctypes.data, work.ctypes.data)
+    if not block.norm:
+        return d, {f"{block.name}.bias": bias_sums}
+    bn = block.norm_name
+    return d, {f"{bn}.gain": gain_sums, f"{bn}.bias": bias_sums}
+
+
+def _block_passes(library):
+    """(forward, backward) block pass: the kernel's, calling `library`, or
+    without one numpy's."""
+    if library is None:
+        return _numpy_block_forward, _numpy_block_backward
+    return (functools.partial(_kernel_block_forward, library),
+            functools.partial(_kernel_block_backward, library))
+
+
 def forward(params: EncoderParams, x: np.ndarray, training: bool,
             groups: int = 1):
     """Run the branch, returning (output, cache).
@@ -182,6 +383,7 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool,
     bit: rows of a product are independent, and every statistic sums the
     same rows in the same order. Eval mode reads running stats and is a pure
     function. The cache's "stages" maps each stage to its output.
+    `BLOCK_PATH` names the block pass, which gives the same bits either way.
     """
     x = numerics.as_tensor(x)
     if x.ndim != 2:
@@ -195,59 +397,29 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool,
         raise DimensionError(
             f"{n} input rows do not split into {groups} equal groups"
         )
-    if not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         raise NumericOverflowError("non-finite value in encoder input")
-
     rows = n // groups
+    if training and rows < 2:
+        for block in params.specs:
+            if block.norm:
+                raise BatchTooSmallError(
+                    f"training-mode BN at {block.norm_name!r} needs at least "
+                    f"2 samples per group, got {rows}"
+                )
+
+    block_forward, _ = _block_passes(LIBRARY if BLOCK_PATH == "kernel"
+                                     else None)
     entries: list[dict] = []
     stages: dict[str, np.ndarray] = {}
     h = x
     for block in params.specs:
         w = params.tensors[f"{block.name}.weight"]
         entry = {"block": block, "x": h, "w": w}
-        out = matmul(h, w)
-        # `out` is updated in place where the operation allows: the same
-        # values as a fresh temporary, with fewer (n, width) allocations.
-        if not block.norm:
-            out += params.tensors[f"{block.name}.bias"]
-        # Checked before the relu, which maps -inf to 0.
-        _check_finite(out, block.name)
-        if block.norm:
-            bn = block.norm_name
-            out = out.reshape(groups, rows, block.out_dim)
-            if training:
-                if rows < 2:
-                    raise BatchTooSmallError(
-                        f"training-mode BN at {bn!r} needs at least 2 "
-                        f"samples per group, got {rows}"
-                    )
-                mean = np.mean(out, axis=1, keepdims=True)
-                x_hat = out - mean
-                var = np.mean(x_hat ** 2, axis=1, keepdims=True)
-                running_mean = params.running[f"{bn}.mean"]
-                running_var = params.running[f"{bn}.var"]
-                for g in range(groups):
-                    running_mean *= BN_STAT_MOMENTUM
-                    running_mean += (1 - BN_STAT_MOMENTUM) * mean[g, 0]
-                    running_var *= BN_STAT_MOMENTUM
-                    running_var += (1 - BN_STAT_MOMENTUM) * var[g, 0]
-            else:
-                x_hat = out - params.running[f"{bn}.mean"]
-                var = params.running[f"{bn}.var"]
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            x_hat *= inv_std
-            gain = params.tensors[f"{bn}.gain"]
-            out = gain * x_hat
-            out += params.tensors[f"{bn}.bias"]
-            out = out.reshape(n, block.out_dim)
-            _check_finite(out, bn)
-            entry.update(x_hat=x_hat, inv_std=inv_std, gain=gain)
-        if block.relu:
-            entry["mask"] = out > 0.0
-            np.maximum(out, 0.0, out=out)
+        h = block_forward(block, np.ascontiguousarray(matmul(h, w)), params,
+                          training, groups, entry)
         entries.append(entry)
-        stages[block.stage] = out
-        h = out
+        stages[block.stage] = h
 
     cache = {"blocks": entries, "training": training, "n": n,
              "groups": groups, "stages": stages}
@@ -262,7 +434,8 @@ def backward(cache: dict, grad_out: np.ndarray) -> list[dict[str, np.ndarray]]:
     sums and the weight product `x_g.T @ grad_g` run over that group's rows,
     exactly as a one-group backward of that group would. The gradient that
     flows down through `grad @ W.T` stays one stacked product. The gradient
-    w.r.t. the network input is never formed.
+    w.r.t. the network input is never formed, and `grad_out` is not
+    written.
     """
     if not cache.get("training"):
         raise ConfigError("backward needs a cache from a training-mode forward")
@@ -278,34 +451,16 @@ def backward(cache: dict, grad_out: np.ndarray) -> list[dict[str, np.ndarray]]:
             f"grad_out shape {grad.shape} does not match forward output "
             f"({n}, {entries[-1]['block'].out_dim})"
         )
+    _, block_backward = _block_passes(LIBRARY if BLOCK_PATH == "kernel"
+                                      else None)
     for i in range(len(entries) - 1, -1, -1):
         entry = entries[i]
-        block = entry["block"]
-        if block.relu:
-            grad = grad * entry["mask"]
-        grouped = grad.reshape(groups, rows, block.out_dim)
-        if block.norm:
-            bn = block.norm_name
-            x_hat = entry["x_hat"]
-            sums = {f"{bn}.gain": np.sum(grouped * x_hat, axis=1),
-                    f"{bn}.bias": np.sum(grouped, axis=1)}
-            d_xhat = grouped * entry["gain"]
-            sum_d = np.sum(d_xhat, axis=1, keepdims=True)
-            sum_dx = np.sum(d_xhat * x_hat, axis=1, keepdims=True)
-            # (inv_std / rows) * (rows * d_xhat - sum_d - x_hat * sum_dx),
-            # evaluated in place in that order.
-            d_xhat *= rows
-            d_xhat -= sum_d
-            d_xhat -= x_hat * sum_dx
-            d_xhat *= entry["inv_std"] / rows
-            grad = d_xhat.reshape(n, block.out_dim)
-        else:
-            sums = {f"{block.name}.bias": np.sum(grouped, axis=1)}
+        grad, sums = block_backward(entry, np.ascontiguousarray(grad), groups)
         for g, (grads, span) in enumerate(zip(grad_sets, spans)):
             for name, value in sums.items():
                 grads[name] = value[g]
-            grads[f"{block.name}.weight"] = matmul(entry["x"][span].T,
-                                                   grad[span])
+            grads[f"{entry['block'].name}.weight"] = matmul(
+                entry["x"][span].T, grad[span])
         if i > 0:
             grad = matmul(grad, entry["w"].T)
     return grad_sets
@@ -341,3 +496,95 @@ def backbone_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     if not backbone:
         raise ConfigError("branch has no backbone stage")
     return stages[backbone[-1]]
+
+
+def _block_trace(passes, block: Block, params: EncoderParams,
+                 product: np.ndarray, training: bool, groups: int,
+                 grad_out: np.ndarray) -> list[np.ndarray]:
+    """Every array that one block pass of `passes` (a `_block_passes` pair)
+    gives on a copy of `params` and `product`: the output, the cache
+    entries, the running statistics and, in training mode, the backward's
+    gradient and sums for `grad_out`, each in name order."""
+    params = params.copy()
+    forward_pass, backward_pass = passes
+    entry = {"block": block}
+    out = forward_pass(block, product.copy(), params, training, groups, entry)
+    arrays = [out, *(entry[k] for k in sorted(entry) if k != "block"),
+              *(params.running[k] for k in sorted(params.running))]
+    if training:
+        grad, sums = backward_pass(entry, grad_out, groups)
+        arrays += [grad, *(sums[k] for k in sorted(sums))]
+    return arrays
+
+
+def _same_arrays(first: list[np.ndarray], second: list[np.ndarray]) -> bool:
+    """Whether two lists of arrays agree in dtype, shape and bytes."""
+    return len(first) == len(second) and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(first, second))
+
+
+def _probe_blocks() -> list[tuple]:
+    """Fixed block cases for `_block_is_exact`, as `_block_trace`'s
+    arguments after `passes`.
+
+    - A BN + relu block of width 9 (a vector body and a tail at every
+      vector width), 2 groups of 9 rows, in training and in eval mode.
+      Columns span eight decades. Column 3 is constant and its running
+      mean equals it, with a negative gain and a -0.0 bias, so it reaches
+      the relu as -0.0, which the relu must give as +0.0.
+    - A BN + relu block of width 1 whose two groups of 8 rows are
+      `numerics.PAIRWISE_DIFFERS` and its reverse: every column sum must
+      be numpy's pairwise sum.
+    - A linear + relu block of width 9, one group of 9 rows: a negative
+      gradient where the relu masked becomes -0.0.
+    """
+    source = Rng(2024, 31)
+    cases = []
+    wide = Block("probe", "probe_lin", 1, 9, norm=True, relu=True)
+    params = init_params((wide,), source.child("wide"))
+    params.tensors["probe_bn.gain"] = source.child("gain").normal(size=9)
+    params.tensors["probe_bn.gain"][3] = -1.5
+    params.tensors["probe_bn.bias"] = source.child("beta").normal(size=9)
+    params.tensors["probe_bn.bias"][3] = -0.0
+    product = source.child("x").normal(size=(18, 9)) * 10.0 ** np.arange(
+        -3, 6)
+    product[:, 3] = 0.75
+    params.running["probe_bn.mean"][3] = 0.75
+    params.running["probe_bn.var"] += np.arange(9)
+    grad = source.child("grad").normal(size=(18, 9))
+    for training in (True, False):
+        cases.append((wide, params, product, training, 2, grad))
+    narrow = Block("probe", "probe_lin", 1, 1, norm=True, relu=True)
+    params = init_params((narrow,), source.child("narrow"))
+    product = np.concatenate([PAIRWISE_DIFFERS, PAIRWISE_DIFFERS[::-1]])
+    cases.append((narrow, params, product[:, None], True, 2,
+                  source.child("grad", 1).normal(size=(16, 1))))
+    linear = Block("probe", "probe_lin", 1, 9, norm=False, relu=True)
+    params = init_params((linear,), source.child("linear"))
+    cases.append((linear, params, source.child("x", 2).normal(size=(9, 9)),
+                  True, 1, source.child("grad", 2).normal(size=(9, 9))))
+    return cases
+
+
+def _block_is_exact(library) -> bool:
+    """Whether the block passes of `library` give numpy's bits on
+    `_probe_blocks`. A kernel built with contracted multiply-adds, one that
+    sums a width-1 column in row order, one that masks by a select or one
+    whose relu keeps -0.0 fails."""
+    kernel, reference = _block_passes(library), _block_passes(None)
+    return all(_same_arrays(_block_trace(kernel, *case),
+                            _block_trace(reference, *case))
+               for case in _probe_blocks())
+
+
+def _block_path(library) -> str:
+    """"kernel" where the compiled library is there and its block passes
+    pass `_block_is_exact`, "numpy" otherwise."""
+    if library is not None and _block_is_exact(library):
+        return "kernel"
+    return "numpy"
+
+
+# The block passes every `forward` and `backward` take in this process.
+BLOCK_PATH = _block_path(LIBRARY)

@@ -11,12 +11,13 @@ import probe, a per-k loop. `matmul`'s docstring says why each path keeps
 the order and how the probe checks it. Norms (`norm`) are numpy's own sums
 rather than BLAS's, so they do not depend on the BLAS thread count.
 
-Compiled library. When it is imported, `numerics` compiles `_matmul.c` and
-`_augment.c`, the augmentation pass behind `augment.apply_plans`, into one
-shared library with one run of the system `cc` (`_build_library`) and binds
-both functions (`LIBRARY`). Each module probes its own function at import
-and falls back to numpy if it fails; without a compiler, or when the build
-fails or times out, neither kernel is there.
+Compiled library. When it is imported, `numerics` compiles `_matmul.c`,
+`_augment.c`, the augmentation pass behind `augment.apply_plans`, and
+`_encoder.c`, the encoder's block passes, into one shared library with one
+run of the system `cc` (`_build_library`) and binds their functions
+(`LIBRARY`). Each module probes its own functions at import and falls back
+to numpy if they fail; without a compiler, or when the build fails or times
+out, no kernel is there.
 
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
 hashed from (seed, stream id); `child` hashes a new stream id from the
@@ -288,10 +289,12 @@ def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
-# The C sources of the compiled library: the `matmul` kernel and the
-# augmentation pass behind `augment.apply_plans`.
+# The C sources of the compiled library: the `matmul` kernel, the
+# augmentation pass behind `augment.apply_plans` and the encoder's block
+# passes.
 KERNEL_SOURCES = (Path(__file__).with_name("_matmul.c"),
-                  Path(__file__).with_name("_augment.c"))
+                  Path(__file__).with_name("_augment.c"),
+                  Path(__file__).with_name("_encoder.c"))
 # No -ffast-math or -Ofast: they let the compiler reassociate sums, and the
 # crtfastmath.o they link sets flush-to-zero for the whole process.
 KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
@@ -305,29 +308,53 @@ class Library(NamedTuple):
     `matmul(a, stride_i, stride_k, b, out, m, inner, n)` is `_matmul.c`'s;
     `apply_plans(images, n, in_h, in_w, boxes, rows, side, gates,
     jitter_coefs, blur_weights, radius, threshold, work, out)` is
-    `_augment.c`'s, which `augment._kernel_pass` calls.
+    `_augment.c`'s, which `augment._kernel_pass` calls. `_encoder.c` gives
+    the other three, which `encoder` calls: `block_forward(out, groups,
+    rows, width, bias, gain, beta, running_mean, running_var, training,
+    momentum, eps, x_hat, inv_std, mask)`, the work of an encoder block
+    after its product, which returns a status (0, or 1 or 2 for a
+    non-finite output before or after batch-norm);
+    `block_backward(grad, d, groups, rows, width, mask, x_hat, gain,
+    inv_std, gain_sums, bias_sums, work)`, its backward; and
+    `all_finite(values, n)`, 1 when all n values are finite, else 0.
     """
 
     matmul: Callable
     apply_plans: Callable
+    block_forward: Callable
+    block_backward: Callable
+    all_finite: Callable
 
 
 _SIZE, _POINTER = ctypes.c_ssize_t, ctypes.c_void_p
+_INT, _DOUBLE = ctypes.c_int, ctypes.c_double
+# (restype, argtypes) of each function of the compiled library, in
+# `Library`'s field order.
 SIGNATURES = {
-    "airl_matmul": (_POINTER, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE, _SIZE,
-                    _SIZE),
-    "airl_apply_plans": (_POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _SIZE,
-                         _SIZE, _POINTER, _POINTER, _POINTER, _SIZE,
-                         ctypes.c_double, _POINTER, _POINTER),
+    "airl_matmul": (None, (_POINTER, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE,
+                           _SIZE, _SIZE)),
+    "airl_apply_plans": (None, (_POINTER, _SIZE, _SIZE, _SIZE, _POINTER,
+                                _SIZE, _SIZE, _POINTER, _POINTER, _POINTER,
+                                _SIZE, _DOUBLE, _POINTER, _POINTER)),
+    "airl_block_forward": (_INT, (_POINTER, _SIZE, _SIZE, _SIZE, _POINTER,
+                                  _POINTER, _POINTER, _POINTER, _POINTER,
+                                  _INT, _DOUBLE, _DOUBLE, _POINTER, _POINTER,
+                                  _POINTER)),
+    "airl_block_backward": (None, (_POINTER, _POINTER, _SIZE, _SIZE, _SIZE,
+                                   _POINTER, _POINTER, _POINTER, _POINTER,
+                                   _POINTER, _POINTER, _POINTER)),
+    "airl_all_finite": (_INT, (_POINTER, _SIZE)),
 }
 
 
 def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The kernel reads `a` through its element strides, so an unaligned `a`
-    # is copied first; `b` must be C-contiguous and aligned.
+    # is copied first; `b` must be C-contiguous and aligned. Both are
+    # float64 already (`as_tensor`).
     if not a.flags.aligned:
         a = np.array(a)
-    b = np.require(b, np.float64, ("C", "A"))
+    if not (b.flags.c_contiguous and b.flags.aligned):
+        b = np.require(b, np.float64, ("C", "A"))
     m, inner = a.shape
     n = b.shape[1]
     out = np.empty((m, n))
@@ -342,7 +369,7 @@ def _build_library(sources=KERNEL_SOURCES, flags=KERNEL_FLAGS,
     """Compile `sources` into one shared library with one run of the system
     `cc` and load it: its functions, or None when there is no `cc`, or the
     build fails, takes longer than `timeout` seconds or lacks a function.
-    A failure in any source therefore gives neither kernel.
+    A failure in any source therefore gives no kernel.
 
     The library is built and loaded in a private temporary directory, which
     is deleted once it is loaded.
@@ -362,9 +389,9 @@ def _build_library(sources=KERNEL_SOURCES, flags=KERNEL_FLAGS,
             functions = [getattr(loaded, name) for name in SIGNATURES]
         except (OSError, AttributeError, subprocess.SubprocessError):
             return None
-    for function, argtypes in zip(functions, SIGNATURES.values()):
+    for function, (restype, argtypes) in zip(functions, SIGNATURES.values()):
+        function.restype = restype
         function.argtypes = argtypes
-        function.restype = None
     return Library(*functions)
 
 

@@ -562,7 +562,7 @@ def test_probe_rejects_a_mutant_kernel(mutant, tmp_path):
     # -ffp-contract=fast, or one whose flip leaves the mean summed column
     # by column, fails the import probe, and `apply_plans` then keeps to
     # the numpy pass.
-    matmul_source, source = numerics.KERNEL_SOURCES
+    matmul_source, source, encoder_source = numerics.KERNEL_SOURCES
     flags = numerics.KERNEL_FLAGS
     text = source.read_text()
     if mutant == "mean_in_order":
@@ -578,7 +578,8 @@ def test_probe_rejects_a_mutant_kernel(mutant, tmp_path):
     else:
         flags = tuple("-ffp-contract=fast" if flag == "-ffp-contract=off"
                       else flag for flag in flags)
-    library = numerics._build_library((matmul_source, source), flags)
+    library = numerics._build_library((matmul_source, source, encoder_source),
+                                      flags)
     assert library is not None
     if mutant == "contracted" and numerics._product_is_naive(
             functools.partial(numerics._kernel_product, library.matmul)):

@@ -2,12 +2,13 @@ r"""The bit-equality contract as a test: `tools/trajectory_digest.py` prints
 the lines committed in `tests/expected_digest.txt`.
 
 The file's header records the numpy version, the `matmul` path, the
-augmentation path and the SIMD level numpy dispatched float64 `exp` and
-`log` to when its lines were produced. Under another numpy version the
-test skips and says why. The paths are information only: the kernel,
-einsum and the per-k loop all keep `matmul`'s order contract, and the compiled and the
-numpy augmentation pass give the same bits, so each must print the
-committed lines, and the test runs on whichever paths this process chose. The tool runs with BLAS
+augmentation path, the encoder block path and the SIMD level numpy
+dispatched float64 `exp` and `log` to when its lines were produced. Under
+another numpy version the test skips and says why. The paths are
+information only: the kernel, einsum and the per-k loop all keep
+`matmul`'s order contract, and the compiled and the numpy augmentation and
+block passes give the same bits, so each must print the committed lines,
+and the test runs on whichever paths this process chose. The tool runs with BLAS
 pinned to one thread, as the benchmark runs, and again at two threads,
 which skips on a machine with one CPU: every norm that feeds a trajectory
 is `numerics.norm`, a numpy sum that BLAS does not split by thread count,
@@ -45,13 +46,13 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 def numpy_version(produced_by: str) -> str:
     """"numpy 2.4.6" of "numpy 2.4.6, matmul path: kernel, augment path:
-    kernel, exp/log dispatch: X86_V4"."""
+    kernel, block path: kernel, exp/log dispatch: X86_V4"."""
     return produced_by.partition(",")[0]
 
 
 def dispatch_level(produced_by: str) -> str:
     """"X86_V4" of "numpy 2.4.6, matmul path: kernel, augment path: kernel,
-    exp/log dispatch: X86_V4"."""
+    block path: kernel, exp/log dispatch: X86_V4"."""
     return produced_by.rpartition("exp/log dispatch: ")[2]
 
 
@@ -81,10 +82,10 @@ def digest_lines(threads: int, **env: str) -> tuple[list[str], list[str],
 
 
 def test_header_parsers_read_both_header_forms():
-    # The one header form: the numpy version, both paths, the dispatch
-    # level.
+    # The one header form: the numpy version, the three paths, the
+    # dispatch level.
     header = ("numpy 2.4.6, matmul path: kernel, augment path: kernel, "
-              "exp/log dispatch: X86_V4")
+              "block path: kernel, exp/log dispatch: X86_V4")
     assert numpy_version(header) == "numpy 2.4.6"
     assert dispatch_level(header) == "X86_V4"
 
@@ -103,8 +104,9 @@ def test_trajectory_digest_is_the_same_at_two_blas_threads():
 
 def test_trajectory_digest_is_the_same_without_a_compiler():
     # With PATH emptied there is no `cc`, so `matmul` takes its einsum
-    # fallback and `apply_plans` its numpy pass, which must print the same
-    # lines as the two kernels.
+    # fallback, and `apply_plans` and the encoder blocks their numpy
+    # passes, which must print the same lines as the kernels.
     produced, expected, levels, produced_by = digest_lines(1, PATH="")
     assert "augment path: numpy," in produced_by
+    assert "block path: numpy," in produced_by
     assert produced == expected, levels

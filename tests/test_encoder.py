@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airl import encoder
+from airl import encoder, numerics
 from airl.encoder import (
     Block,
     EncoderParams,
@@ -22,6 +24,15 @@ from airl.errors import (
 from airl.frameworks import PLACEMENTS, init_siamese_state
 from airl.numerics import Rng, finite_diff_grad, matmul, relative_error
 from presets import preset
+
+
+# The block paths this host runs: numpy's always, the kernel's where it was
+# built and passed the import probe.
+BLOCK_PATHS = ("numpy", "kernel") if encoder.BLOCK_PATH == "kernel" else (
+    "numpy",)
+needs_block_kernel = pytest.mark.skipif(
+    encoder.BLOCK_PATH != "kernel",
+    reason="the block kernel was not built here or failed the import probe")
 
 
 def tiny_cfg(**overrides):
@@ -173,7 +184,7 @@ class TestBackward:
         assert encoder_fd_check(params, x, seed=7) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_gradients_on_random_small_configs(self, seed):
+    def test_gradients_on_random_small_configs(self, seed, monkeypatch):
         rng = Rng(seed)
         dims = rng.child("dims")
         cfg = tiny_cfg(
@@ -186,7 +197,9 @@ class TestBackward:
         params = build_branch(cfg, rng.child("init"),
                               with_predictor=bool(dims.random() < 0.5))
         x = rng.child("x").normal(size=(4, 12))
-        assert encoder_fd_check(params, x, seed=seed) < 1e-4
+        for path in BLOCK_PATHS:
+            monkeypatch.setattr(encoder, "BLOCK_PATH", path)
+            assert encoder_fd_check(params, x, seed=seed) < 1e-4, path
 
 
 def random_branch(seed):
@@ -241,10 +254,14 @@ class TestGroups:
         assert np.array_equal(one, three)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_grouped_backward_matches_finite_differences(self, seed):
+    def test_grouped_backward_matches_finite_differences(self, seed,
+                                                         monkeypatch):
         params = random_branch(seed)
         x = Rng(seed).child("x").normal(size=(6, 12))
-        assert encoder_fd_check(params, x, seed=seed, groups=2) < 1e-4
+        for path in BLOCK_PATHS:
+            monkeypatch.setattr(encoder, "BLOCK_PATH", path)
+            assert encoder_fd_check(params, x, seed=seed, groups=2) < 1e-4, \
+                path
 
     def test_each_group_needs_two_rows(self):
         params = build_branch(tiny_cfg(), Rng(0))
@@ -311,3 +328,181 @@ class TestBuildBranch:
         assert params.stage_names() == [
             "backbone1", "backbone2", "projector", "predictor"
         ]
+
+
+# Values a block pass must carry bit for bit: signed zeros, subnormals and
+# values near the top of the range, whose squares overflow.
+SPECIALS = np.array([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.0])
+# (norm, relu) of every kind of block.
+BLOCK_KINDS = ((True, True), (True, False), (False, True), (False, False))
+
+
+def with_specials(rng, n, width):
+    """Normal values, each column scaled by 10**-3 to 10**3, with
+    `SPECIALS` at random places and, from width 2, a column of -0.0."""
+    x = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4, size=width)
+    at = rng.permutation(n * width)[:SPECIALS.size]
+    x.flat[at] = SPECIALS[:at.size]
+    if width > 1:
+        x[:, 0] = -0.0
+    return x
+
+
+def block_case(seed, width, rows, groups, norm, relu, training):
+    """`encoder._block_trace`'s arguments after `passes` for one block with
+    negative gains, a -0.0 BN bias, random running statistics and special
+    values in the product and in the gradient."""
+    source = Rng(seed).child(width, rows, groups, norm, relu)
+    block = Block("probe", "probe_lin", 1, width, norm=norm, relu=relu)
+    params = init_params((block,), source.child("init"))
+    if norm:
+        params.tensors["probe_bn.gain"] = source.child("gain").normal(
+            size=width)
+        params.tensors["probe_bn.bias"] = source.child("beta").normal(
+            size=width)
+        params.tensors["probe_bn.bias"][-1] = -0.0
+        params.running["probe_bn.mean"] = source.child("mean").normal(
+            size=width)
+        params.running["probe_bn.var"] = source.child("var").uniform(
+            0.5, 2.0, size=width)
+    n = groups * rows
+    return (block, params, with_specials(source.child("x"), n, width),
+            training, groups, with_specials(source.child("grad"), n, width))
+
+
+@needs_block_kernel
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 17, 64])
+def test_kernel_block_pass_gives_numpy_bits(width):
+    # Output, cache entries, running statistics, the gradient of the
+    # product and the per-group sums, at every width the kernel's loops
+    # split differently (vector bodies and tails, and width 1's pairwise
+    # sums, split above 128 rows), for 1 to 3 groups of 2, 3 and 130 rows.
+    kernel = encoder._block_passes(numerics.LIBRARY)
+    reference = encoder._block_passes(None)
+    for rows, groups, (norm, relu), training in itertools.product(
+            (2, 3, 130), (1, 2, 3), BLOCK_KINDS, (True, False)):
+        case = block_case(31, width, rows, groups, norm, relu, training)
+        with np.errstate(over="ignore"):
+            expected = encoder._block_trace(reference, *case)
+        assert encoder._same_arrays(encoder._block_trace(kernel, *case),
+                                    expected), (rows, groups, norm, relu,
+                                                training)
+
+
+def encoder_arrays(params, x, training, groups, grad_out):
+    """Every array a forward (and in training mode a backward) gives: the
+    output, each stage and cache entry, the running statistics and each
+    group's gradient map, each in name order."""
+    out, cache = forward(params, x, training=training, groups=groups)
+    arrays = [out, *cache["stages"].values()]
+    for entry in cache["blocks"]:
+        arrays += [entry[k] for k in sorted(entry) if k != "block"]
+    arrays += [params.running[k] for k in sorted(params.running)]
+    if training:
+        for grads in backward(cache, grad_out):
+            arrays += [grads[k] for k in sorted(grads)]
+    return arrays
+
+
+@needs_block_kernel
+@pytest.mark.parametrize("seed", range(6))
+def test_encoder_paths_give_the_same_bits(seed, monkeypatch):
+    # A whole branch, in both modes, on both block paths.
+    groups = seed % 3 + 1
+    x = 3.0 * Rng(seed).child("x").normal(size=(groups * 5, 12))
+    for training in (True, False):
+        grad_out = None
+        results = []
+        for path in BLOCK_PATHS:
+            monkeypatch.setattr(encoder, "BLOCK_PATH", path)
+            params = random_branch(seed)
+            if grad_out is None:
+                grad_out = Rng(seed).child("g").normal(
+                    size=(x.shape[0], params.out_dim))
+            results.append(encoder_arrays(params, x, training, groups,
+                                          grad_out))
+        assert encoder._same_arrays(*results), training
+
+
+@needs_block_kernel
+@pytest.mark.parametrize("status, training", [(1, True), (2, True),
+                                              (2, False)])
+def test_error_statuses_match_the_numpy_path(status, training, monkeypatch):
+    # Status 1, a non-finite linear output, leaves the running statistics
+    # as they were; status 2, a non-finite BN output, leaves them updated.
+    # Both paths raise the same message and leave the same statistics.
+    specs = (Block("backbone1", "lin1", 2, 3, norm=True, relu=True),
+             Block("backbone2", "lin2", 3, 2, norm=True, relu=True))
+    x = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [2.0, 2.0]])
+    outcomes = []
+    for path in BLOCK_PATHS:
+        monkeypatch.setattr(encoder, "BLOCK_PATH", path)
+        params = init_params(specs, Rng(0))
+        if status == 1:
+            params.tensors["lin2.weight"][...] = -1e308
+        else:
+            # gain * x_hat + bias overflows wherever x_hat > 0.2.
+            params.tensors["backbone2_bn.gain"][...] = 1.5e308
+            params.tensors["backbone2_bn.bias"][...] = 1.5e308
+        before = params.copy().running
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericOverflowError) as raised:
+                forward(params, x, training=training)
+        outcomes.append((str(raised.value),
+                         [params.running[k] for k in sorted(params.running)]))
+        changed = {k for k in before
+                   if not np.array_equal(before[k], params.running[k])}
+        expected = set() if not training else (
+            {"backbone1_bn.mean", "backbone1_bn.var"} if status == 1
+            else set(before))
+        assert changed == expected, path
+    layer = "lin2" if status == 1 else "backbone2_bn"
+    assert outcomes[0][0] == f"non-finite activation after layer {layer!r}"
+    for message, stats in outcomes[1:]:
+        assert message == outcomes[0][0]
+        assert encoder._same_arrays(stats, outcomes[0][1])
+
+
+@pytest.mark.parametrize("path", BLOCK_PATHS)
+@pytest.mark.parametrize("last", BLOCK_KINDS)
+def test_backward_does_not_write_grad_out(path, last, monkeypatch):
+    monkeypatch.setattr(encoder, "BLOCK_PATH", path)
+    specs = (Block("backbone1", "lin1", 4, 5, norm=True, relu=True),
+             Block("projector", "lin2", 5, 3, *last))
+    params = init_params(specs, Rng(1))
+    _, cache = forward(params, Rng(2).normal(size=(6, 4)), training=True,
+                       groups=2)
+    grad_out = Rng(3).normal(size=(6, 3))
+    kept = grad_out.copy()
+    backward(cache, grad_out)
+    assert grad_out.tobytes() == kept.tobytes()
+
+
+# Fragments of `_encoder.c` and the mutants that replace them: width-1
+# column sums in row order, the backward's mask as a select, and a relu
+# that keeps -0.0.
+BLOCK_MUTANTS = {
+    "width_one_in_row_order": ("if (width == 1) {", "if (0) {"),
+    "mask_as_select": ("d[i] = grad[i] * (double)mask[i];",
+                       "d[i] = mask[i] ? grad[i] : 0.0;"),
+    "relu_keeps_negative_zero": ("out[i] = v > 0.0 ? v : 0.0;",
+                                 "out[i] = v >= 0.0 ? v : 0.0;"),
+}
+
+
+@pytest.mark.skipif(numerics.shutil.which("cc") is None,
+                    reason="no cc on PATH")
+@pytest.mark.parametrize("mutant", sorted(BLOCK_MUTANTS))
+def test_block_probe_rejects_a_mutant_kernel(mutant, tmp_path):
+    # Each mutant fails the import probe, and `forward` and `backward` then
+    # keep to the numpy block passes.
+    *others, source = numerics.KERNEL_SOURCES
+    fragment, replacement = BLOCK_MUTANTS[mutant]
+    text = source.read_text()
+    assert text.count(fragment) == 1
+    mutated = tmp_path / source.name
+    mutated.write_text(text.replace(fragment, replacement))
+    library = numerics._build_library((*others, mutated))
+    assert library is not None
+    assert not encoder._block_is_exact(library)
+    assert encoder._block_path(library) == "numpy"

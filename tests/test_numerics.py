@@ -636,12 +636,13 @@ def test_build_without_cc_falls_back_to_einsum(shape, monkeypatch,
 
 @needs_cc
 def test_build_with_failing_compiler_gives_no_kernel(tmp_path, private_tmpdir):
-    # Both kernels come from one library: a source that does not compile,
-    # in place of either, gives neither.
+    # All kernels come from one library: a source that does not compile,
+    # in place of any of them, gives none.
     broken = tmp_path / "broken.c"
     broken.write_text("this is not C\n")
-    matmul_source, augment_source = numerics.KERNEL_SOURCES
-    for sources in ((broken, augment_source), (matmul_source, broken)):
+    for i in range(len(numerics.KERNEL_SOURCES)):
+        sources = list(numerics.KERNEL_SOURCES)
+        sources[i] = broken
         assert numerics._build_library(sources) is None
     assert list(private_tmpdir.iterdir()) == []
 
@@ -655,7 +656,7 @@ def test_build_has_a_timeout(monkeypatch, private_tmpdir):
         raise subprocess.TimeoutExpired(args, timeout)
 
     monkeypatch.setattr(numerics.subprocess, "run", slow_compiler)
-    # One `cc` run builds both kernels, so one timeout gives neither.
+    # One `cc` run builds every kernel, so one timeout gives none.
     assert numerics._build_library() is None
     assert timeouts == [numerics.KERNEL_BUILD_TIMEOUT_S]
     assert 0 < numerics.KERNEL_BUILD_TIMEOUT_S < float("inf")
@@ -663,14 +664,14 @@ def test_build_has_a_timeout(monkeypatch, private_tmpdir):
 
 
 def test_kernel_source_ships_with_the_package():
-    # An installed `airl` must carry `_matmul.c` and `_augment.c` beside
+    # An installed `airl` must carry its three C sources beside
     # `numerics`, or every process silently takes the slower numpy paths.
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads(
         (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     package_data = pyproject["tool"]["setuptools"]["package-data"]["airl"]
     assert [source.name for source in numerics.KERNEL_SOURCES] == [
-        "_matmul.c", "_augment.c"]
+        "_matmul.c", "_augment.c", "_encoder.c"]
     for source in numerics.KERNEL_SOURCES:
         assert any(source.match(p) for p in package_data)
         assert source.is_file()
@@ -691,20 +692,20 @@ def test_kernel_builds_from_the_resolved_source():
 ])
 def test_import_in_a_fresh_process(path_env, expected, tmp_path):
     # With PATH emptied there is no `cc`: the import must still succeed and
-    # choose einsum and the numpy augmentation pass. Either way the build
-    # leaves no temporary files behind.
-    augment_path = "kernel" if expected == "kernel" else "numpy"
+    # choose einsum and the numpy augmentation and block passes. Either way
+    # the build leaves no temporary files behind.
+    other_paths = ["kernel" if expected == "kernel" else "numpy"] * 2
     if expected == "einsum" and not EINSUM_IS_NAIVE:
         expected = "per-k loop"
     src = Path(numerics.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import airl.augment as a, airl.numerics as n; "
-         "print(n.MATMUL_PATH, a.AUGMENT_PATH)"],
+         "import airl.augment as a, airl.encoder as e, airl.numerics as n; "
+         "print(n.MATMUL_PATH, a.AUGMENT_PATH, e.BLOCK_PATH)"],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PATH=path_env, PYTHONPATH=str(src),
                  TMPDIR=str(tmp_path)))
-    assert proc.stdout.split() == [expected, augment_path]
+    assert proc.stdout.split() == [expected, *other_paths]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -55,13 +55,14 @@ seed 3 (`PROBE_SEED_KIND`, `PROBE_SEED`).
 
 The numpy version, the `matmul` path that `numerics` chose at import
 (`kernel`, `einsum` or `per-k loop`), the augmentation path that `augment`
-chose (`kernel` or `numpy`) and the SIMD level numpy dispatches float64
-`exp` and `log` to (`exp_log_dispatch`) go to stderr, so digests compared
-across machines say what produced them. Every `matmul` path keeps its order
-contract and both augmentation paths give the same bits, so the paths are
-information only; the dispatch level is not: `exp` and `log` give other last bits at other levels, and the blur
-weights, the InfoNCE loss, the probe softmax and the effective rank all call
-them. stdout holds only the digest lines. The runs share one process, so
+chose (`kernel` or `numpy`), the encoder block path that `encoder` chose
+(`kernel` or `numpy`) and the SIMD level numpy dispatches float64 `exp` and
+`log` to (`exp_log_dispatch`) go to stderr, so digests compared across
+machines say what produced them. Every `matmul` path keeps its order
+contract and both augmentation and both block paths give the same bits, so
+the paths are information only; the dispatch level is not: `exp` and `log`
+give other last bits at other levels, and the blur weights, the InfoNCE
+loss, the probe softmax and the effective rank all call them. stdout holds only the digest lines. The runs share one process, so
 the presets after the first take their augmentation plans from
 `augment.draw_plans`' memo; its hit and miss counts go to stderr at the
 end.
@@ -248,6 +249,7 @@ def main(argv: list[str]) -> int:
     extra = parse_overrides(argv)
     print(f"numpy {np.__version__}, matmul path: {numerics.MATMUL_PATH}, "
           f"augment path: {augment.AUGMENT_PATH}, "
+          f"block path: {encoder.BLOCK_PATH}, "
           f"exp/log dispatch: {exp_log_dispatch()}", file=sys.stderr)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
