@@ -2,11 +2,10 @@
  *
  * `airl_block_forward` takes the linear output of a block (groups x rows x
  * width, C-contiguous, the groups' rows stacked) and applies the linear
- * bias, batch-norm and relu in place, with both finite checks;
+ * bias, batch-norm and relu in place, with both finite checks, and
  * `airl_block_backward` is the bias, batch-norm and relu part of the
- * block's backward; `airl_all_finite` checks the encoder input. Each value
- * gets the operations of the numpy block code in `encoder` in the same
- * order, so the bits are the same:
+ * block's backward. Each value gets the operations of the numpy block code
+ * in `encoder` in the same order, so the bits are the same:
  *
  * - a column sum over a group's rows starts from +0.0 and adds the rows in
  *   order, as numpy's reduction over the rows axis does when the width is
@@ -106,7 +105,7 @@ static inline uint64_t not_finite(double v)
 }
 
 /* 1 when every one of the n values is finite, else 0. */
-int airl_all_finite(const double *a, ptrdiff_t n)
+OUT_OF_LINE int all_finite(const double *a, ptrdiff_t n)
 {
     uint64_t bad = 0;
     for (ptrdiff_t i = 0; i < n; i++)
@@ -209,7 +208,7 @@ int airl_block_forward(double *out, ptrdiff_t groups, ptrdiff_t rows,
         for (ptrdiff_t r = 0; r < n; r++)
             for (ptrdiff_t j = 0; j < width; j++)
                 out[r * width + j] += bias[j];
-    if (!airl_all_finite(out, size))
+    if (!all_finite(out, size))
         return LINEAR_NOT_FINITE;
     if (!gain) {
         if (mask)

@@ -36,7 +36,11 @@ at import (`BLOCK_PATH`):
 
 On both paths a non-finite linear output raises before the running
 statistics change, and a non-finite batch-norm output after they are
-updated, with the same message. Eval mode normalizes in place, and its
+updated, with the same message. The encoder input is not scanned on the
+way in: a non-finite input value makes its row of the first product
+non-finite, so the first block's linear check fails on it before any
+state changes, and `forward` then scans the input to raise the input's
+own error. Eval mode normalizes in place, and its
 cache holds no `x_hat` or `inv_std`: only `backward` reads them, and it
 takes training-mode caches only.
 """
@@ -55,7 +59,7 @@ from .errors import (
     DimensionError,
     NumericOverflowError,
 )
-from .numerics import LIBRARY, PAIRWISE_DIFFERS, Rng, matmul
+from .numerics import LIBRARY, PAIRWISE_DIFFERS, Rng, address, matmul
 
 BN_EPS = 1e-5
 BN_STAT_MOMENTUM = 0.9
@@ -199,10 +203,10 @@ def _check_finite(out: np.ndarray, layer: str) -> None:
         )
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    if BLOCK_PATH == "kernel" and x.flags.c_contiguous:
-        return bool(LIBRARY.all_finite(x.ctypes.data, x.size))
-    return bool(np.all(np.isfinite(x)))
+def _check_input(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NumericOverflowError(
+            "non-finite value in encoder input") from None
 
 
 def _numpy_block_forward(block: Block, out: np.ndarray, params: EncoderParams,
@@ -251,7 +255,7 @@ def _numpy_block_forward(block: Block, out: np.ndarray, params: EncoderParams,
 
 
 def _address(array: np.ndarray | None):
-    return None if array is None else array.ctypes.data
+    return None if array is None else address(array)
 
 
 def _vector(array: np.ndarray) -> np.ndarray:
@@ -293,7 +297,7 @@ def _kernel_block_forward(library, block: Block, out: np.ndarray,
     if block.relu:
         mask = np.empty((n, width), dtype=bool)
     status = library.block_forward(
-        out.ctypes.data, groups, rows, width, _address(bias), _address(gain),
+        address(out), groups, rows, width, _address(bias), _address(gain),
         _address(beta), _address(mean), _address(var), training,
         BN_STAT_MOMENTUM, BN_EPS, _address(x_hat), _address(inv_std),
         _address(mask))
@@ -353,10 +357,10 @@ def _kernel_block_backward(library, entry: dict, grad: np.ndarray,
     gain_sums, bias_sums = sums = np.empty((2, groups, width))
     work = np.empty(3 * width)
     library.block_backward(
-        grad.ctypes.data, d.ctypes.data, groups, n // groups, width,
+        address(grad), address(d), groups, n // groups, width,
         _address(entry.get("mask")), _address(entry.get("x_hat")),
-        _address(gain), _address(entry.get("inv_std")), gain_sums.ctypes.data,
-        bias_sums.ctypes.data, work.ctypes.data)
+        _address(gain), _address(entry.get("inv_std")), address(gain_sums),
+        address(bias_sums), address(work))
     if not block.norm:
         return d, {f"{block.name}.bias": bias_sums}
     bn = block.norm_name
@@ -397,12 +401,19 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool,
         raise DimensionError(
             f"{n} input rows do not split into {groups} equal groups"
         )
-    if not _all_finite(x):
-        raise NumericOverflowError("non-finite value in encoder input")
+    # A non-finite input value makes its row of the first product
+    # non-finite (an infinity times 0.0 is NaN), so the first block's linear
+    # check fails on it before any state changes, and only then is the
+    # input scanned, for the message. A branch whose first product has no
+    # values is scanned here, and so is the input of a batch too small,
+    # whose error comes second.
+    if not params.specs or not params.specs[0].out_dim:
+        _check_input(x)
     rows = n // groups
     if training and rows < 2:
         for block in params.specs:
             if block.norm:
+                _check_input(x)
                 raise BatchTooSmallError(
                     f"training-mode BN at {block.norm_name!r} needs at least "
                     f"2 samples per group, got {rows}"
@@ -416,8 +427,13 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool,
     for block in params.specs:
         w = params.tensors[f"{block.name}.weight"]
         entry = {"block": block, "x": h, "w": w}
-        h = block_forward(block, np.ascontiguousarray(matmul(h, w)), params,
-                          training, groups, entry)
+        product = np.ascontiguousarray(matmul(h, w))
+        try:
+            h = block_forward(block, product, params, training, groups, entry)
+        except NumericOverflowError:
+            if not entries:
+                _check_input(x)
+            raise
         entries.append(entry)
         stages[block.stage] = h
 

@@ -17,7 +17,8 @@ Compiled library. When it is imported, `numerics` compiles `_matmul.c`,
 run of the system `cc` (`_build_library`) and binds their functions
 (`LIBRARY`). Each module probes its own functions at import and falls back
 to numpy if they fail; without a compiler, or when the build fails or times
-out, no kernel is there.
+out, no kernel is there. The `matmul` and block calls pass their arrays by
+`address`.
 
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
 hashed from (seed, stream id); `child` hashes a new stream id from the
@@ -309,21 +310,19 @@ class Library(NamedTuple):
     `apply_plans(images, n, in_h, in_w, boxes, rows, side, gates,
     jitter_coefs, blur_weights, radius, threshold, work, out)` is
     `_augment.c`'s, which `augment._kernel_pass` calls. `_encoder.c` gives
-    the other three, which `encoder` calls: `block_forward(out, groups,
+    the other two, which `encoder` calls: `block_forward(out, groups,
     rows, width, bias, gain, beta, running_mean, running_var, training,
     momentum, eps, x_hat, inv_std, mask)`, the work of an encoder block
     after its product, which returns a status (0, or 1 or 2 for a
-    non-finite output before or after batch-norm);
+    non-finite output before or after batch-norm), and
     `block_backward(grad, d, groups, rows, width, mask, x_hat, gain,
-    inv_std, gain_sums, bias_sums, work)`, its backward; and
-    `all_finite(values, n)`, 1 when all n values are finite, else 0.
+    inv_std, gain_sums, bias_sums, work)`, its backward.
     """
 
     matmul: Callable
     apply_plans: Callable
     block_forward: Callable
     block_backward: Callable
-    all_finite: Callable
 
 
 _SIZE, _POINTER = ctypes.c_ssize_t, ctypes.c_void_p
@@ -343,8 +342,19 @@ SIGNATURES = {
     "airl_block_backward": (None, (_POINTER, _POINTER, _SIZE, _SIZE, _SIZE,
                                    _POINTER, _POINTER, _POINTER, _POINTER,
                                    _POINTER, _POINTER, _POINTER)),
-    "airl_all_finite": (_INT, (_POINTER, _SIZE)),
 }
+
+
+def address(array: np.ndarray) -> int:
+    """The address of `array`'s first element, `array.ctypes.data`, for a
+    compiled call. A writable, C-contiguous, non-empty array gives it
+    through a ctypes view of its buffer, in about 0.4 µs against 1.5 µs for
+    `ctypes.data`, which builds a ctypes object on every access; any other
+    array through `ctypes.data`."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,9 +368,9 @@ def _kernel_product(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, inner = a.shape
     n = b.shape[1]
     out = np.empty((m, n))
-    kernel(a.ctypes.data, a.strides[0] // a.itemsize,
-           a.strides[1] // a.itemsize, b.ctypes.data, out.ctypes.data,
-           m, inner, n)
+    kernel(address(a), a.strides[0] // a.itemsize,
+           a.strides[1] // a.itemsize, address(b), address(out), m, inner,
+           n)
     return out
 
 

@@ -146,6 +146,41 @@ class TestForward:
             with pytest.raises(NumericOverflowError, match="'lin'"):
                 forward(params, x, training=True)
 
+    @pytest.mark.parametrize("path", BLOCK_PATHS)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_the_input_error(self, path, training,
+                                                     value, monkeypatch):
+        # The first block's linear check catches the input value, an
+        # infinity times a zero weight row included, before any running
+        # statistic changes; the error names the input, not the layer.
+        monkeypatch.setattr(encoder, "BLOCK_PATH", path)
+        params = build_branch(tiny_cfg(), Rng(0))
+        params.tensors["backbone1_lin.weight"][5] = 0.0
+        x = Rng(1).normal(size=(6, 12))
+        x[4, 5] = value
+        before = params.copy().running
+        with pytest.raises(NumericOverflowError,
+                           match="^non-finite value in encoder input$"):
+            forward(params, x, training=training, groups=2)
+        for name, stat in before.items():
+            assert stat.tobytes() == params.running[name].tobytes(), name
+
+    @pytest.mark.parametrize("specs, rows", [
+        ((Block("backbone1", "lin", 3, 2, norm=True, relu=True),), 1),
+        ((Block("backbone1", "lin", 3, 0, norm=False, relu=True),), 2),
+        ((), 2),
+    ])
+    def test_input_error_comes_first_without_a_product_to_carry_it(
+            self, specs, rows):
+        # A batch too small for training-mode BN, a first product with no
+        # values and a branch without blocks: the input is scanned first.
+        params = init_params(specs, Rng(0))
+        x = np.full((rows, 3), np.nan)
+        with pytest.raises(NumericOverflowError,
+                           match="^non-finite value in encoder input$"):
+            forward(params, x, training=True)
+
 
 class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self):

@@ -599,6 +599,18 @@ def test_kernel_keeps_subnormals():
     assert np.all(got == 3 * 2.0**-1031)
 
 
+def test_address_is_the_first_elements():
+    # The buffer view and the `ctypes.data` fallback give the same address:
+    # C-contiguous, offset, transposed, reversed, empty, read-only and
+    # boolean arrays.
+    base = np.arange(24.0).reshape(4, 6)
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    for array in (base, base[1:3], base.T, base[::-1], base[:, 2:],
+                  np.empty((0, 3)), frozen, np.zeros((4, 6), dtype=bool)):
+        assert numerics.address(array) == array.ctypes.data
+
+
 def test_matmul_path_skips_a_rejected_kernel():
     # A kernel that reorders its sums or fuses its products is never used.
     fallback = numerics._matmul_path(None)
