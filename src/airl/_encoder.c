@@ -1,17 +1,18 @@
 /* The work of an encoder block after its product, behind `airl.encoder`.
  *
- * `airl_block_forward` takes the linear output of a block (groups x rows x
- * width, C-contiguous, the groups' rows stacked) and applies the linear
- * bias, batch-norm and relu in place, with both finite checks, and
- * `airl_block_backward` is the bias, batch-norm and relu part of the
- * block's backward. Each value gets the operations of the numpy block code
- * in `encoder` in the same order, so the bits are the same:
+ * `airl_block_forward` takes the linear output of a training-mode block
+ * (groups x rows x width, C-contiguous, the groups' rows stacked) and
+ * applies the linear bias, batch-norm and relu in place, with both finite
+ * checks, and `airl_block_backward` is the bias, batch-norm and relu part
+ * of the block's backward. `encoder` sends only training-mode blocks of
+ * width 2 and more; eval-mode and width-1 blocks take its numpy passes.
+ * Each value gets the operations of the numpy block code in `encoder` in
+ * the same order, so the bits are the same:
  *
  * - a column sum over a group's rows starts from +0.0 and adds the rows in
  *   order, as numpy's reduction over the rows axis does when the width is
- *   at least 2; at width 1 numpy takes its pairwise sum (`pairwise_sum`)
- *   instead. A sum of products rounds every product first, as numpy's sum
- *   of the product array does;
+ *   at least 2. A sum of products rounds every product first, as numpy's
+ *   sum of the product array does;
  * - a mean is that sum divided by the row count;
  * - the running statistics become `stat * momentum + (1 - momentum) *
  *   batch_stat`, group by group, every product rounded;
@@ -37,51 +38,13 @@
 /* The statuses of `airl_block_forward`. */
 enum { OK, LINEAR_NOT_FINITE, NORM_NOT_FINITE };
 
-/* numpy's pairwise sum of the n rounded products a[i] * b[i * b_step]: a
- * plain loop below eight terms, eight accumulators up to 128, and above
- * that a split at n / 2 rounded down to a multiple of eight. A step of 0
- * over b = {1.0} sums a itself, since a product by 1.0 is exact. */
-OUT_OF_LINE double pairwise_sum(const double *a, const double *b,
-                                ptrdiff_t b_step, ptrdiff_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (ptrdiff_t i = 0; i < n; i++)
-            res += a[i] * b[i * b_step];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        for (int k = 0; k < 8; k++)
-            r[k] = a[k] * b[k * b_step];
-        ptrdiff_t i = 8;
-        for (; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += a[i + k] * b[(i + k) * b_step];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
-                     ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i] * b[i * b_step];
-        return res;
-    }
-    ptrdiff_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, b, b_step, half) +
-           pairwise_sum(a + half, b + half * b_step, b_step, n - half);
-}
-
 /* sums[j] = the sum over the rows of a[r, j], or of a[r, j] * b[r, j] where
- * `b` is given, as numpy sums a (rows, width) array over its rows. */
+ * `b` is given, as numpy sums a (rows, width) array over its rows at width
+ * 2 and more. */
 OUT_OF_LINE void column_sums(const double *restrict a,
                              const double *restrict b, ptrdiff_t rows,
                              ptrdiff_t width, double *restrict sums)
 {
-    if (width == 1) {
-        static const double one = 1.0;
-        sums[0] = 0.0 + (b ? pairwise_sum(a, b, 1, rows)
-                           : pairwise_sum(a, &one, 0, rows));
-        return;
-    }
     for (ptrdiff_t j = 0; j < width; j++)
         sums[j] = 0.0;
     if (b)
@@ -151,13 +114,11 @@ OUT_OF_LINE void relu(double *restrict out, unsigned char *restrict mask,
     }
 }
 
-/* The batch-norm's output over `rows` rows: x_hat is scaled by inv_std,
- * in place where `x_hat` is given (training mode), or else formed as
- * (out - mean) * inv_std (eval mode), and out = gain * x_hat + beta; then
- * the relu where `mask` is given, row by row while the row is in cache.
- * Returns 1 when some output before the relu is not finite, else 0. */
+/* The batch-norm's output over one group's `rows` rows: x_hat is scaled
+ * by inv_std in place and out = gain * x_hat + beta; then the relu where
+ * `mask` is given, row by row while the row is in cache. Returns 1 when
+ * some output before the relu is not finite, else 0. */
 OUT_OF_LINE int normalize(double *restrict out, double *restrict x_hat,
-                          const double *restrict mean,
                           const double *restrict inv_std, ptrdiff_t rows,
                           ptrdiff_t width, const double *restrict gain,
                           const double *restrict beta,
@@ -165,16 +126,10 @@ OUT_OF_LINE int normalize(double *restrict out, double *restrict x_hat,
 {
     uint64_t bad = 0;
     for (ptrdiff_t r = 0; r < rows; r++) {
-        double *restrict o = out + r * width;
-        if (x_hat) {
-            double *restrict xh = x_hat + r * width;
-            for (ptrdiff_t j = 0; j < width; j++) {
-                xh[j] *= inv_std[j];
-                o[j] = gain[j] * xh[j] + beta[j];
-            }
-        } else {
-            for (ptrdiff_t j = 0; j < width; j++)
-                o[j] = gain[j] * ((o[j] - mean[j]) * inv_std[j]) + beta[j];
+        double *restrict o = out + r * width, *restrict xh = x_hat + r * width;
+        for (ptrdiff_t j = 0; j < width; j++) {
+            xh[j] *= inv_std[j];
+            o[j] = gain[j] * xh[j] + beta[j];
         }
         for (ptrdiff_t j = 0; j < width; j++)
             bad |= not_finite(o[j]);
@@ -187,21 +142,20 @@ OUT_OF_LINE int normalize(double *restrict out, double *restrict x_hat,
 /* out: groups x rows x width, C-contiguous, the block's linear output; the
  * block's output is written over it. bias: the linear bias (width), or
  * NULL where batch-norm follows. gain, beta, running_mean, running_var
- * (width each): the batch-norm's, or gain NULL without one. Training mode
- * (`training` set) takes each group's statistics, updates the running
- * ones group by group and writes the scaled x_hat (groups x rows x width)
- * and each group's inv_std (groups x width); eval mode reads the running
- * statistics, writes inv_std (width) and no x_hat. mask: groups x rows x
- * width bytes, 1 where the relu keeps a value and 0 elsewhere, or NULL
- * without a relu. Returns 1, having written nothing but `out`, when the
- * linear output is not finite, and 2, after the running statistics are
- * updated, when the batch-norm's output is not; 0 otherwise. */
+ * (width each): the batch-norm's, or gain NULL without one. The batch-norm
+ * takes each group's statistics, updates the running ones group by group
+ * and writes the scaled x_hat (groups x rows x width) and each group's
+ * inv_std (groups x width). mask: groups x rows x width bytes, 1 where the
+ * relu keeps a value and 0 elsewhere, or NULL without a relu. Returns 1,
+ * having written nothing but `out`, when the linear output is not finite,
+ * and 2, after the running statistics are updated, when the batch-norm's
+ * output is not; 0 otherwise. */
 int airl_block_forward(double *out, ptrdiff_t groups, ptrdiff_t rows,
                        ptrdiff_t width, const double *bias,
                        const double *gain, const double *beta,
                        double *running_mean, double *running_var,
-                       int training, double momentum, double eps,
-                       double *x_hat, double *inv_std, unsigned char *mask)
+                       double momentum, double eps, double *x_hat,
+                       double *inv_std, unsigned char *mask)
 {
     const ptrdiff_t n = groups * rows, size = n * width;
     if (bias)
@@ -216,20 +170,12 @@ int airl_block_forward(double *out, ptrdiff_t groups, ptrdiff_t rows,
         return OK;
     }
     int bad = 0;
-    if (training) {
-        for (ptrdiff_t g = 0; g < groups; g++) {
-            const ptrdiff_t at = g * rows * width;
-            batch_stats(out + at, rows, width, momentum, eps, running_mean,
-                        running_var, x_hat + at, inv_std + g * width);
-            bad |= normalize(out + at, x_hat + at, NULL, inv_std + g * width,
-                             rows, width, gain, beta,
-                             mask ? mask + at : NULL);
-        }
-    } else {
-        for (ptrdiff_t j = 0; j < width; j++)
-            inv_std[j] = 1.0 / sqrt(running_var[j] + eps);
-        bad = normalize(out, NULL, running_mean, inv_std, n, width, gain,
-                        beta, mask);
+    for (ptrdiff_t g = 0; g < groups; g++) {
+        const ptrdiff_t at = g * rows * width;
+        batch_stats(out + at, rows, width, momentum, eps, running_mean,
+                    running_var, x_hat + at, inv_std + g * width);
+        bad |= normalize(out + at, x_hat + at, inv_std + g * width, rows,
+                         width, gain, beta, mask ? mask + at : NULL);
     }
     return bad ? NORM_NOT_FINITE : OK;
 }

@@ -97,6 +97,7 @@ from .numerics import (
     LIBRARY,
     PHILOX_WORDS,
     Rng,
+    address,
     child_keys,
     integer_pair,
     philox_doubles,
@@ -701,10 +702,9 @@ def _kernel_pass(kernel, images: np.ndarray, plans: Plans,
     work = np.empty(3 * out_side * (out_side + 2) + 6 * radius)
     out = np.empty((rows, out_side, out_side, 3))
     n, in_h, in_w = images.shape[:3]
-    kernel(images.ctypes.data, n, in_h, in_w, boxes.ctypes.data, rows,
-           out_side, gates.ctypes.data, coefs.ctypes.data,
-           weights.ctypes.data, radius, plans.threshold, work.ctypes.data,
-           out.ctypes.data)
+    kernel(address(images), n, in_h, in_w, address(boxes), rows, out_side,
+           address(gates), address(coefs), address(weights), radius,
+           plans.threshold, address(work), address(out))
     return out
 
 

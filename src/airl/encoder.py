@@ -17,22 +17,24 @@ Block paths. Every block takes its product from `matmul`, C-contiguous. The
 rest of its work runs on one of two paths with the same bits, chosen once
 at import (`BLOCK_PATH`):
 
-- "kernel": one call of `_encoder.c` per block, forward and backward
-  (`numerics.LIBRARY`). Forward, it adds the linear bias or runs the
-  batch-norm (statistics, running averages, scale and shift), then the
-  relu, with a finite check before and after the batch-norm; backward, it
-  applies the relu mask and forms the batch-norm and bias gradients. It
-  reproduces the numpy path's operations in their order. A column sum
-  over a group's rows starts from +0.0 and adds the rows in order, as
-  numpy's reduction over the rows axis does at width 2 and more; at width
-  1 numpy takes its pairwise sum, and so does the kernel. A running
-  statistic becomes `stat * 0.9 + (1 - 0.9) * batch_stat`, each product
-  rounded, and the scale is `1.0 / sqrt(var + eps)`. The relu gives +0.0
-  for -0.0, as `np.maximum` does, and the backward multiplies by the mask
-  as 1.0 or 0.0, so a masked -3.0 becomes -0.0.
+- "kernel": one call of `_encoder.c` per training-mode block of width 2
+  and more, forward and backward (`numerics.LIBRARY`); eval-mode and
+  width-1 blocks take the numpy passes (`_block_passes`). Forward, it adds
+  the linear bias or runs the batch-norm (statistics, running averages,
+  scale and shift), then the relu, with a finite check before and after
+  the batch-norm; backward, it applies the relu mask and forms the
+  batch-norm and bias gradients. It reproduces the numpy path's
+  operations in their order. A column sum over a group's rows starts from
+  +0.0 and adds the rows in order, as numpy's reduction over the rows
+  axis does at width 2 and more. A running statistic becomes `stat * 0.9
+  + (1 - 0.9) * batch_stat`, each product rounded, and the scale is `1.0
+  / sqrt(var + eps)`. The relu gives +0.0 for -0.0, as `np.maximum` does,
+  and the backward multiplies by the mask as 1.0 or 0.0, so a masked -3.0
+  becomes -0.0.
 - "numpy": the same block in numpy (`_numpy_block_forward` and
-  `_numpy_block_backward`): the kernel's reference, and the path without a
-  compiler or where the kernel fails `_block_is_exact` on `_probe_blocks`.
+  `_numpy_block_backward`): the kernel's reference, the path of every
+  eval-mode and width-1 block, and the path without a compiler or where
+  the kernel fails `_block_is_exact` on `_probe_blocks`.
 
 On both paths a non-finite linear output raises before the running
 statistics change, and a non-finite batch-norm output after they are
@@ -59,7 +61,7 @@ from .errors import (
     DimensionError,
     NumericOverflowError,
 )
-from .numerics import LIBRARY, PAIRWISE_DIFFERS, Rng, address, matmul
+from .numerics import LIBRARY, Rng, address, matmul
 
 BN_EPS = 1e-5
 BN_STAT_MOMENTUM = 0.9
@@ -254,10 +256,6 @@ def _numpy_block_forward(block: Block, out: np.ndarray, params: EncoderParams,
     return out
 
 
-def _address(array: np.ndarray | None):
-    return None if array is None else address(array)
-
-
 def _vector(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float64)
 
@@ -265,7 +263,8 @@ def _vector(array: np.ndarray) -> np.ndarray:
 def _kernel_block_forward(library, block: Block, out: np.ndarray,
                           params: EncoderParams, training: bool, groups: int,
                           entry: dict):
-    # `_numpy_block_forward` in one call of `_encoder.c`'s
+    # `_numpy_block_forward` of a training-mode block (`_block_passes`, so
+    # `training` is set) in one call of `_encoder.c`'s
     # `airl_block_forward`, on C-contiguous float64 operands: `out` is one
     # (`forward`), and a running statistic that is not one is updated in a
     # copy and written back.
@@ -281,11 +280,8 @@ def _kernel_block_forward(library, block: Block, out: np.ndarray,
                  for name in (f"{bn}.mean", f"{bn}.var")}
         mean, var = stats.values()
         vectors = (gain, beta, mean, var)
-        if training:
-            x_hat = np.empty((groups, rows, width))
-            inv_std = np.empty((groups, 1, width))
-        else:
-            inv_std = np.empty(width)
+        x_hat = np.empty((groups, rows, width))
+        inv_std = np.empty((groups, 1, width))
     else:
         bias = _vector(params.tensors[f"{block.name}.bias"])
         vectors = (bias,)
@@ -297,10 +293,9 @@ def _kernel_block_forward(library, block: Block, out: np.ndarray,
     if block.relu:
         mask = np.empty((n, width), dtype=bool)
     status = library.block_forward(
-        address(out), groups, rows, width, _address(bias), _address(gain),
-        _address(beta), _address(mean), _address(var), training,
-        BN_STAT_MOMENTUM, BN_EPS, _address(x_hat), _address(inv_std),
-        _address(mask))
+        address(out), groups, rows, width, address(bias), address(gain),
+        address(beta), address(mean), address(var), BN_STAT_MOMENTUM,
+        BN_EPS, address(x_hat), address(inv_std), address(mask))
     for name, stat in stats.items():
         if stat is not params.running[name]:
             params.running[name][...] = stat
@@ -308,7 +303,7 @@ def _kernel_block_forward(library, block: Block, out: np.ndarray,
         layer = block.name if status == 1 else block.norm_name
         raise NumericOverflowError(
             f"non-finite activation after layer {layer!r}")
-    if block.norm and training:
+    if block.norm:
         entry.update(x_hat=x_hat, inv_std=inv_std, gain=gain)
     if block.relu:
         entry["mask"] = mask
@@ -358,8 +353,8 @@ def _kernel_block_backward(library, entry: dict, grad: np.ndarray,
     work = np.empty(3 * width)
     library.block_backward(
         address(grad), address(d), groups, n // groups, width,
-        _address(entry.get("mask")), _address(entry.get("x_hat")),
-        _address(gain), _address(entry.get("inv_std")), address(gain_sums),
+        address(entry.get("mask")), address(entry.get("x_hat")),
+        address(gain), address(entry.get("inv_std")), address(gain_sums),
         address(bias_sums), address(work))
     if not block.norm:
         return d, {f"{block.name}.bias": bias_sums}
@@ -367,10 +362,13 @@ def _kernel_block_backward(library, entry: dict, grad: np.ndarray,
     return d, {f"{bn}.gain": gain_sums, f"{bn}.bias": bias_sums}
 
 
-def _block_passes(library):
-    """(forward, backward) block pass: the kernel's, calling `library`, or
-    without one numpy's."""
-    if library is None:
+def _block_passes(library, training: bool, width: int):
+    """(forward, backward) block pass of a block of `width` columns in
+    training or eval mode: the kernel's, calling `library`, for a
+    training-mode block of width 2 and more; numpy's without a library and
+    for every other block. Neither benchmark step runs an eval forward, and
+    no preset builds a width-1 block, where numpy sums a column pairwise."""
+    if library is None or not training or width < 2:
         return _numpy_block_forward, _numpy_block_backward
     return (functools.partial(_kernel_block_forward, library),
             functools.partial(_kernel_block_backward, library))
@@ -419,8 +417,7 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool,
                     f"2 samples per group, got {rows}"
                 )
 
-    block_forward, _ = _block_passes(LIBRARY if BLOCK_PATH == "kernel"
-                                     else None)
+    library = LIBRARY if BLOCK_PATH == "kernel" else None
     entries: list[dict] = []
     stages: dict[str, np.ndarray] = {}
     h = x
@@ -428,6 +425,7 @@ def forward(params: EncoderParams, x: np.ndarray, training: bool,
         w = params.tensors[f"{block.name}.weight"]
         entry = {"block": block, "x": h, "w": w}
         product = np.ascontiguousarray(matmul(h, w))
+        block_forward, _ = _block_passes(library, training, block.out_dim)
         try:
             h = block_forward(block, product, params, training, groups, entry)
         except NumericOverflowError:
@@ -467,10 +465,11 @@ def backward(cache: dict, grad_out: np.ndarray) -> list[dict[str, np.ndarray]]:
             f"grad_out shape {grad.shape} does not match forward output "
             f"({n}, {entries[-1]['block'].out_dim})"
         )
-    _, block_backward = _block_passes(LIBRARY if BLOCK_PATH == "kernel"
-                                      else None)
+    library = LIBRARY if BLOCK_PATH == "kernel" else None
     for i in range(len(entries) - 1, -1, -1):
         entry = entries[i]
+        _, block_backward = _block_passes(library, True,
+                                          entry["block"].out_dim)
         grad, sums = block_backward(entry, np.ascontiguousarray(grad), groups)
         for g, (grads, span) in enumerate(zip(grad_sets, spans)):
             for name, value in sums.items():
@@ -514,15 +513,16 @@ def backbone_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return stages[backbone[-1]]
 
 
-def _block_trace(passes, block: Block, params: EncoderParams,
+def _block_trace(library, block: Block, params: EncoderParams,
                  product: np.ndarray, training: bool, groups: int,
                  grad_out: np.ndarray) -> list[np.ndarray]:
-    """Every array that one block pass of `passes` (a `_block_passes` pair)
+    """Every array that the block pass `_block_passes` picks for `library`
     gives on a copy of `params` and `product`: the output, the cache
     entries, the running statistics and, in training mode, the backward's
     gradient and sums for `grad_out`, each in name order."""
     params = params.copy()
-    forward_pass, backward_pass = passes
+    forward_pass, backward_pass = _block_passes(library, training,
+                                                block.out_dim)
     entry = {"block": block}
     out = forward_pass(block, product.copy(), params, training, groups, entry)
     arrays = [out, *(entry[k] for k in sorted(entry) if k != "block"),
@@ -541,17 +541,14 @@ def _same_arrays(first: list[np.ndarray], second: list[np.ndarray]) -> bool:
 
 
 def _probe_blocks() -> list[tuple]:
-    """Fixed block cases for `_block_is_exact`, as `_block_trace`'s
-    arguments after `passes`.
+    """Fixed training-mode block cases for `_block_is_exact`, as
+    `_block_trace`'s arguments after `library`.
 
     - A BN + relu block of width 9 (a vector body and a tail at every
-      vector width), 2 groups of 9 rows, in training and in eval mode.
-      Columns span eight decades. Column 3 is constant and its running
-      mean equals it, with a negative gain and a -0.0 bias, so it reaches
-      the relu as -0.0, which the relu must give as +0.0.
-    - A BN + relu block of width 1 whose two groups of 8 rows are
-      `numerics.PAIRWISE_DIFFERS` and its reverse: every column sum must
-      be numpy's pairwise sum.
+      vector width), 2 groups of 9 rows. Columns span eight decades.
+      Column 3 is constant, with a negative gain and a -0.0 bias, so it
+      reaches the relu as -0.0, which the relu must give as +0.0. The
+      running variances start away from 1.
     - A linear + relu block of width 9, one group of 9 rows: a negative
       gradient where the relu masked becomes -0.0.
     """
@@ -566,16 +563,9 @@ def _probe_blocks() -> list[tuple]:
     product = source.child("x").normal(size=(18, 9)) * 10.0 ** np.arange(
         -3, 6)
     product[:, 3] = 0.75
-    params.running["probe_bn.mean"][3] = 0.75
     params.running["probe_bn.var"] += np.arange(9)
-    grad = source.child("grad").normal(size=(18, 9))
-    for training in (True, False):
-        cases.append((wide, params, product, training, 2, grad))
-    narrow = Block("probe", "probe_lin", 1, 1, norm=True, relu=True)
-    params = init_params((narrow,), source.child("narrow"))
-    product = np.concatenate([PAIRWISE_DIFFERS, PAIRWISE_DIFFERS[::-1]])
-    cases.append((narrow, params, product[:, None], True, 2,
-                  source.child("grad", 1).normal(size=(16, 1))))
+    cases.append((wide, params, product, True, 2,
+                  source.child("grad").normal(size=(18, 9))))
     linear = Block("probe", "probe_lin", 1, 9, norm=False, relu=True)
     params = init_params((linear,), source.child("linear"))
     cases.append((linear, params, source.child("x", 2).normal(size=(9, 9)),
@@ -586,11 +576,9 @@ def _probe_blocks() -> list[tuple]:
 def _block_is_exact(library) -> bool:
     """Whether the block passes of `library` give numpy's bits on
     `_probe_blocks`. A kernel built with contracted multiply-adds, one that
-    sums a width-1 column in row order, one that masks by a select or one
-    whose relu keeps -0.0 fails."""
-    kernel, reference = _block_passes(library), _block_passes(None)
-    return all(_same_arrays(_block_trace(kernel, *case),
-                            _block_trace(reference, *case))
+    masks by a select or one whose relu keeps -0.0 fails."""
+    return all(_same_arrays(_block_trace(library, *case),
+                            _block_trace(None, *case))
                for case in _probe_blocks())
 
 

@@ -17,7 +17,7 @@ Compiled library. When it is imported, `numerics` compiles `_matmul.c`,
 run of the system `cc` (`_build_library`) and binds their functions
 (`LIBRARY`). Each module probes its own functions at import and falls back
 to numpy if they fail; without a compiler, or when the build fails or times
-out, no kernel is there. The `matmul` and block calls pass their arrays by
+out, no kernel is there. Every compiled call passes its arrays by
 `address`.
 
 Random streams. An `Rng` is numpy's Philox4x64-10 generator under a key
@@ -311,8 +311,8 @@ class Library(NamedTuple):
     jitter_coefs, blur_weights, radius, threshold, work, out)` is
     `_augment.c`'s, which `augment._kernel_pass` calls. `_encoder.c` gives
     the other two, which `encoder` calls: `block_forward(out, groups,
-    rows, width, bias, gain, beta, running_mean, running_var, training,
-    momentum, eps, x_hat, inv_std, mask)`, the work of an encoder block
+    rows, width, bias, gain, beta, running_mean, running_var, momentum,
+    eps, x_hat, inv_std, mask)`, the work of a training-mode encoder block
     after its product, which returns a status (0, or 1 or 2 for a
     non-finite output before or after batch-norm), and
     `block_backward(grad, d, groups, rows, width, mask, x_hat, gain,
@@ -337,7 +337,7 @@ SIGNATURES = {
                                 _SIZE, _DOUBLE, _POINTER, _POINTER)),
     "airl_block_forward": (_INT, (_POINTER, _SIZE, _SIZE, _SIZE, _POINTER,
                                   _POINTER, _POINTER, _POINTER, _POINTER,
-                                  _INT, _DOUBLE, _DOUBLE, _POINTER, _POINTER,
+                                  _DOUBLE, _DOUBLE, _POINTER, _POINTER,
                                   _POINTER)),
     "airl_block_backward": (None, (_POINTER, _POINTER, _SIZE, _SIZE, _SIZE,
                                    _POINTER, _POINTER, _POINTER, _POINTER,
@@ -345,12 +345,15 @@ SIGNATURES = {
 }
 
 
-def address(array: np.ndarray) -> int:
+def address(array: np.ndarray | None) -> int | None:
     """The address of `array`'s first element, `array.ctypes.data`, for a
-    compiled call. A writable, C-contiguous, non-empty array gives it
-    through a ctypes view of its buffer, in about 0.4 µs against 1.5 µs for
-    `ctypes.data`, which builds a ctypes object on every access; any other
-    array through `ctypes.data`."""
+    compiled call, or None (a NULL pointer) for None. A writable,
+    C-contiguous, non-empty array gives it through a ctypes view of its
+    buffer, in about 0.4 µs against 1.5 µs for `ctypes.data`, which builds
+    a ctypes object on every access; any other array through
+    `ctypes.data`."""
+    if array is None:
+        return None
     try:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
     except (TypeError, ValueError):

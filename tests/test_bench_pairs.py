@@ -61,6 +61,20 @@ def test_pair_records_read_the_result_lines():
     assert pairs[2]["ops_failed"] == {"parent": 0, "change": 1}
 
 
+def test_progress_line_shows_every_bounded_metric():
+    assert bench_pairs.progress_line("rescue_eval", 4, canned_pairs()[1]) == (
+        "rescue_eval pair 2/4 seed 102 (parent -> change): step_ms.p90 "
+        "40 -> 41, setup_s 1 -> 3, peak_rss_mb 50 -> 50.5")
+    # A set-up of a quarter of a millisecond keeps its digits.
+    runs = {"parent": bench_pairs.parse_run(output(8.061, 0.00025, 52.58)),
+            "change": bench_pairs.parse_run(output(7.9, 0.000351, 52.21))}
+    record = bench_pairs.pair_record(10, 8110, "change", runs)
+    assert bench_pairs.progress_line("study_mix", 10, record) == (
+        "study_mix pair 10/10 seed 8110 (parent -> change): step_ms.p90 "
+        "8.061 -> 7.9, setup_s 0.00025 -> 0.000351, peak_rss_mb 52.58 -> "
+        "52.21")
+
+
 def test_summary_medians_quartiles_and_wins():
     summary = bench_pairs.summarize(canned_pairs())
     # parent 40, 45, 50, 60 and change 30, 40, 41, 45, sorted; quartiles

@@ -81,9 +81,8 @@ def digest_lines(threads: int, **env: str) -> tuple[list[str], list[str],
     return proc.stdout.splitlines(), expected, levels, produced_by
 
 
-def test_header_parsers_read_both_header_forms():
-    # The one header form: the numpy version, the three paths, the
-    # dispatch level.
+def test_header_parsers_read_the_header():
+    # The numpy version, the three paths, the dispatch level.
     header = ("numpy 2.4.6, matmul path: kernel, augment path: kernel, "
               "block path: kernel, exp/log dispatch: X86_V4")
     assert numpy_version(header) == "numpy 2.4.6"
@@ -107,6 +106,7 @@ def test_trajectory_digest_is_the_same_without_a_compiler():
     # fallback, and `apply_plans` and the encoder blocks their numpy
     # passes, which must print the same lines as the kernels.
     produced, expected, levels, produced_by = digest_lines(1, PATH="")
+    assert "matmul path: kernel," not in produced_by
     assert "augment path: numpy," in produced_by
     assert "block path: numpy," in produced_by
     assert produced == expected, levels

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -21,8 +22,14 @@ from airl.errors import (
     DimensionError,
     NumericOverflowError,
 )
-from airl.frameworks import PLACEMENTS, init_siamese_state
+from airl.frameworks import (
+    KINDS,
+    PLACEMENTS,
+    init_siamese_state,
+    training_step,
+)
 from airl.numerics import Rng, finite_diff_grad, matmul, relative_error
+from airl.optim import LrSchedule, Optimizer, SgdConfig
 from presets import preset
 
 
@@ -374,19 +381,18 @@ BLOCK_KINDS = ((True, True), (True, False), (False, True), (False, False))
 
 def with_specials(rng, n, width):
     """Normal values, each column scaled by 10**-3 to 10**3, with
-    `SPECIALS` at random places and, from width 2, a column of -0.0."""
+    `SPECIALS` at random places and a first column of -0.0."""
     x = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4, size=width)
     at = rng.permutation(n * width)[:SPECIALS.size]
     x.flat[at] = SPECIALS[:at.size]
-    if width > 1:
-        x[:, 0] = -0.0
+    x[:, 0] = -0.0
     return x
 
 
-def block_case(seed, width, rows, groups, norm, relu, training):
-    """`encoder._block_trace`'s arguments after `passes` for one block with
-    negative gains, a -0.0 BN bias, random running statistics and special
-    values in the product and in the gradient."""
+def block_case(seed, width, rows, groups, norm, relu):
+    """`encoder._block_trace`'s arguments after `library` for one
+    training-mode block with negative gains, a -0.0 BN bias, random running
+    statistics and special values in the product and in the gradient."""
     source = Rng(seed).child(width, rows, groups, norm, relu)
     block = Block("probe", "probe_lin", 1, width, norm=norm, relu=relu)
     params = init_params((block,), source.child("init"))
@@ -402,26 +408,26 @@ def block_case(seed, width, rows, groups, norm, relu, training):
             0.5, 2.0, size=width)
     n = groups * rows
     return (block, params, with_specials(source.child("x"), n, width),
-            training, groups, with_specials(source.child("grad"), n, width))
+            True, groups, with_specials(source.child("grad"), n, width))
 
 
 @needs_block_kernel
-@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 17, 64])
+@pytest.mark.parametrize("width", [2, 7, 8, 9, 17, 64])
 def test_kernel_block_pass_gives_numpy_bits(width):
     # Output, cache entries, running statistics, the gradient of the
-    # product and the per-group sums, at every width the kernel's loops
-    # split differently (vector bodies and tails, and width 1's pairwise
-    # sums, split above 128 rows), for 1 to 3 groups of 2, 3 and 130 rows.
-    kernel = encoder._block_passes(numerics.LIBRARY)
-    reference = encoder._block_passes(None)
-    for rows, groups, (norm, relu), training in itertools.product(
-            (2, 3, 130), (1, 2, 3), BLOCK_KINDS, (True, False)):
-        case = block_case(31, width, rows, groups, norm, relu, training)
+    # product and the per-group sums of a training-mode block, at every
+    # width from 2 the kernel's loops split differently (vector bodies and
+    # tails), for 1 to 3 groups of 2, 3 and 130 rows. Eval-mode and
+    # width-1 blocks never reach the kernel
+    # (`test_kernel_takes_training_blocks_of_width_two_and_more`).
+    for rows, groups, (norm, relu) in itertools.product(
+            (2, 3, 130), (1, 2, 3), BLOCK_KINDS):
+        case = block_case(31, width, rows, groups, norm, relu)
         with np.errstate(over="ignore"):
-            expected = encoder._block_trace(reference, *case)
-        assert encoder._same_arrays(encoder._block_trace(kernel, *case),
-                                    expected), (rows, groups, norm, relu,
-                                                training)
+            expected = encoder._block_trace(None, *case)
+        assert encoder._same_arrays(
+            encoder._block_trace(numerics.LIBRARY, *case), expected), (
+                rows, groups, norm, relu)
 
 
 def encoder_arrays(params, x, training, groups, grad_out):
@@ -513,11 +519,57 @@ def test_backward_does_not_write_grad_out(path, last, monkeypatch):
     assert grad_out.tobytes() == kept.tobytes()
 
 
-# Fragments of `_encoder.c` and the mutants that replace them: width-1
-# column sums in row order, the backward's mask as a select, and a relu
-# that keeps -0.0.
+def counting_library(calls):
+    """`numerics.LIBRARY` whose block functions count their calls in
+    `calls`, by field name."""
+    def counted(name):
+        function = getattr(numerics.LIBRARY, name)
+
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+    return numerics.LIBRARY._replace(
+        block_forward=counted("block_forward"),
+        block_backward=counted("block_backward"))
+
+
+@needs_block_kernel
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_takes_training_blocks_of_width_two_and_more(kind,
+                                                           monkeypatch):
+    # A training step calls the kernel once per block of each branch's
+    # forward and once per block of the student's backward; an eval
+    # forward and the width-1 blocks of a branch call it never.
+    calls = collections.Counter()
+    monkeypatch.setattr(encoder, "LIBRARY", counting_library(calls))
+    cfg = preset(kind, input_dim=12, backbone_hidden=8, backbone_out=8,
+                 projector_hidden=8, projector_out=6, queue_size=16)
+    state = init_siamese_state(cfg, Rng(0).child("init"), total_steps=2)
+    x1, x2 = Rng(1).normal(size=(2, 4, 12))
+    opt = Optimizer(SgdConfig(momentum=0.9, weight_decay=0.0),
+                    LrSchedule(0.05, warmup_epochs=0, total_epochs=1))
+    training_step(state, x1, x2, cfg, opt)
+    student = len(state.student.specs)
+    teacher = len(state.teacher.specs) if state.teacher else 0
+    assert calls == {"block_forward": student + teacher,
+                     "block_backward": student}
+    calls.clear()
+    forward(state.student, x1, training=False)
+    encoder.backbone_features(state.student, x2)
+    assert not calls
+    specs = (Block("backbone1", "lin1", 12, 1, norm=True, relu=True),
+             Block("backbone2", "lin2", 1, 5, norm=True, relu=True),
+             Block("projector", "lin3", 5, 1, norm=False, relu=False))
+    params = init_params(specs, Rng(2))
+    _, cache = forward(params, x1, training=True, groups=2)
+    backward(cache, np.ones((4, 1)))
+    assert calls == {"block_forward": 1, "block_backward": 1}
+
+
+# Fragments of `_encoder.c` and the mutants that replace them: the
+# backward's mask as a select, and a relu that keeps -0.0.
 BLOCK_MUTANTS = {
-    "width_one_in_row_order": ("if (width == 1) {", "if (0) {"),
     "mask_as_select": ("d[i] = grad[i] * (double)mask[i];",
                        "d[i] = mask[i] ? grad[i] : 0.0;"),
     "relu_keeps_negative_zero": ("out[i] = v > 0.0 ? v : 0.0;",

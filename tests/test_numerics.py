@@ -602,13 +602,14 @@ def test_kernel_keeps_subnormals():
 def test_address_is_the_first_elements():
     # The buffer view and the `ctypes.data` fallback give the same address:
     # C-contiguous, offset, transposed, reversed, empty, read-only and
-    # boolean arrays.
+    # boolean arrays. None gives None, a NULL pointer.
     base = np.arange(24.0).reshape(4, 6)
     frozen = base.copy()
     frozen.flags.writeable = False
     for array in (base, base[1:3], base.T, base[::-1], base[:, 2:],
                   np.empty((0, 3)), frozen, np.zeros((4, 6), dtype=bool)):
         assert numerics.address(array) == array.ctypes.data
+    assert numerics.address(None) is None
 
 
 def test_matmul_path_skips_a_rejected_kernel():

@@ -68,6 +68,15 @@ def pair_record(number: int, seed: int, first: str, runs: dict) -> dict:
     }
 
 
+def progress_line(workload: str, total: int, record: dict) -> str:
+    """The line printed after each pair (a `pair_record`): every bounded
+    metric, the parent's value, then the change's."""
+    return (f"{workload} pair {record['pair']}/{total} seed {record['seed']} "
+            "(parent -> change): " + ", ".join(
+                f"{name} {record['parent'][name]:.4g} -> "
+                f"{record['change'][name]:.4g}" for name in METRICS))
+
+
 def quartiles(values) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 4), "q1": round(float(q1), 4),
@@ -214,10 +223,8 @@ def main(argv=None) -> int:
             entry["verdicts"] = verdicts(pairs, bounds)
             args.out.write_text(json.dumps(report, indent=1) + "\n",
                                 encoding="utf-8")
-            print(f"{workload} pair {number}/{args.pairs} seed {seed}: "
-                  + ", ".join(f"{side} {runs[side]['metrics']['step_ms.p90']:.1f}"
-                              for side in SIDES)
-                  + " ms step p90", file=sys.stderr, flush=True)
+            print(progress_line(workload, args.pairs, pairs[-1]),
+                  file=sys.stderr, flush=True)
         print(f"{workload}: " + ", ".join(
             f"{name} {verdict}" for name, verdict in entry["verdicts"].items()),
             file=sys.stderr, flush=True)
